@@ -8,11 +8,9 @@
 //! absolute nanoseconds) are compared because they are host-independent:
 //! the committed baselines come from a different machine than the CI runner.
 //!
-//! `BENCH_serving.json` rows additionally carry client-observed latency
-//! percentiles (`p50_ns`, `p99_ns`). Those are compared too — direction
-//! inverted (higher latency = regression), same threshold, still warn-only —
-//! which is noisier than the ratios, but a >30% p99 jump on the same loopback
-//! setup is worth a warning line even across hosts.
+//! The fault-recovery and replication rows additionally carry times and a
+//! retry amplification. Those are compared too — direction inverted (higher =
+//! regression), same threshold, still warn-only.
 //!
 //! Usage:
 //!
@@ -33,21 +31,18 @@ use std::process::ExitCode;
 use mlkv_bench::arg_value;
 
 /// The speedup fields the emitters write, in lookup order. Higher is better.
-const SPEEDUP_KEYS: [&str; 6] = [
+const SPEEDUP_KEYS: [&str; 5] = [
     "speedup_vs_serial",
     "speedup_vs_per_record",
     "speedup_vs_sync",
-    "speedup_vs_per_request",
     "throughput_retained_vs_serving",
     "read_throughput_vs_primary",
 ];
 
-/// Fields compared with the direction inverted — larger is worse: serving
-/// latency percentiles, fault-recovery and replication-failover times, the
-/// replication lag drain, and the retry amplification of the churn rows.
-const LATENCY_KEYS: [&str; 6] = [
-    "p50_ns",
-    "p99_ns",
+/// Fields compared with the direction inverted — larger is worse:
+/// fault-recovery and replication-failover times, the replication lag drain,
+/// and the retry amplification of the churn rows.
+const LATENCY_KEYS: [&str; 4] = [
     "recovery_ns",
     "retry_amplification",
     "catchup_ns",
@@ -55,10 +50,8 @@ const LATENCY_KEYS: [&str; 6] = [
 ];
 
 /// Measured-but-not-compared fields, excluded from row identity keys.
-const NOISE_KEYS: [&str; 9] = [
+const NOISE_KEYS: [&str; 7] = [
     "mean_ns",
-    "achieved_rps",
-    "fused_keys_per_tick",
     "records_per_sec",
     "attempts",
     "reconnects",
@@ -195,11 +188,10 @@ fn main() -> ExitCode {
     let mut regressions = 0usize;
     let mut compared = 0usize;
     for (key, base) in &baseline {
-        // Denominator rows (coalescing-off / serial / sync / per-request)
-        // carry a speedup of exactly 1.0 in both files, so they compare as
-        // trivially ok; no filtering, or genuine sub-1.0 data rows (e.g.
-        // WiredTiger's ~0.96x async cell) would silently escape regression
-        // detection.
+        // Denominator rows (coalescing-off / serial / sync) carry a speedup
+        // of exactly 1.0 in both files, so they compare as trivially ok; no
+        // filtering, or genuine sub-1.0 data rows (e.g. WiredTiger's ~0.96x
+        // async cell) would silently escape regression detection.
         let Some(cur) = current.get(key) else {
             eprintln!("::warning::bench drift: row missing from current run: {key}");
             continue;

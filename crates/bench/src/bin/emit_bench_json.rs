@@ -24,11 +24,6 @@
 //!   `GroupCommit`, across group sizes — the group-commit sync cost is paid
 //!   once per acknowledged batch, so its per-record price melts as the group
 //!   grows.
-//! * `BENCH_serving.json` (`mlkv_bench::serving`): client-observed latency of
-//!   small gathers through the TCP serving tier, 8 concurrent clients on a
-//!   cold-SSD table, with the server's cross-request micro-batching off
-//!   (`batching = per_request`) vs on (`batching = fused`), at two offered
-//!   loads.
 //! * `BENCH_fault_recovery.json` (`mlkv_bench::fault`): the serving tier
 //!   under faults — gather latency while `Serving` vs `Degraded` (read-only
 //!   after an injected device write fault, probes failing), the time from
@@ -46,14 +41,12 @@
 //! ```text
 //! cargo run --release -p mlkv-bench --bin emit_bench_json \
 //!     [-- --out PATH] [--io-out PATH] [--io-async-out PATH] \
-//!     [--durability-out PATH] [--serving-out PATH] [--fault-out PATH] \
-//!     [--replication-out PATH] [--batch-only] [--serving-only] \
-//!     [--fault-only] [--replication-only] [--quick]
+//!     [--durability-out PATH] [--fault-out PATH] [--replication-out PATH] \
+//!     [--batch-only] [--fault-only] [--replication-only] [--quick]
 //! ```
 //!
 //! `--batch-only` stops after `BENCH_batch_parallel.json` (regenerating just
-//! the executor/write-shard matrix without the serving/fault/replication
-//! sweeps).
+//! the executor/write-shard matrix without the fault/replication sweeps).
 //!
 //! `--quick` runs one measurement iteration per cell (CI smoke); the default
 //! run is sized for stable means on an idle machine. Interpreting the
@@ -552,105 +545,6 @@ fn write_durability_json(cells: &[DurabilityCell], quick: bool, out_path: &str) 
     println!("wrote {out_path}");
 }
 
-/// One `BENCH_serving.json` row: client-observed latency through the TCP
-/// serving tier for one engine / offered load / batching mode.
-struct ServingCell {
-    engine: &'static str,
-    load: &'static str,
-    batching: &'static str,
-    p50_ns: u128,
-    p99_ns: u128,
-    mean_ns: u128,
-    achieved_rps: f64,
-    fused_keys_per_tick: f64,
-    speedup_vs_per_request: f64,
-}
-
-/// Measure the per-request/fused pair for every serving backend and load.
-fn run_serving(quick: bool) -> Vec<ServingCell> {
-    use mlkv_bench::serving;
-    let requests_per_client = if quick { 8 } else { 64 };
-    let mut cells = Vec::new();
-    for backend in serving::BACKENDS {
-        for load in serving::Load::ALL {
-            let mut per_request_ns = 0u128;
-            for fused in [false, true] {
-                let m = serving::run_serving(backend, fused, requests_per_client, load);
-                if !fused {
-                    per_request_ns = m.mean_ns;
-                }
-                let speedup = per_request_ns as f64 / m.mean_ns.max(1) as f64;
-                let batching = if fused { "fused" } else { "per_request" };
-                eprintln!(
-                    "{:>10} serve-gather {} clients load={:<5} batching={batching:<11}: \
-                     p50 {:>8.3} ms  p99 {:>8.3} ms ({:>8.0} req/s, \
-                     {:.1} fused keys/tick, {speedup:.2}x vs per-request)",
-                    backend.name(),
-                    serving::CLIENTS,
-                    load.name(),
-                    m.p50_ns as f64 / 1e6,
-                    m.p99_ns as f64 / 1e6,
-                    m.achieved_rps,
-                    m.fused_keys_per_tick,
-                );
-                cells.push(ServingCell {
-                    engine: backend.name(),
-                    load: load.name(),
-                    batching,
-                    p50_ns: m.p50_ns,
-                    p99_ns: m.p99_ns,
-                    mean_ns: m.mean_ns,
-                    achieved_rps: m.achieved_rps,
-                    fused_keys_per_tick: m.fused_keys_per_tick,
-                    speedup_vs_per_request: speedup,
-                });
-            }
-        }
-    }
-    cells
-}
-
-fn write_serving_json(cells: &[ServingCell], quick: bool, out_path: &str) {
-    use mlkv_bench::serving;
-    let mut json = String::new();
-    let note = format!(
-        "client-observed latency of {}-key gathers from {} concurrent TCP clients against \
-         a cold-SSD table ({}us/request simulated SSD); batching=per_request pins the \
-         server's micro-batch window at 1, batching=fused lets the adaptive window fuse \
-         requests across clients into one engine gather per tick (fused_keys_per_tick is \
-         measured from the batcher's metrics); load=heavy is a closed loop, load=light \
-         adds 1ms client think time",
-        serving::KEYS_PER_REQUEST,
-        serving::CLIENTS,
-        mlkv_bench::io_coalesce::READ_LATENCY.as_micros(),
-    );
-    json_prologue(&mut json, "serving", quick, &note);
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"engine\": \"{}\", \"workload\": \"serve-gather\", \"clients\": {}, \
-             \"batch\": {}, \"load\": \"{}\", \"batching\": \"{}\", \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"mean_ns\": {}, \"achieved_rps\": {:.0}, \
-             \"fused_keys_per_tick\": {:.1}, \"speedup_vs_per_request\": {:.3}}}",
-            c.engine,
-            serving::CLIENTS,
-            serving::KEYS_PER_REQUEST,
-            c.load,
-            c.batching,
-            c.p50_ns,
-            c.p99_ns,
-            c.mean_ns,
-            c.achieved_rps,
-            c.fused_keys_per_tick,
-            c.speedup_vs_per_request
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).unwrap();
-    println!("wrote {out_path}");
-}
-
 /// One `BENCH_fault_recovery.json` row group for one engine: degraded-mode
 /// read retention, probe-driven recovery time, and retry amplification under
 /// seeded connection churn.
@@ -850,20 +744,12 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let batch_only = args.iter().any(|a| a == "--batch-only");
-    let serving_only = args.iter().any(|a| a == "--serving-only");
     let fault_only = args.iter().any(|a| a == "--fault-only");
     let replication_only = args.iter().any(|a| a == "--replication-only");
-    let serving_out_path = mlkv_bench::arg_value(&args, "--serving-out")
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
     let fault_out_path = mlkv_bench::arg_value(&args, "--fault-out")
         .unwrap_or_else(|| "BENCH_fault_recovery.json".to_string());
     let replication_out_path = mlkv_bench::arg_value(&args, "--replication-out")
         .unwrap_or_else(|| "BENCH_replication.json".to_string());
-    if serving_only {
-        let serving_cells = run_serving(quick);
-        write_serving_json(&serving_cells, quick, &serving_out_path);
-        return;
-    }
     if fault_only {
         let fault_cells = run_fault(quick);
         write_fault_json(&fault_cells, quick, &fault_out_path);
@@ -1001,9 +887,6 @@ fn main() {
 
     let durability_cells = run_durability(quick);
     write_durability_json(&durability_cells, quick, &durability_out_path);
-
-    let serving_cells = run_serving(quick);
-    write_serving_json(&serving_cells, quick, &serving_out_path);
 
     let fault_cells = run_fault(quick);
     write_fault_json(&fault_cells, quick, &fault_out_path);

@@ -32,7 +32,7 @@ pub const DIM: usize = 16;
 pub const KEY_SPACE: u64 = 2_000;
 /// Keys per gather while measuring throughput.
 pub const GATHER_KEYS: usize = 64;
-/// The engines the fault sweep records (same pair as the serving bench).
+/// The engines the fault sweep records (one hybrid-log, one LSM).
 pub const BACKENDS: [BackendKind; 2] = [BackendKind::Faster, BackendKind::RocksDbLike];
 /// Probe cadence of the measured servers: recovery time is bounded below by
 /// this, so it is part of the recorded configuration.

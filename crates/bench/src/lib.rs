@@ -6,7 +6,6 @@
 
 pub mod fault;
 pub mod replication;
-pub mod serving;
 
 use std::sync::Arc;
 use std::time::Duration;

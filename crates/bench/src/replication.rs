@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use mlkv::BackendKind;
 use mlkv_server::{Client, ClientOptions, ReplicationMode, Role, ServerBuilder, ServerHandle};
-use mlkv_storage::{DurabilityMode, ReplicationTuning};
+use mlkv_storage::{DurabilityMode, ReplicationTuning, StoreConfig};
 
 /// Embedding dimension of the replicated tables.
 pub const DIM: usize = 16;
@@ -33,8 +33,8 @@ pub const KEY_SPACE: u64 = 2_000;
 pub const GATHER_KEYS: usize = 64;
 /// Keys per apply in the lag burst and failover streams.
 pub const APPLY_KEYS: usize = 8;
-/// The engines the replication sweep records (the same pair as the serving
-/// and fault benches; both support snapshot catch-up).
+/// The engines the replication sweep records (the same pair as the fault
+/// bench; both support snapshot catch-up).
 pub const BACKENDS: [BackendKind; 2] = [BackendKind::Faster, BackendKind::RocksDbLike];
 
 fn tuning() -> ReplicationTuning {
@@ -55,9 +55,11 @@ fn temp_dir(backend: BackendKind, tag: &str) -> PathBuf {
 
 fn pair_builder(backend: BackendKind, dir: &Path) -> ServerBuilder {
     ServerBuilder::new(backend, DIM)
-        .dir(dir)
-        .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-        .parallelism(1)
+        .store_config(
+            StoreConfig::on_disk(dir)
+                .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 })
+                .with_parallelism(1),
+        )
         .staleness_bound(u32::MAX)
         .replication_tuning(tuning())
         .unavailable_retry_after_ms(1)

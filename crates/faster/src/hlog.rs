@@ -225,8 +225,11 @@ impl HybridLog {
 
     /// Move `head` and `read_only` forward given the new tail.
     fn advance_boundaries(&self, new_tail: u64) {
-        // Head: the oldest page that still has a frame is `page(tail) - num_frames + 1`.
-        let tail_page = new_tail / self.page_size as u64;
+        // Head: the oldest page that still has a frame is
+        // `page(last byte written) - num_frames + 1`. When the tail lands
+        // exactly on a page boundary the next page is not installed yet, so
+        // the frame it will take still holds an unflushed resident page.
+        let tail_page = new_tail.saturating_sub(1) / self.page_size as u64;
         let head_page = tail_page.saturating_sub(self.num_frames as u64 - 1);
         let new_head = head_page * self.page_size as u64;
         self.head.fetch_max(new_head, Ordering::AcqRel);

@@ -1,18 +1,18 @@
 //! The batcher: a single thread that turns the admission queue's per-request
 //! work into fused storage calls.
 //!
-//! Each tick the batcher drains a micro-batch from the [`AdmissionQueue`],
-//! drops work whose deadline expired while queued, fuses the remainder into as
-//! few `EmbeddingTable::gather` / `apply_gradients` calls as possible
-//! (contiguous runs of the same kind — this preserves per-connection
+//! One dispatch rule: the moment a tick returns, the batcher takes whatever
+//! the [`AdmissionQueue`] holds (up to [`MAX_TICK_REQUESTS`]) and runs it. It
+//! blocks only while the queue is empty, never on a timer — so a lone request
+//! is served at per-request latency, and a batch is exactly the requests that
+//! arrived while the engine was busy with the previous tick. Batch size
+//! follows load with nothing to tune.
+//!
+//! Each tick drops work whose deadline expired while queued, fuses the
+//! remainder into as few `EmbeddingTable::gather` / `apply_gradients` calls as
+//! possible (contiguous runs of the same kind — this preserves per-connection
 //! read-your-writes ordering across the batch), and scatters the results back
 //! through each request's reply closure.
-//!
-//! The micro-batch window is sized by [`AdaptiveWindow`], the same ±1-step
-//! clamp feedback loop the trainer uses for prefetch depth: grow while ticks
-//! fill the window and leave a backlog (fusion is paying off), shrink when a
-//! tick's latency overshoots the target (queueing delay is eating the
-//! deadline budget).
 //!
 //! The batcher is also the single authoritative point for the fault-tolerance
 //! machinery (it is the only thread that mutates the table, so there are no
@@ -35,7 +35,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mlkv::EmbeddingTable;
 use mlkv_storage::{StorageError, StorageMetrics, WriteBatch};
@@ -46,84 +46,10 @@ use crate::protocol::{encode_error, ErrorCode, Response};
 use crate::queue::{AdmissionQueue, Pending, Work};
 use crate::repl::{ReplicationHub, ReplicationMode};
 
-/// Feedback-sized micro-batch window (in requests per tick).
-///
-/// Mirrors the trainer's `AdaptiveLookahead`: one multiplicative step per
-/// observation, clamped to `[1, max]`, so the window cannot oscillate wildly
-/// on a single noisy tick.
-#[derive(Debug)]
-pub struct AdaptiveWindow {
-    window: usize,
-    max: usize,
-    latency_target: Duration,
-    adaptive: bool,
-}
-
-impl AdaptiveWindow {
-    /// A window starting at `initial` requests, clamped to `[1, max]`.
-    /// `adaptive = false` pins the window at `initial` (per-request dispatch
-    /// when `initial == 1` — the benchmark's comparison baseline).
-    pub fn new(initial: usize, max: usize, latency_target: Duration, adaptive: bool) -> Self {
-        let max = max.max(1);
-        Self {
-            window: initial.clamp(1, max),
-            max,
-            latency_target,
-            adaptive,
-        }
-    }
-
-    /// The current window size in requests.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Feed back one tick's observation: how many requests the tick drained,
-    /// how many were still queued afterwards, and how long the fused storage
-    /// calls took. Returns the window for the next tick.
-    pub fn observe(&mut self, drained: usize, backlog: usize, tick_latency: Duration) -> usize {
-        if !self.adaptive {
-            return self.window;
-        }
-        if tick_latency > self.latency_target {
-            // The fused call itself is too slow for the deadline budget:
-            // smaller batches bound per-tick latency.
-            self.window = (self.window / 2).max(1);
-        } else if drained >= self.window && backlog > 0 {
-            // Window filled and work is still waiting — wider fusion
-            // amortises more per-key overhead without adding wait time.
-            self.window = (self.window * 2).min(self.max);
-        }
-        self.window
-    }
-}
-
-/// Configuration for the batcher loop.
-#[derive(Debug, Clone)]
-pub struct BatcherConfig {
-    /// Initial micro-batch window in requests.
-    pub window_initial: usize,
-    /// Upper clamp for the adaptive window.
-    pub window_max: usize,
-    /// How long a non-full window stays open waiting for more requests.
-    pub window_wait: Duration,
-    /// Tick latency above which the window shrinks.
-    pub window_latency_target: Duration,
-    /// `false` pins the window at `window_initial` (no feedback).
-    pub adaptive: bool,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        Self {
-            window_initial: 16,
-            window_max: 256,
-            window_wait: Duration::from_micros(200),
-            window_latency_target: Duration::from_millis(2),
-            adaptive: true,
-        }
-    }
-}
+/// Most requests one tick takes from the queue; the rest stay queued as the
+/// next tick's batch. Bounds a tick's latency (and its reply fan-out) when a
+/// burst far larger than any steady-state arrival rate lands at once.
+pub const MAX_TICK_REQUESTS: usize = 256;
 
 /// The batcher loop. Runs on its own thread until the queue closes and
 /// drains; flushes the table before returning so graceful shutdown reaches
@@ -132,8 +58,6 @@ pub struct Batcher {
     table: Arc<EmbeddingTable>,
     queue: Arc<AdmissionQueue>,
     metrics: Arc<StorageMetrics>,
-    window: AdaptiveWindow,
-    wait: Duration,
     health: Arc<Health>,
     dedup: Arc<DedupWindow>,
     /// Sessions whose last fused apply failed: live state may hold their
@@ -152,7 +76,6 @@ impl Batcher {
         table: Arc<EmbeddingTable>,
         queue: Arc<AdmissionQueue>,
         metrics: Arc<StorageMetrics>,
-        config: &BatcherConfig,
         health: Arc<Health>,
         dedup: Arc<DedupWindow>,
     ) -> Self {
@@ -160,13 +83,6 @@ impl Batcher {
             table,
             queue,
             metrics,
-            window: AdaptiveWindow::new(
-                config.window_initial,
-                config.window_max,
-                config.window_latency_target,
-                config.adaptive,
-            ),
-            wait: config.window_wait,
             health,
             dedup,
             in_doubt: HashSet::new(),
@@ -187,13 +103,13 @@ impl Batcher {
     /// Run until the queue is closed and fully drained, then flush the table.
     /// The flush error (if any) is returned so the server can surface it.
     pub fn run(mut self) -> Result<(), StorageError> {
-        while let Some((batch, backlog)) = self.queue.next_batch(self.window.window(), self.wait) {
+        while let Some((batch, backlog)) = self.queue.next_batch(MAX_TICK_REQUESTS) {
             self.tick(batch, backlog);
         }
         self.table.flush()
     }
 
-    /// Process one drained micro-batch. Public for deterministic unit tests
+    /// Process one drained batch. Public for deterministic unit tests
     /// (construct a queue, enqueue, call `tick` directly — no threads).
     pub fn tick(&mut self, batch: Vec<Pending>, backlog: usize) {
         // Recovery first: while degraded, any traffic (gathers, retried
@@ -202,9 +118,7 @@ impl Batcher {
         if self.health.probe_due() {
             self.health.run_probe(&self.table);
         }
-        let started = Instant::now();
-        let now = started;
-        let drained = batch.len();
+        let now = Instant::now();
         let mut fused_keys = 0u64;
 
         // Drop work that expired while queued, then fuse contiguous runs of
@@ -231,10 +145,7 @@ impl Batcher {
             fused_keys += self.execute_run(run) as u64;
         }
 
-        let tick_latency = started.elapsed();
-        self.metrics
-            .record_serve_tick(fused_keys, backlog as u64, self.window.window() as u64);
-        self.window.observe(drained, backlog, tick_latency);
+        self.metrics.record_serve_tick(fused_keys, backlog as u64);
     }
 
     /// Execute one same-kind run as a single fused storage call and scatter
@@ -263,14 +174,12 @@ impl Batcher {
         match self.table.gather(&all_keys) {
             Ok(rows) => {
                 let dim = self.table.dim() as u32;
-                let mut offset = 0;
+                let mut rows = rows.into_iter();
                 for (p, span) in run.into_iter().zip(spans) {
-                    let slice = rows[offset..offset + span].to_vec();
-                    offset += span;
                     (p.reply)(Response::Rows {
                         id: p.id,
                         dim,
-                        rows: slice,
+                        rows: rows.by_ref().take(span).collect(),
                     });
                 }
             }
@@ -523,6 +432,7 @@ mod tests {
     use super::*;
     use mlkv_storage::config::StoreConfig;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn test_table(dim: usize) -> Arc<EmbeddingTable> {
         let store = mlkv::open_store(mlkv::BackendKind::InMemory, StoreConfig::default()).unwrap();
@@ -541,7 +451,6 @@ mod tests {
             Arc::clone(table),
             Arc::clone(queue),
             Arc::clone(&metrics),
-            &BatcherConfig::default(),
             Arc::new(Health::new(25, Duration::ZERO, metrics)),
             Arc::new(DedupWindow::new(64)),
         )
@@ -596,9 +505,8 @@ mod tests {
 
     #[test]
     fn eight_clients_fuse_at_least_sixteen_keys_per_tick() {
-        // The acceptance bar from the issue: ≥ 8 concurrent clients, a
-        // batcher window fusing ≥ 16 keys per engine tick. Deterministic
-        // version: 8 queued gathers × 4 keys = one 32-key fused tick.
+        // ≥ 8 concurrent clients must fuse ≥ 16 keys per engine tick.
+        // Deterministic version: 8 queued gathers × 4 keys = one 32-key tick.
         let table = test_table(8);
         let metrics = table.store().metrics();
         let queue = Arc::new(AdmissionQueue::new(64));
@@ -610,7 +518,7 @@ mod tests {
             rxs.push(rx);
         }
         let mut b = batcher(&table, &queue);
-        let (batch, backlog) = queue.next_batch(64, Duration::ZERO).unwrap();
+        let (batch, backlog) = queue.next_batch(64).unwrap();
         b.tick(batch, backlog);
 
         let snap = metrics.snapshot();
@@ -620,15 +528,47 @@ mod tests {
             "one tick fused {} keys, want ≥ 16",
             snap.serve_fused_keys
         );
-        for rx in rxs {
+        // Each reply carries its own request's rows, in key order: a twin
+        // table with the same seed initialises every key identically.
+        let twin = test_table(8);
+        for (client, rx) in rxs.into_iter().enumerate() {
+            let keys: Vec<u64> = (0..4).map(|k| client as u64 * 100 + k).collect();
             match rx.try_recv().unwrap() {
                 Response::Rows { rows, dim, .. } => {
-                    assert_eq!(rows.len(), 4);
                     assert_eq!(dim, 8);
+                    assert_eq!(rows, twin.gather(&keys).unwrap());
                 }
                 other => panic!("expected rows, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn tick_takes_at_most_the_cap_and_reports_the_rest_as_backlog() {
+        const EXTRA: usize = 44;
+        let table = test_table(4);
+        let metrics = table.store().metrics();
+        let queue = Arc::new(AdmissionQueue::new(MAX_TICK_REQUESTS + EXTRA));
+        let mut rxs = Vec::new();
+        for id in 0..(MAX_TICK_REQUESTS + EXTRA) as u64 {
+            let (p, rx) = gather_pending(id, vec![id]);
+            queue.offer(p).unwrap();
+            rxs.push(rx);
+        }
+        let mut b = batcher(&table, &queue);
+        let (batch, backlog) = queue.next_batch(MAX_TICK_REQUESTS).unwrap();
+        assert_eq!(batch.len(), MAX_TICK_REQUESTS);
+        assert_eq!(backlog, EXTRA);
+        b.tick(batch, backlog);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.serve_ticks, 1);
+        assert_eq!(snap.serve_fused_keys, MAX_TICK_REQUESTS as u64);
+        assert_eq!(snap.serve_queue_depth, EXTRA as u64);
+        // Admission order: the first `MAX_TICK_REQUESTS` were answered, the
+        // rest are still queued for the next tick.
+        let answered = rxs.iter().take_while(|rx| rx.try_recv().is_ok()).count();
+        assert_eq!(answered, MAX_TICK_REQUESTS);
+        assert_eq!(queue.depth(), EXTRA);
     }
 
     #[test]
@@ -643,7 +583,7 @@ mod tests {
         queue.offer(a).unwrap();
         queue.offer(g).unwrap();
         let mut b = batcher(&table, &queue);
-        let (batch, backlog) = queue.next_batch(64, Duration::ZERO).unwrap();
+        let (batch, backlog) = queue.next_batch(64).unwrap();
         b.tick(batch, backlog);
         assert!(matches!(
             arx.try_recv().unwrap(),
@@ -697,7 +637,7 @@ mod tests {
             queue.offer(p).unwrap();
         }
         let mut b = batcher(&table, &queue);
-        let (batch, backlog) = queue.next_batch(64, Duration::ZERO).unwrap();
+        let (batch, backlog) = queue.next_batch(64).unwrap();
         b.tick(batch, backlog);
         assert!(matches!(r1.try_recv().unwrap(), Response::Applied { .. }));
         assert!(matches!(r2.try_recv().unwrap(), Response::Applied { .. }));
@@ -705,31 +645,6 @@ mod tests {
         assert!(
             (after[0] - (before[0] - 0.75)).abs() < 1e-6,
             "both updates applied with their own lr"
-        );
-    }
-
-    #[test]
-    fn adaptive_window_grows_on_backlog_and_shrinks_on_slow_ticks() {
-        let mut w = AdaptiveWindow::new(16, 256, Duration::from_millis(2), true);
-        // Full window + backlog → grow.
-        assert_eq!(w.observe(16, 10, Duration::from_micros(100)), 32);
-        assert_eq!(w.observe(32, 10, Duration::from_micros(100)), 64);
-        // Latency overshoot → halve, even with backlog.
-        assert_eq!(w.observe(64, 10, Duration::from_millis(5)), 32);
-        // Partial drain, no backlog → hold.
-        assert_eq!(w.observe(3, 0, Duration::from_micros(100)), 32);
-        // Clamp at max.
-        let mut w = AdaptiveWindow::new(200, 256, Duration::from_millis(2), true);
-        assert_eq!(w.observe(200, 1, Duration::ZERO), 256);
-        assert_eq!(w.observe(256, 1, Duration::ZERO), 256);
-        // Clamp at 1 and fixed mode.
-        let mut w = AdaptiveWindow::new(1, 256, Duration::from_nanos(1), true);
-        assert_eq!(w.observe(1, 0, Duration::from_secs(1)), 1);
-        let mut w = AdaptiveWindow::new(8, 256, Duration::from_millis(2), false);
-        assert_eq!(
-            w.observe(8, 99, Duration::from_secs(9)),
-            8,
-            "fixed mode never moves"
         );
     }
 

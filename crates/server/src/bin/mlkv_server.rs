@@ -6,18 +6,20 @@
 //! ```
 //!
 //! The process runs until a client sends a `Shutdown` frame (see
-//! `Client::shutdown_server`) or it receives SIGINT/SIGTERM-free EOF from the
-//! environment; shutdown drains admitted work and flushes the table. The
-//! `MLKV_IO_BACKEND`, `MLKV_PARALLELISM`, `MLKV_DURABILITY`, and
-//! `MLKV_REPLICATION_MODE` environment overrides apply on top of the flags;
-//! `--replicate-from` starts the process as a replica of the given primary.
+//! `Client::shutdown_server`); it installs no signal handlers, so SIGINT or
+//! SIGTERM end it without the drain. Shutdown drains admitted work and
+//! flushes the table. The `MLKV_IO_BACKEND`, `MLKV_PARALLELISM`,
+//! `MLKV_WRITE_SHARDS`, `MLKV_DURABILITY`, and `MLKV_REPLICATION_MODE`
+//! environment overrides apply on top of the flags; `--replicate-from` starts
+//! the process as a replica of the given primary. Dispatch has no flags: the
+//! batcher runs whatever is queued the moment its previous tick returns.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use mlkv::BackendKind;
 use mlkv_server::{ReplicationMode, ServerBuilder};
-use mlkv_storage::DurabilityMode;
+use mlkv_storage::{DurabilityMode, StoreConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -25,10 +27,8 @@ fn usage() -> ! {
          \x20                 [--memory-budget-mb N] [--parallelism N]\n\
          \x20                 [--durability none|buffered|group:<records>]\n\
          \x20                 [--dir PATH] [--staleness-bound N] [--seed N]\n\
-         \x20                 [--queue-capacity N] [--window-init N] [--window-max N]\n\
-         \x20                 [--window-wait-us N] [--no-adaptive]\n\
-         \x20                 [--dedup-slots N] [--probe-interval-ms N]\n\
-         \x20                 [--retry-after-ms N]\n\
+         \x20                 [--queue-capacity N] [--dedup-slots N]\n\
+         \x20                 [--probe-interval-ms N] [--retry-after-ms N]\n\
          \x20                 [--replicate-from HOST:PORT]\n\
          \x20                 [--replication-mode async|semisync[:acks]]\n\
          backends: {}",
@@ -53,17 +53,10 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut builder_backend = BackendKind::Mlkv;
     let mut dim = 64usize;
-    let mut memory_budget_mb: Option<usize> = None;
-    let mut parallelism: Option<usize> = None;
-    let mut durability: Option<DurabilityMode> = None;
-    let mut dir: Option<String> = None;
+    let mut store_config = StoreConfig::in_memory();
     let mut staleness_bound = 0u32;
     let mut seed = 0x5eedu64;
     let mut queue_capacity: Option<usize> = None;
-    let mut window_init: Option<usize> = None;
-    let mut window_max: Option<usize> = None;
-    let mut window_wait_us: Option<u64> = None;
-    let mut adaptive = true;
     let mut dedup_slots: Option<usize> = None;
     let mut probe_interval_ms: Option<u64> = None;
     let mut retry_after_ms: Option<u64> = None;
@@ -84,28 +77,25 @@ fn main() -> ExitCode {
             }
             "--dim" => dim = value().parse().unwrap_or_else(|_| usage()),
             "--memory-budget-mb" => {
-                memory_budget_mb = Some(value().parse().unwrap_or_else(|_| usage()))
+                let mb: usize = value().parse().unwrap_or_else(|_| usage());
+                store_config.memory_budget = mb << 20;
             }
-            "--parallelism" => parallelism = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--parallelism" => {
+                store_config.parallelism = value().parse().unwrap_or_else(|_| usage())
+            }
             "--durability" => {
                 let spec = value();
-                durability = Some(DurabilityMode::parse(spec).unwrap_or_else(|| {
+                store_config.durability = DurabilityMode::parse(spec).unwrap_or_else(|| {
                     eprintln!("bad durability spec: {spec}");
                     usage()
-                }));
+                });
             }
-            "--dir" => dir = Some(value().to_string()),
+            "--dir" => store_config.dir = Some(value().into()),
             "--staleness-bound" => staleness_bound = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
             "--queue-capacity" => {
                 queue_capacity = Some(value().parse().unwrap_or_else(|_| usage()))
             }
-            "--window-init" => window_init = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--window-max" => window_max = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--window-wait-us" => {
-                window_wait_us = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--no-adaptive" => adaptive = false,
             "--dedup-slots" => dedup_slots = Some(value().parse().unwrap_or_else(|_| usage())),
             "--probe-interval-ms" => {
                 probe_interval_ms = Some(value().parse().unwrap_or_else(|_| usage()))
@@ -132,30 +122,9 @@ fn main() -> ExitCode {
     let mut builder = ServerBuilder::new(builder_backend, dim)
         .staleness_bound(staleness_bound)
         .seed(seed)
-        .adaptive_window(adaptive);
-    if let Some(mb) = memory_budget_mb {
-        builder = builder.memory_budget(mb << 20);
-    }
-    if let Some(p) = parallelism {
-        builder = builder.parallelism(p);
-    }
-    if let Some(d) = durability {
-        builder = builder.durability(d);
-    }
-    if let Some(d) = dir {
-        builder = builder.dir(d);
-    }
+        .store_config(store_config);
     if let Some(c) = queue_capacity {
         builder = builder.queue_capacity(c);
-    }
-    if let Some(w) = window_init {
-        builder = builder.window_initial(w);
-    }
-    if let Some(w) = window_max {
-        builder = builder.window_max(w);
-    }
-    if let Some(us) = window_wait_us {
-        builder = builder.window_wait(Duration::from_micros(us));
     }
     if let Some(n) = dedup_slots {
         builder = builder.dedup_slots(n);

@@ -11,15 +11,16 @@
 //! * [`queue::AdmissionQueue`] — a bounded queue where deadline-expired work
 //!   is rejected with [`mlkv_storage::StorageError::DeadlineExceeded`] and
 //!   overflow is shed with [`mlkv_storage::StorageError::Overloaded`];
-//! * [`batcher::Batcher`] — one thread that closes micro-batch windows and
-//!   issues a single fused `multi_get` / `multi_rmw`-backed table call per
-//!   tick, scattering rows back to the originating connections; the window
-//!   is sized by [`batcher::AdaptiveWindow`], the same feedback-clamp loop
-//!   the trainer uses for prefetch depth;
+//! * [`batcher::Batcher`] — one thread with one dispatch rule: the moment a
+//!   tick returns it takes whatever is queued (it waits only on an empty
+//!   queue, never on a timer) and issues a single fused `multi_get` /
+//!   `multi_rmw`-backed table call per same-kind run, scattering rows back to
+//!   the originating connections — a lone request pays per-request latency,
+//!   and batches form from the arrivals during a busy engine, untuned;
 //! * [`server::ServerBuilder`] / [`server::ServerHandle`] — the TCP listener
-//!   plumbed to every [`mlkv_storage::StoreConfig`] knob (backend,
-//!   parallelism, I/O backend, durability), with graceful shutdown that
-//!   drains admitted work and flushes through the WAL path;
+//!   over a store opened from one [`mlkv_storage::StoreConfig`], with
+//!   graceful shutdown that drains admitted work and flushes through the WAL
+//!   path;
 //! * [`client::Client`] — a blocking client that surfaces server rejections
 //!   as the same typed errors, with deadline-budgeted retries, automatic
 //!   reconnect, and idempotent sessions ([`client::ClientOptions`]).
@@ -52,7 +53,7 @@ pub mod queue;
 pub mod repl;
 pub mod server;
 
-pub use batcher::{AdaptiveWindow, Batcher, BatcherConfig};
+pub use batcher::{Batcher, MAX_TICK_REQUESTS};
 pub use chaos::{ChaosProxy, ChaosScript};
 pub use client::{Client, ClientOptions, ClientStats};
 pub use dedup::{DedupWindow, PROBE_KEY, RESERVED_KEY_BASE};

@@ -2,18 +2,18 @@
 //! connection threads and the batcher.
 //!
 //! Connection threads decode frames and [`AdmissionQueue::offer`] the work;
-//! the batcher thread [`AdmissionQueue::next_batch`]es it in micro-batch
-//! windows. Admission is where load shedding happens: a full queue rejects
-//! with [`StorageError::Overloaded`] *without queueing* (bounding queueing
-//! delay under overload), an already-expired deadline rejects with
-//! [`StorageError::DeadlineExceeded`], and a closed (draining) queue rejects
-//! with [`StorageError::Closed`]. Work that passes admission but expires
-//! while queued is dropped by the batcher at drain time — either way, expired
-//! work never occupies a fused storage batch.
+//! the batcher thread [`AdmissionQueue::next_batch`]es whatever is queued the
+//! moment its previous tick returns. Admission is where load shedding
+//! happens: a full queue rejects with [`StorageError::Overloaded`] *without
+//! queueing* (bounding queueing delay under overload), an already-expired
+//! deadline rejects with [`StorageError::DeadlineExceeded`], and a closed
+//! (draining) queue rejects with [`StorageError::Closed`]. Work that passes
+//! admission but expires while queued is dropped by the batcher at drain
+//! time — either way, expired work never occupies a fused storage batch.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mlkv_storage::StorageError;
 
@@ -156,14 +156,14 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Block until work is queued, give concurrent clients `window_wait` to
-    /// land more requests (unless `max` is already met), then drain up to
-    /// `max` requests. Returns the drained batch plus the depth left behind
-    /// (the batcher's backlog signal), or `None` once the queue is closed
-    /// *and* empty — the drain-on-shutdown contract: closing stops admission
-    /// immediately but already-admitted work is still handed out.
-    pub fn next_batch(&self, max: usize, window_wait: Duration) -> Option<(Vec<Pending>, usize)> {
-        let max = max.max(1);
+    /// Block while the queue is empty, then drain up to `max` requests in
+    /// admission order — no timed wait: a lone request leaves immediately, and
+    /// a batch is exactly what arrived while the caller was busy. Returns the
+    /// drained batch plus the depth left behind (the backlog), or `None` once
+    /// the queue is closed *and* empty — the drain-on-shutdown contract:
+    /// closing stops admission immediately but already-admitted work is still
+    /// handed out.
+    pub fn next_batch(&self, max: usize) -> Option<(Vec<Pending>, usize)> {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         while g.items.is_empty() {
             if g.closed {
@@ -171,29 +171,7 @@ impl AdmissionQueue {
             }
             g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
         }
-        // Micro-batch window: the first request opens it; it closes when the
-        // size cap fills, the queue closes, or the window elapses.
-        if !window_wait.is_zero() {
-            let window_closes = Instant::now() + window_wait;
-            while g.items.len() < max && !g.closed {
-                let now = Instant::now();
-                let Some(left) = window_closes
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (ng, timeout) = self
-                    .cv
-                    .wait_timeout(g, left)
-                    .unwrap_or_else(|e| e.into_inner());
-                g = ng;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        let take = g.items.len().min(max);
+        let take = g.items.len().min(max.max(1));
         let batch: Vec<Pending> = g.items.drain(..take).collect();
         let left = g.items.len();
         Some((batch, left))
@@ -211,6 +189,7 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn pending(id: u64, deadline: Option<Instant>) -> (Pending, mpsc::Receiver<Response>) {
         let (tx, rx) = mpsc::channel();
@@ -237,13 +216,13 @@ mod tests {
             q.offer(p).unwrap();
         }
         assert_eq!(q.depth(), 5);
-        let (batch, left) = q.next_batch(3, Duration::ZERO).unwrap();
+        let (batch, left) = q.next_batch(3).unwrap();
         assert_eq!(
             batch.iter().map(|p| p.id).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
         assert_eq!(left, 2);
-        let (batch, left) = q.next_batch(16, Duration::ZERO).unwrap();
+        let (batch, left) = q.next_batch(16).unwrap();
         assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(left, 0);
     }
@@ -283,48 +262,20 @@ mod tests {
         q.close();
         let (_, err) = q.offer(pending(2, None).0).unwrap_err();
         assert!(matches!(err, StorageError::Closed));
-        let (batch, _) = q.next_batch(8, Duration::ZERO).unwrap();
+        let (batch, _) = q.next_batch(8).unwrap();
         assert_eq!(batch.len(), 1, "admitted work survives close");
-        assert!(
-            q.next_batch(8, Duration::ZERO).is_none(),
-            "then the queue ends"
-        );
+        assert!(q.next_batch(8).is_none(), "then the queue ends");
     }
 
     #[test]
-    fn window_wait_accumulates_concurrent_offers() {
-        let q = std::sync::Arc::new(AdmissionQueue::new(64));
-        q.offer(pending(0, None).0).unwrap();
-        let q2 = std::sync::Arc::clone(&q);
-        let feeder = std::thread::spawn(move || {
-            for id in 1..4 {
-                std::thread::sleep(Duration::from_millis(2));
-                q2.offer(pending(id, None).0).unwrap();
-            }
-        });
-        // A generous window lets the slow feeder land all of its requests
-        // into one batch.
-        let (batch, _) = q.next_batch(64, Duration::from_millis(500)).unwrap();
-        feeder.join().unwrap();
-        // The window closes by timeout (cap 64 is never met), so at least the
-        // requests offered within it are fused; the first is guaranteed.
-        assert!(!batch.is_empty());
-        assert_eq!(batch[0].id, 0);
-        assert_eq!(batch.len() + q.depth(), 4, "nothing is lost");
-    }
-
-    #[test]
-    fn size_cap_closes_the_window_early() {
-        let q = AdmissionQueue::new(64);
-        for id in 0..4 {
-            q.offer(pending(id, None).0).unwrap();
-        }
-        let start = Instant::now();
-        let (batch, _) = q.next_batch(4, Duration::from_secs(5)).unwrap();
-        assert_eq!(batch.len(), 4);
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "a met size cap must not wait out the time window"
-        );
+    fn lone_request_is_handed_out_without_waiting_for_company() {
+        // Nobody else is coming: with a request queued `next_batch` never
+        // waits, so a lone request costs per-request latency, not a window.
+        let q = AdmissionQueue::new(8);
+        q.offer(pending(3, None).0).unwrap();
+        let (batch, left) = q.next_batch(256).unwrap();
+        assert_eq!(batch.iter().map(|p| p.id).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(left, 0);
+        assert_eq!(q.depth(), 0);
     }
 }

@@ -24,11 +24,11 @@ use std::time::{Duration, Instant};
 
 use mlkv::{BackendKind, EmbeddingTable};
 use mlkv_storage::{
-    DurabilityMode, FaultTuning, IoBackend, KvStore, ReplicationTuning, StorageError,
-    StorageMetrics, StorageResult, StoreConfig, WalTap,
+    FaultTuning, KvStore, ReplicationTuning, StorageError, StorageMetrics, StorageResult,
+    StoreConfig, WalTap,
 };
 
-use crate::batcher::{Batcher, BatcherConfig};
+use crate::batcher::Batcher;
 use crate::dedup::{is_reserved_key, DedupWindow};
 use crate::health::{Health, HealthState, Role};
 use crate::protocol::{encode_error, read_frame, write_frame, ErrorCode, Request, Response};
@@ -38,25 +38,17 @@ use crate::repl::{ReplicationClient, ReplicationHub, ReplicationMode};
 /// Default admission-queue capacity (requests).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Builder for a serving instance: storage knobs mirror
-/// [`mlkv::EmbeddingModelBuilder`], serving knobs cover the admission queue
-/// and the micro-batch window.
+/// Builder for a serving instance: the store it opens is described by one
+/// [`StoreConfig`]; the serving knobs cover admission, fault handling and
+/// replication. Dispatch has none (see [`crate::batcher`]).
 pub struct ServerBuilder {
     backend: BackendKind,
     dim: usize,
     staleness_bound: u32,
-    memory_budget: Option<usize>,
-    page_size: Option<usize>,
-    parallelism: Option<usize>,
-    write_shards: Option<usize>,
-    io_backend: Option<IoBackend>,
-    io_queue_depth: Option<usize>,
-    durability: Option<DurabilityMode>,
-    dir: Option<std::path::PathBuf>,
+    store_config: StoreConfig,
     seed: u64,
     env_overrides: bool,
     queue_capacity: usize,
-    batcher: BatcherConfig,
     table: Option<Arc<EmbeddingTable>>,
     dedup_slots: Option<usize>,
     probe_interval: Option<Duration>,
@@ -73,18 +65,10 @@ impl ServerBuilder {
             backend,
             dim,
             staleness_bound: 0,
-            memory_budget: None,
-            page_size: None,
-            parallelism: None,
-            write_shards: None,
-            io_backend: None,
-            io_queue_depth: None,
-            durability: None,
-            dir: None,
+            store_config: StoreConfig::in_memory(),
             seed: 0x5eed,
             env_overrides: true,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            batcher: BatcherConfig::default(),
             table: None,
             dedup_slots: None,
             probe_interval: None,
@@ -101,54 +85,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Memory budget in bytes for the chosen engine.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Page size for paged engines.
-    pub fn page_size(mut self, bytes: usize) -> Self {
-        self.page_size = Some(bytes);
-        self
-    }
-
-    /// Batch-executor parallelism (0 = auto, 1 = serial).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = Some(workers);
-        self
-    }
-
-    /// Write-side shard/worker count of the storage engine (0 = follow
-    /// `parallelism`, 1 = the serial single-lock write path); see
-    /// `StoreConfig::write_shards`. Overridable by `MLKV_WRITE_SHARDS` when
-    /// env overrides apply.
-    pub fn write_shards(mut self, shards: usize) -> Self {
-        self.write_shards = Some(shards);
-        self
-    }
-
-    /// Cold-path I/O backend.
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = Some(backend);
-        self
-    }
-
-    /// Submission-queue depth for the async I/O backend.
-    pub fn io_queue_depth(mut self, depth: usize) -> Self {
-        self.io_queue_depth = Some(depth);
-        self
-    }
-
-    /// Durability mode (graceful shutdown flushes through this path).
-    pub fn durability(mut self, mode: DurabilityMode) -> Self {
-        self.durability = Some(mode);
-        self
-    }
-
-    /// On-disk directory for file-backed configs.
-    pub fn dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.dir = Some(dir.into());
+    /// Configuration of the store the server opens (directory, memory
+    /// budget, parallelism, I/O backend, durability, …); default
+    /// [`StoreConfig::in_memory`]. `MLKV_*` overrides apply on top unless
+    /// [`ServerBuilder::env_overrides`] is off.
+    pub fn store_config(mut self, config: StoreConfig) -> Self {
+        self.store_config = config;
         self
     }
 
@@ -171,39 +113,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Initial micro-batch window (requests per tick).
-    pub fn window_initial(mut self, window: usize) -> Self {
-        self.batcher.window_initial = window;
-        self
-    }
-
-    /// Upper clamp for the adaptive window.
-    pub fn window_max(mut self, max: usize) -> Self {
-        self.batcher.window_max = max;
-        self
-    }
-
-    /// How long a non-full window stays open for more arrivals.
-    pub fn window_wait(mut self, wait: Duration) -> Self {
-        self.batcher.window_wait = wait;
-        self
-    }
-
-    /// Tick latency above which the adaptive window shrinks.
-    pub fn window_latency_target(mut self, target: Duration) -> Self {
-        self.batcher.window_latency_target = target;
-        self
-    }
-
-    /// `false` pins the window at `window_initial` (per-request dispatch
-    /// when it is 1) — the benchmark baseline.
-    pub fn adaptive_window(mut self, adaptive: bool) -> Self {
-        self.batcher.adaptive = adaptive;
-        self
-    }
-
     /// Serve an existing table instead of building one (tests, embedding the
-    /// server in a trainer process). Storage knobs are ignored.
+    /// server in a trainer process). The store config is ignored.
     pub fn table(mut self, table: Arc<EmbeddingTable>) -> Self {
         self.table = Some(table);
         self
@@ -288,31 +199,7 @@ impl ServerBuilder {
         if let Some(table) = &self.table {
             return Ok(Arc::clone(table));
         }
-        let mut config = match &self.dir {
-            Some(dir) => StoreConfig::on_disk(dir.clone()),
-            None => StoreConfig::in_memory(),
-        };
-        if let Some(bytes) = self.memory_budget {
-            config = config.with_memory_budget(bytes);
-        }
-        if let Some(bytes) = self.page_size {
-            config = config.with_page_size(bytes);
-        }
-        if let Some(workers) = self.parallelism {
-            config = config.with_parallelism(workers);
-        }
-        if let Some(shards) = self.write_shards {
-            config = config.with_write_shards(shards);
-        }
-        if let Some(backend) = self.io_backend {
-            config = config.with_io_backend(backend);
-        }
-        if let Some(depth) = self.io_queue_depth {
-            config = config.with_io_queue_depth(depth);
-        }
-        if let Some(mode) = self.durability {
-            config = config.with_durability(mode);
-        }
+        let mut config = self.store_config.clone();
         if self.env_overrides {
             config = config.apply_env_overrides();
         }
@@ -397,7 +284,6 @@ impl ServerBuilder {
             Arc::clone(&table),
             Arc::clone(&queue),
             Arc::clone(&metrics),
-            &self.batcher,
             Arc::clone(&health),
             Arc::clone(&dedup),
         )
@@ -476,7 +362,7 @@ impl ServerHandle {
         &self.table
     }
 
-    /// Serving metrics (admitted/rejected counters, fused keys, window).
+    /// Serving metrics (admitted/rejected counters, ticks, fused keys).
     pub fn metrics(&self) -> &Arc<StorageMetrics> {
         &self.shared.metrics
     }

@@ -63,9 +63,6 @@ pub struct StorageMetrics {
     /// Gauge (not a counter): admission-queue depth observed at the serving
     /// batcher's most recent tick.
     pub serve_queue_depth: AtomicU64,
-    /// Gauge (not a counter): the serving batcher's current micro-batch
-    /// window (max requests fused per tick), as sized by its feedback loop.
-    pub serve_window: AtomicU64,
     /// Retried mutations acknowledged from the server's idempotency window
     /// instead of being re-applied (each is one double-apply prevented).
     pub serve_deduped: AtomicU64,
@@ -123,9 +120,6 @@ pub struct MetricsSnapshot {
     /// Gauge: queue depth at the last serving tick (copied, not differenced,
     /// by [`MetricsSnapshot::delta`]).
     pub serve_queue_depth: u64,
-    /// Gauge: current serving micro-batch window (copied, not differenced,
-    /// by [`MetricsSnapshot::delta`]).
-    pub serve_window: u64,
     pub serve_deduped: u64,
     pub health_degraded: u64,
     pub health_recovered: u64,
@@ -250,15 +244,13 @@ impl StorageMetrics {
         self.serve_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one serving batcher tick that fused `keys` keys, observed
-    /// `queue_depth` requests still queued after draining, and currently
-    /// targets `window` requests per tick.
+    /// Record one serving batcher tick that fused `keys` keys and observed
+    /// `queue_depth` requests still queued after draining.
     #[inline]
-    pub fn record_serve_tick(&self, keys: u64, queue_depth: u64, window: u64) {
+    pub fn record_serve_tick(&self, keys: u64, queue_depth: u64) {
         self.serve_ticks.fetch_add(1, Ordering::Relaxed);
         self.serve_fused_keys.fetch_add(keys, Ordering::Relaxed);
         self.serve_queue_depth.store(queue_depth, Ordering::Relaxed);
-        self.serve_window.store(window, Ordering::Relaxed);
     }
 
     /// Record a retried mutation acknowledged from the idempotency window
@@ -357,7 +349,6 @@ impl StorageMetrics {
             serve_ticks: self.serve_ticks.load(Ordering::Relaxed),
             serve_fused_keys: self.serve_fused_keys.load(Ordering::Relaxed),
             serve_queue_depth: self.serve_queue_depth.load(Ordering::Relaxed),
-            serve_window: self.serve_window.load(Ordering::Relaxed),
             serve_deduped: self.serve_deduped.load(Ordering::Relaxed),
             health_degraded: self.health_degraded.load(Ordering::Relaxed),
             health_recovered: self.health_recovered.load(Ordering::Relaxed),
@@ -395,7 +386,6 @@ impl StorageMetrics {
         self.serve_ticks.store(0, Ordering::Relaxed);
         self.serve_fused_keys.store(0, Ordering::Relaxed);
         self.serve_queue_depth.store(0, Ordering::Relaxed);
-        self.serve_window.store(0, Ordering::Relaxed);
         self.serve_deduped.store(0, Ordering::Relaxed);
         self.health_degraded.store(0, Ordering::Relaxed);
         self.health_recovered.store(0, Ordering::Relaxed);
@@ -445,7 +435,6 @@ impl MetricsSnapshot {
             repl_promotions: self.repl_promotions - earlier.repl_promotions,
             // Gauges describe "now", not an interval: keep the later reading.
             serve_queue_depth: self.serve_queue_depth,
-            serve_window: self.serve_window,
             health_state: self.health_state,
             repl_lag: self.repl_lag,
             repl_role: self.repl_role,
@@ -543,23 +532,21 @@ mod tests {
         m.record_serve_admitted();
         m.record_serve_admitted();
         m.record_serve_rejected();
-        m.record_serve_tick(48, 3, 16);
+        m.record_serve_tick(48, 3);
         let first = m.snapshot();
         assert_eq!(first.serve_admitted, 2);
         assert_eq!(first.serve_rejected, 1);
         assert_eq!(first.serve_ticks, 1);
         assert_eq!(first.serve_fused_keys, 48);
         assert_eq!(first.serve_queue_depth, 3);
-        assert_eq!(first.serve_window, 16);
 
-        m.record_serve_tick(16, 0, 8);
+        m.record_serve_tick(16, 0);
         let second = m.snapshot();
         let d = second.delta(&first);
         assert_eq!(d.serve_ticks, 1);
         assert_eq!(d.serve_fused_keys, 16);
         // Gauges are point-in-time readings, not interval differences.
         assert_eq!(d.serve_queue_depth, 0);
-        assert_eq!(d.serve_window, 8);
 
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());

@@ -265,7 +265,7 @@ impl DlrmTrainer {
             }
         }
 
-        dispatcher.drain();
+        dispatcher.drain()?;
         let duration = run_start.elapsed();
         let final_metric = self.evaluate(&eval_set)?;
         convergence.push((duration.as_secs_f64(), final_metric));

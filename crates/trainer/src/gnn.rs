@@ -305,7 +305,7 @@ impl GnnTrainer {
             }
         }
 
-        dispatcher.drain();
+        dispatcher.drain()?;
         let duration = run_start.elapsed();
         let final_metric = self.evaluate(&eval_nodes)?;
         convergence.push((duration.as_secs_f64(), final_metric));

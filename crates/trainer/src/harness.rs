@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mlkv::{EmbeddingTable, LookaheadDest, PrefetchStats};
+use mlkv::{EmbeddingTable, LookaheadDest, PrefetchStats, StorageError, StorageResult};
 
 /// How embedding updates are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,8 @@ pub struct UpdateDispatcher {
     table: Arc<EmbeddingTable>,
     lr: f32,
     sender: Option<Sender<UpdateBatch>>,
-    worker: Option<JoinHandle<u64>>,
+    /// Returns the updates applied and the first apply error, if any.
+    worker: Option<JoinHandle<(u64, Option<StorageError>)>>,
     dispatched: u64,
 }
 
@@ -116,17 +117,16 @@ impl UpdateDispatcher {
                 let worker_table = Arc::clone(&table);
                 let worker = std::thread::spawn(move || {
                     let mut applied = 0u64;
+                    let mut first_error = None;
                     while let Ok(updates) = receiver.recv() {
-                        // Errors here (e.g. staleness timeouts) are not expected for
-                        // puts; surface them loudly in debug builds, skip in release.
-                        if let Err(e) =
-                            worker_table.apply_gradients(&as_gradient_refs(&updates), lr)
-                        {
-                            debug_assert!(false, "async update failed: {e}");
+                        match worker_table.apply_gradients(&as_gradient_refs(&updates), lr) {
+                            Ok(()) => applied += updates.len() as u64,
+                            Err(e) => {
+                                first_error.get_or_insert(e);
+                            }
                         }
-                        applied += updates.len() as u64;
                     }
-                    applied
+                    (applied, first_error)
                 });
                 Self {
                     table,
@@ -141,7 +141,7 @@ impl UpdateDispatcher {
 
     /// Apply (or enqueue) one batch of embedding gradients. Returns the time the
     /// *training thread* spent on it, which is what shows up as a data stall.
-    pub fn dispatch(&mut self, updates: UpdateBatch) -> mlkv::StorageResult<Duration> {
+    pub fn dispatch(&mut self, updates: UpdateBatch) -> StorageResult<Duration> {
         let start = std::time::Instant::now();
         self.dispatched += updates.len() as u64;
         match &self.sender {
@@ -161,12 +161,20 @@ impl UpdateDispatcher {
         self.dispatched
     }
 
-    /// Wait for all outstanding asynchronous updates to be applied.
-    pub fn drain(&mut self) -> u64 {
+    /// Wait for all outstanding asynchronous updates and return how many
+    /// were applied, or the first error the background updater hit (batches
+    /// that failed are not counted; later batches were still attempted).
+    pub fn drain(&mut self) -> StorageResult<u64> {
         self.sender.take();
-        match self.worker.take() {
-            Some(worker) => worker.join().unwrap_or(0),
-            None => self.dispatched,
+        let Some(worker) = self.worker.take() else {
+            return Ok(self.dispatched);
+        };
+        match worker.join() {
+            Ok((applied, None)) => Ok(applied),
+            Ok((_, Some(err))) => Err(err),
+            Err(_) => Err(StorageError::Io(std::io::Error::other(
+                "async update worker panicked",
+            ))),
         }
     }
 }
@@ -297,7 +305,7 @@ mod tests {
         d.dispatch(vec![(1, vec![1.0; 4])]).unwrap();
         assert_eq!(t.get_one(1).unwrap(), vec![0.5; 4]);
         assert_eq!(d.dispatched(), 1);
-        assert_eq!(d.drain(), 1);
+        assert_eq!(d.drain().unwrap(), 1);
     }
 
     #[test]
@@ -308,12 +316,57 @@ mod tests {
         for _ in 0..10 {
             d.dispatch(vec![(2, vec![0.1; 4])]).unwrap();
         }
-        let applied = d.drain();
+        let applied = d.drain().unwrap();
         assert_eq!(applied, 10);
         let v = t.get_one(2).unwrap();
         for x in v {
             assert!((x - 0.5).abs() < 1e-5, "{x}");
         }
+    }
+
+    /// A store that accepts every read and refuses every write.
+    struct ReadOnlyStore(mlkv_storage::MemStore);
+
+    fn refused<T>() -> StorageResult<T> {
+        Err(StorageError::Io(std::io::Error::other("injected")))
+    }
+
+    impl mlkv_storage::KvStore for ReadOnlyStore {
+        fn name(&self) -> &'static str {
+            "ReadOnly"
+        }
+        fn get_traced(&self, key: u64) -> StorageResult<mlkv_storage::kv::ReadResult> {
+            self.0.get_traced(key)
+        }
+        fn put(&self, _: u64, _: &[u8]) -> StorageResult<()> {
+            refused()
+        }
+        fn rmw(&self, _: u64, _: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
+            refused()
+        }
+        fn delete(&self, _: u64) -> StorageResult<()> {
+            refused()
+        }
+        fn approximate_len(&self) -> usize {
+            self.0.approximate_len()
+        }
+        fn metrics(&self) -> Arc<mlkv_storage::StorageMetrics> {
+            self.0.metrics()
+        }
+        fn flush(&self) -> StorageResult<()> {
+            self.0.flush()
+        }
+    }
+
+    #[test]
+    fn asynchronous_apply_failure_surfaces_at_drain() {
+        let store = Arc::new(ReadOnlyStore(mlkv_storage::MemStore::new()));
+        let t = Arc::new(EmbeddingTable::builder(store).dim(4).build().unwrap());
+        let mut d = UpdateDispatcher::new(t, UpdateMode::Asynchronous, 0.5);
+        // Dispatch itself cannot see the failure: the updater thread pays it.
+        d.dispatch(vec![(1, vec![1.0; 4])]).unwrap();
+        d.dispatch(vec![(2, vec![1.0; 4])]).unwrap();
+        assert!(matches!(d.drain(), Err(StorageError::Io(_))));
     }
 
     #[test]
@@ -327,7 +380,7 @@ mod tests {
             let _v = t.get_one(3).unwrap();
             d.dispatch(vec![(3, vec![0.01; 4])]).unwrap();
         }
-        d.drain();
+        d.drain().unwrap();
         assert_eq!(t.staleness_of(3), 0);
     }
 

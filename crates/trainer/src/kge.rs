@@ -297,7 +297,7 @@ impl KgeTrainer {
             }
         }
 
-        dispatcher.drain();
+        dispatcher.drain()?;
         let duration = run_start.elapsed();
         let final_metric = self.evaluate(&eval, 32)?;
         convergence.push((duration.as_secs_f64(), final_metric));

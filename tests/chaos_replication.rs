@@ -88,13 +88,17 @@ fn tuning() -> ReplicationTuning {
     }
 }
 
+fn store_config(dir: &Path) -> StoreConfig {
+    StoreConfig::on_disk(dir)
+        .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 })
+        .with_parallelism(1)
+}
+
 fn primary_builder(kind: BackendKind, dir: &Path) -> ServerBuilder {
     ServerBuilder::new(kind, DIM)
         .staleness_bound(u32::MAX)
         .seed(SEED)
-        .dir(dir)
-        .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-        .parallelism(1)
+        .store_config(store_config(dir))
         .probe_interval(Duration::ZERO)
         .unavailable_retry_after_ms(1)
         .replication_mode(ReplicationMode::SemiSync { acks: 1 })
@@ -105,9 +109,7 @@ fn replica_builder(kind: BackendKind, dir: &Path, primary: SocketAddr) -> Server
     ServerBuilder::new(kind, DIM)
         .staleness_bound(u32::MAX)
         .seed(SEED)
-        .dir(dir)
-        .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-        .parallelism(1)
+        .store_config(store_config(dir))
         .probe_interval(Duration::ZERO)
         .unavailable_retry_after_ms(1)
         .replication_tuning(tuning())
@@ -266,9 +268,7 @@ fn snapshot_catchup(kind: BackendKind, tag: &str) {
     let primary = ServerBuilder::new(kind, DIM)
         .staleness_bound(u32::MAX)
         .seed(SEED)
-        .dir(pdir.clone())
-        .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-        .parallelism(1)
+        .store_config(store_config(&pdir))
         .unavailable_retry_after_ms(1)
         .replication_mode(ReplicationMode::Async)
         .replication_tuning(tiny)

@@ -7,28 +7,41 @@
 //! directly against a plain table. Around it: connect/disconnect churn,
 //! malformed and truncated frames, deadline expiry, and graceful shutdown
 //! draining already-admitted work.
+//!
+//! The batcher dispatches whatever is queued the moment its previous tick
+//! returns, so tests that need requests to *wait* in the queue hold the
+//! batcher inside an engine call with a [`GatedStore`] instead of guessing at
+//! timings.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
 
 use mlkv::{open_store, BackendKind, EmbeddingTable};
 use mlkv_server::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
 use mlkv_server::{Client, ServerBuilder, ServerHandle};
-use mlkv_storage::{DurabilityMode, StorageError, StoreConfig};
+use mlkv_storage::kv::{Key, ReadResult};
+use mlkv_storage::{
+    DurabilityMode, KvStore, MemStore, RmwFn, StorageError, StorageMetrics, StorageResult,
+    StoreConfig,
+};
 
 const DIM: usize = 8;
 const SEED: u64 = 42;
 
 fn make_table(backend: BackendKind) -> Arc<EmbeddingTable> {
-    let store = open_store(
-        backend,
-        StoreConfig::in_memory()
-            .with_memory_budget(8 << 20)
-            .with_page_size(4 << 10),
+    table_over(
+        open_store(
+            backend,
+            StoreConfig::in_memory()
+                .with_memory_budget(8 << 20)
+                .with_page_size(4 << 10),
+        )
+        .unwrap(),
     )
-    .unwrap();
+}
+
+fn table_over(store: Arc<dyn KvStore>) -> Arc<EmbeddingTable> {
     Arc::new(
         EmbeddingTable::builder(store)
             .dim(DIM)
@@ -44,6 +57,143 @@ fn serve(table: Arc<EmbeddingTable>) -> ServerHandle {
         .table(table)
         .serve("127.0.0.1:0")
         .unwrap()
+}
+
+/// An in-memory store whose `multi_get` parks while the gate is closed: a
+/// gather caught in it keeps the (single-threaded) batcher provably busy, so
+/// everything sent meanwhile waits in the admission queue.
+struct GatedStore {
+    inner: MemStore,
+    gate: Mutex<Gate>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    closed: bool,
+    parked: usize,
+    /// Key list of every `multi_get` so far, in call order.
+    calls: Vec<Vec<Key>>,
+}
+
+impl GatedStore {
+    fn new() -> Arc<Self> {
+        Arc::new(Self {
+            inner: MemStore::new(),
+            gate: Mutex::new(Gate::default()),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn set_closed(&self, closed: bool) {
+        self.gate.lock().unwrap().closed = closed;
+        self.changed.notify_all();
+    }
+
+    /// Block until a `multi_get` is parked in the closed gate.
+    fn wait_until_parked(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        while gate.parked == 0 {
+            gate = self.changed.wait(gate).unwrap();
+        }
+    }
+
+    fn calls(&self) -> Vec<Vec<Key>> {
+        self.gate.lock().unwrap().calls.clone()
+    }
+}
+
+impl KvStore for GatedStore {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
+        self.inner.get_traced(key)
+    }
+    fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
+        let mut gate = self.gate.lock().unwrap();
+        gate.calls.push(keys.to_vec());
+        gate.parked += 1;
+        self.changed.notify_all();
+        while gate.closed {
+            gate = self.changed.wait(gate).unwrap();
+        }
+        gate.parked -= 1;
+        drop(gate);
+        self.inner.multi_get(keys)
+    }
+    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
+        self.inner.put(key, value)
+    }
+    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
+        self.inner.rmw(key, f)
+    }
+    fn delete(&self, key: Key) -> StorageResult<()> {
+        self.inner.delete(key)
+    }
+    fn approximate_len(&self) -> usize {
+        self.inner.approximate_len()
+    }
+    fn metrics(&self) -> Arc<StorageMetrics> {
+        self.inner.metrics()
+    }
+    fn flush(&self) -> StorageResult<()> {
+        self.inner.flush()
+    }
+}
+
+/// A raw protocol connection: unlike [`Client`] it can pipeline, which is
+/// what lets a test put several requests behind a held tick.
+struct Wire(TcpStream);
+
+impl Wire {
+    fn connect(handle: &ServerHandle) -> Self {
+        Self(TcpStream::connect(handle.local_addr()).unwrap())
+    }
+
+    fn send(&mut self, request: &Request) {
+        write_frame(&mut self.0, &request.encode()).unwrap();
+    }
+
+    fn recv(&mut self) -> Response {
+        let body = read_frame(&mut self.0).unwrap().expect("a reply frame");
+        Response::decode(&body).unwrap()
+    }
+
+    /// Send `request` and return once the server has offered it to the
+    /// admission queue: a connection's frames are handled in order, so the
+    /// pong proves the request ahead of it was dispatched.
+    fn send_admitted(&mut self, request: &Request) {
+        self.send(request);
+        self.send(&Request::Ping);
+        assert_eq!(self.recv(), Response::Pong);
+    }
+}
+
+fn gather_request(id: u64, keys: &[u64]) -> Request {
+    Request::Gather {
+        id,
+        deadline_us: 0,
+        keys: keys.to_vec(),
+    }
+}
+
+/// Serve a table over a fresh [`GatedStore`] with one gather already caught
+/// in the closed gate: on return the batcher is mid-tick and the admission
+/// queue is empty. The held gather (id 1, key 900) stays pending on the
+/// returned connection until the gate opens.
+fn serve_with_held_tick(queue_capacity: usize) -> (Arc<GatedStore>, ServerHandle, Wire) {
+    let store = GatedStore::new();
+    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
+        .table(table_over(Arc::clone(&store) as Arc<dyn KvStore>))
+        .queue_capacity(queue_capacity)
+        .serve("127.0.0.1:0")
+        .unwrap();
+    store.set_closed(true);
+    let mut held = Wire::connect(&handle);
+    held.send(&gather_request(1, &[900]));
+    store.wait_until_parked();
+    (store, handle, held)
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -251,73 +401,76 @@ fn malformed_and_truncated_frames_do_not_kill_the_server() {
 
 #[test]
 fn expired_deadline_comes_back_as_typed_error() {
-    // A long window wait guarantees the request sits in the batcher's window
-    // well past its 1us budget, regardless of scheduler timing.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .window_initial(64)
-        .window_wait(Duration::from_millis(50))
-        .serve("127.0.0.1:0")
-        .unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let (store, handle, mut held) = serve_with_held_tick(64);
 
-    let err = client
-        .gather(&[1, 2, 3], Some(Duration::from_micros(1)))
-        .unwrap_err();
+    // A 1us budget behind a held tick: the request either expires while it
+    // waits in the queue or is already expired at admission — the same typed
+    // error and the same counter either way.
+    let mut wire = Wire::connect(&handle);
+    wire.send(&Request::Gather {
+        id: 7,
+        deadline_us: 1,
+        keys: vec![1, 2, 3],
+    });
+    wire.send(&Request::Ping);
+    // The first reply (the pong, or the admission-time rejection ahead of it)
+    // proves the request was dispatched — at least a round trip ago, so its
+    // budget is spent before the engine frees up.
+    let mut replies = vec![wire.recv()];
+    store.set_closed(false);
+    replies.push(wire.recv());
+    replies.retain(|r| *r != Response::Pong);
     assert!(
-        matches!(err, StorageError::DeadlineExceeded { .. }),
-        "want DeadlineExceeded, got {err:?}"
+        matches!(
+            replies.as_slice(),
+            [Response::Error {
+                id: 7,
+                code: ErrorCode::DeadlineExceeded,
+                ..
+            }]
+        ),
+        "want one DeadlineExceeded for id 7 beside the pong, got {replies:?}"
     );
-    // The client enforces its budget locally, so it reports the expiry
-    // before the batcher's window closes; the server-side rejection of the
-    // queued work lands when the window drains.
-    let drained = Instant::now();
-    while handle.metrics().snapshot().serve_rejected == 0 {
-        assert!(
-            drained.elapsed() < Duration::from_secs(5),
-            "server never rejected the expired request"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    assert!(matches!(held.recv(), Response::Rows { id: 1, .. }));
 
     // The connection survives a rejected request.
-    assert_eq!(client.gather(&[1], None).unwrap().len(), 1);
+    wire.send(&gather_request(8, &[1]));
+    assert!(matches!(wire.recv(), Response::Rows { id: 8, .. }));
     handle.shutdown().unwrap();
+    assert_eq!(handle.metrics().snapshot().serve_rejected, 1);
 }
 
 #[test]
 fn graceful_shutdown_drains_admitted_work() {
-    // A wide-open window holds admitted gathers in the queue; shutdown must
-    // answer them all (drain) rather than drop them.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .window_initial(64)
-        .window_max(64)
-        .window_wait(Duration::from_secs(2))
-        .serve("127.0.0.1:0")
-        .unwrap();
+    let (store, handle, mut held) = serve_with_held_tick(64);
     let addr = handle.local_addr();
 
-    let mut waiters = Vec::new();
-    for c in 0..4u64 {
-        waiters.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client.gather(&[c * 10, c * 10 + 1], None).unwrap()
-        }));
-    }
-    // Let the gathers reach the admission queue before asking for shutdown.
-    std::thread::sleep(Duration::from_millis(200));
+    // Four gathers admitted behind the held tick; shutdown must answer them
+    // all (drain) rather than drop them.
+    let mut waiters: Vec<Wire> = (0..4u64)
+        .map(|c| {
+            let mut wire = Wire::connect(&handle);
+            wire.send_admitted(&gather_request(10 + c, &[c * 10, c * 10 + 1]));
+            wire
+        })
+        .collect();
 
     let mut admin = Client::connect(addr).unwrap();
     admin.shutdown_server().unwrap();
+    store.set_closed(false);
     handle.join().unwrap();
 
-    for w in waiters {
-        let rows = w.join().expect("client thread");
-        assert_eq!(rows.len(), 2, "queued gather was answered during drain");
+    assert!(matches!(held.recv(), Response::Rows { id: 1, .. }));
+    for (c, wire) in waiters.iter_mut().enumerate() {
+        match wire.recv() {
+            Response::Rows { id, rows, .. } => {
+                assert_eq!(id, 10 + c as u64);
+                assert_eq!(rows.len(), 2, "queued gather was answered during drain");
+            }
+            other => panic!("expected rows, got {other:?}"),
+        }
     }
-    let snap = handle.metrics().snapshot();
-    assert!(snap.serve_admitted >= 4);
+    assert_eq!(handle.metrics().snapshot().serve_admitted, 5);
 
     // New connections are refused once the listener is gone.
     assert!(
@@ -333,9 +486,11 @@ fn server_builds_its_own_durable_store_and_flushes_on_shutdown() {
     let dir = std::env::temp_dir().join(format!("mlkv-serving-durable-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let handle = ServerBuilder::new(BackendKind::Faster, DIM)
-        .dir(&dir)
-        .memory_budget(4 << 20)
-        .durability(DurabilityMode::GroupCommit { window: 1024 })
+        .store_config(
+            StoreConfig::on_disk(&dir)
+                .with_memory_budget(4 << 20)
+                .with_durability(DurabilityMode::GroupCommit { window: 1024 }),
+        )
         .seed(SEED)
         .serve("127.0.0.1:0")
         .unwrap();
@@ -357,36 +512,113 @@ fn server_builds_its_own_durable_store_and_flushes_on_shutdown() {
 
 #[test]
 fn overload_sheds_with_typed_error() {
-    // Capacity 1 and a held-open window: the first request occupies the
-    // queue, the second must be shed at admission.
-    let handle = ServerBuilder::new(BackendKind::InMemory, DIM)
-        .table(make_table(BackendKind::InMemory))
-        .queue_capacity(1)
-        .window_initial(64)
-        .window_max(64)
-        .window_wait(Duration::from_secs(2))
-        .serve("127.0.0.1:0")
-        .unwrap();
-    let addr = handle.local_addr();
+    // Capacity 1 behind a held tick: the first request occupies the queue,
+    // the second must be shed at admission.
+    let (store, handle, mut held) = serve_with_held_tick(1);
 
-    let blocker = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.gather(&[1], None).unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(150));
+    let mut wire = Wire::connect(&handle);
+    wire.send(&gather_request(2, &[2]));
+    wire.send(&gather_request(3, &[3]));
+    match wire.recv() {
+        Response::Error { id, code, message } => {
+            assert_eq!((id, code), (3, ErrorCode::Overloaded));
+            let err = mlkv_server::decode_error(code, &message);
+            assert!(
+                matches!(err, StorageError::Overloaded { capacity: 1, .. }),
+                "want Overloaded, got {err:?}"
+            );
+        }
+        other => panic!("the shed request is answered first, got {other:?}"),
+    }
 
-    let mut client = Client::connect(addr).unwrap();
-    let err = client.gather(&[2], None).unwrap_err();
+    store.set_closed(false);
+    assert!(matches!(held.recv(), Response::Rows { id: 1, .. }));
     assert!(
-        matches!(err, StorageError::Overloaded { capacity: 1, .. }),
-        "want Overloaded, got {err:?}"
+        matches!(wire.recv(), Response::Rows { id: 2, .. }),
+        "the queued request is served once the engine frees up"
     );
-
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn sequential_requests_are_never_held_for_company() {
+    const REQUESTS: u64 = 25;
+    const KEYS: u64 = 3;
+    let handle = serve(make_table(BackendKind::InMemory));
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for r in 0..REQUESTS {
+        let keys: Vec<u64> = (0..KEYS).map(|k| r * KEYS + k).collect();
+        assert_eq!(client.gather(&keys, None).unwrap().len(), keys.len());
+    }
+    // Joining the batcher first makes the last tick's counters visible.
+    handle.shutdown().unwrap();
+    let snap = handle.metrics().snapshot();
+    assert_eq!(snap.serve_ticks, REQUESTS, "one tick per lone request");
+    assert_eq!(snap.serve_fused_keys, REQUESTS * KEYS);
+}
+
+#[test]
+fn arrivals_during_a_busy_tick_fuse_into_the_next_one_in_admission_order() {
+    let (store, handle, mut held) = serve_with_held_tick(64);
+
+    // Four connections, admitted one after another while the engine is busy.
+    let requests = [
+        gather_request(11, &[5, 6]),
+        gather_request(12, &[7, 5]),
+        Request::Apply {
+            id: 13,
+            session_id: 0,
+            deadline_us: 0,
+            lr: 1.0,
+            dim: DIM as u32,
+            updates: vec![(5, vec![1.0; DIM])],
+        },
+        gather_request(14, &[5]),
+    ];
+    let mut wires: Vec<Wire> = requests
+        .iter()
+        .map(|request| {
+            let mut wire = Wire::connect(&handle);
+            wire.send_admitted(request);
+            wire
+        })
+        .collect();
+    store.set_closed(false);
+    assert!(matches!(held.recv(), Response::Rows { id: 1, .. }));
+    let replies: Vec<Response> = wires.iter_mut().map(Wire::recv).collect();
+    handle.shutdown().unwrap();
+
+    // One tick for the held gather, one for everything that queued behind it.
+    let snap = handle.metrics().snapshot();
+    assert_eq!(snap.serve_ticks, 2);
+    assert_eq!(snap.serve_fused_keys, 1 + 2 + 2 + 1 + 1);
+    // The two leading gathers shared one engine read (the table hands the
+    // store sorted distinct keys); the gather behind the apply got its own.
+    assert!(
+        store
+            .calls()
+            .ends_with(&[vec![900], vec![5, 6, 7], vec![5]]),
+        "engine reads were {:?}",
+        store.calls()
+    );
+    // Admission order inside the tick: rows scatter back to their own
+    // requests, and only the gather admitted after the apply sees it.
+    let fresh = make_table(BackendKind::InMemory);
+    let initial = |keys: &[u64]| fresh.gather(keys).unwrap();
+    let rows = |id, rows| Response::Rows {
+        id,
+        dim: DIM as u32,
+        rows,
+    };
+    let updated: Vec<f32> = initial(&[5])[0].iter().map(|v| v - 1.0).collect();
     assert_eq!(
-        blocker.join().unwrap().len(),
-        1,
-        "blocked request drained at shutdown"
+        replies,
+        [
+            rows(11, initial(&[5, 6])),
+            rows(12, initial(&[7, 5])),
+            Response::Applied { id: 13 },
+            rows(14, vec![updated]),
+        ]
     );
 }
 
@@ -411,9 +643,11 @@ fn session_churn_bounds_dedup_memory_and_reconciles_through_markers() {
         ServerBuilder::new(BackendKind::RocksDbLike, DIM)
             .staleness_bound(u32::MAX)
             .seed(SEED)
-            .dir(dir.clone())
-            .durability(DurabilityMode::GroupCommit { window: 1 << 20 })
-            .parallelism(1)
+            .store_config(
+                StoreConfig::on_disk(&dir)
+                    .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 })
+                    .with_parallelism(1),
+            )
             .dedup_slots(SLOTS)
     };
     let handle = builder().serve("127.0.0.1:0").unwrap();
