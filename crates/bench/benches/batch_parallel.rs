@@ -11,8 +11,8 @@
 //! with ≥ 4 workers and batches ≥ 1024, the parallel rows should approach the
 //! worker count on idle multi-core hosts (CPU-bound groups need real cores;
 //! the `faster_cold_ssd_sim` group overlaps I/O waits and therefore shows the
-//! effect even on a single-core CI box). `p1` is the pre-executor serial
-//! path — comparing it against the `batch_ops` bench checks for regressions.
+//! effect even on a single-core CI box). `p1` runs every job inline on the
+//! caller — comparing it against the `batch_ops` bench checks for regressions.
 
 use std::time::Duration;
 

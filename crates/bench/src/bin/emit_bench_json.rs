@@ -2,23 +2,19 @@
 //! planner, recording the results as `BENCH_*.json`, so the repository carries
 //! its performance trajectory alongside the code.
 //!
-//! Two recordings per run, each sharing its table setup with the criterion
-//! bench of the same name:
+//! The recordings of one run:
 //!
-//! * `BENCH_batch_parallel.json` (`mlkv_bench::batch_parallel`): one
-//!   `EmbeddingTable::gather` at parallelism 1 / 2 / 4 / 8 on the in-memory
-//!   and FASTER engines (warm, RAM-resident) plus a cold FASTER configuration
-//!   with simulated SSD read latency; and the write half of the matrix — one
-//!   `apply_gradients` batch at `write_shards` 1 / 2 / 4 / 8 (read
-//!   parallelism pinned to 1) on every sharded-write-path engine, warm plus
-//!   a cold FASTER configuration.
-//! * `BENCH_io_coalesce.json` (`mlkv_bench::io_coalesce`): the cold-SSD gather
-//!   on FASTER / RocksDB-label LSM / WiredTiger-label B+tree with the I/O
-//!   planner's coalescing off (the per-record read path) vs on, at the same
-//!   executor parallelism.
-//! * `BENCH_io_async.json` (same setup): the coalesced cold-SSD gather with
-//!   blocking reads (`io_backend = sync`) vs submission-queue reads
-//!   (`io_backend = async`), at the same parallelism and coalescing.
+//! * `BENCH_batch_parallel.json` (`mlkv_bench::batch_parallel`, shared with
+//!   the criterion bench of the same name): one `EmbeddingTable::gather` at
+//!   parallelism 1 / 2 / 4 / 8 on the in-memory and FASTER engines (warm,
+//!   RAM-resident) plus a cold FASTER configuration with simulated SSD read
+//!   latency; and the write half of the matrix — one `apply_gradients` batch
+//!   at the same parallelism levels on every sharded-write-path engine, warm
+//!   plus a cold FASTER configuration.
+//! * `BENCH_io_async.json` (`mlkv_bench::io_coalesce`): the coalesced
+//!   cold-SSD gather on FASTER / RocksDB-label LSM / WiredTiger-label B+tree
+//!   with blocking reads (`io_backend = sync`) vs submission-queue reads
+//!   (`io_backend = async`), at the same parallelism.
 //! * `BENCH_durability.json` (`mlkv_storage::wal` group commit): `write_batch`
 //!   throughput on each disk engine with `durability = None` vs
 //!   `GroupCommit`, across group sizes — the group-commit sync cost is paid
@@ -40,21 +36,21 @@
 //!
 //! ```text
 //! cargo run --release -p mlkv-bench --bin emit_bench_json \
-//!     [-- --out PATH] [--io-out PATH] [--io-async-out PATH] \
+//!     [-- --out PATH] [--io-async-out PATH] \
 //!     [--durability-out PATH] [--fault-out PATH] [--replication-out PATH] \
 //!     [--batch-only] [--fault-only] [--replication-only] [--quick]
 //! ```
 //!
 //! `--batch-only` stops after `BENCH_batch_parallel.json` (regenerating just
-//! the executor/write-shard matrix without the fault/replication sweeps).
+//! the executor matrix without the I/O, fault and replication sweeps).
 //!
 //! `--quick` runs one measurement iteration per cell (CI smoke); the default
 //! run is sized for stable means on an idle machine. Interpreting the
 //! numbers: the warm (RAM-resident) groups are pure CPU work, so their
 //! parallel speedup is bounded by `host_parallelism` — on a single-core host
 //! they measure executor overhead (expect ~1.0x) — while the device-bound
-//! cold-SSD groups (parallel overlap, read coalescing) show their wins on any
-//! host.
+//! cold-SSD groups (parallel overlap, async submission) show their wins on
+//! any host.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -62,9 +58,8 @@ use std::time::Instant;
 
 use mlkv::{BackendKind, EmbeddingTable};
 use mlkv_bench::batch_parallel::{
-    cold_faster_table, cold_write_faster_table, gradient_rows, rotating_keys, warm_table,
-    warm_write_table, APPLY_BATCH_SIZE, COLD_KEY_SPACE, GATHER_BATCH_SIZES, PARALLELISM_LEVELS,
-    WARM_KEY_SPACE, WRITE_BACKENDS, WRITE_SHARD_LEVELS,
+    cold_faster_table, gradient_rows, rotating_keys, warm_table, APPLY_BATCH_SIZE, COLD_KEY_SPACE,
+    GATHER_BATCH_SIZES, PARALLELISM_LEVELS, WARM_KEY_SPACE, WRITE_BACKENDS,
 };
 use mlkv_bench::io_coalesce;
 use mlkv_storage::exec::available_parallelism;
@@ -124,19 +119,6 @@ fn measure_gather(
     start.elapsed().as_nanos() / u128::from(iters.max(1))
 }
 
-/// One `BENCH_batch_parallel.json` write row: an `apply_gradients` batch with
-/// the read `parallelism` knob pinned serial and only `write_shards` swept, so
-/// the row isolates the sharded write path (memtable shards / leaf latches /
-/// hash-chain CAS + the shard-worker fan-out of `multi_rmw`).
-struct WriteCell {
-    engine: &'static str,
-    workload: &'static str,
-    batch: usize,
-    write_shards: usize,
-    mean_ns: u128,
-    speedup_vs_serial: f64,
-}
-
 /// Mean wall-clock nanoseconds of one `apply_gradients` batch over `iters`
 /// measured calls (after `warmup` unmeasured ones), rotating the key pattern
 /// per call the same way [`measure_gather`] does.
@@ -170,6 +152,9 @@ fn measure_apply(
     start.elapsed().as_nanos() / u128::from(iters.max(1))
 }
 
+/// What one cell times: [`measure_gather`] or [`measure_apply`].
+type Measure = fn(&EmbeddingTable, usize, u64, u32, u32) -> u128;
+
 /// One benchmark group: an engine/workload pair swept over parallelism levels
 /// and batch sizes.
 struct GroupSpec<'a> {
@@ -185,6 +170,7 @@ fn push_group(
     cells: &mut Vec<Cell>,
     spec: &GroupSpec<'_>,
     quick: bool,
+    measure: Measure,
     build: impl Fn(usize) -> Arc<EmbeddingTable>,
 ) {
     let (warmup, iters) = if quick {
@@ -196,14 +182,14 @@ fn push_group(
         let mut serial_ns = 0u128;
         for &parallelism in &PARALLELISM_LEVELS {
             let table = build(parallelism);
-            let mean_ns = measure_gather(&table, batch, spec.key_space, warmup, iters);
+            let mean_ns = measure(&table, batch, spec.key_space, warmup, iters);
             if parallelism == 1 {
                 serial_ns = mean_ns;
             }
             let speedup = serial_ns as f64 / mean_ns.max(1) as f64;
             eprintln!(
                 "{:>10} {:<14} batch {batch:>5} p{parallelism}: \
-                 {:>10.3} ms/gather ({speedup:.2}x vs p1)",
+                 {:>10.3} ms ({speedup:.2}x vs p1)",
                 spec.engine,
                 spec.workload,
                 mean_ns as f64 / 1e6
@@ -220,95 +206,6 @@ fn push_group(
     }
 }
 
-/// [`push_group`] for the write rows: the same engine/workload/batch sweep,
-/// but over [`WRITE_SHARD_LEVELS`] instead of parallelism, measuring
-/// `apply_gradients` on a fresh table per level.
-fn push_write_group(
-    cells: &mut Vec<WriteCell>,
-    spec: &GroupSpec<'_>,
-    quick: bool,
-    build: impl Fn(usize) -> Arc<EmbeddingTable>,
-) {
-    let (warmup, iters) = if quick {
-        (1, 1)
-    } else {
-        (spec.warmup, spec.iters)
-    };
-    for &batch in spec.batches {
-        let mut serial_ns = 0u128;
-        for &write_shards in &WRITE_SHARD_LEVELS {
-            let table = build(write_shards);
-            let mean_ns = measure_apply(&table, batch, spec.key_space, warmup, iters);
-            if write_shards == 1 {
-                serial_ns = mean_ns;
-            }
-            let speedup = serial_ns as f64 / mean_ns.max(1) as f64;
-            eprintln!(
-                "{:>10} {:<14} batch {batch:>5} w{write_shards}: \
-                 {:>10.3} ms/apply ({speedup:.2}x vs w1)",
-                spec.engine,
-                spec.workload,
-                mean_ns as f64 / 1e6
-            );
-            cells.push(WriteCell {
-                engine: spec.engine,
-                workload: spec.workload,
-                batch,
-                write_shards,
-                mean_ns,
-                speedup_vs_serial: speedup,
-            });
-        }
-    }
-}
-
-/// One `BENCH_io_coalesce.json` row: a cold-SSD gather with the planner's
-/// coalescing off (per-record reads) or on, at fixed parallelism.
-struct IoCell {
-    engine: &'static str,
-    coalescing: bool,
-    mean_ns: u128,
-    speedup_vs_per_record: f64,
-}
-
-/// Measure the coalescing on/off pair for every disk-backed engine.
-fn run_io_coalesce(quick: bool) -> Vec<IoCell> {
-    let (warmup, iters) = if quick { (1, 1) } else { (1, 8) };
-    let mut cells = Vec::new();
-    for backend in io_coalesce::BACKENDS {
-        let mut per_record_ns = 0u128;
-        for coalescing in [false, true] {
-            let table = io_coalesce::cold_table(backend, coalescing, io_coalesce::PARALLELISM);
-            let mean_ns = measure_gather(
-                &table,
-                io_coalesce::IO_BATCH,
-                io_coalesce::KEY_SPACE,
-                warmup,
-                iters,
-            );
-            if !coalescing {
-                per_record_ns = mean_ns;
-            }
-            let speedup = per_record_ns as f64 / mean_ns.max(1) as f64;
-            eprintln!(
-                "{:>10} cold-ssd batch {} p{} coalescing={coalescing}: \
-                 {:>10.3} ms/gather ({speedup:.2}x vs per-record)",
-                backend.name(),
-                io_coalesce::IO_BATCH,
-                io_coalesce::PARALLELISM,
-                mean_ns as f64 / 1e6
-            );
-            cells.push(IoCell {
-                engine: backend.name(),
-                coalescing,
-                mean_ns,
-                speedup_vs_per_record: speedup,
-            });
-        }
-    }
-    cells
-}
-
 /// One `BENCH_io_async.json` row: the coalesced cold-SSD gather under one
 /// read backend (sync blocking `pread`s vs async submission queue).
 struct IoAsyncCell {
@@ -318,8 +215,8 @@ struct IoAsyncCell {
     speedup_vs_sync: f64,
 }
 
-/// Measure the sync/async pair for every disk-backed engine (coalescing on,
-/// same parallelism — the only variable is how reads reach the device).
+/// Measure the sync/async pair for every disk-backed engine (same
+/// parallelism — the only variable is how reads reach the device).
 fn run_io_async(quick: bool) -> Vec<IoAsyncCell> {
     use mlkv_storage::IoBackend;
     let (warmup, iters) = if quick { (1, 1) } else { (1, 8) };
@@ -327,8 +224,7 @@ fn run_io_async(quick: bool) -> Vec<IoAsyncCell> {
     for backend in io_coalesce::BACKENDS {
         let mut sync_ns = 0u128;
         for io_backend in [IoBackend::Sync, IoBackend::Async] {
-            let table =
-                io_coalesce::cold_table_io(backend, true, io_backend, io_coalesce::PARALLELISM);
+            let table = io_coalesce::cold_table_io(backend, io_backend, io_coalesce::PARALLELISM);
             let mean_ns = measure_gather(
                 &table,
                 io_coalesce::IO_BATCH,
@@ -385,38 +281,6 @@ fn write_io_async_json(cells: &[IoAsyncCell], quick: bool, out_path: &str) {
             c.io_backend,
             c.mean_ns,
             c.speedup_vs_sync
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).unwrap();
-    println!("wrote {out_path}");
-}
-
-fn write_io_coalesce_json(cells: &[IoCell], quick: bool, out_path: &str) {
-    let mut json = String::new();
-    let note = format!(
-        "cold-SSD gather (batch {}, parallelism {}, {}us/request + 1 GiB/s \
-         simulated SSD) with cold-path read coalescing off (the per-record read path) vs on; \
-         both modes return byte-identical results (tests/io_coalesce.rs), the speedup is \
-         device round trips removed by the IoPlanner and shows up on any host",
-        io_coalesce::IO_BATCH,
-        io_coalesce::PARALLELISM,
-        io_coalesce::READ_LATENCY.as_micros(),
-    );
-    json_prologue(&mut json, "io_coalesce", quick, &note);
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"engine\": \"{}\", \"workload\": \"gather-cold-ssd\", \"batch\": {}, \
-             \"parallelism\": {}, \"coalescing\": {}, \"mean_ns\": {}, \
-             \"speedup_vs_per_record\": {:.3}}}",
-            c.engine,
-            io_coalesce::IO_BATCH,
-            io_coalesce::PARALLELISM,
-            c.coalescing,
-            c.mean_ns,
-            c.speedup_vs_per_record
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
@@ -762,8 +626,6 @@ fn main() {
     }
     let out_path = mlkv_bench::arg_value(&args, "--out")
         .unwrap_or_else(|| "BENCH_batch_parallel.json".to_string());
-    let io_out_path = mlkv_bench::arg_value(&args, "--io-out")
-        .unwrap_or_else(|| "BENCH_io_coalesce.json".to_string());
     let io_async_out_path = mlkv_bench::arg_value(&args, "--io-async-out")
         .unwrap_or_else(|| "BENCH_io_async.json".to_string());
     let durability_out_path = mlkv_bench::arg_value(&args, "--durability-out")
@@ -778,10 +640,10 @@ fn main() {
         warmup: 5,
         iters: 40,
     };
-    push_group(&mut cells, &warm("InMemory"), quick, |p| {
+    push_group(&mut cells, &warm("InMemory"), quick, measure_gather, |p| {
         warm_table(BackendKind::InMemory, p)
     });
-    push_group(&mut cells, &warm("FASTER"), quick, |p| {
+    push_group(&mut cells, &warm("FASTER"), quick, measure_gather, |p| {
         warm_table(BackendKind::Faster, p)
     });
     // Cold hybrid log + simulated SSD reads: the batch is device-bound, so
@@ -798,15 +660,15 @@ fn main() {
             iters: 8,
         },
         quick,
+        measure_gather,
         cold_faster_table,
     );
 
-    // Write half of the matrix: `apply_gradients` with the read knob pinned
-    // serial and `write_shards` swept, on every sharded-write-path engine.
-    let mut write_cells = Vec::new();
+    // Write half of the matrix: `apply_gradients` over the same parallelism
+    // levels, on every sharded-write-path engine.
     for backend in WRITE_BACKENDS {
-        push_write_group(
-            &mut write_cells,
+        push_group(
+            &mut cells,
             &GroupSpec {
                 engine: backend.name(),
                 workload: "apply-warm",
@@ -816,14 +678,15 @@ fn main() {
                 iters: 20,
             },
             quick,
-            move |w| warm_write_table(backend, w),
+            measure_apply,
+            move |p| warm_table(backend, p),
         );
     }
     // Cold apply: every RMW over the cold region pays a blocking simulated
-    // SSD read before it can fold the gradient in, so shard workers win by
+    // SSD read before it can fold the gradient in, so workers win by
     // overlapping those reads — visible on any host, like gather-cold-ssd.
-    push_write_group(
-        &mut write_cells,
+    push_group(
+        &mut cells,
         &GroupSpec {
             engine: "FASTER",
             workload: "apply-cold-ssd",
@@ -833,7 +696,8 @@ fn main() {
             iters: 8,
         },
         quick,
-        cold_write_faster_table,
+        measure_apply,
+        cold_faster_table,
     );
 
     let mut json = String::new();
@@ -841,14 +705,16 @@ fn main() {
         &mut json,
         "batch_parallel",
         quick,
-        "gather latency by batch-executor parallelism and apply_gradients latency by \
-         write_shards; gather-warm/apply-warm are RAM-resident CPU work (parallel speedup \
-         requires >= that many idle cores; on a 1-core host they measure executor/latch \
-         overhead), gather-cold-ssd/apply-cold-ssd are device-bound with 25us simulated SSD \
-         reads (speedup = overlapped I/O, visible on any host); apply rows pin read \
-         parallelism to 1 so only the sharded write path varies",
+        "gather and apply_gradients latency by parallelism, the one worker knob (executor \
+         workers = memtable shards = buffer-pool shards = leaf-latch lanes / 8, reads and \
+         writes alike); gather-warm/apply-warm are RAM-resident CPU work (parallel speedup \
+         requires >= that many idle cores; on a small host they measure executor/latch \
+         overhead); the cold-ssd rows add 25us simulated SSD reads: apply-cold-ssd pays one \
+         blocking read per cold record, so its speedup is overlapped I/O and shows on any \
+         host, while gather-cold-ssd goes through the coalescing planner, which already \
+         folds this dense key space into a few merged reads per worker range, so extra \
+         workers add thread cost, not overlap",
     );
-    let total = cells.len() + write_cells.len();
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
             json,
@@ -856,20 +722,7 @@ fn main() {
              \"parallelism\": {}, \"mean_ns\": {}, \"speedup_vs_serial\": {:.3}}}",
             c.engine, c.workload, c.batch, c.parallelism, c.mean_ns, c.speedup_vs_serial
         );
-        json.push_str(if i + 1 < total { ",\n" } else { "\n" });
-    }
-    for (i, c) in write_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"engine\": \"{}\", \"workload\": \"{}\", \"batch\": {}, \
-             \"write_shards\": {}, \"mean_ns\": {}, \"speedup_vs_serial\": {:.3}}}",
-            c.engine, c.workload, c.batch, c.write_shards, c.mean_ns, c.speedup_vs_serial
-        );
-        json.push_str(if cells.len() + i + 1 < total {
-            ",\n"
-        } else {
-            "\n"
-        });
+        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
 
@@ -878,9 +731,6 @@ fn main() {
     if batch_only {
         return;
     }
-
-    let io_cells = run_io_coalesce(quick);
-    write_io_coalesce_json(&io_cells, quick, &io_out_path);
 
     let io_async_cells = run_io_async(quick);
     write_io_async_json(&io_async_cells, quick, &io_async_out_path);

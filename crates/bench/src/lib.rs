@@ -45,16 +45,6 @@ pub fn parallelism_from_args() -> usize {
         .unwrap_or(0)
 }
 
-/// Parse `--write-shards <usize>` from the process arguments. Defaults to `0`
-/// (follow the read `parallelism` knob, which is the engine default);
-/// `--write-shards 1` pins every mutation onto the serial single-lock write
-/// path without giving up parallel reads.
-pub fn write_shards_from_args() -> usize {
-    cli_value("--write-shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Open an embedding table on `backend` with the given storage buffer budget.
 /// MLKV backends get bounded staleness + look-ahead workers; baseline backends
 /// get the plain table layer with enforcement disabled (pure offloading).
@@ -73,7 +63,6 @@ pub fn open_table(
         .staleness_bound(staleness_bound)
         .lookahead_workers(2)
         .parallelism(parallelism_from_args())
-        .write_shards(write_shards_from_args())
         .init_scale(0.5);
     if !backend.is_mlkv() {
         builder = builder.disable_staleness_enforcement();
@@ -226,7 +215,7 @@ pub fn open_faster_store(buffer_bytes: usize) -> StorageResult<Arc<dyn KvStore>>
     )?))
 }
 
-/// Shared setup for the shard-parallel gather measurements, used by both the
+/// Shared setup for the shard-parallel batch measurements, used by both the
 /// `batch_parallel` criterion bench and the `emit_bench_json` recorder so the
 /// two entry points always measure the same stores.
 pub mod batch_parallel {
@@ -238,8 +227,6 @@ pub mod batch_parallel {
 
     /// Parallelism levels every group sweeps.
     pub const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
-    /// Write-shard levels the apply-gradients groups sweep.
-    pub const WRITE_SHARD_LEVELS: [usize; 4] = [1, 2, 4, 8];
     /// Gather batch sizes for the warm groups.
     pub const GATHER_BATCH_SIZES: [usize; 2] = [1024, 4096];
     /// Batch size of the warm apply-gradients groups (large enough to clear
@@ -262,7 +249,6 @@ pub mod batch_parallel {
     fn build_table(
         backend: BackendKind,
         parallelism: usize,
-        write_shards: usize,
         memory_budget: usize,
         read_latency: Duration,
         key_space: u64,
@@ -274,13 +260,7 @@ pub mod batch_parallel {
                 .with_page_size(4 << 10)
                 .with_index_buckets(1 << 14)
                 .with_parallelism(parallelism)
-                .with_write_shards(write_shards)
-                .with_simulated_read_latency(read_latency)
-                // This matrix isolates the *executor*: the cold group measures
-                // how well workers overlap blocking per-record reads, so the
-                // coalescing planner (which would remove those reads outright;
-                // measured separately in `io_coalesce`) stays off.
-                .with_io_coalescing(false),
+                .with_simulated_read_latency(read_latency),
         )
         .unwrap();
         let table = Arc::new(
@@ -299,12 +279,12 @@ pub mod batch_parallel {
         table
     }
 
-    /// A RAM-resident table on `backend`: gathers are pure CPU work.
+    /// A RAM-resident table on `backend`: gathers and applies are pure CPU
+    /// work (for applies: memtable shards / leaf latches / hash-chain CAS).
     pub fn warm_table(backend: BackendKind, parallelism: usize) -> Arc<EmbeddingTable> {
         build_table(
             backend,
             parallelism,
-            0, // write_shards follow parallelism; these groups only gather
             64 << 20,
             Duration::ZERO,
             WARM_KEY_SPACE,
@@ -312,42 +292,14 @@ pub mod batch_parallel {
     }
 
     /// FASTER with a tiny memory window and simulated SSD read latency: most
-    /// of a random gather hits the cold region, so the batch is device-bound
-    /// and the executor's win is overlapped I/O waits rather than extra cores.
+    /// of a random batch hits the cold region, so it is device-bound and the
+    /// executor's win is overlapped I/O waits rather than extra cores (a
+    /// gather's workers each coalesce their own range's reads; an RMW over the
+    /// cold region pays a blocking simulated-SSD read per record).
     pub fn cold_faster_table(parallelism: usize) -> Arc<EmbeddingTable> {
         build_table(
             BackendKind::Faster,
             parallelism,
-            0, // write_shards follow parallelism; this group only gathers
-            64 << 10,
-            COLD_READ_LATENCY,
-            COLD_KEY_SPACE,
-        )
-    }
-
-    /// A RAM-resident table on `backend` with the *read* knob pinned serial
-    /// and only `write_shards` swept, so the apply-gradients rows isolate the
-    /// sharded write path (memtable shards / leaf latches / hash-chain CAS)
-    /// from the read executor measured by the gather groups.
-    pub fn warm_write_table(backend: BackendKind, write_shards: usize) -> Arc<EmbeddingTable> {
-        build_table(
-            backend,
-            1,
-            write_shards,
-            64 << 20,
-            Duration::ZERO,
-            WARM_KEY_SPACE,
-        )
-    }
-
-    /// FASTER with the cold-gather configuration but `write_shards` swept:
-    /// an RMW over the cold region pays a blocking simulated-SSD read per
-    /// record, so shard workers win by overlapping those reads.
-    pub fn cold_write_faster_table(write_shards: usize) -> Arc<EmbeddingTable> {
-        build_table(
-            BackendKind::Faster,
-            1,
-            write_shards,
             64 << 10,
             COLD_READ_LATENCY,
             COLD_KEY_SPACE,
@@ -366,16 +318,14 @@ pub mod batch_parallel {
     }
 }
 
-/// Shared setup for the coalesced cold-path I/O measurements, used by both the
-/// `io_coalesce` criterion bench and the `emit_bench_json` recorder.
+/// Shared setup for the coalesced cold-path I/O measurements of the
+/// `emit_bench_json` recorder.
 ///
 /// The stores are larger-than-memory with a throughput-priced simulated SSD
 /// ([`mlkv_storage::SimLatencyDevice`]: fixed cost per request + per-byte
-/// transfer), so a cold gather is dominated by device round trips — exactly
-/// the cost the coalescing [`mlkv_storage::IoPlanner`] removes. Comparing the
-/// `coalescing = false` rows (the PR 3 per-record read path) against
-/// `coalescing = true` at the *same* parallelism isolates the round-trip
-/// savings from the executor's overlap.
+/// transfer), so a cold gather is dominated by device round trips — the cost
+/// the coalescing [`mlkv_storage::IoPlanner`] cuts and the async backend
+/// overlaps.
 pub mod io_coalesce {
     use std::sync::Arc;
     use std::time::Duration;
@@ -396,17 +346,16 @@ pub mod io_coalesce {
     /// Simulated SSD transfer rate: 1 GiB/s, so merged large reads still pay
     /// for every byte they move.
     pub const READ_BYTES_PER_SEC: u64 = 1 << 30;
-    /// Worker count both modes run at (same parallelism, per the bench's
+    /// Worker count both backends run at (same parallelism, per the bench's
     /// apples-to-apples contract).
     pub const PARALLELISM: usize = 4;
     /// Submission-queue depth of the async-backend rows: how many in-flight
     /// merged reads the simulated device overlaps per submission.
     pub const IO_QUEUE_DEPTH: usize = 32;
-    /// Gap threshold of the sync-vs-async rows. The coalesce rows use the
-    /// default 4 KiB gap, which folds this dense setup into one or two giant
-    /// runs per pass — nothing left for a submission queue to overlap. The
-    /// async comparison instead measures the complementary scenario the
-    /// submission queue exists for: ranges too far apart to merge (a 256 B
+    /// Gap threshold of the sync-vs-async rows. The default 4 KiB gap folds
+    /// this dense setup into one or two giant runs per pass — nothing left
+    /// for a submission queue to overlap. The async comparison instead
+    /// measures the complementary scenario the submission queue exists for: ranges too far apart to merge (a 256 B
     /// gap leaves one merged run per record here), where the sync path pays
     /// one blocking round trip per run and the async path overlaps them up
     /// to [`IO_QUEUE_DEPTH`].
@@ -419,48 +368,24 @@ pub mod io_coalesce {
         BackendKind::WiredTigerLike,
     ];
 
-    /// A larger-than-memory table on `backend` over the simulated SSD, with
-    /// cold-path read coalescing on or off (blocking reads — the sync
-    /// backend — at the default 4 KiB merge gap).
-    pub fn cold_table(
-        backend: BackendKind,
-        coalescing: bool,
-        parallelism: usize,
-    ) -> Arc<EmbeddingTable> {
-        let cfg = StoreConfig::in_memory().with_io_coalescing(coalescing);
-        build_cold_table(backend, cfg, parallelism)
-    }
-
-    /// Cold table for the sync-vs-async comparison recorded in
+    /// Larger-than-memory table over the simulated SSD for the sync-vs-async
+    /// comparison recorded in
     /// `BENCH_io_async.json`: `IoBackend::Async` submits each pass's merged
     /// reads as one batch, so their fixed costs overlap up to
     /// [`IO_QUEUE_DEPTH`]. Uses [`ASYNC_GAP_BYTES`] so each pass genuinely
     /// leaves many merged runs (see that constant's docs).
     pub fn cold_table_io(
         backend: BackendKind,
-        coalescing: bool,
         io_backend: IoBackend,
-        parallelism: usize,
-    ) -> Arc<EmbeddingTable> {
-        let cfg = StoreConfig::in_memory()
-            .with_io_coalescing(coalescing)
-            .with_io_gap_bytes(ASYNC_GAP_BYTES)
-            .with_io_backend(io_backend)
-            .with_io_queue_depth(IO_QUEUE_DEPTH);
-        build_cold_table(backend, cfg, parallelism)
-    }
-
-    /// Shared cold-table construction of [`cold_table`] / [`cold_table_io`]:
-    /// the same larger-than-memory layout over the same simulated SSD, with
-    /// the I/O knobs pre-set on `cfg`.
-    fn build_cold_table(
-        backend: BackendKind,
-        cfg: StoreConfig,
         parallelism: usize,
     ) -> Arc<EmbeddingTable> {
         let store = open_store(
             backend,
-            cfg.with_memory_budget(64 << 10)
+            StoreConfig::in_memory()
+                .with_io_gap_bytes(ASYNC_GAP_BYTES)
+                .with_io_backend(io_backend)
+                .with_io_queue_depth(IO_QUEUE_DEPTH)
+                .with_memory_budget(64 << 10)
                 .with_page_size(4 << 10)
                 .with_index_buckets(1 << 14)
                 .with_parallelism(parallelism)
@@ -493,17 +418,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn io_coalesce_setup_gathers_identically_on_and_off() {
+    fn io_coalesce_setup_gathers_identically_to_per_key_reads() {
         for backend in io_coalesce::BACKENDS {
-            let on = io_coalesce::cold_table(backend, true, 1);
-            let off = io_coalesce::cold_table(backend, false, 1);
+            let table = io_coalesce::cold_table_io(backend, mlkv_storage::IoBackend::Sync, 1);
             let keys = io_coalesce::rotating_keys(3, 64, io_coalesce::KEY_SPACE);
-            assert_eq!(
-                on.gather(&keys).unwrap(),
-                off.gather(&keys).unwrap(),
-                "{}",
-                backend.name()
-            );
+            let per_key: Vec<Vec<f32>> = keys.iter().map(|&k| table.get_one(k).unwrap()).collect();
+            assert_eq!(table.gather(&keys).unwrap(), per_key, "{}", backend.name());
         }
     }
 
@@ -511,8 +431,8 @@ mod tests {
     fn io_async_setup_gathers_identically_to_sync() {
         use mlkv_storage::IoBackend;
         for backend in io_coalesce::BACKENDS {
-            let sync = io_coalesce::cold_table_io(backend, true, IoBackend::Sync, 1);
-            let async_ = io_coalesce::cold_table_io(backend, true, IoBackend::Async, 1);
+            let sync = io_coalesce::cold_table_io(backend, IoBackend::Sync, 1);
+            let async_ = io_coalesce::cold_table_io(backend, IoBackend::Async, 1);
             let keys = io_coalesce::rotating_keys(11, 64, io_coalesce::KEY_SPACE);
             assert_eq!(
                 sync.gather(&keys).unwrap(),
@@ -531,10 +451,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_parallel_write_tables_apply_identically_across_shards() {
+    fn batch_parallel_tables_apply_identically_across_parallelism() {
         for backend in batch_parallel::WRITE_BACKENDS {
-            let serial = batch_parallel::warm_write_table(backend, 1);
-            let sharded = batch_parallel::warm_write_table(backend, 4);
+            let serial = batch_parallel::warm_table(backend, 1);
+            let sharded = batch_parallel::warm_table(backend, 4);
             let keys = batch_parallel::rotating_keys(3, 512, batch_parallel::WARM_KEY_SPACE);
             let grads = batch_parallel::gradient_rows(keys.len(), 16);
             let updates: Vec<(u64, &[f32])> = keys

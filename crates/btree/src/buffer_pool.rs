@@ -205,16 +205,6 @@ impl BufferPool {
     /// [`PendingLeafFetch::wait`] — `BtreeStore::multi_get` builds its leaf
     /// groups in that window.
     pub fn submit_fault_batch(&self, page_ids: &[u64]) -> PendingLeafFetch<'_> {
-        if !self.planner.coalescing() {
-            // Coalescing off restores the exact per-record path: each leaf
-            // group faults its own page (overlapping across executor workers)
-            // instead of this batched pre-pass.
-            return PendingLeafFetch {
-                pool: self,
-                missing: Vec::new(),
-                pending: None,
-            };
-        }
         let mut missing: Vec<u64> = page_ids
             .iter()
             .copied()

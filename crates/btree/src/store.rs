@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use mlkv_storage::device::device_from_config;
-use mlkv_storage::exec::{available_parallelism, BatchExecutor};
+use mlkv_storage::exec::BatchExecutor;
 use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
 use mlkv_storage::wal::{WalReader, WalWriter};
 use mlkv_storage::{
@@ -82,13 +82,14 @@ struct GroupOutcome {
 
 /// Disk-paged B+tree key-value store (WiredTiger stand-in).
 ///
-/// Write concurrency: small batches (and `write_shards = 1`) take the tree
-/// write lock and run the legacy serial path. Large batches hold the tree lock
-/// *shared* and latch the leaves they touch instead: `multi_upsert` routes the
-/// batch into leaf-disjoint groups, acquires the groups' latch lanes in
-/// ascending order, fans the groups out over the write executor, and journals
-/// one group per acknowledged batch. Structural modifications (leaf splits)
-/// escalate to the tree write lock; everything else only ever latches leaves.
+/// Write concurrency: batches the executor would run inline (small ones, and
+/// every batch at `parallelism = 1`) take the tree write lock and upsert key
+/// by key. Larger batches hold the tree lock *shared* and latch the leaves
+/// they touch instead: `multi_upsert` routes the batch into leaf-disjoint
+/// groups, acquires the groups' latch lanes in ascending order, runs the
+/// groups through the executor, and journals one group per acknowledged
+/// batch. Structural modifications (leaf splits) escalate to the tree write
+/// lock; everything else only ever latches leaves.
 pub struct BtreeStore {
     config: StoreConfig,
     metrics: Arc<StorageMetrics>,
@@ -97,7 +98,6 @@ pub struct BtreeStore {
     tree: RwLock<TreeMeta>,
     live: AtomicU64,
     executor: BatchExecutor,
-    write_executor: BatchExecutor,
     /// Fixed table of leaf-latch lanes (page-id hash → lane). Writers lock
     /// their batch's lanes in ascending index order, so concurrent latched
     /// batches are deadlock-free; distinct leaves sharing a lane merely
@@ -119,15 +119,13 @@ impl BtreeStore {
         let leaf_device = device_from_config(&config, "btree_leaves.dat")?;
         let meta_device = device_from_config(&config, "btree_meta.dat")?;
         let capacity_pages = (config.memory_budget / config.page_size).max(2);
-        let write_shards = match config.effective_write_shards() {
-            0 => available_parallelism(),
-            n => n,
-        };
+        let executor = BatchExecutor::new(config.parallelism);
+        let workers = executor.parallelism();
         let pool = BufferPool::new(
             leaf_device,
             capacity_pages,
             config.page_size,
-            write_shards,
+            workers,
             mlkv_storage::IoPlanner::from_config(&config).with_metrics(Arc::clone(&metrics)),
             Arc::clone(&metrics),
         );
@@ -149,11 +147,10 @@ impl BtreeStore {
         };
 
         let mut store = Self {
-            executor: BatchExecutor::new(config.parallelism),
-            write_executor: BatchExecutor::new(write_shards),
-            // Eight lanes per write shard keep false lane-sharing between
+            executor,
+            // Eight lanes per worker keep false lane-sharing between
             // concurrent batches rare while still scaling with the knob.
-            leaf_latches: (0..write_shards * 8).map(|_| Mutex::new(())).collect(),
+            leaf_latches: (0..workers * 8).map(|_| Mutex::new(())).collect(),
             config,
             metrics,
             pool,
@@ -164,14 +161,14 @@ impl BtreeStore {
         };
         if let Some(dir) = store.config.dir.clone() {
             store.replay_journal(&dir)?;
-            if store.config.effective_durability() != DurabilityMode::None {
+            if store.config.durability != DurabilityMode::None {
                 let gens = journal_generations(&dir);
                 let gen = gens.last().map(|g| g + 1).unwrap_or(0);
                 let device = device_from_config(&store.config, &journal_file_name(gen))?;
                 store.journal = Some(RwLock::new(JournalHandle {
                     writer: WalWriter::new(
                         device,
-                        store.config.effective_durability(),
+                        store.config.durability,
                         Arc::clone(&store.metrics),
                     )
                     .with_tap(store.config.wal_tap.clone()),
@@ -272,12 +269,9 @@ impl BtreeStore {
                 let mut handle = journal.write();
                 let old_gen = handle.gen;
                 let device = device_from_config(&self.config, &journal_file_name(old_gen + 1))?;
-                handle.writer = WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone());
+                handle.writer =
+                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                        .with_tap(self.config.wal_tap.clone());
                 handle.gen = old_gen + 1;
                 drop(handle);
                 for gen in journal_generations(&dir) {
@@ -533,11 +527,11 @@ impl BtreeStore {
     /// for every position, in occurrence order per key, and journal the whole
     /// batch as one group at its acknowledgement point.
     ///
-    /// Small batches (or `write_shards = 1`) run the serial path under the
-    /// tree write lock. Large batches take the tree lock *shared*, latch the
-    /// lanes of the leaf-disjoint groups the routing produced (ascending lane
-    /// order — deadlock-free against other latched batches), and fan the
-    /// groups out over the write executor. Each worker pre-checks that an
+    /// Batches the executor would run inline take the exclusive-tree-lock
+    /// path. Larger batches take the tree lock *shared*, latch the lanes of
+    /// the leaf-disjoint groups the routing produced (ascending lane order —
+    /// deadlock-free against other latched batches), and run the groups
+    /// through the executor. Each group pre-checks that an
     /// upsert fits its leaf; a would-split op defers itself and the rest of
     /// its group (preserving per-key order) to an escalation phase that
     /// reruns them under the tree write lock, where splitting is safe.
@@ -551,10 +545,13 @@ impl BtreeStore {
             return Ok(Vec::new());
         }
         let mut out = vec![Vec::new(); keys.len()];
-        if self.write_executor.planned_workers(keys.len()) <= 1 {
-            // Serial path: one tree write-lock acquisition for the whole
-            // batch; routing happens per key because an insert may split a
-            // leaf mid-batch. Input order preserves duplicate-key writes.
+        if self.executor.planned_workers(keys.len()) <= 1 {
+            // Not an inline twin of the latched path below but a different
+            // algorithm, selected from what the batch looks like (its size
+            // and the worker count): one tree write-lock acquisition for the
+            // whole batch, routing per key because an insert may split a
+            // leaf mid-batch — which the latched path cannot do and has to
+            // escalate. Input order preserves duplicate-key writes.
             let mut tree = self.tree.write();
             let mut touched = BTreeSet::new();
             let mut meta_changed = false;
@@ -642,20 +639,14 @@ impl BtreeStore {
                     touched,
                 })
             };
-            let results: Vec<StorageResult<GroupOutcome>> =
-                if self.write_executor.workers_for(groups.len(), keys.len()) <= 1 {
-                    groups.iter().map(|&(p, m)| run_group(p, m)).collect()
-                } else {
-                    let jobs: Vec<_> = groups
-                        .iter()
-                        .map(|&(p, m)| {
-                            let run_group = &run_group;
-                            move || run_group(p, m)
-                        })
-                        .collect();
-                    self.write_executor.execute(jobs, keys.len())
-                };
-            for result in results {
+            let jobs: Vec<_> = groups
+                .iter()
+                .map(|&(p, m)| {
+                    let run_group = &run_group;
+                    move || run_group(p, m)
+                })
+                .collect();
+            for result in self.executor.execute(jobs, keys.len()) {
                 let group = result?;
                 if group.touched {
                     touched.insert(group.page_id);
@@ -735,10 +726,10 @@ impl KvStore for BtreeStore {
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
         // Sorted traversal: group the batch by leaf page so every page is
         // pinned in the buffer pool exactly once, no matter how many of the
-        // batch's keys it serves. Large batches fan the page groups out over
-        // executor workers — the groups are leaf-disjoint, so each worker
-        // keeps the shared-pin behaviour within its groups and no leaf is
-        // pinned by two workers on behalf of the same batch.
+        // batch's keys it serves. The page groups go through the executor —
+        // they are leaf-disjoint, so each worker keeps the shared-pin
+        // behaviour within its groups and no leaf is pinned by two workers on
+        // behalf of the same batch.
         let tree = self.tree.read();
         let mut routed: Vec<(u64, usize)> = keys
             .iter()
@@ -751,8 +742,7 @@ impl KvStore for BtreeStore {
         // below (the pool bookkeeping the async backend overlaps). Groups
         // whose page was fetched read the returned copy (the tree read lock
         // held across this whole call excludes leaf mutations, so the copies
-        // cannot go stale); everything else pins the pool as before, whether
-        // serially or on executor workers.
+        // cannot go stale); everything else pins the pool.
         let mut page_ids: Vec<u64> = routed.iter().map(|&(page, _)| page).collect();
         page_ids.dedup(); // routed is page-sorted
         let pending_leaves = self.pool.submit_fault_batch(&page_ids);
@@ -770,21 +760,13 @@ impl KvStore for BtreeStore {
         let fetched = pending_leaves.wait();
         let fetched = &fetched;
         let mut out: Vec<Option<StorageResult<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        if self.executor.workers_for(groups.len(), keys.len()) <= 1 {
-            for group in groups {
-                for (i, result) in self.read_leaf_group(group, keys, fetched) {
-                    out[i] = Some(result);
-                }
-            }
-        } else {
-            let jobs: Vec<_> = groups
-                .into_iter()
-                .map(|group| move || self.read_leaf_group(group, keys, fetched))
-                .collect();
-            for pairs in self.executor.execute(jobs, keys.len()) {
-                for (i, result) in pairs {
-                    out[i] = Some(result);
-                }
+        let jobs: Vec<_> = groups
+            .into_iter()
+            .map(|group| move || self.read_leaf_group(group, keys, fetched))
+            .collect();
+        for pairs in self.executor.execute(jobs, keys.len()) {
+            for (i, result) in pairs {
+                out[i] = Some(result);
             }
         }
         out.into_iter()
@@ -877,7 +859,7 @@ impl KvStore for BtreeStore {
         let tree = self.tree.write();
         self.pool.flush_all()?;
         self.meta_device.write_at(0, &self.encode_meta(&tree))?;
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             // Harden the base files *before* rotating the journal away: until
             // both syncs return, the journal is the only durable copy of the
             // pages flushed above.

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mlkv_storage::{DurabilityMode, IoBackend, StorageResult, StoreConfig};
+use mlkv_storage::{StorageResult, StoreConfig};
 
 use crate::backend::{open_store, BackendKind};
 use crate::table::{EmbeddingTable, TableOptions};
@@ -42,14 +42,7 @@ impl Mlkv {
 pub struct EmbeddingModelBuilder {
     model_id: String,
     backend: BackendKind,
-    dir: Option<PathBuf>,
-    memory_budget: usize,
-    page_size: usize,
-    io_coalescing: bool,
-    io_gap_bytes: Option<usize>,
-    io_backend: IoBackend,
-    io_queue_depth: Option<usize>,
-    durability: DurabilityMode,
+    store_config: StoreConfig,
     options: TableOptions,
 }
 
@@ -58,14 +51,9 @@ impl EmbeddingModelBuilder {
         Self {
             model_id: model_id.to_string(),
             backend: BackendKind::Mlkv,
-            dir: None,
-            memory_budget: 256 << 20,
-            page_size: 16 << 10,
-            io_coalescing: true,
-            io_gap_bytes: None,
-            io_backend: IoBackend::Sync,
-            io_queue_depth: None,
-            durability: DurabilityMode::None,
+            store_config: StoreConfig::in_memory()
+                .with_memory_budget(256 << 20)
+                .with_page_size(16 << 10),
             options: TableOptions::default(),
         }
     }
@@ -95,21 +83,33 @@ impl EmbeddingModelBuilder {
         self
     }
 
+    /// Replace the storage engine's whole configuration (I/O backend, queue
+    /// depth, merge gap, durability, … — everything [`StoreConfig`] carries).
+    /// The builder starts from an in-memory config with a 256 MiB budget and
+    /// 16 KiB pages; [`EmbeddingModelBuilder::directory`], `memory_budget`,
+    /// `page_size` and `parallelism` write into whichever config is current,
+    /// so the last call wins — set those *after* this one to override it. A
+    /// `dir` carried by `config` is used verbatim (no `<model_id>` suffix).
+    pub fn store_config(mut self, config: StoreConfig) -> Self {
+        self.store_config = config;
+        self
+    }
+
     /// Persist the model under `dir/<model_id>/` instead of an in-memory device.
     pub fn directory(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = Some(dir.into());
+        self.store_config.dir = Some(dir.into().join(&self.model_id));
         self
     }
 
     /// In-memory buffer budget of the storage engine, in bytes.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = bytes;
+        self.store_config.memory_budget = bytes;
         self
     }
 
     /// Page size of the storage engine.
     pub fn page_size(mut self, bytes: usize) -> Self {
-        self.page_size = bytes;
+        self.store_config.page_size = bytes;
         self
     }
 
@@ -119,67 +119,15 @@ impl EmbeddingModelBuilder {
         self
     }
 
-    /// Batch-execution parallelism (`0` = auto-size from the host, `1` =
-    /// serial/deterministic). Applies to both the storage engine (shard- and
-    /// range-parallel `multi_get` / `multi_rmw`) and the table layer (bulk
-    /// vector decode): one `gather` fans out over this many workers.
+    /// The one worker knob (`0` = auto-size from the host, `1` = every batch
+    /// inline on the caller, deterministic). Applies to both the storage
+    /// engine (shard- and range-parallel `multi_get` / `multi_rmw` /
+    /// `write_batch`, and the shard counts its write path is built with) and
+    /// the table layer (bulk vector decode): one `gather` or
+    /// `apply_gradients` fans out over this many workers.
     pub fn parallelism(mut self, parallelism: usize) -> Self {
         self.options.parallelism = parallelism;
-        self
-    }
-
-    /// Write-side concurrency of the storage engine (`0` = follow
-    /// `parallelism`, `1` = the serial single-lock write path): the number of
-    /// memtable shards (LSM), leaf-latch lanes (B+tree), buffer-pool shards,
-    /// and mutation workers one `apply_gradients` scatter fans out over.
-    /// Independent of [`EmbeddingModelBuilder::parallelism`], so write
-    /// concurrency can be tuned — or pinned serial for determinism — without
-    /// giving up parallel reads.
-    pub fn write_shards(mut self, shards: usize) -> Self {
-        self.options.write_shards = shards;
-        self
-    }
-
-    /// Enable or disable coalesced cold-path batch reads (on by default):
-    /// the storage engine merges a batch's near-adjacent device reads into
-    /// few large ones. `false` restores the per-record read path.
-    pub fn io_coalescing(mut self, coalesce: bool) -> Self {
-        self.io_coalescing = coalesce;
-        self
-    }
-
-    /// Maximum byte gap between two cold-read ranges that the I/O planner
-    /// still merges into one device read (default:
-    /// [`mlkv_storage::config::DEFAULT_IO_GAP_BYTES`]).
-    pub fn io_gap_bytes(mut self, bytes: usize) -> Self {
-        self.io_gap_bytes = Some(bytes);
-        self
-    }
-
-    /// How cold-path batch reads reach the device: blocking `pread`s
-    /// ([`IoBackend::Sync`], the default) or submission-queue reads that
-    /// overlap each other and let workers park on completions
-    /// ([`IoBackend::Async`]).
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Submission-queue depth of the async I/O backend (default:
-    /// [`mlkv_storage::config::DEFAULT_IO_QUEUE_DEPTH`]).
-    pub fn io_queue_depth(mut self, depth: usize) -> Self {
-        self.io_queue_depth = Some(depth);
-        self
-    }
-
-    /// Durability of acknowledged writes (default: [`DurabilityMode::None`],
-    /// matching the paper's non-durable training runs). Under
-    /// [`DurabilityMode::GroupCommit`] every acknowledged batch is
-    /// write-ahead-logged and synced before `apply_gradients` returns — one
-    /// sync per batch — and recovered on reopen; [`DurabilityMode::Buffered`]
-    /// logs without syncing until an engine barrier (flush / checkpoint).
-    pub fn durability(mut self, durability: DurabilityMode) -> Self {
-        self.durability = durability;
+        self.store_config.parallelism = parallelism;
         self
     }
 
@@ -203,24 +151,7 @@ impl EmbeddingModelBuilder {
 
     /// Open the storage engine and build the embedding model.
     pub fn build(self) -> StorageResult<EmbeddingModel> {
-        let mut config = StoreConfig::in_memory()
-            .with_memory_budget(self.memory_budget)
-            .with_page_size(self.page_size)
-            .with_parallelism(self.options.parallelism)
-            .with_write_shards(self.options.write_shards)
-            .with_io_coalescing(self.io_coalescing)
-            .with_io_backend(self.io_backend)
-            .with_durability(self.durability);
-        if let Some(gap) = self.io_gap_bytes {
-            config = config.with_io_gap_bytes(gap);
-        }
-        if let Some(depth) = self.io_queue_depth {
-            config = config.with_io_queue_depth(depth);
-        }
-        if let Some(dir) = &self.dir {
-            config.dir = Some(dir.join(&self.model_id));
-        }
-        let store = open_store(self.backend, config)?;
+        let store = open_store(self.backend, self.store_config)?;
         let table = EmbeddingTable::builder(store)
             .options(self.options)
             .build()?;
@@ -267,6 +198,7 @@ impl std::ops::Deref for EmbeddingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlkv_storage::{DurabilityMode, IoBackend};
 
     #[test]
     fn open_matches_figure_3_usage() {
@@ -302,26 +234,31 @@ mod tests {
 
     #[test]
     fn io_knobs_reach_the_store_and_preserve_results() {
-        for coalesce in [true, false] {
-            for io_backend in [IoBackend::Sync, IoBackend::Async] {
-                let model = Mlkv::builder("io-knobs")
-                    .dim(4)
-                    .backend(BackendKind::Faster)
-                    .memory_budget(16 << 10)
-                    .page_size(1 << 10)
-                    .io_coalescing(coalesce)
-                    .io_gap_bytes(256)
-                    .io_backend(io_backend)
-                    .io_queue_depth(8)
-                    .build()
-                    .unwrap();
-                let keys: Vec<u64> = (0..500).collect();
-                let rows = vec![vec![0.25f32; 4]; keys.len()];
-                model.put(&keys, &rows).unwrap();
-                // Larger-than-memory: gathers hit the cold path either way.
-                let got = model.get(&keys).unwrap();
-                assert_eq!(got, rows, "coalesce={coalesce} io_backend={io_backend}");
-            }
+        for io_backend in [IoBackend::Sync, IoBackend::Async] {
+            // `store_config` replaces the builder's config wholesale; the
+            // setters after it write into the replacement (last call wins).
+            let model = Mlkv::builder("io-knobs")
+                .dim(4)
+                .backend(BackendKind::Faster)
+                .memory_budget(1 << 30)
+                .store_config(
+                    StoreConfig::in_memory()
+                        .with_io_gap_bytes(256)
+                        .with_io_backend(io_backend)
+                        .with_io_queue_depth(8),
+                )
+                .memory_budget(16 << 10)
+                .page_size(1 << 10)
+                .build()
+                .unwrap();
+            let keys: Vec<u64> = (0..500).collect();
+            let rows = vec![vec![0.25f32; 4]; keys.len()];
+            model.put(&keys, &rows).unwrap();
+            // Larger-than-memory (the 1 GiB budget set before `store_config`
+            // is gone): gathers hit the cold path on either backend.
+            assert!(model.store().metrics().snapshot().disk_write_bytes > 0);
+            let got = model.get(&keys).unwrap();
+            assert_eq!(got, rows, "io_backend={io_backend}");
         }
     }
 
@@ -354,9 +291,12 @@ mod tests {
         let open = || {
             Mlkv::builder("durable")
                 .dim(4)
+                .store_config(
+                    StoreConfig::in_memory()
+                        .with_durability(DurabilityMode::GroupCommit { window: 64 }),
+                )
                 .directory(&dir)
                 .memory_budget(1 << 20)
-                .durability(DurabilityMode::GroupCommit { window: 64 })
                 .build()
                 .unwrap()
         };

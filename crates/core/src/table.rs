@@ -49,13 +49,6 @@ pub struct TableOptions {
     /// `StoreConfig::parallelism`; `Mlkv::builder(..).parallelism(n)` sets
     /// both at once.
     pub parallelism: usize,
-    /// Write-side concurrency of the storage engine (`StoreConfig::
-    /// write_shards`): memtable shards, leaf-latch lanes, and mutation
-    /// workers one `apply_gradients` scatter may fan out over. `0` = follow
-    /// `parallelism`, `1` = serial write path. The table layer itself never
-    /// fans writes out — the engine does — so this field only exists to let
-    /// the model-level builder carry the knob alongside the other options.
-    pub write_shards: usize,
 }
 
 impl Default for TableOptions {
@@ -69,7 +62,6 @@ impl Default for TableOptions {
             init_scale: 0.05,
             seed: 42,
             parallelism: 0,
-            write_shards: 0,
         }
     }
 }
@@ -148,17 +140,6 @@ impl TableBuilder {
     /// the storage engine's batch execution too.
     pub fn parallelism(mut self, parallelism: usize) -> Self {
         self.options.parallelism = parallelism;
-        self
-    }
-
-    /// Record the write-side shard count (`0` = follow `parallelism`, `1` =
-    /// serial). The store passed to [`EmbeddingTable::builder`] is already
-    /// open, so this does not re-shard it — pass the same value to
-    /// `StoreConfig::with_write_shards` (or use
-    /// `Mlkv::builder(..).write_shards(n)`, which sets both) to size the
-    /// engine's write path.
-    pub fn write_shards(mut self, shards: usize) -> Self {
-        self.options.write_shards = shards;
         self
     }
 
@@ -323,30 +304,23 @@ impl EmbeddingTable {
             // thread::scope round (the engine's multi_get already paid one)
             // would cost more than it saves — while a few hundred keys of a
             // large dimension are worth fanning out even below the executor's
-            // key-count cutoff (hence `execute_ungated`).
-            let workers = if missing.len() * dim >= DECODE_PARALLEL_MIN_ELEMS {
+            // key-count cutoff (hence `execute_ungated`). Below the gate the
+            // batch is one chunk, which the executor runs inline.
+            let chunks = if missing.len() * dim >= DECODE_PARALLEL_MIN_ELEMS {
                 self.executor.parallelism().min(missing.len())
             } else {
                 1
             };
-            let decoded: Vec<(u64, StorageResult<Option<Vec<f32>>>)> = if workers <= 1 {
-                decode_chunk(&missing, &fetched)
-            } else {
-                let chunk = missing.len().div_ceil(workers);
-                let jobs: Vec<_> = missing
-                    .chunks(chunk)
-                    .zip(fetched.chunks(chunk))
-                    .map(|(keys_chunk, fetched_chunk)| {
-                        let decode_chunk = &decode_chunk;
-                        move || decode_chunk(keys_chunk, fetched_chunk)
-                    })
-                    .collect();
-                self.executor
-                    .execute_ungated(jobs)
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            };
+            let chunk = missing.len().div_ceil(chunks);
+            let jobs: Vec<_> = missing
+                .chunks(chunk)
+                .zip(fetched.chunks(chunk))
+                .map(|(keys_chunk, fetched_chunk)| {
+                    let decode_chunk = &decode_chunk;
+                    move || decode_chunk(keys_chunk, fetched_chunk)
+                })
+                .collect();
+            let decoded = self.executor.execute_ungated(jobs).into_iter().flatten();
             let mut init_keys: Vec<u64> = Vec::new();
             for (key, result) in decoded {
                 match result? {

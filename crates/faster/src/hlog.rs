@@ -55,7 +55,7 @@ pub struct HybridLog {
     alloc_lock: Mutex<()>,
     planner: IoPlanner,
     metrics: Arc<StorageMetrics>,
-    sync_writes: bool,
+    eager_page_sync: bool,
 }
 
 impl HybridLog {
@@ -66,7 +66,7 @@ impl HybridLog {
         device: Arc<dyn Device>,
         memory_budget: usize,
         page_size: usize,
-        sync_writes: bool,
+        eager_page_sync: bool,
         planner: IoPlanner,
         metrics: Arc<StorageMetrics>,
     ) -> StorageResult<Self> {
@@ -97,7 +97,7 @@ impl HybridLog {
             alloc_lock: Mutex::new(()),
             planner,
             metrics,
-            sync_writes,
+            eager_page_sync,
         };
         // Materialize the first page frame.
         {
@@ -155,7 +155,7 @@ impl HybridLog {
         let offset = frame.page_index * self.page_size as u64;
         self.device.write_at(offset, &frame.data)?;
         self.metrics.record_disk_write(self.page_size as u64);
-        if self.sync_writes {
+        if self.eager_page_sync {
             self.device.sync()?;
         }
         frame.dirty = false;
@@ -425,7 +425,7 @@ impl HybridLog {
             let mut frame = frame_lock.write();
             self.flush_frame(&mut frame)?;
         }
-        if self.sync_writes {
+        if self.eager_page_sync {
             self.device.sync()?;
         }
         Ok(())

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use mlkv_storage::device::device_from_config;
-use mlkv_storage::exec::BatchExecutor;
+use mlkv_storage::exec::{split_sorted, BatchExecutor};
 use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
 use mlkv_storage::wal::{WalOp, WalReader, WalWriter};
 use mlkv_storage::{DurabilityMode, StorageError, StorageMetrics, StorageResult, StoreConfig};
@@ -63,13 +63,10 @@ pub struct FasterKv {
     metrics: Arc<StorageMetrics>,
     live_records: AtomicU64,
     config: StoreConfig,
+    /// Worker pool for both halves of the batch API. The hash index CAS and
+    /// the hybrid log's atomic tail already make concurrent appends safe; the
+    /// executor only decides how wide a single batch fans out.
     executor: BatchExecutor,
-    /// Worker pool for the *write* half of the batch API, sized by
-    /// [`StoreConfig::write_shards`] independently of the read `parallelism`
-    /// knob. The hash index CAS and the hybrid log's atomic tail already make
-    /// concurrent appends safe; the executor only decides how wide a single
-    /// batch fans out.
-    write_executor: BatchExecutor,
     /// `None` under [`DurabilityMode::None`]: checkpoints are then the only
     /// durability (the seed behaviour); otherwise every acknowledged write is
     /// logged here and replayed on open past the last checkpoint.
@@ -86,15 +83,11 @@ impl FasterKv {
     pub fn open(config: StoreConfig) -> StorageResult<Self> {
         let metrics = Arc::new(StorageMetrics::new());
         let device = device_from_config(&config, "hlog.dat")?;
-        // The legacy `sync_writes` flag is folded into the durability knob:
-        // `effective_durability` maps it to per-record group commit, and the
-        // hybrid log syncs its data pages eagerly exactly under that mode
-        // (every other mode hardens acknowledged writes through the WAL and
-        // syncs data pages at checkpoint time instead).
-        let eager_page_sync = matches!(
-            config.effective_durability(),
-            DurabilityMode::GroupCommit { window: 1 }
-        );
+        // Under per-record group commit the hybrid log syncs its data pages
+        // eagerly; every other mode hardens acknowledged writes through the
+        // WAL and syncs data pages at checkpoint time instead.
+        let eager_page_sync =
+            matches!(config.durability, DurabilityMode::GroupCommit { window: 1 });
         let log = HybridLog::new(
             device,
             config.memory_budget,
@@ -103,10 +96,6 @@ impl FasterKv {
             mlkv_storage::IoPlanner::from_config(&config).with_metrics(Arc::clone(&metrics)),
             Arc::clone(&metrics),
         )?;
-        let write_shards = match config.effective_write_shards() {
-            0 => mlkv_storage::exec::available_parallelism(),
-            n => n,
-        };
         let mut store = Self {
             index: HashIndex::new(config.index_buckets),
             log,
@@ -114,7 +103,6 @@ impl FasterKv {
             metrics,
             live_records: AtomicU64::new(0),
             executor: BatchExecutor::new(config.parallelism),
-            write_executor: BatchExecutor::new(write_shards),
             config,
             wal: None,
             writer_gate: RwLock::new(()),
@@ -155,16 +143,12 @@ impl FasterKv {
                 }
             }
         }
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             let gen = gens.last().map(|g| g + 1).unwrap_or(0);
             let device = device_from_config(&self.config, &wal_file_name(gen))?;
             self.wal = Some(RwLock::new(WalHandle {
-                writer: WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone()),
+                writer: WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                    .with_tap(self.config.wal_tap.clone()),
                 gen,
             }));
         }
@@ -187,12 +171,9 @@ impl FasterKv {
                 let mut handle = wal.write();
                 let old_gen = handle.gen;
                 let device = device_from_config(&self.config, &wal_file_name(old_gen + 1))?;
-                handle.writer = WalWriter::new(
-                    device,
-                    self.config.effective_durability(),
-                    Arc::clone(&self.metrics),
-                )
-                .with_tap(self.config.wal_tap.clone());
+                handle.writer =
+                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
+                        .with_tap(self.config.wal_tap.clone());
                 handle.gen = old_gen + 1;
                 drop(handle);
                 for gen in wal_generations(&dir) {
@@ -550,16 +531,40 @@ impl FasterKv {
         Ok(out)
     }
 
+    /// Split a key-sorted batch `order` into contiguous whole-key ranges — a
+    /// single range for a batch the executor runs inline — and run `f` over
+    /// each range under its own epoch guard, returning the results in range
+    /// order.
+    fn run_sorted_ranges<T: Send>(
+        &self,
+        keys: &[Key],
+        order: &[usize],
+        f: impl Fn(&[usize]) -> T + Sync,
+    ) -> Vec<T> {
+        let f = &f;
+        let workers = self.executor.planned_workers(order.len());
+        let jobs: Vec<_> = split_sorted(order, keys, workers)
+            .into_iter()
+            .map(|range| {
+                move || {
+                    let _guard = self.epoch.acquire();
+                    f(range)
+                }
+            })
+            .collect();
+        self.executor.execute(jobs, order.len())
+    }
+
     /// The single mutation path for value writes and deletes: one grouped WAL
     /// append covering the whole batch (log-before-apply, so an acknowledged
     /// entry is never visible without being in the log), one epoch-guarded
-    /// apply pass fanned out through the write executor, then one commit as
+    /// apply pass fanned out through the executor, then one commit as
     /// the acknowledgement point. `put`, `delete` and `write_batch` are all
     /// thin wrappers over this.
     ///
     /// The apply pass stable-sorts the batch and hands contiguous whole-key
     /// ranges to each worker, so duplicate keys keep their occurrence order
-    /// while distinct keys spread across `write_shards` workers; cross-batch
+    /// while distinct keys spread across the executor's workers; cross-batch
     /// races on a hash chain are resolved by the index CAS exactly as for
     /// concurrent callers.
     fn commit_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
@@ -581,10 +586,8 @@ impl FasterKv {
         }
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| keys[i]);
-        let workers = self.write_executor.planned_workers(keys.len());
-        if workers <= 1 {
-            let _guard = self.epoch.acquire();
-            for &i in &order {
+        let applied = self.run_sorted_ranges(keys, &order, |range| -> StorageResult<()> {
+            for &i in range {
                 match entries[i] {
                     Some(v) => self.put_value(keys[i], v)?,
                     None => {
@@ -592,27 +595,10 @@ impl FasterKv {
                     }
                 }
             }
-        } else {
-            let jobs: Vec<_> = mlkv_storage::exec::split_sorted(&order, keys, workers)
-                .into_iter()
-                .map(|range| {
-                    move || -> StorageResult<()> {
-                        let _guard = self.epoch.acquire();
-                        for &i in range {
-                            match entries[i] {
-                                Some(v) => self.put_value(keys[i], v)?,
-                                None => {
-                                    self.delete_value(keys[i])?;
-                                }
-                            }
-                        }
-                        Ok(())
-                    }
-                })
-                .collect();
-            for result in self.write_executor.execute(jobs, keys.len()) {
-                result?;
-            }
+            Ok(())
+        });
+        for result in applied {
+            result?;
         }
         self.wal_commit()
     }
@@ -683,34 +669,16 @@ impl KvStore for FasterKv {
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
         // Keys are visited in sorted order so duplicate keys walk their hash
-        // chain only once. Small batches pay one epoch enter/exit (the
-        // dominant fixed cost of a point read) on the calling thread; large
-        // batches split the sorted order into contiguous key ranges, one epoch
-        // enter/exit *per worker*.
+        // chain only once. The sorted order is split into contiguous key
+        // ranges — one for a batch the executor runs inline — and each range
+        // pays one epoch enter/exit (the dominant fixed cost of a point read).
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_unstable_by_key(|&i| keys[i]);
-        let workers = self.executor.planned_workers(keys.len());
         let mut out: Vec<Option<StorageResult<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        if workers <= 1 {
-            let _guard = self.epoch.acquire();
-            for (i, result) in self.read_sorted_range(keys, &order) {
-                out[i] = Some(result);
-            }
-        } else {
-            let jobs: Vec<_> = mlkv_storage::exec::split_sorted(&order, keys, workers)
-                .into_iter()
-                .map(|range| {
-                    move || {
-                        let _guard = self.epoch.acquire();
-                        self.read_sorted_range(keys, range)
-                    }
-                })
-                .collect();
-            for pairs in self.executor.execute(jobs, keys.len()) {
-                for (i, result) in pairs {
-                    out[i] = Some(result);
-                }
-            }
+        let ranges =
+            self.run_sorted_ranges(keys, &order, |range| self.read_sorted_range(keys, range));
+        for (i, result) in ranges.into_iter().flatten() {
+            out[i] = Some(result);
         }
         out.into_iter()
             .map(|r| r.expect("every slot filled"))
@@ -729,42 +697,25 @@ impl KvStore for FasterKv {
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         let _writers = self.writer_gate.read();
         // A stable sort groups duplicate keys while keeping their occurrence
-        // order, so each occurrence observes the previous one's write. Small
-        // batches run under one epoch enter/exit on the calling thread; large
-        // batches split the sorted order into contiguous key ranges (whole
-        // keys per worker, so per-key write ordering is untouched), one epoch
-        // enter/exit per worker. Cross-key hash-chain collisions are resolved
-        // by the index CAS exactly as for concurrent callers.
+        // order, so each occurrence observes the previous one's write. The
+        // sorted order is split into contiguous key ranges (whole keys per
+        // range, so per-key write ordering is untouched; one range for a
+        // batch the executor runs inline), one epoch enter/exit per range.
+        // Cross-key hash-chain collisions are resolved by the index CAS
+        // exactly as for concurrent callers.
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| keys[i]);
-        let workers = self.write_executor.planned_workers(keys.len());
         let mut out = vec![Vec::new(); keys.len()];
-        if workers <= 1 {
-            let _guard = self.epoch.acquire();
-            for (i, value) in self.rmw_sorted_range(keys, &order, f)? {
+        let ranges =
+            self.run_sorted_ranges(keys, &order, |range| self.rmw_sorted_range(keys, range, f));
+        // Every range runs to completion before the first error (in range
+        // order) is surfaced: a range stops at its failing key, the other
+        // ranges' writes still land. A failed batch leaves partial state (rmw
+        // failures here are I/O-level); only successful batches carry the
+        // byte-identical-across-parallelism guarantee.
+        for pairs in ranges {
+            for (i, value) in pairs? {
                 out[i] = value;
-            }
-        } else {
-            let jobs: Vec<_> = mlkv_storage::exec::split_sorted(&order, keys, workers)
-                .into_iter()
-                .map(|range| {
-                    move || {
-                        let _guard = self.epoch.acquire();
-                        self.rmw_sorted_range(keys, range, f)
-                    }
-                })
-                .collect();
-            // Every range runs to completion before the first error (in range
-            // order) is surfaced. Note this differs from the serial path on
-            // *failed* batches: serially no key after the failing one is
-            // written, in parallel the other ranges' writes still land. Both
-            // leave partial state (rmw failures here are I/O-level); only
-            // successful batches carry the byte-identical-across-parallelism
-            // guarantee.
-            for pairs in self.write_executor.execute(jobs, keys.len()) {
-                for (i, value) in pairs? {
-                    out[i] = value;
-                }
             }
         }
         // Log the batch's resolved values (apply-before-log, as in `rmw`) as

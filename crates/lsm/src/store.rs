@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use mlkv_storage::device::device_from_config;
-use mlkv_storage::exec::{available_parallelism, split_sorted, BatchExecutor};
+use mlkv_storage::exec::{split_sorted, BatchExecutor};
 use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn, WriteBatch};
 use mlkv_storage::{
     DurabilityMode, IoPlanner, ShardedLruCache, StorageError, StorageMetrics, StorageResult,
@@ -47,7 +47,6 @@ pub struct LsmStore {
     memtable_budget: usize,
     next_seq: AtomicU64,
     executor: BatchExecutor,
-    write_executor: BatchExecutor,
 }
 
 impl LsmStore {
@@ -98,17 +97,12 @@ impl LsmStore {
             }
         }
         let wal_device = device_from_config(&config, &format!("wal_{wal_gen}.dat"))?;
-        let wal = WriteAheadLog::new(
-            wal_device,
-            config.effective_durability(),
-            Arc::clone(&metrics),
-        )
-        .with_tap(config.wal_tap.clone());
-        let write_shards = match config.effective_write_shards() {
-            0 => available_parallelism(),
-            n => n,
-        };
-        let memtable = ShardedMemTable::new(write_shards);
+        let wal = WriteAheadLog::new(wal_device, config.durability, Arc::clone(&metrics))
+            .with_tap(config.wal_tap.clone());
+        let executor = BatchExecutor::new(config.parallelism);
+        // One memtable shard per worker, so a fanned-out batch's shard groups
+        // can all be staged and applied at once.
+        let memtable = ShardedMemTable::new(executor.parallelism());
         for (key, entry) in wal.replay()? {
             let mut shard = memtable.lock_shard(memtable.shard_of(key));
             match entry {
@@ -118,8 +112,7 @@ impl LsmStore {
         }
 
         Ok(Self {
-            executor: BatchExecutor::new(config.parallelism),
-            write_executor: BatchExecutor::new(write_shards),
+            executor,
             config,
             metrics,
             inner: RwLock::new(Inner {
@@ -176,7 +169,7 @@ impl LsmStore {
             // removed, so a crash can never leave the entries in neither place.
             // Under `DurabilityMode::None` nothing promises to survive a crash,
             // so the sync is skipped (preserving the non-durable fast path).
-            if self.config.effective_durability() != DurabilityMode::None {
+            if self.config.durability != DurabilityMode::None {
                 table.sync()?;
             }
             Ok(table)
@@ -201,7 +194,7 @@ impl LsmStore {
         let wal_device = device_from_config(&self.config, &format!("wal_{}.dat", inner.wal_gen))?;
         inner.wal = WriteAheadLog::new(
             wal_device,
-            self.config.effective_durability(),
+            self.config.durability,
             Arc::clone(&self.metrics),
         )
         .with_tap(self.config.wal_tap.clone());
@@ -235,7 +228,7 @@ impl LsmStore {
         )?;
         // Harden the merged run before its inputs are removed (same crash
         // rule as `flush_memtable`).
-        if self.config.effective_durability() != DurabilityMode::None {
+        if self.config.durability != DurabilityMode::None {
             table.sync()?;
         }
         // Remove the old table files.
@@ -346,12 +339,30 @@ impl LsmStore {
         Ok(())
     }
 
+    /// Run `f(shard, positions)` over every locked memtable shard of a batch —
+    /// one executor job per shard, handed the batch positions that hash to it
+    /// — returning the results in shard order.
+    fn run_shard_jobs<S: Send, T: Send>(
+        &self,
+        shards: impl Iterator<Item = S>,
+        groups: &[(usize, Vec<usize>)],
+        total_keys: usize,
+        f: impl Fn(S, &[usize]) -> T + Sync,
+    ) -> Vec<T> {
+        let f = &f;
+        let jobs: Vec<_> = shards
+            .zip(groups)
+            .map(|(shard, (_, positions))| move || f(shard, positions))
+            .collect();
+        self.executor.execute(jobs, total_keys)
+    }
+
     /// The single mutation tail every write path funnels through: a batch of
     /// already-resolved entries (`Some` = put, `None` = tombstone) in batch
     /// order. Locks the touched memtable shards in ascending index order
     /// (deadlock-free against concurrent batches), appends the whole batch as
-    /// **one** grouped WAL record set, applies it to the shards (fanning out
-    /// over the write executor when the batch is large enough), then pays one
+    /// **one** grouped WAL record set, applies it to the shards (one executor
+    /// job per shard), then pays one
     /// group-commit sync at the acknowledgement point. The append precedes
     /// every memtable mutation, so a failed append leaves the store untouched
     /// and recovery replays the batch all-or-nothing up to the torn tail.
@@ -388,22 +399,8 @@ impl LsmStore {
                     self.block_cache.invalidate(keys[i]);
                 }
             };
-            if self.write_executor.workers_for(groups.len(), keys.len()) <= 1 {
-                for (guard, (_, positions)) in guards.iter_mut().zip(&groups) {
-                    apply(guard, positions);
-                }
-            } else {
-                let jobs: Vec<_> = guards
-                    .iter_mut()
-                    .zip(&groups)
-                    .map(|(guard, (_, positions))| {
-                        let apply = &apply;
-                        let shard: &mut MemTable = guard;
-                        move || apply(shard, positions)
-                    })
-                    .collect();
-                self.write_executor.execute(jobs, keys.len());
-            }
+            let shards = guards.iter_mut().map(|guard| &mut **guard);
+            self.run_shard_jobs(shards, &groups, keys.len(), apply);
             // One group-commit sync acknowledges the whole batch, while the
             // shard locks are still held so WAL order matches apply order on
             // every shard two batches share.
@@ -493,24 +490,19 @@ impl KvStore for LsmStore {
         // remaining keys in sorted order, with each table's bloom filter
         // rejecting absent keys before any device read. The memtable/cache
         // pass above stays a single serial sweep under the read lock; only
-        // this probe phase — where the device reads happen — fans out, each
-        // worker sweeping its own contiguous key range through the tables.
+        // this probe phase — where the device reads happen — goes through the
+        // executor, each job sweeping its own contiguous key range through
+        // the tables.
         unresolved.sort_unstable_by_key(|&i| keys[i]);
         let workers = self.executor.planned_workers(unresolved.len());
-        if workers <= 1 {
-            for (i, result) in self.probe_tables(&inner.tables, keys, unresolved) {
+        let tables = &inner.tables;
+        let jobs: Vec<_> = split_sorted(&unresolved, keys, workers)
+            .into_iter()
+            .map(|range| move || self.probe_tables(tables, keys, range.to_vec()))
+            .collect();
+        for pairs in self.executor.execute(jobs, unresolved.len()) {
+            for (i, result) in pairs {
                 out[i] = Some(result);
-            }
-        } else {
-            let tables = &inner.tables;
-            let jobs: Vec<_> = split_sorted(&unresolved, keys, workers)
-                .into_iter()
-                .map(|range| move || self.probe_tables(tables, keys, range.to_vec()))
-                .collect();
-            for pairs in self.executor.execute(jobs, unresolved.len()) {
-                for (i, result) in pairs {
-                    out[i] = Some(result);
-                }
             }
         }
         out.into_iter()
@@ -557,8 +549,9 @@ impl KvStore for LsmStore {
                 .collect();
             let shard_ids: Vec<usize> = groups.iter().map(|(s, _)| *s).collect();
             let mut guards = inner.memtable.lock_shards(&shard_ids);
-            // Phase 1 (shard workers stage): resolve every value, reading
-            // through overlay → shard memtable → SSTables. No mutation yet.
+            // Phase 1 (stage, one executor job per shard): resolve every value,
+            // reading through overlay → shard memtable → SSTables. No
+            // mutation yet.
             let inner_ref = &*inner;
             let resolve =
                 |shard: &MemTable, positions: &[usize]| -> StorageResult<Vec<(usize, Vec<u8>)>> {
@@ -585,26 +578,10 @@ impl KvStore for LsmStore {
                     }
                     Ok(staged)
                 };
-            if self.write_executor.workers_for(groups.len(), keys.len()) <= 1 {
-                for (guard, (_, positions)) in guards.iter().zip(&groups) {
-                    for (i, value) in resolve(guard, positions)? {
-                        out[i] = value;
-                    }
-                }
-            } else {
-                let jobs: Vec<_> = guards
-                    .iter()
-                    .zip(&groups)
-                    .map(|(guard, (_, positions))| {
-                        let resolve = &resolve;
-                        let shard: &MemTable = guard;
-                        move || resolve(shard, positions)
-                    })
-                    .collect();
-                for staged in self.write_executor.execute(jobs, keys.len()) {
-                    for (i, value) in staged? {
-                        out[i] = value;
-                    }
+            let shards = guards.iter().map(|guard| &**guard);
+            for staged in self.run_shard_jobs(shards, &groups, keys.len(), resolve) {
+                for (i, value) in staged? {
+                    out[i] = value;
                 }
             }
             // Phase 2 (single committer): one grouped append, apply to the
@@ -619,22 +596,8 @@ impl KvStore for LsmStore {
                     self.block_cache.invalidate(keys[i]);
                 }
             };
-            if self.write_executor.workers_for(groups.len(), keys.len()) <= 1 {
-                for (guard, (_, positions)) in guards.iter_mut().zip(&groups) {
-                    apply(guard, positions);
-                }
-            } else {
-                let jobs: Vec<_> = guards
-                    .iter_mut()
-                    .zip(&groups)
-                    .map(|(guard, (_, positions))| {
-                        let apply = &apply;
-                        let shard: &mut MemTable = guard;
-                        move || apply(shard, positions)
-                    })
-                    .collect();
-                self.write_executor.execute(jobs, keys.len());
-            }
+            let shards = guards.iter_mut().map(|guard| &mut **guard);
+            self.run_shard_jobs(shards, &groups, keys.len(), apply);
             inner.wal.commit()?;
         }
         // Budget check after the ack (a mid-batch flush would rotate away the

@@ -9,8 +9,8 @@
 //! `Client::shutdown_server`); it installs no signal handlers, so SIGINT or
 //! SIGTERM end it without the drain. Shutdown drains admitted work and
 //! flushes the table. The `MLKV_IO_BACKEND`, `MLKV_PARALLELISM`,
-//! `MLKV_WRITE_SHARDS`, `MLKV_DURABILITY`, and `MLKV_REPLICATION_MODE`
-//! environment overrides apply on top of the flags; `--replicate-from` starts
+//! `MLKV_DURABILITY`, and `MLKV_REPLICATION_MODE` environment overrides
+//! apply on top of the flags; `--replicate-from` starts
 //! the process as a replica of the given primary. Dispatch has no flags: the
 //! batcher runs whatever is queued the moment its previous tick returns.
 

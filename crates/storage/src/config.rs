@@ -156,14 +156,12 @@ pub struct StoreConfig {
     /// Number of hash-index buckets (FASTER engine) or fan-out hints. Rounded up
     /// to a power of two by the engines.
     pub index_buckets: usize,
-    /// Whether writes should be flushed to the device eagerly (fsync-like). The
-    /// benchmarks keep this off, mirroring the paper's non-durable training runs.
-    pub sync_writes: bool,
-    /// Worker threads a single batched operation (`multi_get` / `multi_rmw` /
-    /// `write_batch`) may fan out over. `0` means "auto" (size from
-    /// [`crate::exec::available_parallelism`]); `1` forces the serial,
-    /// deterministic execution the engines used before the batch executor
-    /// existed. See [`crate::exec::BatchExecutor`].
+    /// The one worker knob: threads a single batched operation (`multi_get` /
+    /// `multi_rmw` / `write_batch`) may fan out over, and with it the number
+    /// of memtable shards (LSM), leaf-latch lanes and buffer-pool shards
+    /// (B+tree) the write path is built with. `0` means "auto" (size from
+    /// [`crate::exec::available_parallelism`]); `1` runs every batch inline
+    /// on the caller, in order. See [`crate::exec::BatchExecutor`].
     pub parallelism: usize,
     /// Extra latency injected into every device read. `Duration::ZERO` (the
     /// default) disables injection. Used by benchmarks to model SSD/NVMe read
@@ -177,15 +175,10 @@ pub struct StoreConfig {
     /// coalescing many small reads into one large read shows its real trade-off
     /// (fewer round trips, same bytes) in simulation.
     pub simulated_read_bytes_per_sec: u64,
-    /// Whether cold-path batch reads go through the coalescing I/O planner
-    /// ([`crate::IoPlanner`]), which merges near-adjacent device ranges into
-    /// single large reads. `false` restores the per-record read path (used for
-    /// benchmarking comparisons).
-    pub io_coalescing: bool,
-    /// Maximum byte gap between two read requests that the I/O planner still
-    /// merges into one device read. Larger values trade wasted transfer bytes
-    /// for fewer round trips; the default (4 KiB) merges anything within a
-    /// typical flash page.
+    /// Maximum byte gap between two read requests that the I/O planner
+    /// ([`crate::IoPlanner`]) still merges into one device read. Larger values
+    /// trade wasted transfer bytes for fewer round trips; the default (4 KiB)
+    /// merges anything within a typical flash page.
     pub io_gap_bytes: usize,
     /// How cold-path batch reads reach the device: blocking `pread`s
     /// ([`IoBackend::Sync`], the default) or submission-queue reads completed
@@ -201,18 +194,7 @@ pub struct StoreConfig {
     /// [`IoBackend::Sync`].
     pub io_queue_depth: usize,
     /// When the write-ahead log syncs its device (see [`DurabilityMode`]).
-    /// The legacy [`StoreConfig::sync_writes`] flag is folded in by
-    /// [`StoreConfig::effective_durability`].
     pub durability: DurabilityMode,
-    /// Write-side concurrency: the number of memtable shards (LSM), leaf-latch
-    /// lanes (B+tree), buffer-pool shards, and mutation workers a single
-    /// batched write (`multi_rmw` / `write_batch`) may fan out over. `0` means
-    /// "auto" (follow [`StoreConfig::parallelism`]); `1` forces the serial,
-    /// single-lock write path. Resolved by
-    /// [`StoreConfig::effective_write_shards`]; independent of the read-side
-    /// `parallelism` knob so write concurrency can be tuned (or pinned serial)
-    /// without giving up parallel reads.
-    pub write_shards: usize,
     /// Override how per-file devices are constructed (crash injection, fault
     /// injection). `None` uses the standard file/memory devices.
     pub device_factory: Option<DeviceFactory>,
@@ -242,16 +224,13 @@ impl Default for StoreConfig {
             memory_budget: 64 << 20,
             page_size: crate::page::PAGE_SIZE,
             index_buckets: 1 << 16,
-            sync_writes: false,
             parallelism: 0,
             simulated_read_latency: Duration::ZERO,
             simulated_read_bytes_per_sec: 0,
-            io_coalescing: true,
             io_gap_bytes: DEFAULT_IO_GAP_BYTES,
             io_backend: IoBackend::Sync,
             io_queue_depth: DEFAULT_IO_QUEUE_DEPTH,
             durability: DurabilityMode::None,
-            write_shards: 0,
             device_factory: None,
             wal_tap: None,
         }
@@ -293,13 +272,8 @@ impl StoreConfig {
         self
     }
 
-    /// Enable or disable eager flushing.
-    pub fn with_sync_writes(mut self, sync: bool) -> Self {
-        self.sync_writes = sync;
-        self
-    }
-
-    /// Set the batch-execution parallelism (`0` = auto, `1` = serial).
+    /// Set the worker count (`0` = auto, `1` = inline; see
+    /// [`StoreConfig::parallelism`]).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self
@@ -317,12 +291,6 @@ impl StoreConfig {
     /// [`StoreConfig::simulated_read_bytes_per_sec`]).
     pub fn with_simulated_read_throughput(mut self, bytes_per_sec: u64) -> Self {
         self.simulated_read_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
-    /// Enable or disable coalesced cold-path batch reads (on by default).
-    pub fn with_io_coalescing(mut self, coalesce: bool) -> Self {
-        self.io_coalescing = coalesce;
         self
     }
 
@@ -351,14 +319,6 @@ impl StoreConfig {
         self
     }
 
-    /// Set the write-side shard/worker count (`0` = auto: follow the read
-    /// `parallelism` knob, `1` = the serial single-lock write path). See
-    /// [`StoreConfig::write_shards`].
-    pub fn with_write_shards(mut self, shards: usize) -> Self {
-        self.write_shards = shards;
-        self
-    }
-
     /// Install a custom per-file device constructor (crash/fault injection).
     pub fn with_device_factory(mut self, factory: DeviceFactory) -> Self {
         self.device_factory = Some(factory);
@@ -372,43 +332,18 @@ impl StoreConfig {
         self
     }
 
-    /// The durability mode engines should actually run under: the legacy
-    /// `sync_writes: true` flag upgrades [`DurabilityMode::None`] to
-    /// per-record group commit, preserving its historical "fsync eagerly"
-    /// meaning; an explicit `durability` setting wins.
-    pub fn effective_durability(&self) -> DurabilityMode {
-        match (self.durability, self.sync_writes) {
-            (DurabilityMode::None, true) => DurabilityMode::GroupCommit { window: 1 },
-            (mode, _) => mode,
-        }
-    }
-
-    /// The write-side shard/worker count engines should actually build with:
-    /// `write_shards` itself when set, otherwise the read `parallelism` knob
-    /// (whose `0` still means "auto-size from the host"). A return of `0`
-    /// therefore means "auto" and a return of `1` means the serial write path.
-    pub fn effective_write_shards(&self) -> usize {
-        if self.write_shards == 0 {
-            self.parallelism
-        } else {
-            self.write_shards
-        }
-    }
-
     /// Apply the CI test-matrix environment overrides: `MLKV_IO_BACKEND`
-    /// (`sync` / `async`), `MLKV_PARALLELISM` (worker count),
+    /// (`sync` / `async`), `MLKV_PARALLELISM` (worker count) and
     /// `MLKV_DURABILITY` (`none` / `buffered` / `group[:<window>]`, see
-    /// [`DurabilityMode::parse`]) and `MLKV_WRITE_SHARDS` (write-side shard
-    /// count, `0` = follow parallelism). Unset or unparsable variables leave
-    /// the configuration untouched. Tests that exercise cold-path equality
-    /// call this so one binary runs under every `io_backend × parallelism ×
-    /// write_shards` cell of the CI matrix.
+    /// [`DurabilityMode::parse`]). Unset or unparsable variables leave the
+    /// configuration untouched. Tests that exercise cold-path equality call
+    /// this so one binary runs under every `io_backend × parallelism` cell of
+    /// the CI matrix.
     pub fn apply_env_overrides(self) -> Self {
         self.apply_overrides(
             std::env::var("MLKV_IO_BACKEND").ok().as_deref(),
             std::env::var("MLKV_PARALLELISM").ok().as_deref(),
             std::env::var("MLKV_DURABILITY").ok().as_deref(),
-            std::env::var("MLKV_WRITE_SHARDS").ok().as_deref(),
         )
     }
 
@@ -419,7 +354,6 @@ impl StoreConfig {
         io_backend: Option<&str>,
         parallelism: Option<&str>,
         durability: Option<&str>,
-        write_shards: Option<&str>,
     ) -> Self {
         if let Some(backend) = io_backend.and_then(IoBackend::parse) {
             self.io_backend = backend;
@@ -429,9 +363,6 @@ impl StoreConfig {
         }
         if let Some(mode) = durability.and_then(DurabilityMode::parse) {
             self.durability = mode;
-        }
-        if let Some(shards) = write_shards.and_then(|s| s.trim().parse::<usize>().ok()) {
-            self.write_shards = shards;
         }
         self
     }
@@ -592,7 +523,6 @@ mod tests {
         let cfg = StoreConfig::default();
         assert!(cfg.dir.is_none());
         assert!(cfg.memory_budget > 0);
-        assert!(!cfg.sync_writes);
     }
 
     #[test]
@@ -601,24 +531,18 @@ mod tests {
             .with_memory_budget(1 << 20)
             .with_index_buckets(128)
             .with_page_size(4096)
-            .with_sync_writes(true)
             .with_parallelism(4)
             .with_simulated_read_latency(Duration::from_micros(50))
             .with_simulated_read_throughput(1 << 30)
-            .with_io_coalescing(false)
-            .with_io_gap_bytes(128)
-            .with_write_shards(2);
+            .with_io_gap_bytes(128);
         assert_eq!(cfg.dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
         assert_eq!(cfg.memory_budget, 1 << 20);
         assert_eq!(cfg.index_buckets, 128);
         assert_eq!(cfg.page_size, 4096);
-        assert!(cfg.sync_writes);
         assert_eq!(cfg.parallelism, 4);
         assert_eq!(cfg.simulated_read_latency, Duration::from_micros(50));
         assert_eq!(cfg.simulated_read_bytes_per_sec, 1 << 30);
-        assert!(!cfg.io_coalescing);
         assert_eq!(cfg.io_gap_bytes, 128);
-        assert_eq!(cfg.write_shards, 2);
         assert_eq!(cfg.pages_in_budget(), (1 << 20) / 4096);
     }
 
@@ -628,7 +552,6 @@ mod tests {
         assert_eq!(cfg.parallelism, 0, "auto-sized by the batch executor");
         assert_eq!(cfg.simulated_read_latency, Duration::ZERO);
         assert_eq!(cfg.simulated_read_bytes_per_sec, 0);
-        assert!(cfg.io_coalescing, "coalescing is on by default");
         assert_eq!(cfg.io_gap_bytes, DEFAULT_IO_GAP_BYTES);
     }
 
@@ -648,49 +571,16 @@ mod tests {
 
     #[test]
     fn env_overrides_apply_only_when_parsable() {
-        let cfg = StoreConfig::default().apply_overrides(Some("async"), Some("4"), None, Some("8"));
+        let cfg = StoreConfig::default().apply_overrides(Some("async"), Some("4"), None);
         assert_eq!(cfg.io_backend, IoBackend::Async);
         assert_eq!(cfg.parallelism, 4);
-        assert_eq!(cfg.write_shards, 8);
-        let cfg = StoreConfig::default().apply_overrides(
-            Some("bogus"),
-            Some("not-a-number"),
-            None,
-            Some("lots"),
-        );
+        let cfg = StoreConfig::default().apply_overrides(Some("bogus"), Some("not-a-number"), None);
         assert_eq!(cfg.io_backend, IoBackend::Sync);
         assert_eq!(cfg.parallelism, 0);
-        assert_eq!(cfg.write_shards, 0);
         let cfg = StoreConfig::default()
             .with_parallelism(2)
-            .with_write_shards(3)
-            .apply_overrides(None, None, None, None);
+            .apply_overrides(None, None, None);
         assert_eq!(cfg.parallelism, 2, "unset vars leave the config untouched");
-        assert_eq!(cfg.write_shards, 3);
-    }
-
-    #[test]
-    fn write_shards_defaults_to_parallelism() {
-        let cfg = StoreConfig::default();
-        assert_eq!(cfg.write_shards, 0, "auto by default");
-        assert_eq!(cfg.effective_write_shards(), 0, "auto follows auto reads");
-        let cfg = cfg.with_parallelism(4);
-        assert_eq!(
-            cfg.effective_write_shards(),
-            4,
-            "unset write_shards follows the read parallelism knob"
-        );
-        let cfg = cfg.with_write_shards(2);
-        assert_eq!(cfg.effective_write_shards(), 2, "explicit setting wins");
-        let cfg =
-            StoreConfig::default()
-                .with_parallelism(8)
-                .apply_overrides(None, None, None, Some("1"));
-        assert_eq!(
-            cfg.effective_write_shards(),
-            1,
-            "MLKV_WRITE_SHARDS pins the write path serial under parallel reads"
-        );
     }
 
     #[test]
@@ -757,7 +647,7 @@ mod tests {
         assert_eq!(DurabilityMode::parse("group:soon"), None);
         assert_eq!(DurabilityMode::parse("fsync"), None);
 
-        let cfg = StoreConfig::default().apply_overrides(None, None, Some("group:8"), None);
+        let cfg = StoreConfig::default().apply_overrides(None, None, Some("group:8"));
         assert_eq!(
             cfg.durability,
             DurabilityMode::GroupCommit { window: 8 },
@@ -765,7 +655,7 @@ mod tests {
         );
         let cfg = StoreConfig::default()
             .with_durability(DurabilityMode::Buffered)
-            .apply_overrides(None, None, Some("bogus"), None);
+            .apply_overrides(None, None, Some("bogus"));
         assert_eq!(
             cfg.durability,
             DurabilityMode::Buffered,
@@ -774,28 +664,17 @@ mod tests {
     }
 
     #[test]
-    fn durability_defaults_composes_and_folds_sync_writes() {
+    fn durability_defaults_and_composes() {
         let cfg = StoreConfig::default();
         assert_eq!(cfg.durability, DurabilityMode::None);
-        assert_eq!(cfg.effective_durability(), DurabilityMode::None);
         assert!(cfg.device_factory.is_none());
 
-        // Legacy sync_writes upgrades None to per-record group commit...
-        let cfg = StoreConfig::default().with_sync_writes(true);
-        assert_eq!(
-            cfg.effective_durability(),
-            DurabilityMode::GroupCommit { window: 1 }
-        );
-        // ...but an explicit durability setting wins.
         let cfg = cfg.with_durability(DurabilityMode::Buffered);
-        assert_eq!(cfg.effective_durability(), DurabilityMode::Buffered);
+        assert_eq!(cfg.durability, DurabilityMode::Buffered);
 
         let cfg = StoreConfig::default().with_durability(DurabilityMode::GroupCommit { window: 8 });
-        assert_eq!(
-            cfg.effective_durability(),
-            DurabilityMode::GroupCommit { window: 8 }
-        );
-        assert!(cfg.effective_durability().is_durable());
+        assert_eq!(cfg.durability, DurabilityMode::GroupCommit { window: 8 });
+        assert!(cfg.durability.is_durable());
         assert!(!DurabilityMode::Buffered.is_durable());
         assert_eq!(DurabilityMode::None.to_string(), "none");
         assert_eq!(DurabilityMode::Buffered.to_string(), "buffered");

@@ -5,8 +5,19 @@
 //! store — hash-map shards in `MemStore`, contiguous sorted-key ranges in the
 //! FASTER hybrid log, SSTable probe partitions in the LSM tree, leaf-disjoint
 //! page groups in the B+tree. [`BatchExecutor`] runs those jobs on a pool of
-//! scoped worker threads so a single large `gather` saturates every core
-//! instead of 1/Nth of the machine.
+//! scoped worker threads so a single large `gather` or `apply_gradients`
+//! saturates every core instead of 1/Nth of the machine.
+//!
+//! **The one rule.** This module alone decides whether a batch runs inline or
+//! fans out, and `parallelism` is the only worker knob (reads and writes share
+//! one executor per engine). A batch runs inline — every job on the calling
+//! thread, in job order — when `parallelism <= 1`, when it has fewer than two
+//! jobs, or when it covers fewer than [`PARALLEL_CUTOFF`] keys; otherwise
+//! `min(parallelism, jobs)` workers claim the jobs. Engines never branch on
+//! that themselves: they always build their disjoint jobs (sizing range splits
+//! with [`BatchExecutor::planned_workers`], which is 1 for a batch that will
+//! run inline, so [`split_sorted`] yields a single range) and call
+//! [`BatchExecutor::execute`] once.
 //!
 //! Design points:
 //!
@@ -21,23 +32,18 @@
 //! * **Caller participates** — the calling thread runs jobs too; `parallelism`
 //!   worker threads means `parallelism - 1` spawns.
 //! * **I/O-friendly workers** — a job's cold reads go through the engine's
-//!   [`crate::IoPlanner`]; under [`crate::config::IoBackend::Async`] the job
-//!   submits its scatter and parks on the completion
-//!   ([`crate::ring::IoBatch::wait`]) only after overlapping whatever CPU
-//!   work it has, instead of blocking inside `pread` for every merged range.
-//! * **Inline fallback** — with `parallelism <= 1`, fewer than two jobs, or a
-//!   batch below [`PARALLEL_CUTOFF`] keys, jobs run inline on the caller in
-//!   order, byte-for-byte identical to the pre-executor serial path (this is
-//!   the deterministic single-thread mode documented in the README).
+//!   [`crate::IoPlanner`]: the job submits its scatter, overlaps whatever CPU
+//!   work it has, and only then waits on the completion
+//!   ([`crate::PendingRead::wait`]).
 //!
 //! Correctness contract for engines: jobs must own disjoint key sets (all
 //! occurrences of one key go to exactly one job, in batch-occurrence order),
 //! so for every batch that completes successfully the per-key observable
-//! state is identical for every parallelism level. A batch that *fails*
-//! mid-way leaves partial state in both modes, but not the same partial
-//! state: the serial path stops at the first error while parallel ranges run
-//! to completion before the error surfaces, so a failed mutating batch may
-//! have applied more of its writes at higher parallelism.
+//! state is identical for every parallelism level. A mutating batch that
+//! *fails* mid-way leaves partial state, and not the same partial state at
+//! every level: a job stops at its own first error, but the batch's other
+//! jobs still run to completion before the error surfaces, so the more jobs a
+//! batch was split into, the more of its writes may have landed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -72,8 +78,8 @@ impl Default for BatchExecutor {
 
 impl BatchExecutor {
     /// Create an executor with `parallelism` workers. `0` means "auto": size
-    /// from [`available_parallelism`]. `1` disables parallel execution
-    /// entirely (all jobs run inline on the caller, in order).
+    /// from [`available_parallelism`]. `1` runs every batch inline on the
+    /// caller, in job order.
     ///
     /// An explicit `parallelism` above the host's core count is honoured, not
     /// capped: for device-bound batches the workers overlap I/O waits, so
@@ -94,10 +100,10 @@ impl BatchExecutor {
         self.parallelism
     }
 
-    /// Number of workers that will actually run a batch of `jobs` jobs
-    /// covering `total_keys` keys: 1 when the batch is too small to benefit,
-    /// otherwise `min(parallelism, jobs)`.
-    pub fn workers_for(&self, jobs: usize, total_keys: usize) -> usize {
+    /// The one rule (see the module docs): the number of workers that run a
+    /// batch of `jobs` jobs covering `total_keys` keys — 1 (inline) when the
+    /// batch is too small to benefit, otherwise `min(parallelism, jobs)`.
+    fn workers_for(&self, jobs: usize, total_keys: usize) -> usize {
         if self.parallelism <= 1 || jobs <= 1 || total_keys < PARALLEL_CUTOFF {
             1
         } else {
@@ -106,17 +112,18 @@ impl BatchExecutor {
     }
 
     /// Number of workers a batch of `total_keys` keys will get *before* its
-    /// job decomposition is known (engines use this to decide whether to take
-    /// the serial path or to build range/group jobs at all): 1 below the
-    /// cutoff, the configured parallelism otherwise. [`BatchExecutor::execute`]
-    /// re-clamps to the actual job count.
+    /// job decomposition is known — how many ranges an engine should split
+    /// the batch into: 1 below the cutoff, the configured parallelism
+    /// otherwise. [`BatchExecutor::execute`] re-clamps to the actual job
+    /// count.
     pub fn planned_workers(&self, total_keys: usize) -> usize {
         self.workers_for(self.parallelism, total_keys)
     }
 
     /// Run `jobs` (each owning a disjoint slice of the batch) and return their
     /// results in job order. `total_keys` is the number of keys the whole
-    /// batch covers; small batches run inline (see [`PARALLEL_CUTOFF`]).
+    /// batch covers; small batches, single jobs and `parallelism = 1` run
+    /// inline on the caller, in job order (see [`PARALLEL_CUTOFF`]).
     ///
     /// Jobs may borrow from the caller's stack. A panicking job propagates to
     /// the caller once all workers have finished.
@@ -243,6 +250,25 @@ mod tests {
         let exec = BatchExecutor::new(8);
         assert_eq!(exec.workers_for(8, PARALLEL_CUTOFF - 1), 1);
         assert_eq!(exec.workers_for(1, 1 << 20), 1);
+    }
+
+    #[test]
+    fn sub_cutoff_batch_runs_every_job_on_the_callers_thread() {
+        let exec = BatchExecutor::new(8);
+        let caller = std::thread::current().id();
+        let jobs: Vec<_> = (0..16usize)
+            .map(|i| move || (i, std::thread::current().id()))
+            .collect();
+        let out = exec.execute(jobs, PARALLEL_CUTOFF - 1);
+        assert_eq!(out.len(), 16);
+        for (slot, (i, thread)) in out.into_iter().enumerate() {
+            assert_eq!(i, slot, "inline jobs run in job order");
+            assert_eq!(thread, caller, "job {i} left the caller's thread");
+        }
+        // At the cutoff the same batch does fan out (some job runs elsewhere
+        // only if a spawned worker wins the cursor, so just pin the plan).
+        assert_eq!(exec.planned_workers(PARALLEL_CUTOFF - 1), 1);
+        assert_eq!(exec.planned_workers(PARALLEL_CUTOFF), 8);
     }
 
     #[test]

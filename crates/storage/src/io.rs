@@ -81,37 +81,23 @@ struct Run {
 /// [`IoPlanner::submit`] (asynchronous under [`IoBackend::Async`]).
 #[derive(Debug, Clone)]
 pub struct IoPlanner {
-    coalesce: bool,
     gap_bytes: u64,
     backend: IoBackend,
     metrics: Option<Arc<StorageMetrics>>,
 }
 
 impl Default for IoPlanner {
-    /// Coalescing on, with the [`crate::StoreConfig`] default gap threshold.
+    /// The [`crate::StoreConfig`] default gap threshold and backend.
     fn default() -> Self {
         Self::from_config(&crate::StoreConfig::default())
     }
 }
 
 impl IoPlanner {
-    /// A coalescing planner merging ranges separated by at most `gap_bytes`.
+    /// A planner merging ranges separated by at most `gap_bytes`.
     pub fn new(gap_bytes: u64) -> Self {
         Self {
-            coalesce: true,
             gap_bytes,
-            backend: IoBackend::Sync,
-            metrics: None,
-        }
-    }
-
-    /// A pass-through planner: every batch goes straight to
-    /// [`Device::read_scatter`], one request at a time on most devices. This
-    /// is the pre-coalescing behaviour, kept for benchmarking comparisons.
-    pub fn disabled() -> Self {
-        Self {
-            coalesce: false,
-            gap_bytes: 0,
             backend: IoBackend::Sync,
             metrics: None,
         }
@@ -120,7 +106,6 @@ impl IoPlanner {
     /// Build a planner from the store configuration knobs.
     pub fn from_config(cfg: &crate::StoreConfig) -> Self {
         Self {
-            coalesce: cfg.io_coalescing,
             gap_bytes: cfg.io_gap_bytes as u64,
             backend: cfg.io_backend,
             metrics: None,
@@ -141,11 +126,6 @@ impl IoPlanner {
         self
     }
 
-    /// True when this planner merges ranges (false = pass-through).
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
-    }
-
     /// The read backend this planner drives ([`IoBackend::Sync`] blocks in
     /// [`IoPlanner::read`]-style `pread`s; [`IoBackend::Async`] submits).
     pub fn backend(&self) -> IoBackend {
@@ -153,15 +133,12 @@ impl IoPlanner {
     }
 
     /// Fill every request's buffer from `device`, coalescing near-adjacent
-    /// ranges into single device reads when enabled.
+    /// ranges into single device reads.
     ///
     /// Byte-identical to [`Device::read_scatter`] for any request batch; the
     /// first failing device read aborts (callers needing per-request error
     /// granularity fall back to per-request reads on error).
     pub fn read(&self, device: &dyn Device, reqs: &mut [ReadReq]) -> StorageResult<()> {
-        if !self.coalesce || reqs.len() <= 1 {
-            return device.read_scatter(reqs);
-        }
         for run in self.plan(reqs) {
             self.read_run(device, reqs, &run)?;
         }
@@ -179,11 +156,6 @@ impl IoPlanner {
             let result = self.read(device, &mut reqs).map(|()| reqs);
             return PendingRead {
                 state: PendingState::Done(Some(result)),
-            };
-        }
-        if !self.coalesce || reqs.len() <= 1 {
-            return PendingRead {
-                state: PendingState::Direct(device.submit_reads(reqs)),
             };
         }
         let runs = self.plan(&reqs);
@@ -264,10 +236,7 @@ impl IoPlanner {
 enum PendingState {
     /// Sync backend: the read already happened at submit time.
     Done(Option<StorageResult<Vec<ReadReq>>>),
-    /// Async backend, unmerged (coalescing off or trivial batch): the
-    /// original requests are in flight themselves.
-    Direct(IoBatch),
-    /// Async backend, coalesced: the merged runs are in flight; completion
+    /// Async backend: the merged runs are in flight; completion
     /// slices them back into the original requests.
     Merged {
         batch: IoBatch,
@@ -290,9 +259,7 @@ impl PendingRead {
     pub fn try_complete(&self) -> bool {
         match &self.state {
             PendingState::Done(_) => true,
-            PendingState::Direct(batch) | PendingState::Merged { batch, .. } => {
-                batch.try_complete()
-            }
+            PendingState::Merged { batch, .. } => batch.try_complete(),
         }
     }
 
@@ -303,7 +270,6 @@ impl PendingRead {
     pub fn wait(self) -> StorageResult<Vec<ReadReq>> {
         match self.state {
             PendingState::Done(result) => result.expect("sync submission holds its result"),
-            PendingState::Direct(batch) => batch.wait(),
             PendingState::Merged {
                 batch,
                 runs,
@@ -440,18 +406,6 @@ mod tests {
                 "gap {gap}"
             );
         }
-        assert_eq!(run_planner(&IoPlanner::disabled(), &dev, &reqs), want);
-    }
-
-    #[test]
-    fn disabled_planner_reads_per_request() {
-        let dev = CountingDevice::with_bytes(1024);
-        let reqs = [(0u64, 32usize), (32, 32), (64, 32)];
-        let base = dev.reads();
-        run_planner(&IoPlanner::disabled(), &dev, &reqs);
-        assert_eq!(dev.reads() - base, 3);
-        assert!(!IoPlanner::disabled().coalescing());
-        assert!(IoPlanner::default().coalescing());
     }
 
     #[test]
@@ -507,7 +461,6 @@ mod tests {
             for planner in [
                 IoPlanner::new(64).with_backend(backend),
                 IoPlanner::new(u64::MAX).with_backend(backend),
-                IoPlanner::disabled().with_backend(backend),
             ] {
                 assert_eq!(planner.backend(), backend);
                 let batch: Vec<ReadReq> = reqs.iter().map(|&(o, l)| ReadReq::new(o, l)).collect();
@@ -521,7 +474,7 @@ mod tests {
                 assert_eq!(got, want, "backend {backend}");
             }
         }
-        // Trivial batches under async go straight through.
+        // An empty batch under async completes at once.
         let planner = IoPlanner::new(0).with_backend(IoBackend::Async);
         let pending = planner.submit(&dev, Vec::new());
         assert!(pending.try_complete());
@@ -563,13 +516,8 @@ mod tests {
 
     #[test]
     fn from_config_honours_the_knobs() {
-        let cfg = crate::StoreConfig::in_memory()
-            .with_io_coalescing(false)
-            .with_io_gap_bytes(123);
-        assert!(!IoPlanner::from_config(&cfg).coalescing());
         let cfg = crate::StoreConfig::in_memory().with_io_gap_bytes(123);
         let planner = IoPlanner::from_config(&cfg);
-        assert!(planner.coalescing());
         assert_eq!(planner.gap_bytes, 123);
         assert_eq!(planner.backend(), IoBackend::Sync);
         let cfg = crate::StoreConfig::in_memory().with_io_backend(IoBackend::Async);

@@ -61,14 +61,20 @@ impl MemStore {
         &self.shards[self.shard_idx(key)]
     }
 
-    /// Group the positions of `keys` by shard, preserving input order within
-    /// each shard so duplicate keys are processed in occurrence order.
-    fn positions_by_shard(&self, keys: &[Key]) -> Vec<Vec<usize>> {
+    /// Group the positions of `keys` by shard — `(shard, positions)` for every
+    /// shard the batch touches — preserving input order within each shard so
+    /// duplicate keys are processed in occurrence order. Each group is one
+    /// executor job: a worker owns whole shards.
+    fn shard_groups(&self, keys: &[Key]) -> Vec<(usize, Vec<usize>)> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, key) in keys.iter().enumerate() {
             by_shard[self.shard_idx(*key)].push(i);
         }
         by_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .collect()
     }
 
     /// Read `key` from an already-locked shard, recording metrics.
@@ -109,26 +115,12 @@ impl KvStore for MemStore {
     }
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
-        // One lock acquisition per shard instead of one per key; large batches
-        // dispatch their per-shard position groups to executor workers.
-        let groups: Vec<(usize, Vec<usize>)> = self
-            .positions_by_shard(keys)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, positions)| !positions.is_empty())
-            .collect();
+        // One lock acquisition per shard instead of one per key; the executor
+        // runs the per-shard groups inline or across workers.
         let mut out: Vec<StorageResult<Vec<u8>>> = Vec::with_capacity(keys.len());
         out.extend(keys.iter().map(|_| Err(StorageError::KeyNotFound)));
-        if self.executor.workers_for(groups.len(), keys.len()) <= 1 {
-            for (s, positions) in groups {
-                let shard = self.shards[s].read();
-                for i in positions {
-                    out[i] = self.lookup(&shard, keys[i]);
-                }
-            }
-            return out;
-        }
-        let jobs: Vec<_> = groups
+        let jobs: Vec<_> = self
+            .shard_groups(keys)
             .into_iter()
             .map(|(s, positions)| {
                 move || {
@@ -168,27 +160,10 @@ impl KvStore for MemStore {
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         // Same-key operations always land in the same shard, so processing each
         // shard's positions in input order preserves per-key rmw ordering —
-        // with one worker per shard group just as much as serially.
-        let groups: Vec<(usize, Vec<usize>)> = self
-            .positions_by_shard(keys)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, positions)| !positions.is_empty())
-            .collect();
+        // on whichever thread runs the shard's group.
         let mut out = vec![Vec::new(); keys.len()];
-        if self.executor.workers_for(groups.len(), keys.len()) <= 1 {
-            for (s, positions) in groups {
-                let mut shard = self.shards[s].write();
-                for i in positions {
-                    self.metrics.record_rmw();
-                    let new = f(i, shard.get(&keys[i]).map(|v| v.as_slice()));
-                    shard.insert(keys[i], new.clone());
-                    out[i] = new;
-                }
-            }
-            return Ok(out);
-        }
-        let jobs: Vec<_> = groups
+        let jobs: Vec<_> = self
+            .shard_groups(keys)
             .into_iter()
             .map(|(s, positions)| {
                 move || {
@@ -228,33 +203,21 @@ impl KvStore for MemStore {
     fn write_batch(&self, batch: &crate::kv::WriteBatch) -> StorageResult<()> {
         let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
         let ops: Vec<(&Key, &Vec<u8>)> = batch.iter().collect();
-        let groups: Vec<(usize, Vec<usize>)> = self
-            .positions_by_shard(&keys)
+        let ops = &ops;
+        let jobs: Vec<_> = self
+            .shard_groups(&keys)
             .into_iter()
-            .enumerate()
-            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(s, positions)| {
+                move || {
+                    let mut shard = self.shards[s].write();
+                    for i in positions {
+                        self.metrics.record_upsert();
+                        shard.insert(*ops[i].0, ops[i].1.clone());
+                    }
+                }
+            })
             .collect();
-        let apply = |s: usize, positions: Vec<usize>| {
-            let mut shard = self.shards[s].write();
-            for i in positions {
-                self.metrics.record_upsert();
-                shard.insert(*ops[i].0, ops[i].1.clone());
-            }
-        };
-        if self.executor.workers_for(groups.len(), keys.len()) <= 1 {
-            for (s, positions) in groups {
-                apply(s, positions);
-            }
-        } else {
-            let jobs: Vec<_> = groups
-                .into_iter()
-                .map(|(s, positions)| {
-                    let apply = &apply;
-                    move || apply(s, positions)
-                })
-                .collect();
-            self.executor.execute(jobs, keys.len());
-        }
+        self.executor.execute(jobs, keys.len());
         Ok(())
     }
 

@@ -27,10 +27,9 @@ const PERSISTENT: [BackendKind; 3] = [
 ];
 
 /// Base store configuration. CI's env matrix (`MLKV_IO_BACKEND` /
-/// `MLKV_PARALLELISM` / `MLKV_WRITE_SHARDS`) applies first so a matrix cell
-/// steers the defaults; the explicit knobs a test pins (a nonzero
-/// parallelism, a write-shard level under sweep) then win over the
-/// environment.
+/// `MLKV_PARALLELISM`) applies first so a matrix cell steers the defaults;
+/// the explicit knobs a test pins (a nonzero parallelism, a level under
+/// sweep) then win over the environment.
 fn store_config(parallelism: usize) -> StoreConfig {
     let mut cfg = StoreConfig::in_memory()
         .apply_env_overrides()
@@ -242,42 +241,30 @@ proptest! {
     }
 }
 
-/// An embedding table whose *write* path runs at `write_shards` while the
-/// read knob stays serial, so only the sharded mutation machinery varies.
-fn sharded_table(kind: BackendKind, write_shards: usize) -> Arc<EmbeddingTable> {
-    let store = open_store(kind, store_config(1).with_write_shards(write_shards)).unwrap();
-    Arc::new(
-        EmbeddingTable::builder(store)
-            .dim(DIM)
-            .staleness_bound(u32::MAX)
-            .parallelism(1)
-            .build()
-            .unwrap(),
-    )
-}
-
 /// Two concurrent writers on *disjoint* key ranges applied at every
-/// write-shard level: the final store state must be byte-identical to the
-/// serial write path. The ranges are disjoint because gradient arithmetic is
-/// floating-point — byte-identity across write-path configurations is only
-/// well-defined when no two threads race on the same key. Duplicate keys
-/// *within* one batch are still exercised (the executor splits batches into
-/// whole-key ranges, covered by `parallelism_levels_are_byte_identical`).
-fn check_write_shard_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u8) {
+/// parallelism level — which sizes the engine's memtable shards / leaf-latch
+/// lanes / buffer-pool shards and fans out its reads and the table's decode
+/// as well as its writes: the final store state must be byte-identical to
+/// `parallelism = 1`. The ranges are disjoint because gradient arithmetic is
+/// floating-point — byte-identity across configurations is only well-defined
+/// when no two threads race on the same key. Duplicate keys *within* one
+/// batch are still exercised (the executor splits batches into whole-key
+/// ranges, covered by `parallelism_levels_are_byte_identical`).
+fn check_concurrent_writer_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u8) {
     let levels = [1usize, 2, 8];
     let programs: [Vec<u64>; 2] = [
         base_keys.to_vec(),
         base_keys.iter().map(|k| k + 1_000).collect(),
     ];
     let mut finals: Vec<Vec<Option<Vec<u8>>>> = Vec::new();
-    for &shards in &levels {
-        let table = sharded_table(kind, shards);
+    for &level in &levels {
+        let table = table_for(kind, level);
         let workers: Vec<_> = programs
             .iter()
             .map(|keys| {
                 let table = Arc::clone(&table);
                 // Tile past the executor's parallel cutoff so the sharded
-                // write path genuinely engages at shards > 1.
+                // write path genuinely engages at parallelism > 1.
                 let batch: Vec<u64> = keys.iter().cycle().take(512).copied().collect();
                 std::thread::spawn(move || {
                     for round in 0..rounds {
@@ -306,7 +293,7 @@ fn check_write_shard_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u
         assert_eq!(
             &finals[0],
             state,
-            "{}: final state diverged between write_shards=1 and write_shards={level}",
+            "{}: final state diverged between parallelism 1 and {level}",
             kind.name()
         );
     }
@@ -315,15 +302,15 @@ fn check_write_shard_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Concurrent `apply_gradients` at write_shards ∈ {1, 2, 8} leaves every
-    /// persistent engine byte-identical to its serial write path.
+    /// Concurrent `apply_gradients` at parallelism ∈ {1, 2, 8} leaves every
+    /// persistent engine byte-identical to its inline write path.
     #[test]
-    fn write_shard_levels_are_byte_identical(
+    fn concurrent_writers_are_byte_identical_across_parallelism(
         base_keys in proptest::collection::vec(0u64..600, 16..48),
         rounds in 1u8..3,
     ) {
         for kind in PERSISTENT {
-            check_write_shard_equivalence(kind, &base_keys, rounds);
+            check_concurrent_writer_equivalence(kind, &base_keys, rounds);
         }
     }
 }
@@ -334,9 +321,7 @@ fn lsm_memtable_flush_under_concurrent_writers_loses_no_update() {
     // sharded writers are applying batches: the flush path drains all
     // memtable shards into one SST pass, and must not lose or reorder any
     // shard's records relative to the batches still landing.
-    let tiny = store_config(1)
-        .with_memory_budget(8 << 10)
-        .with_write_shards(4);
+    let tiny = store_config(4).with_memory_budget(8 << 10);
     let store = open_store(BackendKind::RocksDbLike, tiny.clone()).unwrap();
     let table = Arc::new(
         EmbeddingTable::builder(store)
@@ -395,6 +380,94 @@ fn lsm_memtable_flush_under_concurrent_writers_loses_no_update() {
     }
 }
 
+/// The boundary `mlkv_storage::exec` switches on: every engine's `write_batch`,
+/// `multi_rmw` and `multi_get`, with duplicate keys, on both sides of
+/// `PARALLEL_CUTOFF` and at `parallelism` 1 / 2 / 8, must return the results
+/// and leave the state of a per-key loop on a serial `MemStore`. The tiny
+/// memory budget keeps most of each disk engine cold, so the batches cross the
+/// cutoff on the device paths too.
+#[test]
+fn batch_ops_match_a_per_key_loop_on_both_sides_of_the_executor_cutoff() {
+    use mlkv_storage::exec::PARALLEL_CUTOFF;
+    use mlkv_storage::{MemStore, WriteBatch};
+
+    let sizes = [
+        1,
+        PARALLEL_CUTOFF - 1,
+        PARALLEL_CUTOFF,
+        PARALLEL_CUTOFF + 1,
+        4 * PARALLEL_CUTOFF,
+    ];
+    let append = |i: usize, cur: Option<&[u8]>| -> Vec<u8> {
+        let mut v = cur.map(<[u8]>::to_vec).unwrap_or_default();
+        v.push(i as u8);
+        v
+    };
+    for kind in [
+        BackendKind::InMemory,
+        BackendKind::Faster,
+        BackendKind::RocksDbLike,
+        BackendKind::WiredTigerLike,
+    ] {
+        for parallelism in [1usize, 2, 8] {
+            let cell = format!("{} parallelism {parallelism}", kind.name());
+            let config = store_config(parallelism)
+                .with_memory_budget(8 << 10)
+                .with_page_size(2 << 10);
+            let store = open_store(kind, config).unwrap();
+            let model = MemStore::with_shards_and_parallelism(1, 1);
+            let mut key_space = 0u64;
+            for (round, &n) in sizes.iter().enumerate() {
+                // Every key occurs about twice per batch, and the rounds'
+                // key ranges overlap, so later batches update earlier state.
+                let distinct = n as u64 / 2 + 1;
+                key_space = key_space.max(distinct);
+                let keys: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % distinct).collect();
+
+                // write_batch: the last occurrence of a key wins.
+                let mut batch = WriteBatch::new();
+                for (i, &k) in keys.iter().enumerate() {
+                    let value = vec![round as u8, i as u8, (i >> 8) as u8];
+                    model.put(k, &value).unwrap();
+                    batch.put(k, value);
+                }
+                store.write_batch(&batch).unwrap();
+
+                // multi_rmw: each occurrence sees the previous one's write.
+                let got = store.multi_rmw(&keys, &append).unwrap();
+                let want: Vec<Vec<u8>> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| model.rmw(k, &|cur| append(i, cur)).unwrap())
+                    .collect();
+                assert_eq!(got, want, "{cell}: multi_rmw of {n} keys");
+
+                // multi_get, with a key nobody wrote in the middle.
+                let mut probes = keys.clone();
+                probes.insert(n / 2, 1 << 40);
+                let got = store.multi_get(&probes);
+                assert_eq!(got.len(), probes.len());
+                for (k, result) in probes.iter().zip(got) {
+                    match model.get(*k) {
+                        Ok(v) => assert_eq!(result.ok(), Some(v), "{cell}: key {k} of {n}"),
+                        Err(_) => assert!(
+                            result.unwrap_err().is_not_found(),
+                            "{cell}: absent key {k} of {n}"
+                        ),
+                    }
+                }
+            }
+            for k in 0..key_space {
+                assert_eq!(
+                    store.get(k).ok(),
+                    model.get(k).ok(),
+                    "{cell}: final state of key {k}"
+                );
+            }
+        }
+    }
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "mlkv-batchwal-{tag}-{}-{:?}",
@@ -425,8 +498,7 @@ fn wal_ships_one_group_per_acked_batch_in_commit_order() {
                 .with_memory_budget(1 << 20)
                 .with_page_size(4096)
                 .with_index_buckets(1 << 10)
-                .with_parallelism(1)
-                .with_write_shards(4)
+                .with_parallelism(4)
                 .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 })
                 .with_wal_tap(Arc::clone(&tap)),
         )

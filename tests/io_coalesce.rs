@@ -2,8 +2,8 @@
 //! and the coalescing [`IoPlanner`] must be byte-identical to the per-request
 //! `read_at` loop on every device type, for every gap threshold, and for
 //! arbitrary (duplicate / overlapping / unsorted) request batches — and a cold
-//! `multi_get` must return identical results on every backend whether
-//! coalescing is on or off.
+//! `multi_get` through the planner must return, on every backend, exactly what
+//! per-key `get`s return.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,47 +95,38 @@ proptest! {
     }
 
     #[test]
-    fn cold_multi_get_is_identical_with_coalescing_on_and_off(
+    fn cold_multi_get_matches_per_key_get(
         probes in proptest::collection::vec(0u64..700, 1..400),
     ) {
         // Tiny memory budgets force most of each store onto the device, so the
         // probes genuinely exercise the scatter paths of every engine.
         for backend in BackendKind::ALL {
-            let open = |coalesce: bool| {
-                open_store(
-                    backend,
-                    matrix_config()
-                        .with_memory_budget(16 << 10)
-                        .with_page_size(2 << 10)
-                        .with_index_buckets(128)
-                        .with_io_coalescing(coalesce)
-                        .with_io_gap_bytes(256),
-                )
-                .unwrap()
-            };
-            let coalesced = open(true);
-            let per_record = open(false);
-            for store in [&coalesced, &per_record] {
-                for k in 0..600u64 {
-                    store.put(k, &[(k % 251) as u8; 24]).unwrap();
-                }
-                store.delete(5).unwrap();
-                store.flush().unwrap();
+            let store = open_store(
+                backend,
+                matrix_config()
+                    .with_memory_budget(16 << 10)
+                    .with_page_size(2 << 10)
+                    .with_index_buckets(128)
+                    .with_io_gap_bytes(256),
+            )
+            .unwrap();
+            for k in 0..600u64 {
+                store.put(k, &[(k % 251) as u8; 24]).unwrap();
             }
-            let a = coalesced.multi_get(&probes);
-            let b = per_record.multi_get(&probes);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                prop_assert_eq!(
-                    x.as_ref().ok(),
-                    y.as_ref().ok(),
-                    "{}: key {} (pos {})",
-                    backend.name(),
-                    probes[i],
-                    i
-                );
-                // Both sides agree with the per-key ground truth.
-                match coalesced.get(probes[i]) {
-                    Ok(v) => prop_assert_eq!(x.as_ref().unwrap(), &v),
+            store.delete(5).unwrap();
+            store.flush().unwrap();
+            for (i, x) in store.multi_get(&probes).iter().enumerate() {
+                // The per-key read (one record per device request) is the
+                // ground truth.
+                match store.get(probes[i]) {
+                    Ok(v) => prop_assert_eq!(
+                        x.as_ref().ok(),
+                        Some(&v),
+                        "{}: key {} (pos {})",
+                        backend.name(),
+                        probes[i],
+                        i
+                    ),
                     Err(e) => {
                         prop_assert!(e.is_not_found());
                         prop_assert!(x.as_ref().unwrap_err().is_not_found());
@@ -299,36 +290,26 @@ fn planner_run_cap_splits_are_surfaced_in_metrics() {
     );
 }
 
-/// Non-proptest sanity check: the FASTER cold gather issues *fewer* device
-/// round trips with coalescing on, and the same results either way (the
-/// throughput-priced `SimLatencyDevice` makes the difference measurable in
-/// the `io_coalesce` bench; here we only assert equality of contents).
+/// Non-proptest sanity check: the FASTER cold gather returns the same
+/// contents as per-key reads across log spills and values on both sides of
+/// the speculative-read boundary.
 #[test]
 fn faster_cold_batch_results_survive_spills_and_large_values() {
-    let open = |coalesce: bool| {
-        open_store(
-            BackendKind::Faster,
-            matrix_config()
-                .with_memory_budget(8 << 10)
-                .with_page_size(2 << 10)
-                .with_index_buckets(64)
-                .with_io_coalescing(coalesce),
-        )
-        .unwrap()
-    };
-    let coalesced = open(true);
-    let per_record = open(false);
-    for store in [&coalesced, &per_record] {
-        for k in 0..400u64 {
-            // Values straddling the speculative-read boundary (512 bytes).
-            let len = if k % 7 == 0 { 700 } else { 40 };
-            store.put(k, &vec![(k % 251) as u8; len]).unwrap();
-        }
+    let store = open_store(
+        BackendKind::Faster,
+        matrix_config()
+            .with_memory_budget(8 << 10)
+            .with_page_size(2 << 10)
+            .with_index_buckets(64),
+    )
+    .unwrap();
+    for k in 0..400u64 {
+        // Values straddling the speculative-read boundary (512 bytes).
+        let len = if k % 7 == 0 { 700 } else { 40 };
+        store.put(k, &vec![(k % 251) as u8; len]).unwrap();
     }
     let keys: Vec<u64> = (0..1024u64).map(|i| (i * 13) % 450).collect();
-    let a = coalesced.multi_get(&keys);
-    let b = per_record.multi_get(&keys);
-    for (key, (x, y)) in keys.iter().zip(a.iter().zip(&b)) {
-        assert_eq!(x.as_ref().ok(), y.as_ref().ok(), "key {key}");
+    for (key, x) in keys.iter().zip(store.multi_get(&keys)) {
+        assert_eq!(x.ok(), store.get(*key).ok(), "key {key}");
     }
 }
