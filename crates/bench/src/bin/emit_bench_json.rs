@@ -646,9 +646,9 @@ fn main() {
     push_group(&mut cells, &warm("FASTER"), quick, measure_gather, |p| {
         warm_table(BackendKind::Faster, p)
     });
-    // Cold hybrid log + simulated SSD reads: the batch is device-bound, so
-    // the executor's speedup comes from overlapped I/O waits and shows up
-    // regardless of core count.
+    // Cold hybrid log + simulated SSD reads: the planner folds this dense
+    // key space into a few merged reads per worker range, so extra workers
+    // add thread cost, not overlap.
     push_group(
         &mut cells,
         &GroupSpec {
@@ -682,9 +682,9 @@ fn main() {
             move |p| warm_table(backend, p),
         );
     }
-    // Cold apply: every RMW over the cold region pays a blocking simulated
-    // SSD read before it can fold the gradient in, so workers win by
-    // overlapping those reads — visible on any host, like gather-cold-ssd.
+    // Cold apply: the RMW batch resolves through the same batched chain walk
+    // as the gather — one submission per chain depth per worker range — then
+    // folds the gradients in and appends, so it scales like gather-cold-ssd.
     push_group(
         &mut cells,
         &GroupSpec {
@@ -709,11 +709,11 @@ fn main() {
          workers = memtable shards = buffer-pool shards = leaf-latch lanes / 8, reads and \
          writes alike); gather-warm/apply-warm are RAM-resident CPU work (parallel speedup \
          requires >= that many idle cores; on a small host they measure executor/latch \
-         overhead); the cold-ssd rows add 25us simulated SSD reads: apply-cold-ssd pays one \
-         blocking read per cold record, so its speedup is overlapped I/O and shows on any \
-         host, while gather-cold-ssd goes through the coalescing planner, which already \
-         folds this dense key space into a few merged reads per worker range, so extra \
-         workers add thread cost, not overlap",
+         overhead); the cold-ssd rows add 25us simulated SSD reads under the default \
+         submission backend: gather-cold-ssd and apply-cold-ssd both resolve their keys \
+         through FASTER's one batched chain walk (one coalesced submission per chain depth \
+         per worker range, never one read per key), which already folds this dense key \
+         space into a few merged reads, so extra workers add thread cost, not overlap",
     );
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(

@@ -55,6 +55,51 @@ struct WalHandle {
     gen: u64,
 }
 
+/// A key's newest record, as the resolver found it — possibly a tombstone,
+/// so a deleted key can be told from one never written (`None`).
+struct Found {
+    addr: Address,
+    record: Record,
+    source: ReadSource,
+}
+
+impl Found {
+    fn is_live(&self) -> bool {
+        !self.record.is_tombstone()
+    }
+}
+
+/// One distinct key of a range resolved by [`FasterKv::resolve_sorted_range`].
+struct Resolution {
+    key: Key,
+    /// The key's occurrences, as a span of the range's `order` slice.
+    span: std::ops::Range<usize>,
+    /// The chain head the walk started from (what a promotion CASes against).
+    head: Address,
+    outcome: StorageResult<Option<Found>>,
+}
+
+impl Resolution {
+    /// Take one record of the key's chain: either it is the key's newest
+    /// version and the walk ends (the invalid address, as at a chain's end),
+    /// or the walk hops to its `prev`.
+    fn visit(&mut self, addr: Address, record: Record, source: ReadSource) -> Address {
+        if !(record.flags.is_valid() && record.key == self.key) {
+            return record.prev;
+        }
+        self.outcome = Ok(Some(Found {
+            addr,
+            record,
+            source,
+        }));
+        Address::INVALID
+    }
+}
+
+/// A writer's view of a [`Resolution`] whose reads succeeded: the key, the
+/// span of its occurrences, and its newest record if it has one.
+type Resolved = (Key, std::ops::Range<usize>, Option<Found>);
+
 /// A FASTER-like key-value store.
 pub struct FasterKv {
     index: HashIndex,
@@ -129,19 +174,20 @@ impl FasterKv {
     /// garbage-collected by [`FasterKv::rotate_wal`] at checkpoint time.
     fn attach_wal(&mut self, dir: &std::path::Path) -> StorageResult<()> {
         let gens = wal_generations(dir);
-        {
-            let _guard = self.epoch.acquire();
-            for &gen in &gens {
-                let device = device_from_config(&self.config, &wal_file_name(gen))?;
-                for payload in WalReader::replay(device.as_ref())? {
-                    match WalOp::decode(&payload)? {
-                        WalOp::Put { key, value } => self.put_value(key, &value)?,
-                        WalOp::Delete { key } => {
-                            self.delete_value(key)?;
-                        }
-                    }
-                }
-            }
+        for &gen in &gens {
+            let device = device_from_config(&self.config, &wal_file_name(gen))?;
+            let ops = WalReader::replay(device.as_ref())?
+                .iter()
+                .map(|payload| WalOp::decode(payload))
+                .collect::<StorageResult<Vec<_>>>()?;
+            let (keys, entries): (Vec<Key>, Vec<Option<&[u8]>>) = ops
+                .iter()
+                .map(|op| match op {
+                    WalOp::Put { key, value } => (*key, Some(value.as_slice())),
+                    WalOp::Delete { key } => (*key, None),
+                })
+                .unzip();
+            self.apply_entries(&keys, &entries)?;
         }
         if self.config.durability != DurabilityMode::None {
             let gen = gens.last().map(|g| g + 1).unwrap_or(0);
@@ -235,176 +281,99 @@ impl FasterKv {
         &self.epoch
     }
 
-    /// Walk the hash chain for `key`, returning the first matching record along
-    /// with its address and region.
-    fn find(&self, key: Key) -> StorageResult<Option<(Address, Record, ReadSource)>> {
-        self.find_from(self.index.head(key), key)
-    }
-
-    /// [`FasterKv::find`] starting from an already-read chain `head` (callers
-    /// that need the head for a later CAS read it once and walk from it).
-    fn find_from(
-        &self,
-        head: Address,
-        key: Key,
-    ) -> StorageResult<Option<(Address, Record, ReadSource)>> {
-        let mut addr = head;
-        while !addr.is_invalid() {
-            let (record, source) = self.log.read_record(addr)?;
-            if record.flags.is_valid() && record.key == key {
-                return Ok(Some((addr, record, source)));
-            }
-            addr = record.prev;
-        }
-        Ok(None)
-    }
-
-    /// Append a *promotion copy* of `key` (value read from the cold region)
-    /// and install it only if the chain head is still `expected_head` — i.e.
-    /// nothing was written to this hash chain since the value was read. On a
-    /// lost CAS the appended record is invalidated and the promotion is
-    /// dropped: unlike `append_and_install`, promotion must never retry with
-    /// its (now possibly stale) value over a concurrent writer's update;
-    /// it is only a placement hint.
-    fn try_install_promotion(
-        &self,
-        key: Key,
-        value: Vec<u8>,
-        expected_head: Address,
-    ) -> StorageResult<bool> {
-        let record = Record::new(key, value, expected_head);
+    /// Append `record` and install it as its chain's head only if the head is
+    /// still the one it links to (`record.prev`). A record whose CAS lost is
+    /// invalidated in place. A *promotion copy* stops there: unlike
+    /// `append_and_install` it must never retry with its (now possibly stale)
+    /// value over a concurrent writer's update; it is only a placement hint.
+    fn try_install(&self, record: Record) -> StorageResult<bool> {
         let addr = self.log.append(&record.encode())?;
-        match self.index.compare_exchange(key, expected_head, addr) {
-            Ok(()) => Ok(true),
-            Err(_) => {
-                let _ = self.log.invalidate_record(addr);
-                Ok(false)
+        let installed = self
+            .index
+            .compare_exchange(record.key, record.prev, addr)
+            .is_ok();
+        if !installed {
+            let _ = self.log.invalidate_record(addr);
+        }
+        Ok(installed)
+    }
+
+    /// Memory-only walk over the records pushed onto a chain since `since` was
+    /// its head (everything below `since` is immutable and already walked):
+    /// true when none of them is for `key`. False when one is, or when the
+    /// walk would leave the in-memory window — a hint never waits on the
+    /// device.
+    fn chain_grew_without(&self, key: Key, from: Address, since: Address) -> bool {
+        let mut addr = from;
+        while addr > since {
+            match self.log.read_record_memory(addr) {
+                Ok(Some((record, _))) if !(record.flags.is_valid() && record.key == key) => {
+                    addr = record.prev;
+                }
+                _ => return false,
             }
         }
+        true
     }
 
     /// Append a record for `key` and install it as the new chain head, retrying
-    /// on CAS races. Records whose CAS lost are invalidated in place.
-    fn append_and_install(&self, key: Key, value: Vec<u8>, tombstone: bool) -> StorageResult<()> {
+    /// against the new head on CAS races.
+    fn append_and_install(&self, key: Key, value: &[u8], tombstone: bool) -> StorageResult<()> {
         loop {
             let head = self.index.head(key);
-            let record = if tombstone {
-                Record::tombstone(key, head)
-            } else {
-                Record::new(key, value.clone(), head)
+            let record = match tombstone {
+                true => Record::tombstone(key, head),
+                false => Record::new(key, value.to_vec(), head),
             };
-            let addr = self.log.append(&record.encode())?;
-            match self.index.compare_exchange(key, head, addr) {
-                Ok(()) => return Ok(()),
-                Err(_) => {
-                    // Lost the race: neutralise the appended record and retry
-                    // against the new chain head.
-                    let _ = self.log.invalidate_record(addr);
-                }
+            if self.try_install(record)? {
+                return Ok(());
             }
         }
     }
 
-    /// Upsert `key`, recording metrics. The caller must hold epoch protection.
-    fn put_value(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        self.metrics.record_upsert();
-        match self.find(key)? {
-            // Fast path: overwrite in place when the newest version lives in the
-            // mutable region and the length matches (always true for fixed-dim
-            // embeddings).
-            Some((addr, record, source)) if !record.is_tombstone() => {
-                if source == ReadSource::HotMemory && self.log.try_update_in_place(addr, value)? {
-                    return Ok(());
-                }
-            }
-            // Key absent or deleted: this put brings it (back) to life.
-            _ => {
-                self.live_records.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Store `value` as `key`'s newest version: overwritten in place when the
+    /// record the resolver found (`over`) is a same-length value still in the
+    /// mutable region (always true for hot fixed-dim embeddings;
+    /// [`HybridLog::try_update_in_place`] checks), appended otherwise.
+    fn write_value(&self, key: Key, value: &[u8], over: Option<Address>) -> StorageResult<()> {
+        match over {
+            Some(addr) if self.log.try_update_in_place(addr, value)? => Ok(()),
+            _ => self.append_and_install(key, value, false),
         }
-        self.append_and_install(key, value.to_vec(), false)
     }
 
-    /// Tombstone `key` if it is live, returning whether a tombstone was
-    /// written. The caller must hold epoch protection.
-    fn delete_value(&self, key: Key) -> StorageResult<bool> {
-        if let Some((_, record, _)) = self.find(key)? {
-            if !record.is_tombstone() {
-                self.live_records.fetch_sub(1, Ordering::Relaxed);
-                self.append_and_install(key, Vec::new(), true)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Read-modify-write `key`, recording metrics. The caller must hold epoch
-    /// protection.
-    fn rmw_value(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        self.metrics.record_rmw();
-        let existing = self.find(key)?;
-        let (current, in_place_target) = match &existing {
-            Some((addr, record, source)) if !record.is_tombstone() => (
-                Some(record.value.clone()),
-                (*source == ReadSource::HotMemory).then_some(*addr),
-            ),
-            _ => (None, None),
-        };
-        if current.is_none() {
-            self.live_records.fetch_add(1, Ordering::Relaxed);
-        }
-        let new_value = f(current.as_deref());
-        if let Some(addr) = in_place_target {
-            if self.log.try_update_in_place(addr, &new_value)? {
-                return Ok(new_value);
-            }
-        }
-        self.append_and_install(key, new_value.clone(), false)?;
-        Ok(new_value)
-    }
-
-    /// Read a contiguous range of the key-sorted batch order, walking each
-    /// distinct key's hash chain once and fanning the value out to duplicate
-    /// occurrences. The caller must hold epoch protection. Returns
-    /// `(original position, result)` pairs.
+    /// The store's one cold path: walk the hash chain of every distinct key of
+    /// a contiguous range of the key-sorted batch `order` (equal keys
+    /// adjacent) to the key's newest record. Every read, write, delete and
+    /// promotion resolves through here. The caller must hold epoch protection.
     ///
     /// Chain hops that leave the in-memory window are not read one record at a
     /// time: the walk is breadth-first over chain depth, and each round
     /// collects every distinct key's pending device address and fetches them
     /// with **one** coalesced scatter
-    /// ([`HybridLog::submit_records_from_disk`]), so a cold range pays one
-    /// device submission per chain depth, not one per record. The round's
-    /// scatter is *submitted* before the memory phase runs, so under the
-    /// async backend the device resolves the previous hops while this worker
-    /// walks memory-resident chains — and only then parks on the completion.
-    fn read_sorted_range(
-        &self,
-        keys: &[Key],
-        order: &[usize],
-    ) -> Vec<(usize, StorageResult<Vec<u8>>)> {
-        // Distinct keys of the range, with the order-slice span of each.
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        let mut pos = 0;
-        while pos < order.len() {
-            let key = keys[order[pos]];
-            let mut end = pos + 1;
-            while end < order.len() && keys[order[end]] == key {
-                end += 1;
-            }
-            spans.push((pos, end));
-            pos = end;
+    /// ([`HybridLog::submit_records_from_disk`]), so a cold range pays device
+    /// submissions per chain depth, not per record. A round's scatter is
+    /// *submitted* before the memory phase runs and before the previous
+    /// round's is harvested, so the device resolves one cohort's hops while
+    /// this worker walks memory-resident chains and decodes the other's.
+    fn resolve_sorted_range(&self, keys: &[Key], order: &[usize]) -> Vec<Resolution> {
+        let mut out: Vec<Resolution> = Vec::new();
+        let mut start = 0;
+        for occurrences in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
+            let key = keys[occurrences[0]];
+            out.push(Resolution {
+                key,
+                span: start..start + occurrences.len(),
+                head: self.index.head(key),
+                // What a cursor that runs off its chain's end leaves behind.
+                outcome: Ok(None),
+            });
+            start += occurrences.len();
         }
 
-        // Walk every distinct key's chain; `resolved[d]` is the final result
-        // of distinct key `d` (Ok(None) = absent or tombstoned).
-        let mut resolved: Vec<Option<StorageResult<Option<Vec<u8>>>>> =
-            spans.iter().map(|_| None).collect();
-        let mut pending: Vec<(usize, Address)> = spans
-            .iter()
-            .enumerate()
-            .map(|(d, &(start, _))| (d, self.index.head(keys[order[start]])))
-            .collect();
-        let mut inflight: Option<(Vec<usize>, crate::hlog::PendingRecords<'_>)> = None;
+        let mut pending: Vec<(usize, Address)> =
+            out.iter().enumerate().map(|(d, r)| (d, r.head)).collect();
+        let mut inflight: Option<(Vec<(usize, Address)>, crate::hlog::PendingRecords<'_>)> = None;
         // Cursors whose frame lookup already missed: they go to the device
         // unconditionally next round. Classifying them by `head` again would
         // lose the progress guarantee — during an eviction the frame is
@@ -413,17 +382,17 @@ impl FasterKv {
         // (a device read is always safe: frames are flushed before reuse).
         let mut evicted: Vec<(usize, Address)> = Vec::new();
         while !pending.is_empty() || !evicted.is_empty() || inflight.is_some() {
-            // Classify this round's chain cursors: ended chains resolve as
-            // absent, addresses already below the in-memory head go to the
-            // device now, the rest walk memory while that scatter is in
-            // flight.
+            // Classify this round's cursors: ended walks drop out, addresses
+            // already below the in-memory head go to the device now, the rest
+            // walk memory while that scatter is in flight.
             let head = self.log.head();
-            let mut disk: Vec<(usize, Address)> = std::mem::take(&mut evicted);
+            let mut disk = std::mem::take(&mut evicted);
             let mut mem: Vec<(usize, Address)> = Vec::new();
             for (d, addr) in pending.drain(..) {
                 if addr.is_invalid() {
-                    resolved[d] = Some(Ok(None));
-                } else if addr.raw() < head.raw() {
+                    continue;
+                }
+                if addr.raw() < head.raw() {
                     disk.push((d, addr));
                 } else {
                     mem.push((d, addr));
@@ -431,119 +400,189 @@ impl FasterKv {
             }
             // Submit the device round first: its merged reads overlap each
             // other (and this worker's memory phase) under the async backend.
-            let submitted = if disk.is_empty() {
-                None
-            } else {
-                let addrs: Vec<Address> = disk.iter().map(|&(_, addr)| addr).collect();
-                let ds: Vec<usize> = disk.iter().map(|&(d, _)| d).collect();
-                Some((ds, self.log.submit_records_from_disk(addrs)))
-            };
+            let submitted = (!disk.is_empty()).then(|| {
+                let addrs = disk.iter().map(|&(_, addr)| addr).collect();
+                (disk, self.log.submit_records_from_disk(addrs))
+            });
             // Memory phase: follow each resident chain until it resolves or
             // leaves the in-memory window (then it joins the next round's
             // scatter).
             for (d, mut addr) in mem {
-                let key = keys[order[spans[d].0]];
-                loop {
-                    if addr.is_invalid() {
-                        resolved[d] = Some(Ok(None));
-                        break;
-                    }
-                    match self.log.read_record_memory(addr) {
-                        Ok(Some((record, source))) => {
-                            if record.flags.is_valid() && record.key == key {
-                                resolved[d] = Some(Ok((!record.is_tombstone()).then(|| {
-                                    match source {
-                                        ReadSource::Disk => {
-                                            self.metrics.record_disk_read(record.value.len() as u64)
-                                        }
-                                        _ => self.metrics.record_mem_hit(),
-                                    }
-                                    record.value
-                                })));
-                                break;
-                            }
-                            addr = record.prev;
-                        }
+                while !addr.is_invalid() {
+                    addr = match self.log.read_record_memory(addr) {
+                        Ok(Some((record, source))) => out[d].visit(addr, record, source),
                         Ok(None) => {
                             evicted.push((d, addr));
                             break;
                         }
                         Err(e) => {
-                            resolved[d] = Some(Err(e));
+                            out[d].outcome = Err(e);
                             break;
                         }
-                    }
+                    };
                 }
             }
-            // Harvest the previous round's scatter; hops re-enter `pending`
-            // for the next round's classification.
-            if let Some((ds, scatter)) = inflight.take() {
-                for (d, record) in ds.into_iter().zip(scatter.wait()) {
-                    let key = keys[order[spans[d].0]];
+            // Harvest the previous round's scatter with this round's already in
+            // flight, so decoding one cohort of cursors overlaps the other's
+            // device time; hops re-enter `pending` for the next round.
+            if let Some((cursors, scatter)) = inflight.take() {
+                for ((d, addr), record) in cursors.into_iter().zip(scatter.wait()) {
                     match record {
-                        Ok(record) if record.flags.is_valid() && record.key == key => {
-                            resolved[d] = Some(Ok((!record.is_tombstone()).then(|| {
-                                self.metrics.record_disk_read(record.value.len() as u64);
-                                record.value
-                            })));
+                        Ok(record) => {
+                            pending.push((d, out[d].visit(addr, record, ReadSource::Disk)))
                         }
-                        Ok(record) => pending.push((d, record.prev)),
-                        Err(e) => resolved[d] = Some(Err(e)),
+                        Err(e) => out[d].outcome = Err(e),
                     }
                 }
             }
             inflight = submitted;
         }
+        out
+    }
 
-        // Fan each distinct key's result out to its duplicate occurrences.
-        let mut out = Vec::with_capacity(order.len());
-        for (d, &(start, end)) in spans.iter().enumerate() {
-            let result = resolved[d].take().expect("every chain resolved");
-            if matches!(result, Ok(None)) {
-                self.metrics.record_miss();
+    /// [`FasterKv::resolve_sorted_range`] for a writer: the first read fault
+    /// fails the whole range *before* any of its keys is modified.
+    fn resolve_for_write(&self, keys: &[Key], order: &[usize]) -> StorageResult<Vec<Resolved>> {
+        self.resolve_sorted_range(keys, order)
+            .into_iter()
+            .map(|r| Ok((r.key, r.span, r.outcome?)))
+            .collect()
+    }
+
+    /// One-key batch through the resolver.
+    fn resolve_key(&self, key: Key) -> StorageResult<Option<Found>> {
+        let mut resolved = self.resolve_sorted_range(&[key], &[0]);
+        resolved.pop().expect("one key, one resolution").outcome
+    }
+
+    /// Turn a resolved key into a read result, recording the read metrics.
+    fn read_outcome(&self, outcome: StorageResult<Option<Found>>) -> StorageResult<ReadResult> {
+        match outcome?.filter(Found::is_live) {
+            Some(Found { record, source, .. }) => {
+                match source {
+                    ReadSource::Disk => self.metrics.record_disk_read(record.value.len() as u64),
+                    _ => self.metrics.record_mem_hit(),
+                }
+                Ok(ReadResult {
+                    value: record.value,
+                    source,
+                })
             }
-            for &slot in &order[start..end] {
+            None => {
+                self.metrics.record_miss();
+                Err(StorageError::KeyNotFound)
+            }
+        }
+    }
+
+    /// Read a contiguous range of the key-sorted batch order: resolve each
+    /// distinct key once and fan its value out to duplicate occurrences. The
+    /// caller must hold epoch protection. Returns `(original position,
+    /// result)` pairs.
+    fn read_sorted_range(
+        &self,
+        keys: &[Key],
+        order: &[usize],
+    ) -> Vec<(usize, StorageResult<Vec<u8>>)> {
+        let mut out = Vec::with_capacity(order.len());
+        for resolution in self.resolve_sorted_range(keys, order) {
+            let result = self.read_outcome(resolution.outcome).map(|r| r.value);
+            let (&last, duplicates) = order[resolution.span]
+                .split_last()
+                .expect("a key occurs at least once");
+            for &slot in duplicates {
                 out.push((
                     slot,
                     match &result {
-                        Ok(Some(v)) => Ok(v.clone()),
-                        Ok(None) => Err(StorageError::KeyNotFound),
+                        Ok(value) => Ok(value.clone()),
                         Err(e) => Err(e.clone_shallow()),
                     },
                 ));
             }
+            out.push((last, result));
         }
         out
     }
 
-    /// Apply a contiguous range of a key-sorted `multi_rmw` order in
-    /// occurrence order. The caller must hold epoch protection.
+    /// Apply a contiguous range of a key-sorted `multi_rmw` order: resolve,
+    /// fold `f` over each key's occurrences in order (each sees the previous
+    /// one's result), then write the key's final value once. The caller must
+    /// hold epoch protection.
     fn rmw_sorted_range(
         &self,
         keys: &[Key],
         order: &[usize],
         f: &BatchRmwFn,
     ) -> StorageResult<Vec<(usize, Vec<u8>)>> {
-        let mut out = Vec::with_capacity(order.len());
-        for &i in order {
-            out.push((i, self.rmw_value(keys[i], &|cur| f(i, cur))?));
+        let mut out: Vec<(usize, Vec<u8>)> = Vec::with_capacity(order.len());
+        for (key, span, found) in self.resolve_for_write(keys, order)? {
+            let addr = found.as_ref().map(|f| f.addr);
+            let initial = found.filter(Found::is_live).map(|f| f.record.value);
+            if initial.is_none() {
+                self.live_records.fetch_add(1, Ordering::Relaxed);
+            }
+            let first = out.len();
+            for &i in &order[span] {
+                self.metrics.record_rmw();
+                let current = match out.len() > first {
+                    true => out.last().map(|(_, v)| v.as_slice()),
+                    false => initial.as_deref(),
+                };
+                let new_value = f(i, current);
+                out.push((i, new_value));
+            }
+            let (_, value) = out.last().expect("a key occurs at least once");
+            self.write_value(key, value, addr)?;
         }
         Ok(out)
     }
 
-    /// Split a key-sorted batch `order` into contiguous whole-key ranges — a
-    /// single range for a batch the executor runs inline — and run `f` over
-    /// each range under its own epoch guard, returning the results in range
-    /// order.
-    fn run_sorted_ranges<T: Send>(
+    /// Apply a contiguous range of a key-sorted put/delete batch: resolve,
+    /// then write each key's final state once — its last occurrence decides,
+    /// which is what applying the occurrences in order would leave. The
+    /// caller must hold epoch protection.
+    fn apply_sorted_range(
         &self,
         keys: &[Key],
         order: &[usize],
-        f: impl Fn(&[usize]) -> T + Sync,
-    ) -> Vec<T> {
+        entries: &[Option<&[u8]>],
+    ) -> StorageResult<()> {
+        for (key, span, found) in self.resolve_for_write(keys, order)? {
+            let addr = found.as_ref().map(|f| f.addr);
+            let slots = &order[span];
+            for _ in slots.iter().filter(|&&i| entries[i].is_some()) {
+                self.metrics.record_upsert();
+            }
+            let last = entries[*slots.last().expect("a key occurs at least once")];
+            match (found.is_some_and(|f| f.is_live()), last) {
+                (was_live, Some(value)) => {
+                    if !was_live {
+                        // Key absent or deleted: this put brings it (back) to life.
+                        self.live_records.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.write_value(key, value, addr)?;
+                }
+                (true, None) => {
+                    self.live_records.fetch_sub(1, Ordering::Relaxed);
+                    self.append_and_install(key, &[], true)?;
+                }
+                (false, None) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Stable-sort a batch by key — duplicate keys end up adjacent, in
+    /// occurrence order — split that order into contiguous whole-key ranges (a
+    /// single range for a batch the executor runs inline) and run `f` over
+    /// each range under its own epoch guard, returning the results in range
+    /// order.
+    fn run_sorted_ranges<T: Send>(&self, keys: &[Key], f: impl Fn(&[usize]) -> T + Sync) -> Vec<T> {
         let f = &f;
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
         let workers = self.executor.planned_workers(order.len());
-        let jobs: Vec<_> = split_sorted(order, keys, workers)
+        let jobs: Vec<_> = split_sorted(&order, keys, workers)
             .into_iter()
             .map(|range| {
                 move || {
@@ -561,12 +600,6 @@ impl FasterKv {
     /// apply pass fanned out through the executor, then one commit as
     /// the acknowledgement point. `put`, `delete` and `write_batch` are all
     /// thin wrappers over this.
-    ///
-    /// The apply pass stable-sorts the batch and hands contiguous whole-key
-    /// ranges to each worker, so duplicate keys keep their occurrence order
-    /// while distinct keys spread across the executor's workers; cross-batch
-    /// races on a hash chain are resolved by the index CAS exactly as for
-    /// concurrent callers.
     fn commit_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
         debug_assert_eq!(keys.len(), entries.len());
         if keys.is_empty() {
@@ -584,23 +617,19 @@ impl FasterKv {
                 .collect();
             self.wal_append_group(&payloads)?;
         }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-        let applied = self.run_sorted_ranges(keys, &order, |range| -> StorageResult<()> {
-            for &i in range {
-                match entries[i] {
-                    Some(v) => self.put_value(keys[i], v)?,
-                    None => {
-                        self.delete_value(keys[i])?;
-                    }
-                }
-            }
-            Ok(())
-        });
-        for result in applied {
-            result?;
-        }
+        self.apply_entries(keys, entries)?;
         self.wal_commit()
+    }
+
+    /// The apply pass of [`FasterKv::commit_entries`], also what replays a WAL
+    /// generation on open: whole-key ranges spread across the executor's
+    /// workers; cross-batch races on a hash chain are resolved by the index
+    /// CAS exactly as for concurrent callers. The first failing range (in
+    /// range order) is surfaced.
+    fn apply_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
+        self.run_sorted_ranges(keys, |range| self.apply_sorted_range(keys, range, entries))
+            .into_iter()
+            .collect()
     }
 
     /// Checkpoint the store into its configured directory.
@@ -649,34 +678,15 @@ impl KvStore for FasterKv {
 
     fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
         let _guard = self.epoch.acquire();
-        match self.find(key)? {
-            Some((_, record, source)) if !record.is_tombstone() => {
-                match source {
-                    ReadSource::Disk => self.metrics.record_disk_read(record.value.len() as u64),
-                    _ => self.metrics.record_mem_hit(),
-                }
-                Ok(ReadResult {
-                    value: record.value,
-                    source,
-                })
-            }
-            _ => {
-                self.metrics.record_miss();
-                Err(StorageError::KeyNotFound)
-            }
-        }
+        self.read_outcome(self.resolve_key(key))
     }
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
         // Keys are visited in sorted order so duplicate keys walk their hash
-        // chain only once. The sorted order is split into contiguous key
-        // ranges — one for a batch the executor runs inline — and each range
-        // pays one epoch enter/exit (the dominant fixed cost of a point read).
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by_key(|&i| keys[i]);
+        // chain only once, and each range pays one epoch enter/exit (the
+        // dominant fixed cost of a point read).
         let mut out: Vec<Option<StorageResult<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        let ranges =
-            self.run_sorted_ranges(keys, &order, |range| self.read_sorted_range(keys, range));
+        let ranges = self.run_sorted_ranges(keys, |range| self.read_sorted_range(keys, range));
         for (i, result) in ranges.into_iter().flatten() {
             out[i] = Some(result);
         }
@@ -696,23 +706,16 @@ impl KvStore for FasterKv {
 
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         let _writers = self.writer_gate.read();
-        // A stable sort groups duplicate keys while keeping their occurrence
-        // order, so each occurrence observes the previous one's write. The
-        // sorted order is split into contiguous key ranges (whole keys per
-        // range, so per-key write ordering is untouched; one range for a
-        // batch the executor runs inline), one epoch enter/exit per range.
-        // Cross-key hash-chain collisions are resolved by the index CAS
-        // exactly as for concurrent callers.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
+        // Whole keys per range, occurrences in order, so each occurrence
+        // observes the previous one's write. Cross-key hash-chain collisions
+        // are resolved by the index CAS exactly as for concurrent callers.
         let mut out = vec![Vec::new(); keys.len()];
-        let ranges =
-            self.run_sorted_ranges(keys, &order, |range| self.rmw_sorted_range(keys, range, f));
+        let ranges = self.run_sorted_ranges(keys, |range| self.rmw_sorted_range(keys, range, f));
         // Every range runs to completion before the first error (in range
-        // order) is surfaced: a range stops at its failing key, the other
-        // ranges' writes still land. A failed batch leaves partial state (rmw
-        // failures here are I/O-level); only successful batches carry the
-        // byte-identical-across-parallelism guarantee.
+        // order) is surfaced: a range whose resolve fails modifies nothing,
+        // the other ranges' writes still land. A failed batch leaves partial
+        // state (rmw failures here are I/O-level); only successful batches
+        // carry the byte-identical-across-parallelism guarantee.
         for pairs in ranges {
             for (i, value) in pairs? {
                 out[i] = value;
@@ -736,10 +739,9 @@ impl KvStore for FasterKv {
     }
 
     fn exists(&self, key: Key) -> StorageResult<bool> {
-        // Hash-index probe + chain walk without constructing a ReadResult or
-        // touching the read metrics.
+        // A resolve without touching the read metrics.
         let _guard = self.epoch.acquire();
-        Ok(matches!(self.find(key)?, Some((_, r, _)) if !r.is_tombstone()))
+        Ok(self.resolve_key(key)?.is_some_and(|f| f.is_live()))
     }
 
     fn write_batch(&self, batch: &mlkv_storage::WriteBatch) -> StorageResult<()> {
@@ -760,55 +762,49 @@ impl KvStore for FasterKv {
     }
 
     fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
-        // One epoch enter/exit covers the whole look-ahead batch (the per-key
-        // path paid it per call). Phase 1 walks each distinct key's chain once
-        // and keeps only live disk-resident records; phase 2 copies them to
-        // the tail in log-address order, so the appends (and the flushes they
-        // trigger) follow the on-device layout instead of request order. Each
-        // copy installs only if its chain head is still the one observed in
-        // phase 1: a key written concurrently (the batch holds values across
-        // its whole run) keeps the writer's value and the promotion is
-        // dropped — it was only a hint.
+        // One epoch enter/exit and one resolve cover the whole look-ahead
+        // batch. Phase 1 keeps only live disk-resident records; phase 2 copies
+        // them to the tail in log-address order, so the appends (and the
+        // flushes they trigger) follow the on-device layout instead of
+        // request order. Each copy installs only if its chain head is still
+        // the one phase 1 walked from: a key written concurrently (the batch
+        // holds values across its whole run) keeps the writer's value and the
+        // promotion is dropped — it was only a hint.
         let _guard = self.epoch.acquire();
         let mut unique: Vec<Key> = keys.to_vec();
         unique.sort_unstable();
         unique.dedup();
-        let mut candidates: Vec<(Address, Key, Vec<u8>, Address)> = Vec::new();
-        for key in unique {
-            let head = self.index.head(key);
-            match self.find_from(head, key)? {
-                Some((addr, record, ReadSource::Disk)) if !record.is_tombstone() => {
-                    candidates.push((addr, key, record.value, head));
+        let order: Vec<usize> = (0..unique.len()).collect();
+        let mut candidates: Vec<(Found, Key, Address)> = Vec::new();
+        for resolution in self.resolve_sorted_range(&unique, &order) {
+            match resolution.outcome {
+                Ok(Some(found)) if found.is_live() && found.source == ReadSource::Disk => {
+                    candidates.push((found, resolution.key, resolution.head));
                 }
-                _ => {
-                    // Already memory-resident, tombstoned, or absent: the paper
-                    // explicitly skips these to avoid extra flushed pages.
-                    self.metrics.record_prefetch_skip();
-                }
+                // Already memory-resident, tombstoned or absent (the paper
+                // explicitly skips these to avoid extra flushed pages) — or
+                // unreadable right now, which costs this key its hint and the
+                // rest of the batch nothing.
+                _ => self.metrics.record_prefetch_skip(),
             }
         }
-        candidates.sort_unstable_by_key(|(addr, _, _, _)| *addr);
+        candidates.sort_unstable_by_key(|(found, _, _)| found.addr);
         let mut promoted = 0;
-        for (addr, key, value, mut head) in candidates {
+        for (found, key, mut head) in candidates {
             // The bucket head may have moved since phase 1 — most commonly
             // because an earlier promotion in *this very batch* shares the
-            // hash bucket. That is not a conflict on this key: re-walk from
-            // the current head, and as long as `addr` is still the key's
-            // newest record (no writer replaced it), retry the install
-            // against the fresh head. Only a genuine write to the key drops
-            // its promotion.
+            // hash bucket. That is not a conflict on this key: as long as no
+            // record pushed since is for the key, retry the install against
+            // the fresh head. Only a genuine write to the key drops its
+            // promotion.
             loop {
                 let current = self.index.head(key);
-                if current != head {
-                    match self.find_from(current, key)? {
-                        Some((newest, _, _)) if newest == addr => head = current,
-                        _ => {
-                            self.metrics.record_prefetch_skip();
-                            break;
-                        }
-                    }
+                if current != head && !self.chain_grew_without(key, current, head) {
+                    self.metrics.record_prefetch_skip();
+                    break;
                 }
-                if self.try_install_promotion(key, value.clone(), head)? {
+                head = current;
+                if self.try_install(Record::new(key, found.record.value.clone(), head))? {
                     self.metrics.record_prefetch_copy();
                     promoted += 1;
                     break;
@@ -1119,12 +1115,15 @@ mod tests {
         }
         // Replay the race deterministically: a promoter reads key 0's cold
         // value and chain head, then a writer lands before the install.
-        let head = store.index.head(0);
-        let (_, record, source) = store.find(0).unwrap().unwrap();
+        let resolution = store.resolve_sorted_range(&[0], &[0]).pop().unwrap();
+        let found = resolution.outcome.unwrap().unwrap();
+        let (value, source) = (found.record.value, found.source);
         assert_eq!(source, ReadSource::Disk);
         store.put(0, &[9u8; 64]).unwrap();
         assert!(
-            !store.try_install_promotion(0, record.value, head).unwrap(),
+            !store
+                .try_install(Record::new(0, value, resolution.head))
+                .unwrap(),
             "stale promotion must lose the head CAS"
         );
         assert_eq!(store.get(0).unwrap(), vec![9u8; 64], "update survived");

@@ -15,14 +15,14 @@ use crate::error::StorageResult;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
     /// Blocking reads: every merged range is a synchronous `pread` on the
-    /// issuing worker (the pre-submission-queue behaviour, and the default).
-    #[default]
+    /// issuing worker (the pre-submission-queue behaviour).
     Sync,
-    /// Submission-queue reads: batches are submitted via
+    /// Submission-queue reads (the default): batches are submitted via
     /// [`crate::Device::submit_reads`] and completed asynchronously (an
     /// [`crate::IoRing`] poller for real devices, a virtual clock for the
     /// simulated one), so merged reads overlap each other and workers park on
     /// completions instead of blocking in `pread`.
+    #[default]
     Async,
 }
 
@@ -180,9 +180,9 @@ pub struct StoreConfig {
     /// trade wasted transfer bytes for fewer round trips; the default (4 KiB)
     /// merges anything within a typical flash page.
     pub io_gap_bytes: usize,
-    /// How cold-path batch reads reach the device: blocking `pread`s
-    /// ([`IoBackend::Sync`], the default) or submission-queue reads completed
-    /// asynchronously ([`IoBackend::Async`]).
+    /// How cold-path batch reads reach the device: submission-queue reads
+    /// completed asynchronously ([`IoBackend::Async`], the default) or
+    /// blocking `pread`s ([`IoBackend::Sync`]).
     pub io_backend: IoBackend,
     /// Submission-queue depth of the async I/O backend. The two completion
     /// engines apply it at different granularities: an [`crate::IoRing`]
@@ -228,7 +228,7 @@ impl Default for StoreConfig {
             simulated_read_latency: Duration::ZERO,
             simulated_read_bytes_per_sec: 0,
             io_gap_bytes: DEFAULT_IO_GAP_BYTES,
-            io_backend: IoBackend::Sync,
+            io_backend: IoBackend::Async,
             io_queue_depth: DEFAULT_IO_QUEUE_DEPTH,
             durability: DurabilityMode::None,
             device_factory: None,
@@ -558,10 +558,10 @@ mod tests {
     #[test]
     fn io_backend_knobs_default_and_compose() {
         let cfg = StoreConfig::default();
-        assert_eq!(cfg.io_backend, IoBackend::Sync);
-        assert_eq!(cfg.io_queue_depth, DEFAULT_IO_QUEUE_DEPTH);
-        let cfg = cfg.with_io_backend(IoBackend::Async).with_io_queue_depth(0);
         assert_eq!(cfg.io_backend, IoBackend::Async);
+        assert_eq!(cfg.io_queue_depth, DEFAULT_IO_QUEUE_DEPTH);
+        let cfg = cfg.with_io_backend(IoBackend::Sync).with_io_queue_depth(0);
+        assert_eq!(cfg.io_backend, IoBackend::Sync);
         assert_eq!(cfg.io_queue_depth, 1, "depth clamps to at least one slot");
         assert_eq!(IoBackend::parse("Async"), Some(IoBackend::Async));
         assert_eq!(IoBackend::parse(" sync "), Some(IoBackend::Sync));
@@ -571,11 +571,11 @@ mod tests {
 
     #[test]
     fn env_overrides_apply_only_when_parsable() {
-        let cfg = StoreConfig::default().apply_overrides(Some("async"), Some("4"), None);
-        assert_eq!(cfg.io_backend, IoBackend::Async);
+        let cfg = StoreConfig::default().apply_overrides(Some("sync"), Some("4"), None);
+        assert_eq!(cfg.io_backend, IoBackend::Sync);
         assert_eq!(cfg.parallelism, 4);
         let cfg = StoreConfig::default().apply_overrides(Some("bogus"), Some("not-a-number"), None);
-        assert_eq!(cfg.io_backend, IoBackend::Sync);
+        assert_eq!(cfg.io_backend, IoBackend::Async);
         assert_eq!(cfg.parallelism, 0);
         let cfg = StoreConfig::default()
             .with_parallelism(2)

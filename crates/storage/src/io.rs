@@ -519,8 +519,8 @@ mod tests {
         let cfg = crate::StoreConfig::in_memory().with_io_gap_bytes(123);
         let planner = IoPlanner::from_config(&cfg);
         assert_eq!(planner.gap_bytes, 123);
-        assert_eq!(planner.backend(), IoBackend::Sync);
-        let cfg = crate::StoreConfig::in_memory().with_io_backend(IoBackend::Async);
-        assert_eq!(IoPlanner::from_config(&cfg).backend(), IoBackend::Async);
+        assert_eq!(planner.backend(), IoBackend::Async);
+        let cfg = crate::StoreConfig::in_memory().with_io_backend(IoBackend::Sync);
+        assert_eq!(IoPlanner::from_config(&cfg).backend(), IoBackend::Sync);
     }
 }

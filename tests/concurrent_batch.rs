@@ -550,3 +550,187 @@ fn wal_ships_one_group_per_acked_batch_in_commit_order() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// A cold FASTER store whose hash chains are several records deep, so every
+/// batch below crosses the resolver's multi-round device walk.
+fn deep_chain_config(parallelism: usize) -> StoreConfig {
+    store_config(parallelism)
+        .with_memory_budget(8 << 10)
+        .with_page_size(1 << 10)
+        .with_index_buckets(64)
+}
+
+/// The paths that ride the batched resolver — `multi_rmw` with duplicate
+/// keys, `write_batch` with duplicate keys, `delete`, `exists`,
+/// `approximate_len`, and the WAL replay on reopen (one batch holding a key's
+/// put / delete / put in occurrence order) — against a per-key loop on a
+/// serial `MemStore`, over cold chains ≥ 3 records deep, on both sides of the
+/// executor cutoff.
+#[test]
+fn faster_resolver_paths_match_a_per_key_loop_over_deep_cold_chains() {
+    use mlkv_storage::{MemStore, WriteBatch};
+
+    const SPACE: u64 = 1500;
+    let append = |i: usize, cur: Option<&[u8]>| -> Vec<u8> {
+        let mut v = cur.map(<[u8]>::to_vec).unwrap_or_default();
+        v.push(i as u8);
+        v
+    };
+    for parallelism in [1usize, 2, 8] {
+        let dir = temp_dir(&format!("resolver-{parallelism}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut config = deep_chain_config(parallelism)
+            .with_durability(DurabilityMode::GroupCommit { window: 1 << 20 });
+        config.dir = Some(dir.clone());
+        let store = open_store(BackendKind::Faster, config.clone()).unwrap();
+        let model = MemStore::with_shards_and_parallelism(1, 1);
+        let check = |store: &Arc<dyn KvStore>, what: &str| {
+            let cell = format!("parallelism {parallelism}, after {what}");
+            assert_eq!(store.approximate_len(), model.approximate_len(), "{cell}");
+            // Live, tombstoned and never-written keys alike.
+            for k in (0..SPACE + 8).step_by(7) {
+                assert_eq!(
+                    store.exists(k).unwrap(),
+                    model.exists(k).unwrap(),
+                    "{cell}: {k}"
+                );
+                assert_eq!(store.get(k).ok(), model.get(k).ok(), "{cell}: key {k}");
+            }
+        };
+        // ~23 records per chain, nearly all of them on the device.
+        for k in 0..SPACE {
+            store.put(k, &[k as u8; 8]).unwrap();
+            model.put(k, &[k as u8; 8]).unwrap();
+        }
+        for (round, n) in [1usize, 255, 257, 1024].into_iter().enumerate() {
+            // Every key occurs about twice per batch.
+            let distinct = n as u64 / 2 + 1;
+            let keys: Vec<u64> = (0..n as u64)
+                .map(|i| (i * 7 + 3) % distinct * 5 % SPACE)
+                .collect();
+
+            let got = store.multi_rmw(&keys, &append).unwrap();
+            let want: Vec<Vec<u8>> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| model.rmw(k, &|cur| append(i, cur)).unwrap())
+                .collect();
+            assert_eq!(got, want, "parallelism {parallelism}: multi_rmw of {n}");
+            check(&store, &format!("multi_rmw of {n}"));
+
+            // Deletes of live, already-deleted and never-written keys.
+            for &k in keys.iter().step_by(3).chain(&[SPACE + 1]) {
+                store.delete(k).unwrap();
+                model.delete(k).unwrap();
+                store.delete(k).unwrap();
+            }
+            check(&store, &format!("deletes of {n}"));
+
+            // write_batch: a key's last occurrence wins, over live and
+            // tombstoned keys.
+            let mut batch = WriteBatch::new();
+            for (i, &k) in keys.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+                let value = vec![round as u8, i as u8, (i >> 8) as u8];
+                model.put(k, &value).unwrap();
+                batch.put(k, value);
+            }
+            store.write_batch(&batch).unwrap();
+            check(&store, &format!("write_batch of {n}"));
+        }
+        // Reopen without a checkpoint: the WAL replays as one batch through
+        // the same apply pass, each key's puts and deletes in order.
+        drop(store);
+        let reopened = open_store(BackendKind::Faster, config).unwrap();
+        check(&reopened, "reopen");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The resolve→install window of a promotion is a whole look-ahead batch
+/// wide: a prefetcher looping `multi_promote` over the very keys a trainer is
+/// `apply_gradients`-ing must never reinstall a value the trainer already
+/// replaced. The end state is byte-identical to the same program applied
+/// with no prefetcher.
+#[test]
+fn promoter_racing_apply_gradients_ends_byte_identical_to_the_serial_shadow() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let keys: Vec<u64> = (0..2048).collect();
+    let rounds = 12u8;
+    // A window of a few hundred rows over 2048: most updates and most hints
+    // find their key on the device.
+    let config = || deep_chain_config(2).with_memory_budget(32 << 10);
+    let table_over = |store: Arc<dyn KvStore>| {
+        EmbeddingTable::builder(store)
+            .dim(DIM)
+            .staleness_bound(u32::MAX)
+            .parallelism(2)
+            .build()
+            .unwrap()
+    };
+    let train = |table: &EmbeddingTable| {
+        for round in 0..rounds {
+            let grad = vec![0.125f32 * (round + 1) as f32; DIM];
+            // A different half of the key space each round, so keys fall out
+            // of the in-memory window between their updates.
+            let updates: Vec<(u64, &[f32])> = keys
+                .iter()
+                .filter(|&&k| k % 2 == u64::from(round) % 2)
+                .map(|k| (*k, grad.as_slice()))
+                .collect();
+            table.apply_gradients(&updates, 0.1).unwrap();
+        }
+    };
+    let shadow = table_over(open_store(BackendKind::Faster, config()).unwrap());
+    train(&shadow);
+
+    let raced = Arc::new(table_over(
+        open_store(BackendKind::Faster, config()).unwrap(),
+    ));
+    let start = Arc::new(Barrier::new(2));
+    let done = Arc::new(AtomicBool::new(false));
+    let promoter = {
+        let (raced, start, done, keys) = (
+            Arc::clone(&raced),
+            Arc::clone(&start),
+            Arc::clone(&done),
+            keys.clone(),
+        );
+        std::thread::spawn(move || {
+            start.wait();
+            let mut promoted = 0;
+            // Look-ahead-sized hints, cycling over the trainer's key space.
+            for hint in keys.chunks(64).cycle() {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                promoted += raced.store().multi_promote(hint).unwrap();
+            }
+            promoted
+        })
+    };
+    start.wait();
+    train(&raced);
+    done.store(true, Ordering::SeqCst);
+    let promoted = promoter.join().unwrap();
+    assert!(
+        promoted > 0,
+        "the prefetcher must have raced real promotions"
+    );
+
+    let want = shadow.store().multi_get(&keys);
+    let got = raced.store().multi_get(&keys);
+    for (k, (a, b)) in keys.iter().zip(want.iter().zip(&got)) {
+        assert_eq!(
+            a.as_ref().unwrap(),
+            b.as_ref().unwrap(),
+            "key {k} diverged from the serial shadow"
+        );
+    }
+    assert_eq!(
+        raced.store().approximate_len(),
+        shadow.store().approximate_len()
+    );
+}

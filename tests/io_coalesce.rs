@@ -12,7 +12,8 @@ use proptest::prelude::*;
 
 use mlkv::{open_store, BackendKind};
 use mlkv_storage::{
-    Device, FileDevice, IoBackend, IoPlanner, MemDevice, ReadReq, SimLatencyDevice, StoreConfig,
+    Device, FailingDevice, FileDevice, IoBackend, IoPlanner, MemDevice, ReadReq, SimLatencyDevice,
+    StoreConfig,
 };
 
 /// Base configuration of every cold-path equality test, with the CI matrix's
@@ -311,5 +312,100 @@ fn faster_cold_batch_results_survive_spills_and_large_values() {
     let keys: Vec<u64> = (0..1024u64).map(|i| (i * 13) % 450).collect();
     for (key, x) in keys.iter().zip(store.multi_get(&keys)) {
         assert_eq!(x.ok(), store.get(*key).ok(), "key {key}");
+    }
+}
+
+/// Cold batches cost submissions, not keys: a 1024-key cold `multi_rmw`,
+/// `write_batch` and `multi_promote` on FASTER each reach the device a few
+/// times per chain depth per planned range — never once per key — under both
+/// read backends. "A few" is two: the resolver submits a round's scatter
+/// before it harvests the previous one, so a range's cursors travel as two
+/// alternating cohorts (chains whose head was already on the device, and
+/// chains that left the in-memory window during the first walk), each making
+/// one submission per record it hops over.
+#[test]
+fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
+    use mlkv_faster::{FasterKv, HashIndex};
+    use mlkv_storage::{DeviceFactory, KvStore, WriteBatch};
+
+    const KEYS: u64 = 4096;
+    const BATCH: u64 = 1024;
+    const BUCKETS: usize = 1 << 10;
+    const WORKERS: usize = 2;
+    // A bucket's chain holds one record per populated key hashing to it, plus
+    // one per batch key once the batch's own appends land (a range resolving
+    // while its sibling range writes walks over those too).
+    let index = HashIndex::new(BUCKETS);
+    let mut per_bucket = vec![0u64; index.bucket_count()];
+    for k in (0..KEYS).chain(0..BATCH) {
+        per_bucket[index.bucket_of(k)] += 1;
+    }
+    let max_depth = per_bucket.into_iter().max().unwrap();
+    assert!(max_depth >= 3, "chains must be several records deep");
+
+    let batch_keys: Vec<u64> = (0..BATCH).collect();
+    type Op = fn(&FasterKv, &[u64]);
+    let ops: [(&str, u64, Op); 3] = [
+        ("multi_rmw", WORKERS as u64, |store, keys| {
+            let bump = |_: usize, cur: Option<&[u8]>| cur.unwrap().iter().map(|b| b + 1).collect();
+            store.multi_rmw(keys, &bump).unwrap();
+        }),
+        ("write_batch", WORKERS as u64, |store, keys| {
+            let mut batch = WriteBatch::new();
+            for &k in keys {
+                batch.put(k, vec![7u8; 24]);
+            }
+            store.write_batch(&batch).unwrap();
+        }),
+        ("multi_promote", 1, |store, keys| {
+            assert!(store.multi_promote(keys).unwrap() > 0);
+        }),
+    ];
+    for io_backend in [IoBackend::Sync, IoBackend::Async] {
+        for (name, ranges, op) in &ops {
+            // A healthy `FailingDevice` is the call counter: it counts every
+            // `read_at`, `read_scatter` and `submit_reads` that reaches it.
+            let device = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+            let factory = {
+                let device = Arc::clone(&device);
+                DeviceFactory::new(move |_| Ok(Arc::clone(&device) as Arc<dyn Device>))
+            };
+            let store = FasterKv::open(
+                StoreConfig::in_memory()
+                    .with_device_factory(factory)
+                    .with_memory_budget(16 << 10)
+                    .with_page_size(2 << 10)
+                    .with_index_buckets(BUCKETS)
+                    // Every round's scatter merges into one run, so a round
+                    // is one device call on either backend.
+                    .with_io_gap_bytes(1 << 20)
+                    .with_parallelism(WORKERS)
+                    .with_io_backend(io_backend),
+            )
+            .unwrap();
+            for k in 0..KEYS {
+                store.put(k, &[(k % 251) as u8; 24]).unwrap();
+            }
+            for &k in &batch_keys {
+                let source = store.get_traced(k).unwrap().source;
+                assert_eq!(
+                    source,
+                    mlkv_storage::kv::ReadSource::Disk,
+                    "key {k} must be cold"
+                );
+            }
+
+            let before = device.reads();
+            op(&store, &batch_keys);
+            let reads = device.reads() - before;
+            let cell = format!("{name} under {io_backend}");
+            assert!(reads > 0, "{cell}: the batch must reach the device");
+            assert!(
+                reads <= 2 * max_depth * ranges,
+                "{cell}: {reads} device read calls for {BATCH} cold keys; at most {} (chain \
+                 depth {max_depth}, {ranges} ranges)",
+                2 * max_depth * ranges
+            );
+        }
     }
 }

@@ -308,3 +308,102 @@ fn faster_failed_wal_write_rejects_the_put() {
     assert_eq!(store.get(2).unwrap(), b"two");
     assert_eq!(store.get(1).unwrap(), b"one");
 }
+
+/// A FASTER store over one [`FailingDevice`], mostly cold, with hash chains
+/// deep enough that a cold resolve needs several device rounds (each round is
+/// one read operation on either backend: the gap threshold merges it into a
+/// single run). Returns the injection handle, the store and its cold keys.
+fn cold_faulty_faster() -> (Arc<FailingDevice>, mlkv_faster::FasterKv, Vec<u64>) {
+    use mlkv_storage::KvStore;
+
+    let (handles, factory) = failing_factory();
+    let store = mlkv_faster::FasterKv::open(
+        mlkv_storage::StoreConfig::in_memory()
+            .apply_env_overrides()
+            .with_device_factory(factory)
+            .with_memory_budget(8 << 10)
+            .with_page_size(1 << 10)
+            .with_index_buckets(64)
+            .with_io_gap_bytes(1 << 20)
+            .with_parallelism(1),
+    )
+    .unwrap();
+    // Newest key first in every chain: a key-ordered per-key walk would meet
+    // the cheapest cold keys first and the deepest last.
+    for k in (0..1000u64).rev() {
+        store.put(k, &[(k % 251) as u8; 32]).unwrap();
+    }
+    // Every device-resident key: the ones just past the in-memory window
+    // resolve in the first device round, the older ones need more.
+    let cold: Vec<u64> = (0..1000u64)
+        .filter(|&k| store.get_traced(k).unwrap().source == mlkv_storage::kv::ReadSource::Disk)
+        .collect();
+    assert!(cold.len() > 500, "most of the store must be cold");
+    let failing = Arc::clone(handles.lock().unwrap().get("hlog.dat").expect("log device"));
+    (failing, store, cold)
+}
+
+/// A look-ahead hint never fails its batch: a read fault in the middle of a
+/// `multi_promote` resolve costs the unresolved keys their hint, and the keys
+/// resolved before the fault still promote.
+#[test]
+fn faster_read_fault_mid_promote_skips_only_the_unresolved_keys() {
+    use mlkv_storage::kv::{KvStore, ReadSource};
+
+    let (failing, store, cold) = cold_faulty_faster();
+    let before = store.metrics().snapshot();
+    // The first device round completes; every later read fails.
+    failing.fail_after(1);
+    let promoted = store
+        .multi_promote(&cold)
+        .expect("a hint never fails its batch");
+    failing.heal();
+    assert!(
+        0 < promoted && promoted < cold.len(),
+        "{promoted} of {} promoted: the first round's keys, not the later rounds'",
+        cold.len()
+    );
+    let after = store.metrics().snapshot();
+    assert_eq!(
+        after.prefetch_copies - before.prefetch_copies,
+        promoted as u64
+    );
+    assert_eq!(
+        after.prefetch_skips - before.prefetch_skips,
+        (cold.len() - promoted) as u64,
+        "every unresolved key is a skipped hint"
+    );
+    let resident = cold
+        .iter()
+        .filter(|&&k| store.get_traced(k).unwrap().source != ReadSource::Disk)
+        .count();
+    assert_eq!(
+        resident, promoted,
+        "exactly the promoted keys left the device"
+    );
+    for &k in &cold {
+        assert_eq!(store.get(k).unwrap(), vec![(k % 251) as u8; 32], "key {k}");
+    }
+}
+
+/// Resolve precedes mutation: a read fault while a `multi_rmw` range resolves
+/// fails the batch with no key of that range modified.
+#[test]
+fn faster_read_fault_during_rmw_resolve_modifies_nothing() {
+    use mlkv_storage::KvStore;
+
+    let (failing, store, cold) = cold_faulty_faster();
+    let len_before = store.approximate_len();
+    // Three device rounds resolve the shallowest keys; the fourth faults.
+    failing.fail_after(3);
+    let result = store.multi_rmw(&cold, &|_, _| vec![0xEE; 32]);
+    failing.heal();
+    assert!(result.is_err(), "the resolve fault surfaces");
+    for (&k, got) in cold.iter().zip(store.multi_get(&cold)) {
+        assert_eq!(got.unwrap(), vec![(k % 251) as u8; 32], "key {k} modified");
+    }
+    assert_eq!(store.approximate_len(), len_before);
+    // The healed store applies the same batch.
+    store.multi_rmw(&cold, &|_, _| vec![0xEE; 32]).unwrap();
+    assert_eq!(store.get(cold[0]).unwrap(), vec![0xEE; 32]);
+}
