@@ -130,11 +130,17 @@ impl ShardedMemTable {
         self.shards[idx].lock()
     }
 
-    /// Lock the shards named by `idxs` (must be sorted ascending and unique —
-    /// the fixed acquisition order that keeps concurrent batches deadlock-free).
-    pub fn lock_shards(&self, idxs: &[usize]) -> Vec<MutexGuard<'_, MemTable>> {
-        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]));
-        idxs.iter().map(|&i| self.shards[i].lock()).collect()
+    /// Lock every shard a batch of `keys` touches, each paired with the batch
+    /// positions that hash to it (in input order). Shards are locked in
+    /// ascending index order — the fixed acquisition order that keeps
+    /// concurrent batches deadlock-free.
+    pub fn lock_batch(&self, keys: &[u64]) -> Vec<(MutexGuard<'_, MemTable>, Vec<usize>)> {
+        self.positions_by_shard(keys)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(idx, positions)| (self.shards[idx].lock(), positions))
+            .collect()
     }
 
     /// Group the positions of `keys` by shard, preserving input order within
@@ -151,6 +157,11 @@ impl ShardedMemTable {
     /// `None` = not present at all; `Some(None)` = tombstoned.
     pub fn get(&self, key: u64) -> Option<Entry> {
         self.shards[self.shard_of(key)].lock().get(key).cloned()
+    }
+
+    /// True when the memtable holds an entry (live or tombstone) for `key`.
+    pub fn contains(&self, key: u64) -> bool {
+        self.shards[self.shard_of(key)].lock().get(key).is_some()
     }
 
     /// Total approximate heap usage across all shards (the shared budget).
@@ -278,6 +289,8 @@ mod tests {
         assert_eq!(mt.get(5), Some(None), "restore keeps tombstones");
         assert_eq!(mt.get(9), Some(Some(vec![9])));
         assert_eq!(mt.get(100), None);
+        assert!(mt.contains(5), "a tombstone is an entry");
+        assert!(!mt.contains(100));
     }
 
     #[test]
@@ -297,6 +310,13 @@ mod tests {
             .filter(|&i| keys[i] == 5)
             .collect();
         assert_eq!(dup_positions, vec![0, 3, 5]);
+        // lock_batch pairs each touched shard, ascending, with its group.
+        let locked = mt.lock_batch(&keys);
+        let touched: Vec<&Vec<usize>> = groups.iter().filter(|g| !g.is_empty()).collect();
+        assert_eq!(locked.len(), touched.len());
+        for ((_, positions), want) in locked.iter().zip(touched) {
+            assert_eq!(positions, want);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The LSM store tying memtable, WAL, SSTables, block cache and compaction
 //! together behind the [`KvStore`] interface.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +22,19 @@ use crate::wal::WriteAheadLog;
 /// Number of SSTables tolerated before a full compaction is triggered.
 const COMPACTION_THRESHOLD: usize = 6;
 
+/// Who an SSTable probe reads for — the read-counter rule.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// A user read: counts as a lookup (`mem_hits` / `misses` / disk reads)
+    /// and copies what it resolves into the block cache.
+    Lookup,
+    /// A writer reading the value it is about to replace: only the device
+    /// reads are accounted (as background reads, by the table layer), so a
+    /// writer never moves `lookups` / `mem_hits` / `misses`, and nothing is
+    /// cached — the batch's own apply invalidates the key right after.
+    Write,
+}
+
 struct Inner {
     memtable: ShardedMemTable,
     /// All SSTables, oldest first.
@@ -36,9 +50,11 @@ struct Inner {
 /// batches touching disjoint shards commit concurrently. Each batch stages its
 /// values under its shard locks, then one grouped WAL append + one
 /// group-commit ack cover the whole batch (shard workers stage, the calling
-/// thread is the single committer). Flushes take the structural lock
-/// exclusively, draining every shard into one SSTable pass, so SST/WAL
-/// rotation ordering is identical to the single-shard engine.
+/// thread is the single committer). No batch path reads the device while it
+/// holds a shard lock: `multi_rmw` resolves its cold keys before it locks.
+/// Flushes take the structural lock exclusively, draining every shard into
+/// one SSTable pass, so SST/WAL rotation ordering is identical to the
+/// single-shard engine.
 pub struct LsmStore {
     config: StoreConfig,
     metrics: Arc<StorageMetrics>,
@@ -186,6 +202,15 @@ impl LsmStore {
             }
         };
         inner.tables.push(table);
+        // A reader that missed the memtable may have cached a key's older
+        // table value after a concurrent write invalidated it; the memtable
+        // shadowed that entry until now. Drop every drained key's entry so no
+        // cached value outlives the flush that made it stale (`multi_rmw`
+        // trusts the cache). No reader is mid-insert: the structural lock is
+        // held exclusively.
+        for (key, _) in &entries {
+            self.block_cache.invalidate(*key);
+        }
         // Rotate the WAL: recovered state now lives in the SSTable.
         inner.wal_gen += 1;
         if let Some(dir) = &self.config.dir {
@@ -251,22 +276,51 @@ impl LsmStore {
         Ok(None)
     }
 
+    /// Resolve `positions` of `keys` against the SSTables through the
+    /// executor — the one grouped probe every batch read shares: the
+    /// positions sorted by key, split into contiguous whole-key ranges (one
+    /// per planned worker), each range one job sweeping the tables newest
+    /// first ([`LsmStore::probe_tables`]). Returns `(position, result)` pairs
+    /// in no particular order. The caller holds the structural lock, so
+    /// `tables` cannot change underneath the probes.
+    fn probe_batch(
+        &self,
+        tables: &[SsTable],
+        keys: &[Key],
+        mut positions: Vec<usize>,
+        probe: Probe,
+    ) -> impl Iterator<Item = (usize, StorageResult<Vec<u8>>)> {
+        positions.sort_unstable_by_key(|&i| keys[i]);
+        let workers = self.executor.planned_workers(positions.len());
+        let jobs: Vec<_> = split_sorted(&positions, keys, workers)
+            .into_iter()
+            .map(|range| move || self.probe_tables(tables, keys, range.to_vec(), probe))
+            .collect();
+        self.executor
+            .execute(jobs, positions.len())
+            .into_iter()
+            .flatten()
+    }
+
     /// Resolve a set of batch positions against the SSTables: one pass per
     /// table (newest first), each table's bloom filter rejecting absent keys
     /// before any device read and every admitted key of the pass fetched with
-    /// **one** coalesced scatter ([`SsTable::submit_get_many`]). Resolved
-    /// values are copied into the block cache, exactly like the point-read
-    /// path. The passes are pipelined: as soon as a pass's results are
-    /// classified, the next table's scatter is submitted, and the resolved
-    /// values' bookkeeping (cache inserts, metrics) runs while that scatter
-    /// is in flight. Returns `(original position, result)` pairs; positions
-    /// that no table holds come back as misses.
+    /// **one** coalesced scatter ([`SsTable::submit_get_many`]). A
+    /// [`Probe::Lookup`] copies resolved values into the block cache, exactly
+    /// like the point-read path, and counts its hits and misses. The passes
+    /// are pipelined: as soon as a pass's results are classified, the next
+    /// table's scatter is submitted, and the resolved values' bookkeeping
+    /// (cache inserts, metrics) runs while that scatter is in flight. Returns
+    /// `(original position, result)` pairs; positions that no table holds
+    /// come back as not-found.
     fn probe_tables(
         &self,
         tables: &[SsTable],
         keys: &[Key],
         mut unresolved: Vec<usize>,
+        probe: Probe,
     ) -> Vec<(usize, StorageResult<Vec<u8>>)> {
+        let lookup = probe == Probe::Lookup;
         fn submit<'t>(
             table: &'t SsTable,
             keys: &[Key],
@@ -295,7 +349,9 @@ impl LsmStore {
                 match result {
                     Ok(Some(Some(v))) => hits.push((i, v)),
                     Ok(Some(None)) => {
-                        self.metrics.record_miss();
+                        if lookup {
+                            self.metrics.record_miss();
+                        }
                         out.push((i, Err(StorageError::KeyNotFound)));
                     }
                     Ok(None) => still.push(i),
@@ -312,16 +368,53 @@ impl LsmStore {
             };
             // This pass's bookkeeping overlaps the next pass's scatter.
             for (i, v) in hits {
-                self.metrics.record_disk_read(v.len() as u64);
-                self.block_cache.insert(keys[i], v.clone());
+                if lookup {
+                    self.metrics.record_disk_read(v.len() as u64);
+                    self.block_cache.insert(keys[i], v.clone());
+                }
                 out.push((i, Ok(v)));
             }
         }
         for i in unresolved {
-            self.metrics.record_miss();
+            if lookup {
+                self.metrics.record_miss();
+            }
             out.push((i, Err(StorageError::KeyNotFound)));
         }
         out
+    }
+
+    /// Phase 0 of [`KvStore::multi_rmw`]: the current value of every
+    /// distinct batch key the memtable does not hold, from the block cache or
+    /// else the grouped table probe ([`LsmStore::probe_batch`]), read with no
+    /// memtable shard lock held. A key missing from the map is absent or
+    /// tombstoned in the tables. Any probe error other than not-found fails
+    /// the batch.
+    fn read_cold(&self, inner: &Inner, keys: &[Key]) -> StorageResult<HashMap<Key, Vec<u8>>> {
+        let mut cold = keys.to_vec();
+        cold.sort_unstable();
+        cold.dedup();
+        cold.retain(|&key| !inner.memtable.contains(key));
+        let mut values = HashMap::with_capacity(cold.len());
+        let mut unresolved = Vec::new();
+        for (i, &key) in cold.iter().enumerate() {
+            match self.block_cache.get(key) {
+                Some(v) => {
+                    values.insert(key, v);
+                }
+                None => unresolved.push(i),
+            }
+        }
+        for (i, result) in self.probe_batch(&inner.tables, &cold, unresolved, Probe::Write) {
+            match result {
+                Ok(v) => {
+                    values.insert(cold[i], v);
+                }
+                Err(e) if e.is_not_found() => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(values)
     }
 
     /// Flush if the shared memtable budget is exceeded. Called after a batch
@@ -339,20 +432,19 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Run `f(shard, positions)` over every locked memtable shard of a batch —
-    /// one executor job per shard, handed the batch positions that hash to it
-    /// — returning the results in shard order.
-    fn run_shard_jobs<S: Send, T: Send>(
+    /// Run `f(shard, positions)` over every locked memtable shard of a batch
+    /// ([`ShardedMemTable::lock_batch`]) — one executor job per shard, handed
+    /// the batch positions that hash to it — returning the results in shard
+    /// order.
+    fn run_shard_jobs<'p, S: Send, T: Send>(
         &self,
-        shards: impl Iterator<Item = S>,
-        groups: &[(usize, Vec<usize>)],
+        shards: impl Iterator<Item = (S, &'p [usize])>,
         total_keys: usize,
         f: impl Fn(S, &[usize]) -> T + Sync,
     ) -> Vec<T> {
         let f = &f;
         let jobs: Vec<_> = shards
-            .zip(groups)
-            .map(|(shard, (_, positions))| move || f(shard, positions))
+            .map(|(shard, positions)| move || f(shard, positions))
             .collect();
         self.executor.execute(jobs, total_keys)
     }
@@ -373,15 +465,7 @@ impl LsmStore {
         }
         {
             let inner = self.inner.read();
-            let groups: Vec<(usize, Vec<usize>)> = inner
-                .memtable
-                .positions_by_shard(keys)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, positions)| !positions.is_empty())
-                .collect();
-            let shard_ids: Vec<usize> = groups.iter().map(|(s, _)| *s).collect();
-            let mut guards = inner.memtable.lock_shards(&shard_ids);
+            let mut locked = inner.memtable.lock_batch(keys);
             inner.wal.log_entries(
                 keys.iter()
                     .copied()
@@ -399,8 +483,8 @@ impl LsmStore {
                     self.block_cache.invalidate(keys[i]);
                 }
             };
-            let shards = guards.iter_mut().map(|guard| &mut **guard);
-            self.run_shard_jobs(shards, &groups, keys.len(), apply);
+            let shards = locked.iter_mut().map(|(guard, p)| (&mut **guard, &p[..]));
+            self.run_shard_jobs(shards, keys.len(), apply);
             // One group-commit sync acknowledges the whole batch, while the
             // shard locks are still held so WAL order matches apply order on
             // every shard two batches share.
@@ -486,24 +570,11 @@ impl KvStore for LsmStore {
                 unresolved.push(i);
             }
         }
-        // Grouped SSTable probes: one pass per table (newest first) over the
-        // remaining keys in sorted order, with each table's bloom filter
-        // rejecting absent keys before any device read. The memtable/cache
-        // pass above stays a single serial sweep under the read lock; only
-        // this probe phase — where the device reads happen — goes through the
-        // executor, each job sweeping its own contiguous key range through
-        // the tables.
-        unresolved.sort_unstable_by_key(|&i| keys[i]);
-        let workers = self.executor.planned_workers(unresolved.len());
-        let tables = &inner.tables;
-        let jobs: Vec<_> = split_sorted(&unresolved, keys, workers)
-            .into_iter()
-            .map(|range| move || self.probe_tables(tables, keys, range.to_vec()))
-            .collect();
-        for pairs in self.executor.execute(jobs, unresolved.len()) {
-            for (i, result) in pairs {
-                out[i] = Some(result);
-            }
+        // The memtable/cache pass above stays a single serial sweep under the
+        // read lock; only the grouped SSTable probe — where the device reads
+        // happen — goes through the executor.
+        for (i, result) in self.probe_batch(&inner.tables, keys, unresolved, Probe::Lookup) {
+            out[i] = Some(result);
         }
         out.into_iter()
             .map(|r| r.expect("every slot filled"))
@@ -523,64 +594,66 @@ impl KvStore for LsmStore {
 
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         // One *grouped* WAL append and one group-commit sync for the whole
-        // batch. The structural lock is held shared; the batch's memtable
-        // shards are locked in ascending order and held across resolve,
-        // append, apply and ack, so concurrent batches serialise only where
-        // they overlap. Values are resolved against shard-local overlays
-        // (duplicate keys hash to one shard, so each overlay observes every
-        // earlier occurrence of its keys) and neither the log nor the
-        // memtable is touched until every value is computed: a failed append
-        // leaves the store exactly as it was, and a crash recovers the batch
-        // all-or-nothing. The serving layer's idempotency markers ride in the
-        // same batch as the gradients they cover, so this atomicity is what
-        // makes a marker durable if and only if its batch is.
+        // batch, with the structural lock held shared throughout.
+        //
+        // Phase 0, before any shard lock: every distinct key the memtable
+        // does not hold is read from the block cache or else the grouped
+        // SSTable probe, the same one `multi_get` uses. A probe error fails
+        // the batch here, before anything is logged or applied. The map this
+        // builds is still exact when phase 1 consults it, for two reasons:
+        // the table list cannot change while `inner` is held shared (flush
+        // and compaction take it exclusively), and a key the memtable held
+        // at phase 0 is still there at phase 1 (only a flush removes memtable
+        // entries). A key that a concurrent writer put into the memtable in
+        // between is answered by the memtable, so that writer's value wins.
+        // Cached values are exact too: `flush_memtable` invalidates every
+        // key it drains, so no cached value outlives the memtable entry that
+        // shadowed it. These reads are not lookups (see [`Probe::Write`]):
+        // `lookups` / `mem_hits` / `misses` count user reads only.
+        //
+        // Phase 1 locks the batch's memtable shards in ascending order and
+        // holds them across resolve, append, apply and ack, so concurrent
+        // batches serialise only where they overlap. Values are resolved
+        // against shard-local overlays (duplicate keys hash to one shard, so
+        // each overlay observes every earlier occurrence of its keys), then
+        // the shard memtable, then the phase-0 map — no device read under a
+        // shard lock. Neither the log nor the memtable is touched until
+        // every value is computed: a failed append leaves the store exactly
+        // as it was, and a crash recovers the batch all-or-nothing. The
+        // serving layer's idempotency markers ride in the same batch as the
+        // gradients they cover, so this atomicity is what makes a marker
+        // durable if and only if its batch is.
         if keys.is_empty() {
             return Ok(Vec::new());
         }
         let mut out = vec![Vec::new(); keys.len()];
         {
             let inner = self.inner.read();
-            let groups: Vec<(usize, Vec<usize>)> = inner
-                .memtable
-                .positions_by_shard(keys)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, positions)| !positions.is_empty())
-                .collect();
-            let shard_ids: Vec<usize> = groups.iter().map(|(s, _)| *s).collect();
-            let mut guards = inner.memtable.lock_shards(&shard_ids);
-            // Phase 1 (stage, one executor job per shard): resolve every value,
-            // reading through overlay → shard memtable → SSTables. No
-            // mutation yet.
-            let inner_ref = &*inner;
-            let resolve =
-                |shard: &MemTable, positions: &[usize]| -> StorageResult<Vec<(usize, Vec<u8>)>> {
-                    let mut overlay: std::collections::HashMap<Key, Vec<u8>> =
-                        std::collections::HashMap::new();
-                    let mut staged = Vec::with_capacity(positions.len());
-                    for &i in positions {
-                        let key = keys[i];
-                        self.metrics.record_rmw();
-                        let current: Option<Vec<u8>> = match overlay.get(&key) {
-                            Some(v) => Some(v.clone()),
-                            None => match shard.get(key) {
-                                Some(Some(v)) => Some(v.clone()),
-                                Some(None) => None,
-                                None => match self.search_tables(inner_ref, key)? {
-                                    Some(Some(v)) => Some(v),
-                                    _ => None,
-                                },
-                            },
-                        };
-                        let new_value = f(i, current.as_deref());
-                        overlay.insert(key, new_value.clone());
-                        staged.push((i, new_value));
-                    }
-                    Ok(staged)
-                };
-            let shards = guards.iter().map(|guard| &**guard);
-            for staged in self.run_shard_jobs(shards, &groups, keys.len(), resolve) {
-                for (i, value) in staged? {
+            let cold = self.read_cold(&inner, keys)?;
+            let mut locked = inner.memtable.lock_batch(keys);
+            // Phase 1 (stage, one executor job per shard). No mutation yet.
+            let resolve = |shard: &MemTable, positions: &[usize]| {
+                let mut overlay: HashMap<Key, Vec<u8>> = HashMap::new();
+                let mut staged = Vec::with_capacity(positions.len());
+                for &i in positions {
+                    let key = keys[i];
+                    self.metrics.record_rmw();
+                    let current: Option<Vec<u8>> = match overlay.get(&key) {
+                        Some(v) => Some(v.clone()),
+                        None => match shard.get(key) {
+                            Some(entry) => entry.clone(),
+                            None => cold.get(&key).cloned(),
+                        },
+                    };
+                    let new_value = f(i, current.as_deref());
+                    overlay.insert(key, new_value.clone());
+                    staged.push((i, new_value));
+                }
+                staged
+            };
+            let shards = locked.iter().map(|(guard, p)| (&**guard, &p[..]));
+            for staged in self.run_shard_jobs(shards, keys.len(), resolve) {
+                for (i, value) in staged {
                     out[i] = value;
                 }
             }
@@ -596,8 +669,8 @@ impl KvStore for LsmStore {
                     self.block_cache.invalidate(keys[i]);
                 }
             };
-            let shards = guards.iter_mut().map(|guard| &mut **guard);
-            self.run_shard_jobs(shards, &groups, keys.len(), apply);
+            let shards = locked.iter_mut().map(|(guard, p)| (&mut **guard, &p[..]));
+            self.run_shard_jobs(shards, keys.len(), apply);
             inner.wal.commit()?;
         }
         // Budget check after the ack (a mid-batch flush would rotate away the
@@ -712,29 +785,77 @@ mod tests {
         assert_eq!(batch[5].as_deref().unwrap(), &[10u8; 32]);
     }
 
+    fn counter(n: u64) -> Vec<u8> {
+        let mut v = vec![0u8; 32];
+        v[..8].copy_from_slice(&n.to_le_bytes());
+        v
+    }
+
+    fn count_of(v: &[u8]) -> u64 {
+        u64::from_le_bytes(v[..8].try_into().unwrap())
+    }
+
     #[test]
     fn multi_rmw_sees_duplicate_writes_and_flushes_under_pressure() {
-        let store = LsmStore::in_memory(16 << 10).unwrap();
-        // 3000 ops over 1000 keys: the 8 KiB memtable budget forces flushes
-        // mid-batch, so later occurrences read back through the SSTables.
-        let keys: Vec<u64> = (0..3000).map(|i| i % 1000).collect();
-        store
-            .multi_rmw(&keys, &|_, cur| {
-                let n = cur
-                    .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
-                    .unwrap_or(0);
-                let mut v = vec![0u8; 32];
-                v[..8].copy_from_slice(&(n + 1).to_le_bytes());
-                v
-            })
-            .unwrap();
-        assert!(store.table_count() > 0, "memtable should have flushed");
-        // Every key appears 3 times in the batch; each occurrence must have
-        // seen the previous one even across mid-batch memtable flushes.
+        // 32 KiB memtable, 32 KiB block cache. Populating 1000 counters
+        // overflows the memtable once; the explicit flush drains the rest,
+        // so every key starts in an SSTable with the memtable empty.
+        let store = LsmStore::in_memory(64 << 10).unwrap();
         for k in 0..1000u64 {
-            let v = store.get(k).unwrap();
-            assert_eq!(u64::from_le_bytes(v[..8].try_into().unwrap()), 3, "key {k}");
+            store.put(k, &counter(1)).unwrap();
         }
+        store.flush().unwrap();
+        let tables = store.table_count();
+        assert!(
+            tables >= 2,
+            "populating must flush under pressure: {tables}"
+        );
+        // Warm the lower half into the block cache; the upper half stays cold.
+        let warm: Vec<u64> = (0..500).collect();
+        assert!(store.multi_get(&warm).iter().all(|r| r.is_ok()));
+        assert!(store.inner.read().memtable.is_empty());
+        for k in 0..1000u64 {
+            assert_eq!(store.block_cache.contains(k), k < 500, "key {k}");
+        }
+        // 3000 ops over 1000 keys: each key's first occurrence resolves from
+        // the block cache (lower half) or the SSTables (upper half), the
+        // later two from the batch's own overlay. The batch overflows the
+        // memtable, so it flushes after its ack.
+        let keys: Vec<u64> = (0..3000).map(|i| i % 1000).collect();
+        let out = store
+            .multi_rmw(&keys, &|_, cur| counter(cur.map_or(0, count_of) + 1))
+            .unwrap();
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(count_of(v), 2 + i as u64 / 1000, "op {i}");
+        }
+        assert!(
+            store.table_count() > tables,
+            "the batch flushes after its ack"
+        );
+        for k in 0..1000u64 {
+            assert_eq!(count_of(&store.get(k).unwrap()), 4, "key {k}");
+        }
+    }
+
+    #[test]
+    fn flush_invalidates_the_cache_entries_it_drains() {
+        let store = LsmStore::in_memory(32 << 10).unwrap();
+        store.put(1, b"old").unwrap();
+        store.flush().unwrap();
+        store.put(1, b"new").unwrap();
+        // What a reader racing that put leaves behind: it missed the
+        // memtable before the put landed and cached the SSTable value after
+        // the put invalidated the key. The memtable shadows it for now.
+        store.block_cache.insert(1, b"old".to_vec());
+        assert_eq!(store.get(1).unwrap(), b"new");
+        store.flush().unwrap();
+        assert_eq!(
+            store.get(1).unwrap(),
+            b"new",
+            "stale block-cache entry outlived the flush"
+        );
+        let seen = store.rmw(1, &|cur| [cur.unwrap(), b"+"].concat()).unwrap();
+        assert_eq!(seen, b"new+", "a writer must not read the stale entry");
     }
 
     #[test]

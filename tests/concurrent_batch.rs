@@ -380,6 +380,81 @@ fn lsm_memtable_flush_under_concurrent_writers_loses_no_update() {
     }
 }
 
+/// LSM writers read their cold keys through the block cache, which readers
+/// fill. A reader that misses the memtable, loses the race to a writer's
+/// put, and then caches the older SSTable value leaves an entry the memtable
+/// shadows only until the next flush. Here one thread loops `multi_get` over
+/// cold keys while another loops `multi_rmw` increments over the same keys,
+/// with a budget small enough to flush every few batches: no increment is
+/// lost, and no reader ever sees a counter go backwards.
+#[test]
+fn lsm_reader_racing_rmw_across_flushes_loses_no_increment() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let store = open_store(
+        BackendKind::RocksDbLike,
+        store_config(2).with_memory_budget(8 << 10),
+    )
+    .unwrap();
+    let keys: Vec<u64> = (0..512).collect();
+    for &k in &keys {
+        store.put(k, &0u64.to_le_bytes()).unwrap();
+    }
+    store.flush().unwrap();
+    let count = |v: &[u8]| u64::from_le_bytes(v.try_into().unwrap());
+    let rounds = 40u64;
+    let start = Arc::new(Barrier::new(2));
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (store, start, done, keys) = (
+            Arc::clone(&store),
+            Arc::clone(&start),
+            Arc::clone(&done),
+            keys.clone(),
+        );
+        std::thread::spawn(move || {
+            start.wait();
+            let mut seen = vec![0u64; keys.len()];
+            let mut passes = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                for chunk in shuffled(&keys, passes).chunks(48) {
+                    for (&k, got) in chunk.iter().zip(store.multi_get(chunk)) {
+                        let n = count(&got.unwrap());
+                        assert!(n >= seen[k as usize], "key {k} went back: {n}");
+                        seen[k as usize] = n;
+                    }
+                }
+                passes += 1;
+            }
+            passes
+        })
+    };
+    // Device writes that are not WAL appends are SSTable builds.
+    let table_builds = || {
+        let snap = store.metrics().snapshot();
+        snap.disk_writes - snap.wal_appends
+    };
+    let builds_before = table_builds();
+    start.wait();
+    for round in 0..rounds {
+        for chunk in shuffled(&keys, 1_000 + round).chunks(64) {
+            store
+                .multi_rmw(chunk, &|_, cur| {
+                    (count(cur.unwrap()) + 1).to_le_bytes().to_vec()
+                })
+                .unwrap();
+        }
+    }
+    done.store(true, Ordering::SeqCst);
+    assert!(reader.join().unwrap() > 0, "the reader must have raced");
+    let flushes = table_builds() - builds_before;
+    assert!(flushes > 10, "the 8 KiB budget must flush often: {flushes}");
+    for (&k, got) in keys.iter().zip(store.multi_get(&keys)) {
+        assert_eq!(count(&got.unwrap()), rounds, "key {k} lost an increment");
+    }
+}
+
 /// The boundary `mlkv_storage::exec` switches on: every engine's `write_batch`,
 /// `multi_rmw` and `multi_get`, with duplicate keys, on both sides of
 /// `PARALLEL_CUTOFF` and at `parallelism` 1 / 2 / 8, must return the results

@@ -409,3 +409,134 @@ fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
         }
     }
 }
+
+/// Counts the `read_at` calls that reach it; `read_scatter` and
+/// `submit_reads` pass through uncounted.
+struct PointReads {
+    inner: Arc<dyn Device>,
+    count: std::sync::atomic::AtomicU64,
+}
+
+impl Device for PointReads {
+    fn write_at(&self, offset: u64, data: &[u8]) -> mlkv_storage::StorageResult<()> {
+        self.inner.write_at(offset, data)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> mlkv_storage::StorageResult<()> {
+        self.count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.read_at(offset, buf)
+    }
+
+    fn read_scatter(&self, reqs: &mut [ReadReq]) -> mlkv_storage::StorageResult<()> {
+        self.inner.read_scatter(reqs)
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn sync(&self) -> mlkv_storage::StorageResult<()> {
+        self.inner.sync()
+    }
+
+    fn append(&self, data: &[u8]) -> mlkv_storage::StorageResult<u64> {
+        self.inner.append(data)
+    }
+}
+
+/// Cold LSM writes cost table passes, not keys: a 1024-key cold `multi_rmw`
+/// over three SSTables resolves through the grouped probe `multi_get` uses —
+/// per planned range, one coalesced scatter per table — under both read
+/// backends. The bound is `tables × ranges` = 3 × 2 = 6 SSTable read calls.
+/// Measured: 5 submissions and zero `read_at` under the async backend (one
+/// of the five is a pass that admitted no key and went out empty); 4 under
+/// the blocking backend, where the planner reads each coalesced pass with
+/// one `read_at` of the merged run. The per-key path this replaced made one
+/// `read_at` per cold key: 1024.
+#[test]
+fn lsm_cold_rmw_batches_read_per_table_pass_not_per_key() {
+    use mlkv_storage::{DeviceFactory, KvStore};
+
+    const TABLES: u64 = 3;
+    const PER_TABLE: u64 = 1024;
+    const WORKERS: u64 = 2;
+    type Files = Arc<std::sync::Mutex<Vec<(String, Arc<FailingDevice>, Arc<PointReads>)>>>;
+    for io_backend in [IoBackend::Sync, IoBackend::Async] {
+        // A healthy `FailingDevice` per file is the call counter (every
+        // `read_at`, `read_scatter` and `submit_reads`); the `PointReads`
+        // under it counts the `read_at`s alone.
+        let files: Files = Arc::default();
+        let factory = {
+            let files = Arc::clone(&files);
+            DeviceFactory::new(move |name| {
+                let point = Arc::new(PointReads {
+                    inner: Arc::new(MemDevice::new()),
+                    count: Default::default(),
+                });
+                let calls = Arc::new(FailingDevice::new(Arc::clone(&point) as Arc<dyn Device>, 0));
+                files
+                    .lock()
+                    .unwrap()
+                    .push((name.to_string(), Arc::clone(&calls), point));
+                Ok(calls as Arc<dyn Device>)
+            })
+        };
+        let store = mlkv_lsm::LsmStore::open(
+            StoreConfig::in_memory()
+                .with_device_factory(factory)
+                // Large enough that neither populating nor the batch flushes
+                // on its own, and that the block cache stays cold.
+                .with_memory_budget(1 << 20)
+                // Every table pass's scatter merges into one run, so a pass
+                // is one device call on either backend.
+                .with_io_gap_bytes(1 << 20)
+                .with_parallelism(WORKERS as usize)
+                .with_io_backend(io_backend),
+        )
+        .unwrap();
+        for t in 0..TABLES {
+            for k in t * PER_TABLE..(t + 1) * PER_TABLE {
+                store.put(k, &[(k % 251) as u8; 24]).unwrap();
+            }
+            store.flush().unwrap();
+        }
+        assert_eq!(store.table_count() as u64, TABLES);
+        // Every third key: 1024 cold keys spread across all three tables.
+        let batch: Vec<u64> = (0..PER_TABLE).map(|i| i * TABLES).collect();
+        let sst_counts = || {
+            files
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|(name, _, _)| name.starts_with("sst_"))
+                .fold((0, 0), |(calls, points), (_, c, p)| {
+                    (
+                        calls + c.reads(),
+                        points + p.count.load(std::sync::atomic::Ordering::SeqCst),
+                    )
+                })
+        };
+
+        let (calls_before, points_before) = sst_counts();
+        let bump = |_: usize, cur: Option<&[u8]>| cur.unwrap().iter().map(|b| b + 1).collect();
+        store.multi_rmw(&batch, &bump).unwrap();
+        let (calls_after, points_after) = sst_counts();
+        let (calls, points) = (calls_after - calls_before, points_after - points_before);
+        let bound = TABLES * WORKERS;
+        if io_backend == IoBackend::Async {
+            assert_eq!(points, 0, "under {io_backend}: {points} read_at calls");
+        }
+        assert!(
+            calls > 0,
+            "under {io_backend}: the batch must reach the device"
+        );
+        assert!(
+            calls <= bound,
+            "under {io_backend}: {calls} SSTable read calls for {PER_TABLE} cold keys; at most \
+             {bound} ({TABLES} tables, {WORKERS} ranges)"
+        );
+        for (k, got) in batch.iter().zip(store.multi_get(&batch)) {
+            assert_eq!(got.unwrap(), vec![(k % 251) as u8 + 1; 24], "key {k}");
+        }
+    }
+}

@@ -407,3 +407,51 @@ fn faster_read_fault_during_rmw_resolve_modifies_nothing() {
     store.multi_rmw(&cold, &|_, _| vec![0xEE; 32]).unwrap();
     assert_eq!(store.get(cold[0]).unwrap(), vec![0xEE; 32]);
 }
+
+/// The LSM resolves a `multi_rmw` batch's cold keys through the grouped
+/// SSTable probe before it locks or logs anything: a read fault there fails
+/// the whole batch with no key modified and nothing written to the WAL.
+#[test]
+fn lsm_read_fault_during_rmw_resolve_modifies_nothing() {
+    use mlkv_storage::KvStore;
+
+    let (handles, factory) = failing_factory();
+    let store = mlkv_lsm::LsmStore::open(
+        mlkv_storage::StoreConfig::in_memory()
+            .apply_env_overrides()
+            .with_device_factory(factory)
+            .with_memory_budget(1 << 20)
+            .with_durability(mlkv_storage::DurabilityMode::GroupCommit { window: 1 << 20 }),
+    )
+    .unwrap();
+    let keys: Vec<u64> = (0..600).collect();
+    for &k in &keys {
+        store.put(k, &[(k % 251) as u8; 32]).unwrap();
+    }
+    // Cold batch: every key lives in the one SSTable, nothing is cached.
+    store.flush().unwrap();
+    let (sst, wal) = {
+        let handles = handles.lock().unwrap();
+        // The flush wrote `sst_1.dat` and rotated the log to generation 1.
+        (
+            Arc::clone(&handles["sst_1.dat"]),
+            Arc::clone(&handles["wal_1.dat"]),
+        )
+    };
+    let wal_writes = wal.writes();
+
+    sst.fail_after(0);
+    let result = store.multi_rmw(&keys, &|_, _| vec![0xEE; 32]);
+    sst.heal();
+    assert!(result.is_err(), "the probe fault surfaces");
+    assert_eq!(wal.writes(), wal_writes, "a failed resolve logs nothing");
+    for (&k, got) in keys.iter().zip(store.multi_get(&keys)) {
+        assert_eq!(got.unwrap(), vec![(k % 251) as u8; 32], "key {k} modified");
+    }
+    // The healed store applies the same batch.
+    store.multi_rmw(&keys, &|_, _| vec![0xEE; 32]).unwrap();
+    assert!(wal.writes() > wal_writes);
+    for (&k, got) in keys.iter().zip(store.multi_get(&keys)) {
+        assert_eq!(got.unwrap(), vec![0xEE; 32], "key {k}");
+    }
+}
