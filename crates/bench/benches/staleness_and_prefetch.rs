@@ -19,8 +19,9 @@ fn bench_record_word(c: &mut Criterion) {
         b.iter(|| {
             let _ = word.try_acquire_get(u32::MAX);
             word.release(false);
-            let _ = word.try_acquire_put();
-            word.release(false);
+            if let Some(latch) = word.try_acquire_put() {
+                word.release_put(latch, false);
+            }
         })
     });
     group.finish();

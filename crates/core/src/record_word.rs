@@ -8,8 +8,9 @@
 //! +--------+---------+---------------+--------------+
 //! ```
 //!
-//! * **Locked** — record-level latch bit; acquired by both Get and Put for the
-//!   duration of the actual read/update.
+//! * **Locked** — record-level latch bit; acquired by a Put for the duration
+//!   of its update and by a per-key Get for its read. A batch Get admission
+//!   ([`AtomicRecordWord::try_admit_get`]) only bumps the staleness counter.
 //! * **Replaced** — set when the record's memory address has been replaced by
 //!   another thread (e.g. an RCU append or a look-ahead promotion); readers that
 //!   observe it retry through the index.
@@ -17,8 +18,9 @@
 //!   that the latest value is always returned.
 //! * **Staleness** — 32-bit counter of reads whose matching update has not yet
 //!   been applied. A Get must wait until `staleness <= bound` before acquiring
-//!   the lock (and then increments it); a Put never waits (it only decreases
-//!   staleness).
+//!   the lock (and then increments it); a Put never waits, and decreases
+//!   staleness only when it releases the latch, once its update has landed —
+//!   so a Get the bound holds back is freed only by a completed Put.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,6 +76,19 @@ pub enum AcquireOutcome {
     StalenessBlocked,
 }
 
+/// A Put's hold on a record latch, from [`AtomicRecordWord::try_acquire_put`];
+/// hand it back to [`AtomicRecordWord::release_put`].
+#[must_use]
+#[derive(Debug)]
+pub struct PutLatch {
+    /// Reads were outstanding when the latch was taken, so this Put is the
+    /// update one of them waits for and lowers staleness on release. Decided
+    /// at acquisition: while the latch is held only batch admissions touch
+    /// the counter, and they only raise it, so the release never takes back
+    /// a read admitted meanwhile.
+    lowers_staleness: bool,
+}
+
 /// The atomic record word with the paper's Get/Put acquisition protocol.
 #[derive(Debug, Default)]
 pub struct AtomicRecordWord {
@@ -120,30 +135,58 @@ impl AtomicRecordWord {
         }
     }
 
+    /// Batch Get admission: requires `staleness <= bound` and increments
+    /// staleness, leaving Locked, Replaced and Generation as found — a
+    /// latch held by a Put does not delay it. Returns
+    /// [`AcquireOutcome::Acquired`] or [`AcquireOutcome::StalenessBlocked`],
+    /// never `Contended`: a CAS that loses to a concurrent change re-checks
+    /// the fresh word.
+    pub fn try_admit_get(&self, bound: u32) -> AcquireOutcome {
+        let admitted = self
+            .word
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |observed| {
+                let cur = RecordWord::unpack(observed);
+                (cur.staleness <= bound).then(|| {
+                    RecordWord {
+                        staleness: cur.staleness.saturating_add(1),
+                        ..cur
+                    }
+                    .pack()
+                })
+            });
+        match admitted {
+            Ok(_) => AcquireOutcome::Acquired,
+            Err(_) => AcquireOutcome::StalenessBlocked,
+        }
+    }
+
     /// Attempt the Put-side acquisition: skips the staleness check entirely (a
-    /// Put only reduces staleness); on success sets Locked and decrements
-    /// staleness in a single compare-and-swap.
-    pub fn try_acquire_put(&self) -> AcquireOutcome {
+    /// Put only reduces staleness) and sets Locked in a single
+    /// compare-and-swap. The decrement waits for [`AtomicRecordWord::release_put`]:
+    /// lowering staleness before the update lands would admit a Get the
+    /// bound holds back in time to read the value this Put is replacing.
+    /// Returns `None` while the record is latched.
+    pub fn try_acquire_put(&self) -> Option<PutLatch> {
         let observed = self.word.load(Ordering::Acquire);
         let cur = RecordWord::unpack(observed);
         if cur.locked {
-            return AcquireOutcome::Contended;
+            return None;
         }
         let desired = RecordWord {
             locked: true,
-            replaced: cur.replaced,
-            generation: cur.generation,
-            staleness: cur.staleness.saturating_sub(1),
+            ..cur
         };
-        match self.word.compare_exchange(
-            observed,
-            desired.pack(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => AcquireOutcome::Acquired,
-            Err(_) => AcquireOutcome::Contended,
-        }
+        self.word
+            .compare_exchange(
+                observed,
+                desired.pack(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .ok()
+            .map(|_| PutLatch {
+                lowers_staleness: cur.staleness > 0,
+            })
     }
 
     /// Attempt a staleness-neutral latch acquisition: sets Locked without
@@ -176,12 +219,24 @@ impl AtomicRecordWord {
     /// generation (wrapping within its 30 bits) and optionally sets Replaced
     /// when the operation relocated the record.
     pub fn release(&self, mark_replaced: bool) {
+        self.finish(mark_replaced, false);
+    }
+
+    /// Release a Put's latch once its update has landed: like
+    /// [`AtomicRecordWord::release`], and in the same compare-and-swap
+    /// decrements staleness when the Put found reads outstanding.
+    pub fn release_put(&self, latch: PutLatch, mark_replaced: bool) {
+        self.finish(mark_replaced, latch.lowers_staleness);
+    }
+
+    fn finish(&self, mark_replaced: bool, lower_staleness: bool) {
         loop {
             let observed = self.word.load(Ordering::Acquire);
             let mut cur = RecordWord::unpack(observed);
             cur.locked = false;
             cur.replaced = cur.replaced || mark_replaced;
             cur.generation = (cur.generation + 1) & (GENERATION_MASK as u32);
+            cur.staleness = cur.staleness.saturating_sub(lower_staleness as u32);
             if self
                 .word
                 .compare_exchange(observed, cur.pack(), Ordering::AcqRel, Ordering::Acquire)
@@ -227,6 +282,10 @@ impl AtomicRecordWord {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    fn put(word: &AtomicRecordWord) -> PutLatch {
+        word.try_acquire_put().expect("record unlatched")
+    }
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -274,8 +333,7 @@ mod tests {
         assert_eq!(word.try_acquire_get(4), AcquireOutcome::Acquired);
         word.release(false);
         assert_eq!(word.staleness(), 1);
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Acquired);
-        word.release(false);
+        word.release_put(put(&word), false);
         assert_eq!(word.staleness(), 0);
         assert_eq!(word.generation(), 2);
     }
@@ -290,8 +348,7 @@ mod tests {
         word.release(false);
         assert_eq!(word.try_acquire_get(1), AcquireOutcome::StalenessBlocked);
         // A Put unblocks it.
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Acquired);
-        word.release(false);
+        word.release_put(put(&word), false);
         assert_eq!(word.try_acquire_get(1), AcquireOutcome::Acquired);
     }
 
@@ -301,8 +358,7 @@ mod tests {
         assert_eq!(word.try_acquire_get(0), AcquireOutcome::Acquired);
         word.release(false);
         assert_eq!(word.try_acquire_get(0), AcquireOutcome::StalenessBlocked);
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Acquired);
-        word.release(false);
+        word.release_put(put(&word), false);
         assert_eq!(word.try_acquire_get(0), AcquireOutcome::Acquired);
     }
 
@@ -313,7 +369,7 @@ mod tests {
         word.release(false);
         assert_eq!(word.staleness(), 1);
         assert_eq!(word.try_acquire_latch(), AcquireOutcome::Acquired);
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Contended);
+        assert!(word.try_acquire_put().is_none());
         assert_eq!(word.try_acquire_get(4), AcquireOutcome::Contended);
         assert_eq!(word.try_acquire_latch(), AcquireOutcome::Contended);
         word.release(false);
@@ -321,21 +377,57 @@ mod tests {
     }
 
     #[test]
+    fn batch_admission_passes_a_held_latch_and_keeps_its_bits() {
+        let word = AtomicRecordWord::new();
+        let latch = put(&word);
+        let held = word.load();
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::StalenessBlocked);
+        let admitted = word.load();
+        assert_eq!(
+            admitted,
+            RecordWord {
+                staleness: 2,
+                ..held
+            },
+            "only the staleness counter moves"
+        );
+        // The Put found no read outstanding, so its release keeps the
+        // reads admitted meanwhile counted.
+        word.release_put(latch, false);
+        assert_eq!(word.staleness(), 2);
+        assert!(!word.load().locked);
+    }
+
+    #[test]
+    fn put_lowers_staleness_only_when_it_releases() {
+        let word = AtomicRecordWord::new();
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+        let latch = put(&word);
+        // BSP: the read the Put answers stays outstanding until it lands.
+        assert_eq!(word.staleness(), 1);
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::StalenessBlocked);
+        word.release_put(latch, false);
+        assert_eq!(word.staleness(), 0);
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+    }
+
+    #[test]
     fn locked_record_causes_contention() {
         let word = AtomicRecordWord::new();
         assert_eq!(word.try_acquire_get(10), AcquireOutcome::Acquired);
         assert_eq!(word.try_acquire_get(10), AcquireOutcome::Contended);
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Contended);
+        assert!(word.try_acquire_put().is_none());
         word.release(false);
-        assert_eq!(word.try_acquire_put(), AcquireOutcome::Acquired);
+        assert!(word.try_acquire_put().is_some());
     }
 
     #[test]
     fn put_never_underflows_staleness() {
         let word = AtomicRecordWord::new();
         for _ in 0..3 {
-            assert_eq!(word.try_acquire_put(), AcquireOutcome::Acquired);
-            word.release(false);
+            word.release_put(put(&word), false);
         }
         assert_eq!(word.staleness(), 0);
     }
@@ -343,8 +435,7 @@ mod tests {
     #[test]
     fn replaced_bit_set_and_cleared() {
         let word = AtomicRecordWord::new();
-        word.try_acquire_put();
-        word.release(true);
+        word.release_put(put(&word), true);
         assert!(word.load().replaced);
         word.clear_replaced();
         assert!(!word.load().replaced);
@@ -389,13 +480,13 @@ mod tests {
                         std::hint::spin_loop();
                     }
                     word.release(false);
-                    loop {
-                        if word.try_acquire_put() == AcquireOutcome::Acquired {
-                            break;
+                    let latch = loop {
+                        if let Some(latch) = word.try_acquire_put() {
+                            break latch;
                         }
                         std::hint::spin_loop();
-                    }
-                    word.release(false);
+                    };
+                    word.release_put(latch, false);
                 }
             }));
         }

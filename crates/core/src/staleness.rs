@@ -21,7 +21,7 @@ use parking_lot::RwLock;
 
 use mlkv_storage::{StorageError, StorageResult};
 
-use crate::record_word::{AcquireOutcome, AtomicRecordWord};
+use crate::record_word::{AcquireOutcome, AtomicRecordWord, PutLatch};
 
 /// Consistency mode of an embedding model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +93,8 @@ pub struct StalenessController {
 #[derive(Debug)]
 pub struct RecordGuard {
     word: Arc<AtomicRecordWord>,
+    /// Set for a Put: its release also lowers staleness.
+    put: Option<PutLatch>,
     mark_replaced: bool,
     released: bool,
 }
@@ -111,7 +113,10 @@ impl RecordGuard {
 
     fn do_release(&mut self) {
         if !self.released {
-            self.word.release(self.mark_replaced);
+            match self.put.take() {
+                Some(latch) => self.word.release_put(latch, self.mark_replaced),
+                None => self.word.release(self.mark_replaced),
+            }
             self.released = true;
         }
     }
@@ -190,32 +195,49 @@ impl StalenessController {
 
     /// Acquire the record lock for a Get, waiting while the staleness bound
     /// blocks it. Returns `None` when enforcement is disabled.
+    ///
+    /// Unlike [`StalenessController::admit_get_batch`], the latch is held
+    /// until the guard drops, across the caller's read: the per-key path
+    /// (`EmbeddingTable::get_one`) lazily initialises a missing key with a
+    /// plain put, and the latch is what keeps a concurrent Put from landing
+    /// between that read's miss and the initialiser's write, which would
+    /// overwrite it. (The batch path materialises its misses under
+    /// [`StalenessController::lock_records`] and a re-checking rmw instead.)
     pub fn acquire_get(&self, key: u64) -> StorageResult<Option<RecordGuard>> {
         if !self.enabled {
             return Ok(None);
         }
         self.gets.fetch_add(1, Ordering::Relaxed);
-        self.wait_acquire_get(key).map(Some)
+        let word = self.wait_get(key, AtomicRecordWord::try_acquire_get)?;
+        Ok(Some(RecordGuard {
+            word,
+            put: None,
+            mark_replaced: false,
+            released: false,
+        }))
     }
 
-    /// The waiting core of a Get acquisition (stats are counted by the caller
-    /// so batch admissions can amortise them).
-    fn wait_acquire_get(&self, key: u64) -> StorageResult<RecordGuard> {
+    /// The waiting core of a Get: retry `attempt` on `key`'s word until it
+    /// succeeds, spinning while the record is latched and yielding while the
+    /// staleness bound blocks it (counted as a blocked Get, up to the wait
+    /// timeout). Stats other than the stall are counted by the callers, so
+    /// batch admissions can amortise them.
+    fn wait_get(
+        &self,
+        key: u64,
+        attempt: fn(&AtomicRecordWord, u32) -> AcquireOutcome,
+    ) -> StorageResult<Arc<AtomicRecordWord>> {
         let word = self.word(key);
         let bound = self.mode.bound();
         let mut blocked_since: Option<Instant> = None;
         loop {
-            match word.try_acquire_get(bound) {
+            match attempt(&word, bound) {
                 AcquireOutcome::Acquired => {
                     if let Some(since) = blocked_since {
                         self.stall_ns
                             .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
-                    return Ok(RecordGuard {
-                        word,
-                        mark_replaced: false,
-                        released: false,
-                    });
+                    return Ok(word);
                 }
                 AcquireOutcome::Contended => {
                     std::hint::spin_loop();
@@ -237,23 +259,47 @@ impl StalenessController {
     }
 
     /// Admit a whole batch of Gets in a single controller call: one stats
-    /// update for the batch, then per-key admission against the staleness
-    /// bound. Each key's record lock is released as soon as that key is
-    /// admitted (no hold-and-wait), so a batch can never deadlock against
-    /// concurrent writers. Returns immediately when enforcement is disabled.
+    /// update for the batch, then one staleness-counter CAS per key
+    /// ([`AtomicRecordWord::try_admit_get`]). A key waits only while the
+    /// staleness bound blocks it — never on a record latch — so a batch can
+    /// neither deadlock against concurrent writers nor stall behind a Put
+    /// that holds its latch across a slow engine call. Returns immediately
+    /// when enforcement is disabled.
+    ///
+    /// Skipping the latch is sound because it would guard nothing here:
+    ///
+    /// * The caller reads only once the whole batch is admitted
+    ///   (`EmbeddingTable::gather` then runs one `multi_get`). Holding each
+    ///   latch until that read would be hold-and-wait against writers, so a
+    ///   latch could only be released at admission — and a Put can land
+    ///   between admission and read either way.
+    /// * Record bytes are protected by the engine itself — in FASTER by the
+    ///   hybrid log's per-frame `RwLock` — not by this word.
+    /// * The bound still orders reads after writes: a Put lowers staleness
+    ///   only when it releases its latch, after its update has landed
+    ///   ([`AtomicRecordWord::release_put`]). A Get the bound holds back is
+    ///   therefore freed only by a completed Put and reads its value; a Get
+    ///   admitted while a Put holds the latch was within the bound counting
+    ///   that Put as not yet applied, so either version is fresh enough.
+    /// * The counter update commutes with a Put's: whether the Put lowers
+    ///   staleness is fixed when it takes the latch, and its release re-reads
+    ///   the word, so a Get admitted while the latch is held is counted
+    ///   exactly once in either order.
     pub fn admit_get_batch(&self, keys: &[u64]) -> StorageResult<()> {
         if !self.enabled || keys.is_empty() {
             return Ok(());
         }
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         for &key in keys {
-            self.wait_acquire_get(key)?.release();
+            self.wait_get(key, AtomicRecordWord::try_admit_get)?;
         }
         Ok(())
     }
 
-    /// Acquire the record lock for a Put (never blocks on the bound). Returns
-    /// `None` when enforcement is disabled.
+    /// Acquire the record lock for a Put (never blocks on the bound). The
+    /// Put's staleness decrement happens when the guard is released, so hold
+    /// it until the update has landed. Returns `None` when enforcement is
+    /// disabled.
     pub fn acquire_put(&self, key: u64) -> StorageResult<Option<RecordGuard>> {
         if !self.enabled {
             return Ok(None);
@@ -301,6 +347,7 @@ impl StalenessController {
                             AcquireOutcome::Acquired => {
                                 return RecordGuard {
                                     word,
+                                    put: None,
                                     mark_replaced: false,
                                     released: false,
                                 }
@@ -317,16 +364,15 @@ impl StalenessController {
     fn lock_put(&self, key: u64) -> RecordGuard {
         let word = self.word(key);
         loop {
-            match word.try_acquire_put() {
-                AcquireOutcome::Acquired => {
-                    return RecordGuard {
-                        word,
-                        mark_replaced: false,
-                        released: false,
-                    }
-                }
-                _ => std::hint::spin_loop(),
+            if let Some(latch) = word.try_acquire_put() {
+                return RecordGuard {
+                    word,
+                    put: Some(latch),
+                    mark_replaced: false,
+                    released: false,
+                };
             }
+            std::hint::spin_loop();
         }
     }
 
@@ -471,6 +517,61 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(40));
         unblocker.join().unwrap();
         assert_eq!(ctl.stats().blocked_gets, 1);
+    }
+
+    #[test]
+    fn batch_admission_completes_while_a_put_holds_the_latch() {
+        let ctl = Arc::new(StalenessController::new(ConsistencyMode::Ssp(10), true));
+        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let (done, admitted) = std::sync::mpsc::channel();
+        let admitter = {
+            let ctl = Arc::clone(&ctl);
+            std::thread::spawn(move || {
+                ctl.admit_get_batch(&[4, 5, 6]).unwrap();
+                done.send(()).unwrap();
+            })
+        };
+        // Watchdog: an admission that waits on the latch would spin until the
+        // put is released below, so give up waiting instead of hanging.
+        let outcome = admitted.recv_timeout(Duration::from_secs(5));
+        drop(put);
+        admitter.join().unwrap();
+        assert!(outcome.is_ok(), "batch admission waited on a put latch");
+        assert_eq!(
+            ctl.staleness_of(5),
+            1,
+            "the read stays counted after the put"
+        );
+        assert_eq!(ctl.stats().blocked_gets, 0);
+    }
+
+    #[test]
+    fn bsp_batch_admission_waits_for_the_put_to_release() {
+        let ctl = Arc::new(StalenessController::with_timeout(
+            ConsistencyMode::Bsp,
+            true,
+            Duration::from_secs(5),
+        ));
+        ctl.admit_get_batch(&[5]).unwrap();
+        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let released = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let admitter = {
+            let (ctl, released) = (Arc::clone(&ctl), Arc::clone(&released));
+            std::thread::spawn(move || {
+                ctl.admit_get_batch(&[5]).unwrap();
+                released.load(Ordering::SeqCst)
+            })
+        };
+        while ctl.stats().blocked_gets == 0 && !admitter.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        released.store(true, Ordering::SeqCst);
+        drop(put);
+        assert!(
+            admitter.join().unwrap(),
+            "a Get the bound held back was admitted before the Put landed"
+        );
+        assert_eq!(ctl.staleness_of(5), 1);
     }
 
     #[test]

@@ -821,6 +821,102 @@ mod tests {
         assert_eq!(t.staleness_stats().blocked_gets, 0);
     }
 
+    /// An in-memory store whose `multi_rmw` sets `entered` and then waits
+    /// until `proceed` is set: it holds an `apply_gradients`, and the Put
+    /// latches it took, inside the engine call for as long as a test needs.
+    struct HeldRmwStore {
+        inner: mlkv_storage::MemStore,
+        entered: std::sync::atomic::AtomicBool,
+        proceed: std::sync::atomic::AtomicBool,
+    }
+
+    impl KvStore for HeldRmwStore {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn get_traced(&self, key: u64) -> StorageResult<mlkv_storage::kv::ReadResult> {
+            self.inner.get_traced(key)
+        }
+        fn multi_get(&self, keys: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
+            self.inner.multi_get(keys)
+        }
+        fn put(&self, key: u64, value: &[u8]) -> StorageResult<()> {
+            self.inner.put(key, value)
+        }
+        fn rmw(&self, key: u64, f: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
+            self.inner.rmw(key, f)
+        }
+        fn multi_rmw(
+            &self,
+            keys: &[u64],
+            f: &mlkv_storage::BatchRmwFn,
+        ) -> StorageResult<Vec<Vec<u8>>> {
+            use std::sync::atomic::Ordering;
+            self.entered.store(true, Ordering::SeqCst);
+            wait_until(|| self.proceed.load(Ordering::SeqCst));
+            self.inner.multi_rmw(keys, f)
+        }
+        fn delete(&self, key: u64) -> StorageResult<()> {
+            self.inner.delete(key)
+        }
+        fn approximate_len(&self) -> usize {
+            self.inner.approximate_len()
+        }
+        fn metrics(&self) -> Arc<mlkv_storage::StorageMetrics> {
+            self.inner.metrics()
+        }
+        fn flush(&self) -> StorageResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn bsp_gather_blocked_on_the_bound_reads_the_put_it_waited_for() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let store = Arc::new(HeldRmwStore {
+            inner: mlkv_storage::MemStore::new(),
+            entered: AtomicBool::new(false),
+            proceed: AtomicBool::new(false),
+        });
+        let t = Arc::new(
+            EmbeddingTable::builder(Arc::clone(&store) as Arc<dyn KvStore>)
+                .dim(8)
+                .staleness_bound(0)
+                .build()
+                .unwrap(),
+        );
+        t.put_one(1, &[1.0; 8]).unwrap();
+        // The step's read: staleness 1, the bound is reached.
+        assert_eq!(t.gather(&[1]).unwrap(), vec![vec![1.0; 8]]);
+        // Its update takes the Put latch and stalls inside the engine call.
+        let applier = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.apply_gradients(&[(1, &[1.0; 8][..])], 0.5))
+        };
+        wait_until(|| store.entered.load(Ordering::SeqCst));
+        let reader = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.gather(&[1]).unwrap())
+        };
+        wait_until(|| t.staleness_stats().blocked_gets == 1 || reader.is_finished());
+        store.proceed.store(true, Ordering::SeqCst);
+        applier.join().unwrap().unwrap();
+        assert_eq!(
+            reader.join().unwrap(),
+            vec![vec![0.5; 8]],
+            "under BSP the next read must see the update it waited for"
+        );
+        assert_eq!(t.staleness_of(1), 1);
+    }
+
     #[test]
     fn lookahead_into_application_cache_hits_on_next_get() {
         let t = table(u32::MAX);

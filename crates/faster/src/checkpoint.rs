@@ -4,9 +4,15 @@
 //! checkpoints the local NVMe-resident store to durable storage. This module
 //! implements FASTER's simplest checkpoint flavour — a *fold-over* checkpoint:
 //! flush every in-memory page of the hybrid log to the device, then persist a
-//! small manifest with the log boundaries. Recovery replays the log to rebuild
-//! the hash index (each record carries the chain head it observed, so installing
-//! records in log order reconstructs the chains exactly).
+//! small manifest with the log boundaries and the hash index's size. The
+//! index itself is not persisted: recovery builds one of the recorded size
+//! and rebuilds it by scanning the log and installing every record as its
+//! key's head, in log order. Each record carries the head it observed, and
+//! which tagged index entry a key uses depends only on the key and the index
+//! size (see [`crate::hash_index`]), so the rebuild reconstructs every chain
+//! exactly — overflow buckets included, since they grow as the scan claims
+//! entries. Reopening with a different `index_buckets` therefore still
+//! rebuilds at the checkpoint's size.
 
 use std::fs;
 use std::path::Path;
@@ -29,26 +35,40 @@ pub struct Manifest {
     pub read_only: u64,
     /// Number of live records at checkpoint time.
     pub live_records: u64,
+    /// Size of the hash index the log's record chains were linked against,
+    /// in entries ([`crate::hash_index::HashIndex::entries`]).
+    pub index_entries: u64,
 }
 
 impl Manifest {
-    const MAGIC: u64 = 0x4D4C_4B56_4350_4B31; // "MLKVCPK1"
+    const MAGIC: u64 = 0x4D4C_4B56_4350_4B32; // "MLKVCPK2"
+    /// Manifests of the untagged, one-head-per-bucket index: their record
+    /// chains link every bucket-mate, which no tagged index rebuilds.
+    const UNTAGGED_MAGIC: u64 = 0x4D4C_4B56_4350_4B31; // "MLKVCPK1"
+    const LEN: usize = 48;
 
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
+        let mut out = Vec::with_capacity(Self::LEN);
         out.extend_from_slice(&Self::MAGIC.to_le_bytes());
         out.extend_from_slice(&self.tail.to_le_bytes());
         out.extend_from_slice(&self.head.to_le_bytes());
         out.extend_from_slice(&self.read_only.to_le_bytes());
         out.extend_from_slice(&self.live_records.to_le_bytes());
+        out.extend_from_slice(&self.index_entries.to_le_bytes());
         out
     }
 
     fn decode(bytes: &[u8]) -> StorageResult<Self> {
-        if bytes.len() < 40 {
+        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
+        if bytes.len() >= 8 && word(0) == Self::UNTAGGED_MAGIC {
+            return Err(StorageError::Checkpoint(
+                "checkpoint written by the untagged hash index; its record chains cannot be rebuilt"
+                    .into(),
+            ));
+        }
+        if bytes.len() < Self::LEN {
             return Err(StorageError::Checkpoint("manifest truncated".into()));
         }
-        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
         if word(0) != Self::MAGIC {
             return Err(StorageError::Checkpoint("bad manifest magic".into()));
         }
@@ -57,6 +77,7 @@ impl Manifest {
             head: word(2),
             read_only: word(3),
             live_records: word(4),
+            index_entries: word(5),
         })
     }
 }
@@ -91,6 +112,7 @@ pub fn write_checkpoint(store: &FasterKv, dir: &Path) -> StorageResult<()> {
         head: store.log().head().raw(),
         read_only: store.log().read_only().raw(),
         live_records: store.approximate_len() as u64,
+        index_entries: store.index().entries() as u64,
     };
     let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
     fs::write(&tmp, manifest.encode())?;
@@ -127,12 +149,17 @@ mod tests {
             head: 50,
             read_only: 75,
             live_records: 7,
+            index_entries: 1 << 14,
         };
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
         assert!(Manifest::decode(&[0u8; 10]).is_err());
         let mut bad = m.encode();
         bad[0] ^= 0xFF;
         assert!(Manifest::decode(&bad).is_err());
+        let mut untagged = m.encode();
+        untagged[..8].copy_from_slice(&Manifest::UNTAGGED_MAGIC.to_le_bytes());
+        let err = Manifest::decode(&untagged[..40]).unwrap_err();
+        assert!(err.to_string().contains("untagged"), "{err}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * Records are appended at the tail; updates either happen in place (when the
 //!   record lives in the mutable region) or append a new version that is linked
 //!   to the previous one (read-copy-update), exactly like FASTER.
-//! * A lock-free hash index maps a key's hash bucket to the address of the most
-//!   recent record in that bucket's chain.
+//! * A lock-free hash index of cache-line buckets maps a key, through its hash
+//!   bucket and a 15-bit tag, to the address of its most recent record; older
+//!   versions hang off that record's chain.
 //! * When the in-memory window exceeds its budget, the oldest page is flushed to
 //!   the device and the head address advances; reads below the head go to disk.
 //! * [`KvStore::promote_to_memory`](mlkv_storage::KvStore::promote_to_memory)

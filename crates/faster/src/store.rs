@@ -124,8 +124,16 @@ pub struct FasterKv {
 
 impl FasterKv {
     /// Open (or create) a store described by `config`. If the configured
-    /// directory contains a checkpoint manifest, the store recovers from it.
+    /// directory contains a checkpoint manifest, the store recovers from it,
+    /// with a hash index of the size the checkpoint recorded rather than
+    /// `config.index_buckets`: the log's record chains were linked against
+    /// that index (see [`crate::hash_index`]).
     pub fn open(config: StoreConfig) -> StorageResult<Self> {
+        let manifest = match &config.dir {
+            Some(dir) if checkpoint::manifest_exists(dir) => Some(checkpoint::read_manifest(dir)?),
+            _ => None,
+        };
+        let index_entries = manifest.map_or(config.index_buckets, |m| m.index_entries as usize);
         let metrics = Arc::new(StorageMetrics::new());
         let device = device_from_config(&config, "hlog.dat")?;
         // Under per-record group commit the hybrid log syncs its data pages
@@ -142,7 +150,7 @@ impl FasterKv {
             Arc::clone(&metrics),
         )?;
         let mut store = Self {
-            index: HashIndex::new(config.index_buckets),
+            index: HashIndex::new(index_entries),
             log,
             epoch: Arc::new(EpochManager::new()),
             metrics,
@@ -152,10 +160,10 @@ impl FasterKv {
             wal: None,
             writer_gate: RwLock::new(()),
         };
+        if let Some(manifest) = manifest {
+            store.recover(&manifest)?;
+        }
         if let Some(dir) = store.config.dir.clone() {
-            if checkpoint::manifest_exists(&dir) {
-                store.recover(&dir)?;
-            }
             store.attach_wal(&dir)?;
         }
         Ok(store)
@@ -276,6 +284,12 @@ impl FasterKv {
         &self.log
     }
 
+    /// The hash index (used by the checkpointing module, and by tests to
+    /// check how keys share it).
+    pub fn index(&self) -> &HashIndex {
+        &self.index
+    }
+
     /// The epoch manager protecting this store.
     pub fn epoch(&self) -> &Arc<EpochManager> {
         &self.epoch
@@ -296,24 +310,6 @@ impl FasterKv {
             let _ = self.log.invalidate_record(addr);
         }
         Ok(installed)
-    }
-
-    /// Memory-only walk over the records pushed onto a chain since `since` was
-    /// its head (everything below `since` is immutable and already walked):
-    /// true when none of them is for `key`. False when one is, or when the
-    /// walk would leave the in-memory window — a hint never waits on the
-    /// device.
-    fn chain_grew_without(&self, key: Key, from: Address, since: Address) -> bool {
-        let mut addr = from;
-        while addr > since {
-            match self.log.read_record_memory(addr) {
-                Ok(Some((record, _))) if !(record.flags.is_valid() && record.key == key) => {
-                    addr = record.prev;
-                }
-                _ => return false,
-            }
-        }
-        true
     }
 
     /// Append a record for `key` and install it as the new chain head, retrying
@@ -649,14 +645,13 @@ impl FasterKv {
         checkpoint::write_checkpoint(self, &dir)
     }
 
-    fn recover(&self, dir: &std::path::Path) -> StorageResult<()> {
-        let manifest = checkpoint::read_manifest(dir)?;
+    fn recover(&self, manifest: &checkpoint::Manifest) -> StorageResult<()> {
         self.log
             .restore_boundaries(manifest.tail, manifest.head, manifest.read_only);
-        // Rebuild the hash index by replaying the log in order: because every
-        // record stores the chain head observed when it was written, installing
-        // each record as the head reconstructs the exact chains.
-        self.index.clear();
+        // Rebuild the (fresh, checkpoint-sized) hash index by replaying the
+        // log in order: because every record stores the chain head observed
+        // when it was written, installing each record as the head
+        // reconstructs the exact chains.
         let mut live: HashSet<u64> = HashSet::new();
         self.log.scan(|addr, record| {
             self.index.set_head(record.key, addr);
@@ -767,9 +762,10 @@ impl KvStore for FasterKv {
         // them to the tail in log-address order, so the appends (and the
         // flushes they trigger) follow the on-device layout instead of
         // request order. Each copy installs only if its chain head is still
-        // the one phase 1 walked from: a key written concurrently (the batch
-        // holds values across its whole run) keeps the writer's value and the
-        // promotion is dropped — it was only a hint.
+        // the one phase 1 walked from. Chains are per (bucket, tag), so a
+        // moved head means a write to this key (or to its rare tag-mate)
+        // since phase 1: the writer's value stays and the promotion is
+        // dropped — it was only a hint.
         let _guard = self.epoch.acquire();
         let mut unique: Vec<Key> = keys.to_vec();
         unique.sort_unstable();
@@ -790,26 +786,16 @@ impl KvStore for FasterKv {
         }
         candidates.sort_unstable_by_key(|(found, _, _)| found.addr);
         let mut promoted = 0;
-        for (found, key, mut head) in candidates {
-            // The bucket head may have moved since phase 1 — most commonly
-            // because an earlier promotion in *this very batch* shares the
-            // hash bucket. That is not a conflict on this key: as long as no
-            // record pushed since is for the key, retry the install against
-            // the fresh head. Only a genuine write to the key drops its
-            // promotion.
-            loop {
-                let current = self.index.head(key);
-                if current != head && !self.chain_grew_without(key, current, head) {
-                    self.metrics.record_prefetch_skip();
-                    break;
-                }
-                head = current;
-                if self.try_install(Record::new(key, found.record.value.clone(), head))? {
-                    self.metrics.record_prefetch_copy();
-                    promoted += 1;
-                    break;
-                }
-                // CAS lost to a concurrent chain append; re-examine.
+        for (found, key, head) in candidates {
+            // The head check up front saves appending a copy that would only
+            // lose its CAS.
+            if self.index.head(key) == head
+                && self.try_install(Record::new(key, found.record.value, head))?
+            {
+                self.metrics.record_prefetch_copy();
+                promoted += 1;
+            } else {
+                self.metrics.record_prefetch_skip();
             }
         }
         Ok(promoted)
@@ -1077,8 +1063,9 @@ mod tests {
 
     #[test]
     fn multi_promote_handles_same_batch_bucket_collisions() {
-        // 2 buckets: every promotion in the batch moves a head that the other
-        // candidates captured in phase 1. All of them must still install —
+        // A 2-entry index is one bucket chain holding every key, but each key
+        // has its own tagged entry: no promotion in the batch moves a head
+        // another candidate captured in phase 1, so all of them install —
         // only a genuine write to the same key may drop a promotion.
         let store = FasterKv::open(
             StoreConfig::in_memory()
@@ -1094,6 +1081,8 @@ mod tests {
             .filter(|&k| store.get_traced(k).unwrap().source == ReadSource::Disk)
             .collect();
         assert!(cold.len() > 2, "need several cold keys sharing buckets");
+        let tags: HashSet<u16> = cold.iter().map(|&k| HashIndex::tag_of(k)).collect();
+        assert_eq!(tags.len(), cold.len(), "the cold keys have distinct tags");
         let promoted = store.multi_promote(&cold).unwrap();
         assert_eq!(promoted, cold.len(), "bucket collisions dropped promotions");
         for &k in &cold {
@@ -1191,7 +1180,8 @@ mod tests {
 
     #[test]
     fn hash_collisions_are_resolved_by_chains() {
-        // 2 buckets: nearly everything collides.
+        // A 2-entry index: every key lands in one bucket chain of overflow
+        // buckets, and the few tag-mates share a record chain.
         let store = FasterKv::open(
             StoreConfig::in_memory()
                 .with_memory_budget(1 << 20)

@@ -153,8 +153,14 @@ pub struct StoreConfig {
     pub memory_budget: usize,
     /// Page size used by paged components.
     pub page_size: usize,
-    /// Number of hash-index buckets (FASTER engine) or fan-out hints. Rounded up
-    /// to a power of two by the engines.
+    /// Size of the FASTER hash index in entries, at 8 bytes each (rounded up
+    /// to a power of two, packed seven to a 64-byte bucket). A key takes one
+    /// entry (the rare keys with equal hash tags share one); buckets with
+    /// more keys than entries grow overflow buckets beyond this, so any key
+    /// count is correct. This sizes fresh stores only: which keys share an
+    /// entry depends on the size, and the log's record chains follow that
+    /// sharing, so a store reopened from a checkpoint keeps the size the
+    /// checkpoint recorded.
     pub index_buckets: usize,
     /// The one worker knob: threads a single batched operation (`multi_get` /
     /// `multi_rmw` / `write_batch`) may fan out over, and with it the number
@@ -260,7 +266,7 @@ impl StoreConfig {
         self
     }
 
-    /// Set the number of index buckets.
+    /// Set the hash-index size in entries (see [`StoreConfig::index_buckets`]).
     pub fn with_index_buckets(mut self, buckets: usize) -> Self {
         self.index_buckets = buckets;
         self

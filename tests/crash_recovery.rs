@@ -23,13 +23,13 @@
 //! key that is absent on disk gathers identically to one that was only ever
 //! initialised — which is exactly what makes shadow comparison sound.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mlkv::table::EmbeddingTable;
 use mlkv::{open_store, BackendKind, DurabilityMode, KvStore, StoreConfig, WriteBatch};
-use mlkv_faster::FasterKv;
+use mlkv_faster::{FasterKv, HashIndex};
 use mlkv_storage::{CrashClock, CrashDevice, Device, DeviceFactory, FileDevice};
 
 const DIM: usize = 8;
@@ -246,11 +246,26 @@ fn btree_survives_power_loss_at_every_sync_boundary() {
     crash_sweep(BackendKind::WiredTigerLike, "btree");
 }
 
+/// A hashed feature id (the SplitMix64 finaliser of `i`), the way embedding
+/// tables usually key their rows. Unlike sequential ids, which the index's
+/// multiplicative hash spreads perfectly evenly, these collide at random.
+fn feature_id(i: u64) -> u64 {
+    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Acceptance: reopening a table with >= 100k records completes via the
-/// checkpoint's index-rebuild-by-scan path and serves the data back.
+/// checkpoint's index-rebuild-by-scan path and serves the data back —
+/// including through the index's two rare paths, which 100k hashed ids in
+/// 2^14 entries are sure to take: chains that outgrew their bucket into
+/// overflow buckets, and keys whose equal tags share one entry (and one
+/// record chain).
 #[test]
 fn reopening_100k_records_rebuilds_index_by_scan() {
     const N: u64 = 100_000;
+    let keys: Vec<u64> = (0..N).map(feature_id).collect();
     let dir = temp_dir("rebuild-100k");
     std::fs::remove_dir_all(&dir).ok();
     let config = StoreConfig::on_disk(&dir)
@@ -259,7 +274,7 @@ fn reopening_100k_records_rebuilds_index_by_scan() {
         .with_index_buckets(1 << 14);
     {
         let store = FasterKv::open(config.clone()).expect("open");
-        for chunk in (0..N).collect::<Vec<_>>().chunks(1024) {
+        for chunk in keys.chunks(1024) {
             let mut batch = WriteBatch::new();
             for &k in chunk {
                 batch.put(k, k.to_le_bytes().to_vec());
@@ -270,11 +285,66 @@ fn reopening_100k_records_rebuilds_index_by_scan() {
     }
     let store = FasterKv::open(config).expect("reopen rebuilds index by scan");
     assert_eq!(store.approximate_len(), N as usize);
-    for k in [0, 1, N / 2, N - 2, N - 1] {
+    let index = store.index();
+    assert!(
+        index.overflow_buckets() > 0,
+        "the rebuild must grow overflow buckets"
+    );
+    let mut entries: HashMap<(usize, u16), u64> = HashMap::new();
+    let tag_mates: Vec<u64> = keys
+        .iter()
+        .filter_map(|&k| {
+            entries
+                .insert((index.bucket_of(k), HashIndex::tag_of(k)), k)
+                .map(|mate| [mate, k])
+        })
+        .flatten()
+        .collect();
+    assert!(!tag_mates.is_empty(), "no two keys share an index entry");
+    let n = keys.len();
+    let sample = [keys[0], keys[1], keys[n / 2], keys[n - 2], keys[n - 1]];
+    for k in sample.into_iter().chain(tag_mates) {
         assert_eq!(
             store.get(k).expect("get"),
             k.to_le_bytes().to_vec(),
             "key {k} after index rebuild"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A log's record chains were linked against the index that wrote it. A
+/// reopen given a different `index_buckets` must still rebuild at the
+/// checkpoint's size: in a one-bucket index, thousands of these keys would
+/// share a tag with a key they never shared a chain with, and half of each
+/// such pair would become unreachable.
+#[test]
+fn reopening_with_another_index_size_rebuilds_at_the_checkpoints() {
+    const N: u64 = 5_000;
+    let keys: Vec<u64> = (0..N).map(feature_id).collect();
+    let dir = temp_dir("rebuild-resized");
+    std::fs::remove_dir_all(&dir).ok();
+    let config = StoreConfig::on_disk(&dir)
+        .with_memory_budget(1 << 20)
+        .with_page_size(64 << 10)
+        .with_index_buckets(1 << 14);
+    let written_buckets = {
+        let store = FasterKv::open(config.clone()).expect("open");
+        let mut batch = WriteBatch::new();
+        for &k in &keys {
+            batch.put(k, k.to_le_bytes().to_vec());
+        }
+        store.write_batch(&batch).expect("write batch");
+        store.checkpoint().expect("checkpoint");
+        store.index().bucket_count()
+    };
+    let store = FasterKv::open(config.with_index_buckets(2)).expect("reopen");
+    assert_eq!(store.index().bucket_count(), written_buckets);
+    for &k in &keys {
+        assert_eq!(
+            store.get(k).expect("get"),
+            k.to_le_bytes().to_vec(),
+            "key {k} after a resized reopen"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -327,21 +327,26 @@ fn faster_cold_batch_results_survive_spills_and_large_values() {
 fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
     use mlkv_faster::{FasterKv, HashIndex};
     use mlkv_storage::{DeviceFactory, KvStore, WriteBatch};
+    use std::collections::HashMap;
 
     const KEYS: u64 = 4096;
     const BATCH: u64 = 1024;
     const BUCKETS: usize = 1 << 10;
     const WORKERS: usize = 2;
-    // A bucket's chain holds one record per populated key hashing to it, plus
-    // one per batch key once the batch's own appends land (a range resolving
-    // while its sibling range writes walks over those too).
+    // A record chain belongs to one (bucket, tag) index entry: it holds one
+    // record per populated key with that bucket and tag, plus one per batch
+    // key once the batch's own appends land (a range resolving while its
+    // sibling range writes walks over those too). Almost every key has its
+    // entry to itself, so the deepest chain is 2 records.
     let index = HashIndex::new(BUCKETS);
-    let mut per_bucket = vec![0u64; index.bucket_count()];
+    let mut per_entry: HashMap<(usize, u16), u64> = HashMap::new();
     for k in (0..KEYS).chain(0..BATCH) {
-        per_bucket[index.bucket_of(k)] += 1;
+        *per_entry
+            .entry((index.bucket_of(k), HashIndex::tag_of(k)))
+            .or_default() += 1;
     }
-    let max_depth = per_bucket.into_iter().max().unwrap();
-    assert!(max_depth >= 3, "chains must be several records deep");
+    let max_depth = per_entry.into_values().max().unwrap();
+    assert!(max_depth >= 2, "batch keys must have an older version");
 
     let batch_keys: Vec<u64> = (0..BATCH).collect();
     type Op = fn(&FasterKv, &[u64]);
@@ -408,6 +413,66 @@ fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
             );
         }
     }
+}
+
+/// A cold read walks only its own key's versions: of two keys that an index
+/// with one untagged head per bucket would chain together, one is rewritten
+/// 10,000 times — value lengths alternate, so no rewrite updates in place
+/// and each appends a version, nearly all of them long past the in-memory
+/// window — and a cold read of the other still reaches the device at most
+/// twice (one round, plus its follow-up read should the value outgrow the
+/// speculative request).
+#[test]
+fn faster_cold_read_does_not_walk_a_bucket_mates_versions() {
+    use mlkv_faster::{FasterKv, HashIndex};
+    use mlkv_storage::kv::ReadSource;
+    use mlkv_storage::{DeviceFactory, KvStore};
+
+    const ENTRIES: usize = 1 << 10;
+    const REWRITES: usize = 10_000;
+    // The bucket an untagged index of `ENTRIES` heads puts `key` in.
+    let untagged_bucket =
+        |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize & (ENTRIES - 1);
+    let hot = 1u64;
+    let cold = (2u64..)
+        .find(|&k| untagged_bucket(k) == untagged_bucket(hot))
+        .unwrap();
+    let index = HashIndex::new(ENTRIES);
+    assert_eq!(index.bucket_of(hot), index.bucket_of(cold), "one bucket");
+    assert_ne!(
+        HashIndex::tag_of(hot),
+        HashIndex::tag_of(cold),
+        "two entries"
+    );
+
+    let device = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+    let factory = {
+        let device = Arc::clone(&device);
+        DeviceFactory::new(move |_| Ok(Arc::clone(&device) as Arc<dyn Device>))
+    };
+    let store = FasterKv::open(
+        matrix_config()
+            .with_device_factory(factory)
+            .with_memory_budget(8 << 10)
+            .with_page_size(1 << 10)
+            .with_index_buckets(ENTRIES),
+    )
+    .unwrap();
+    store.put(cold, &[7u8; 24]).unwrap();
+    for i in 0..REWRITES {
+        store.put(hot, &vec![i as u8; 24 + 8 * (i % 2)]).unwrap();
+    }
+    assert!(
+        store.log().head().raw() > 50 * (8 << 10),
+        "the rewrites must reach far past the in-memory window"
+    );
+
+    let before = device.reads();
+    let read = store.get_traced(cold).unwrap();
+    let reads = device.reads() - before;
+    assert_eq!(read.source, ReadSource::Disk);
+    assert_eq!(read.value, vec![7u8; 24]);
+    assert!(reads <= 2, "{reads} device read calls for one cold key");
 }
 
 /// Counts the `read_at` calls that reach it; `read_scatter` and

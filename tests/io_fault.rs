@@ -309,10 +309,21 @@ fn faster_failed_wal_write_rejects_the_put() {
     assert_eq!(store.get(1).unwrap(), b"one");
 }
 
-/// A FASTER store over one [`FailingDevice`], mostly cold, with hash chains
-/// deep enough that a cold resolve needs several device rounds (each round is
-/// one read operation on either backend: the gap threshold merges it into a
-/// single run). Returns the injection handle, the store and its cold keys.
+/// The value [`cold_faulty_faster`] stores under `k`: one key in 32 has a
+/// small value that a cold read fetches whole in its speculative first
+/// request; every other value is longer than that request, so its record
+/// needs a second, exactly-sized read.
+fn faulty_value(k: u64) -> Vec<u8> {
+    vec![(k % 251) as u8; if k.is_multiple_of(32) { 32 } else { 600 }]
+}
+
+/// A FASTER store over one [`FailingDevice`], almost entirely cold. Every
+/// cold key resolves in one device round: the speculative scatter (one read
+/// operation on either backend — the gap threshold merges it into a single
+/// run) completes the small values, and a follow-up scatter fetches the
+/// rest of the long ones. Failing from the second read operation on thus
+/// faults a subset of the round's requests. Returns the injection handle,
+/// the store and its cold keys.
 fn cold_faulty_faster() -> (Arc<FailingDevice>, mlkv_faster::FasterKv, Vec<u64>) {
     use mlkv_storage::KvStore;
 
@@ -328,17 +339,13 @@ fn cold_faulty_faster() -> (Arc<FailingDevice>, mlkv_faster::FasterKv, Vec<u64>)
             .with_parallelism(1),
     )
     .unwrap();
-    // Newest key first in every chain: a key-ordered per-key walk would meet
-    // the cheapest cold keys first and the deepest last.
-    for k in (0..1000u64).rev() {
-        store.put(k, &[(k % 251) as u8; 32]).unwrap();
+    for k in 0..1000u64 {
+        store.put(k, &faulty_value(k)).unwrap();
     }
-    // Every device-resident key: the ones just past the in-memory window
-    // resolve in the first device round, the older ones need more.
     let cold: Vec<u64> = (0..1000u64)
         .filter(|&k| store.get_traced(k).unwrap().source == mlkv_storage::kv::ReadSource::Disk)
         .collect();
-    assert!(cold.len() > 500, "most of the store must be cold");
+    assert!(cold.len() > 900, "the store must be cold");
     let failing = Arc::clone(handles.lock().unwrap().get("hlog.dat").expect("log device"));
     (failing, store, cold)
 }
@@ -352,7 +359,8 @@ fn faster_read_fault_mid_promote_skips_only_the_unresolved_keys() {
 
     let (failing, store, cold) = cold_faulty_faster();
     let before = store.metrics().snapshot();
-    // The first device round completes; every later read fails.
+    // The speculative scatter completes; the follow-up for the long values
+    // and every later read fail.
     failing.fail_after(1);
     let promoted = store
         .multi_promote(&cold)
@@ -360,7 +368,7 @@ fn faster_read_fault_mid_promote_skips_only_the_unresolved_keys() {
     failing.heal();
     assert!(
         0 < promoted && promoted < cold.len(),
-        "{promoted} of {} promoted: the first round's keys, not the later rounds'",
+        "{promoted} of {} promoted: the small values, not the long ones",
         cold.len()
     );
     let after = store.metrics().snapshot();
@@ -382,25 +390,27 @@ fn faster_read_fault_mid_promote_skips_only_the_unresolved_keys() {
         "exactly the promoted keys left the device"
     );
     for &k in &cold {
-        assert_eq!(store.get(k).unwrap(), vec![(k % 251) as u8; 32], "key {k}");
+        assert_eq!(store.get(k).unwrap(), faulty_value(k), "key {k}");
     }
 }
 
 /// Resolve precedes mutation: a read fault while a `multi_rmw` range resolves
-/// fails the batch with no key of that range modified.
+/// fails the batch with no key of that range modified — not even the keys
+/// the range had already resolved.
 #[test]
 fn faster_read_fault_during_rmw_resolve_modifies_nothing() {
     use mlkv_storage::KvStore;
 
     let (failing, store, cold) = cold_faulty_faster();
     let len_before = store.approximate_len();
-    // Three device rounds resolve the shallowest keys; the fourth faults.
-    failing.fail_after(3);
+    // The speculative scatter resolves the small values; the follow-up for
+    // the long ones faults.
+    failing.fail_after(1);
     let result = store.multi_rmw(&cold, &|_, _| vec![0xEE; 32]);
     failing.heal();
     assert!(result.is_err(), "the resolve fault surfaces");
     for (&k, got) in cold.iter().zip(store.multi_get(&cold)) {
-        assert_eq!(got.unwrap(), vec![(k % 251) as u8; 32], "key {k} modified");
+        assert_eq!(got.unwrap(), faulty_value(k), "key {k} modified");
     }
     assert_eq!(store.approximate_len(), len_before);
     // The healed store applies the same batch.
