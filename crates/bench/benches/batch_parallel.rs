@@ -7,12 +7,13 @@
 //! `emit_bench_json` binary, so this bench and the recorded
 //! `BENCH_batch_parallel.json` always measure the same stores.
 //!
-//! The interesting read is `gather/<n>` across the `pN` rows of one group:
-//! with ≥ 4 workers and batches ≥ 1024, the parallel rows should approach the
-//! worker count on idle multi-core hosts (CPU-bound groups need real cores;
-//! the `faster_cold_ssd_sim` group overlaps I/O waits and therefore shows the
-//! effect even on a single-core CI box). `p1` runs every job inline on the
-//! caller — comparing it against the `batch_ops` bench checks for regressions.
+//! The interesting read is `gather/<n>` across the `pN` rows of one group. A
+//! batch fans out only when every worker gets
+//! `mlkv_storage::exec::MIN_KEYS_PER_WORKER` keys, so `gather/1024` and
+//! `gather/4096` run inline at every level (the rows should match), and
+//! `gather/16384` fans out to `min(N, 4)` workers, which only pays on idle
+//! cores. `p1` runs every job inline on the caller — comparing it against the
+//! `batch_ops` bench checks for regressions.
 
 use std::time::Duration;
 

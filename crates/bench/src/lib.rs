@@ -227,10 +227,11 @@ pub mod batch_parallel {
 
     /// Parallelism levels every group sweeps.
     pub const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
-    /// Gather batch sizes for the warm groups.
-    pub const GATHER_BATCH_SIZES: [usize; 2] = [1024, 4096];
-    /// Batch size of the warm apply-gradients groups (large enough to clear
-    /// the executor's parallel cutoff with room to spare).
+    /// Gather batch sizes for the warm groups: two that run inline at every
+    /// level, and one large enough to fan out (4 × `MIN_KEYS_PER_WORKER`).
+    pub const GATHER_BATCH_SIZES: [usize; 3] = [1024, 4096, 16384];
+    /// Batch size of the warm apply-gradients groups (the largest populate
+    /// chunk of the gated benchmark; it runs inline at every level).
     pub const APPLY_BATCH_SIZE: usize = 4096;
     /// Key space of the warm (RAM-resident) tables.
     pub const WARM_KEY_SPACE: u64 = 20_000;
@@ -267,7 +268,6 @@ pub mod batch_parallel {
             EmbeddingTable::builder(store)
                 .dim(16)
                 .staleness_bound(u32::MAX)
-                .parallelism(parallelism)
                 // Cache small enough that gathers exercise the storage engine.
                 .app_cache_bytes(1 << 10)
                 .build()
@@ -397,7 +397,6 @@ pub mod io_coalesce {
             EmbeddingTable::builder(store)
                 .dim(DIM)
                 .staleness_bound(u32::MAX)
-                .parallelism(parallelism)
                 // Cache small enough that gathers exercise the storage engine.
                 .app_cache_bytes(1 << 10)
                 .build()

@@ -965,7 +965,9 @@ mod tests {
             }
         }
         assert!(parallel.leaf_count() > 1);
-        let keys: Vec<u64> = (0..4096u64).map(|i| (i * 11) % 5200).collect();
+        // Large enough to fan out, with misses mixed in.
+        let n = 2 * mlkv_storage::exec::MIN_KEYS_PER_WORKER as u64;
+        let keys: Vec<u64> = (0..n).map(|i| (i * 11) % 5200).collect();
         let a = serial.multi_get(&keys);
         let b = parallel.multi_get(&keys);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {

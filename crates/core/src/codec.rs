@@ -17,18 +17,26 @@ pub fn encode_vector(values: &[f32]) -> Vec<u8> {
 /// Decode a byte string produced by [`encode_vector`], checking that it matches
 /// the expected dimension.
 pub fn decode_vector(bytes: &[u8], dim: usize) -> StorageResult<Vec<f32>> {
-    if bytes.len() != dim * 4 {
+    let mut out = vec![0.0; dim];
+    decode_vector_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Decode a byte string produced by [`encode_vector`] into `out`, checking
+/// that it holds exactly `out.len()` values; `out` is untouched on error.
+pub fn decode_vector_into(bytes: &[u8], out: &mut [f32]) -> StorageResult<()> {
+    if bytes.len() != out.len() * 4 {
         return Err(StorageError::Corruption(format!(
             "embedding value has {} bytes, expected {} (dim {})",
             bytes.len(),
-            dim * 4,
-            dim
+            out.len() * 4,
+            out.len()
         )));
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect())
+    for (x, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *x = f32::from_le_bytes(c.try_into().expect("chunk of 4"));
+    }
+    Ok(())
 }
 
 /// Deterministically initialise an embedding vector for `key`: uniform values in
@@ -70,6 +78,11 @@ mod tests {
         let bytes = encode_vector(&[1.0, 2.0]);
         assert!(decode_vector(&bytes, 3).is_err());
         assert!(decode_vector(&bytes[..7], 2).is_err());
+        let mut row = [9.0f32; 3];
+        assert!(decode_vector_into(&bytes, &mut row).is_err());
+        assert_eq!(row, [9.0; 3], "a failed decode leaves the row alone");
+        decode_vector_into(&bytes, &mut row[..2]).unwrap();
+        assert_eq!(row, [1.0, 2.0, 9.0]);
     }
 
     #[test]

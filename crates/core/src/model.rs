@@ -120,13 +120,12 @@ impl EmbeddingModelBuilder {
     }
 
     /// The one worker knob (`0` = auto-size from the host, `1` = every batch
-    /// inline on the caller, deterministic). Applies to both the storage
-    /// engine (shard- and range-parallel `multi_get` / `multi_rmw` /
-    /// `write_batch`, and the shard counts its write path is built with) and
-    /// the table layer (bulk vector decode): one `gather` or
-    /// `apply_gradients` fans out over this many workers.
+    /// inline on the caller, deterministic): the storage engine's
+    /// `StoreConfig::parallelism`, which sizes its shard- and range-parallel
+    /// `multi_get` / `multi_read` / `multi_rmw` / `write_batch` and the shard
+    /// counts its write path is built with. A batch fans out only when every
+    /// worker gets `mlkv_storage::exec::MIN_KEYS_PER_WORKER` keys.
     pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.options.parallelism = parallelism;
         self.store_config.parallelism = parallelism;
         self
     }

@@ -8,22 +8,15 @@
 //! probe, and a single batched storage call — instead of per-key dispatch,
 //! per-key locking and per-key cache probes.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mlkv_storage::exec::BatchExecutor;
 use mlkv_storage::{KvStore, ShardedLruCache, StorageError, StorageResult, WriteBatch};
 
-use crate::codec::{decode_vector, encode_vector, init_vector};
+use crate::codec::{decode_vector, decode_vector_into, encode_vector, init_vector};
 use crate::prefetch::{LookaheadDest, PrefetchStats, Prefetcher};
 use crate::staleness::{ConsistencyMode, StalenessController, StalenessStats};
 use crate::stats::{TableStats, TableStatsSnapshot};
-
-/// Minimum number of f32 elements (`batch keys × dim`) a gather must decode
-/// before the table fans the decode out over its executor; below this the
-/// spawn cost dominates the copy.
-const DECODE_PARALLEL_MIN_ELEMS: usize = 1 << 16;
 
 /// Options controlling an embedding table.
 #[derive(Debug, Clone)]
@@ -43,12 +36,6 @@ pub struct TableOptions {
     pub init_scale: f32,
     /// Seed of the deterministic initialiser.
     pub seed: u64,
-    /// Worker threads a single `gather` / `apply_gradients` may fan out over
-    /// at the table layer (vector decode of large batches). `0` = auto-size
-    /// from the host, `1` = serial. The storage engine has its own
-    /// `StoreConfig::parallelism`; `Mlkv::builder(..).parallelism(n)` sets
-    /// both at once.
-    pub parallelism: usize,
 }
 
 impl Default for TableOptions {
@@ -61,7 +48,6 @@ impl Default for TableOptions {
             app_cache_bytes: 8 << 20,
             init_scale: 0.05,
             seed: 42,
-            parallelism: 0,
         }
     }
 }
@@ -133,16 +119,6 @@ impl TableBuilder {
         self
     }
 
-    /// Table-layer batch parallelism (`0` = auto, `1` = serial). Note this
-    /// knob covers only the table's own work (bulk vector decode); pass the
-    /// same value to `StoreConfig::with_parallelism` — or use
-    /// `Mlkv::builder(..).parallelism(n)`, which sets both — to parallelise
-    /// the storage engine's batch execution too.
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.options.parallelism = parallelism;
-        self
-    }
-
     /// Replace every option at once (used by the model-level builder).
     pub fn options(mut self, options: TableOptions) -> Self {
         self.options = options;
@@ -166,7 +142,6 @@ pub struct EmbeddingTable {
     cache: Arc<ShardedLruCache>,
     prefetcher: Prefetcher,
     stats: TableStats,
-    executor: BatchExecutor,
 }
 
 impl EmbeddingTable {
@@ -197,7 +172,6 @@ impl EmbeddingTable {
             options.lookahead_workers,
         );
         Ok(Self {
-            executor: BatchExecutor::new(options.parallelism),
             store,
             options,
             controller,
@@ -239,12 +213,9 @@ impl EmbeddingTable {
     }
 
     /// Fetch embeddings for a batch of keys (order preserved, duplicates
-    /// allowed), lazily initialising unseen keys.
-    ///
-    /// This is the batch-first forward-pass path: one staleness-controller
-    /// admission for the whole batch, one bulk application-cache probe, one
-    /// [`KvStore::multi_get`] for the cache misses, and one
-    /// [`KvStore::write_batch`] materialising every lazily-initialised key.
+    /// allowed), lazily initialising unseen keys:
+    /// [`EmbeddingTable::gather_into`] one row-major buffer, split into one
+    /// `Vec` per key.
     ///
     /// ```
     /// use mlkv::Mlkv;
@@ -259,108 +230,159 @@ impl EmbeddingTable {
             return Ok(Vec::new());
         }
         let start = Instant::now();
-        let mut unique: Vec<u64> = keys.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
+        let dim = self.options.dim;
+        let mut rows = vec![0.0; keys.len() * dim];
+        self.gather_rows(keys, &mut rows)?;
+        let out = rows.chunks_exact(dim).map(<[f32]>::to_vec).collect();
+        self.stats
+            .record_get(keys.len() as u64, start.elapsed().as_nanos() as u64);
+        Ok(out)
+    }
+
+    /// Fetch embeddings for a batch of keys (duplicates allowed) into `out`,
+    /// row-major: key `i`'s embedding lands in `out[i * dim..(i + 1) * dim]`,
+    /// and `out` must hold exactly `keys.len() * dim` values. Unseen keys are
+    /// lazily initialised.
+    ///
+    /// This is the batch-first forward-pass path: one staleness-controller
+    /// admission for the whole batch, one bulk application-cache probe, one
+    /// [`KvStore::multi_read`] for the cache misses — which decodes each
+    /// unique key once, straight from the engine's bytes into its first
+    /// occurrence's row — and one [`KvStore::multi_rmw`] materialising the
+    /// keys the store does not hold. Later occurrences of a key copy its row.
+    ///
+    /// ```
+    /// use mlkv::Mlkv;
+    ///
+    /// let model = Mlkv::open("gather-into-doc", 2, 0).unwrap();
+    /// model.table().put(&[7], &[vec![1.0, 2.0]]).unwrap();
+    /// let mut rows = [0.0f32; 4];
+    /// model.table().gather_into(&[7, 7], &mut rows).unwrap();
+    /// assert_eq!(rows, [1.0, 2.0, 1.0, 2.0]);
+    /// ```
+    pub fn gather_into(&self, keys: &[u64], out: &mut [f32]) -> StorageResult<()> {
+        if out.len() != keys.len() * self.options.dim {
+            return Err(StorageError::InvalidArgument(format!(
+                "gather of {} keys of dimension {} into {} values",
+                keys.len(),
+                self.options.dim,
+                out.len()
+            )));
+        }
+        if keys.is_empty() {
+            return Ok(());
+        }
+        let start = Instant::now();
+        self.gather_rows(keys, out)?;
+        self.stats
+            .record_get(keys.len() as u64, start.elapsed().as_nanos() as u64);
+        Ok(())
+    }
+
+    /// The body of [`EmbeddingTable::gather`] and
+    /// [`EmbeddingTable::gather_into`], which time it: `keys` is not empty
+    /// and `out` holds `keys.len() * dim` values.
+    fn gather_rows(&self, keys: &[u64], out: &mut [f32]) -> StorageResult<()> {
+        let dim = self.options.dim;
+        // Each run of equal keys in (key, position) order is one unique key,
+        // read into its first occurrence's row; the other occurrences copy it.
+        let mut by_key: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        by_key.sort_unstable();
+        let mut unique: Vec<u64> = Vec::with_capacity(by_key.len());
+        let mut first_rows: Vec<usize> = Vec::with_capacity(by_key.len());
+        let mut copies: Vec<(usize, usize)> = Vec::new();
+        for run in by_key.chunk_by(|a, b| a.0 == b.0) {
+            let (key, row) = run[0];
+            unique.push(key);
+            first_rows.push(row);
+            copies.extend(run[1..].iter().map(|&(_, to)| (row, to)));
+        }
         // One admission per batch; each unique key counts as one Get against
         // its staleness clock, exactly like the per-key path on deduplicated
         // batches.
         self.controller.admit_get_batch(&unique)?;
 
         // Bulk cache probe, collecting the misses for one storage batch read.
-        let mut values: HashMap<u64, Vec<f32>> = HashMap::with_capacity(unique.len());
         let mut missing: Vec<u64> = Vec::new();
-        for &key in &unique {
+        let mut missing_rows: Vec<usize> = Vec::new();
+        for (&key, &row) in unique.iter().zip(&first_rows) {
             match self.cache.get(key) {
                 Some(bytes) => {
                     self.stats.record_cache_hit();
-                    values.insert(key, decode_vector(&bytes, self.options.dim)?);
+                    decode_vector_into(&bytes, &mut out[row * dim..][..dim])?;
                 }
-                None => missing.push(key),
+                None => {
+                    missing.push(key);
+                    missing_rows.push(row);
+                }
             }
         }
         if !missing.is_empty() {
-            let fetched = self.store.multi_get(&missing);
-            // Decoding the fetched rows is per-key-independent CPU work, so
-            // large batches fan it out over the table's executor (the storage
-            // engine has already parallelised the reads themselves).
-            let dim = self.options.dim;
-            let decode_chunk = |keys_chunk: &[u64], fetched_chunk: &[StorageResult<Vec<u8>>]| {
-                keys_chunk
-                    .iter()
-                    .zip(fetched_chunk)
-                    .map(|(key, result)| {
-                        let decoded = match result {
-                            Ok(bytes) => decode_vector(bytes, dim).map(Some),
-                            Err(e) if e.is_not_found() => Ok(None),
-                            Err(e) => Err(e.clone_shallow()),
-                        };
-                        (*key, decoded)
-                    })
-                    .collect::<Vec<_>>()
-            };
-            // Gate on decoded *work* (elements), not key count: at small dims
-            // the decode is a few hundred KB of copying at most and a second
-            // thread::scope round (the engine's multi_get already paid one)
-            // would cost more than it saves — while a few hundred keys of a
-            // large dimension are worth fanning out even below the executor's
-            // key-count cutoff (hence `execute_ungated`). Below the gate the
-            // batch is one chunk, which the executor runs inline.
-            let chunks = if missing.len() * dim >= DECODE_PARALLEL_MIN_ELEMS {
-                self.executor.parallelism().min(missing.len())
-            } else {
-                1
-            };
-            let chunk = missing.len().div_ceil(chunks);
-            let jobs: Vec<_> = missing
-                .chunks(chunk)
-                .zip(fetched.chunks(chunk))
-                .map(|(keys_chunk, fetched_chunk)| {
-                    let decode_chunk = &decode_chunk;
-                    move || decode_chunk(keys_chunk, fetched_chunk)
-                })
-                .collect();
-            let decoded = self.executor.execute_ungated(jobs).into_iter().flatten();
-            let mut init_keys: Vec<u64> = Vec::new();
-            for (key, result) in decoded {
-                match result? {
-                    Some(vector) => {
-                        values.insert(key, vector);
-                    }
-                    None => init_keys.push(key),
-                }
-            }
-            if !init_keys.is_empty() {
-                // Materialise unseen keys under staleness-neutral record
-                // latches, re-checking inside the rmw: a concurrent writer may
-                // have landed between the multi_get and here, and its value
-                // must win over the initialiser (the per-key path got the same
-                // guarantee from holding the record lock across read+init).
-                let latches = self.controller.lock_records(&init_keys);
-                let (dim, scale, seed) =
-                    (self.options.dim, self.options.init_scale, self.options.seed);
-                let written = self
-                    .store
-                    .multi_rmw(&init_keys, &|i, current| match current {
-                        Some(bytes) => bytes.to_vec(),
-                        None => {
-                            self.stats.record_init();
-                            encode_vector(&init_vector(init_keys[i], dim, scale, seed))
-                        }
-                    });
-                drop(latches);
-                for (key, bytes) in init_keys.iter().zip(written?) {
-                    values.insert(*key, decode_vector(&bytes, self.options.dim)?);
-                }
-            }
+            self.read_rows(&missing, &missing_rows, out)?;
         }
-        let out = keys
+        for (from, to) in copies {
+            out.copy_within(from * dim..(from + 1) * dim, to * dim);
+        }
+        Ok(())
+    }
+
+    /// Read the unique `keys` from the store straight into their `rows` of
+    /// `out`, lazily initialising the keys the store does not hold.
+    fn read_rows(&self, keys: &[u64], rows: &[usize], out: &mut [f32]) -> StorageResult<()> {
+        let dim = self.options.dim;
+        // The engine may visit from several batch-executor workers at once,
+        // so every key's row sits behind its own lock: a key is visited once,
+        // and no lock is ever contended.
+        let mut by_row: Vec<Option<&mut [f32]>> = out.chunks_exact_mut(dim).map(Some).collect();
+        let mut slots: Vec<Mutex<&mut [f32]>> = rows
             .iter()
-            .map(|k| values[k].clone())
-            .collect::<Vec<Vec<f32>>>();
-        self.stats
-            .record_get(keys.len() as u64, start.elapsed().as_nanos() as u64);
-        Ok(out)
+            .map(|&row| Mutex::new(by_row[row].take().expect("unique keys own distinct rows")))
+            .collect();
+        let misses = Mutex::new((Vec::<usize>::new(), None::<StorageError>));
+        let failed = self.store.multi_read(keys, &|i, value| match value {
+            Some(bytes) => {
+                let mut row = slots[i].lock().unwrap_or_else(|e| e.into_inner());
+                if let Err(e) = decode_vector_into(bytes, &mut row) {
+                    let mut misses = misses.lock().unwrap_or_else(|e| e.into_inner());
+                    misses.1.get_or_insert(e);
+                }
+            }
+            None => misses.lock().unwrap_or_else(|e| e.into_inner()).0.push(i),
+        });
+        let (mut absent, undecodable) = misses.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, e)) = failed.into_iter().min_by_key(|(i, _)| *i) {
+            return Err(e);
+        }
+        if let Some(e) = undecodable {
+            return Err(e);
+        }
+        if absent.is_empty() {
+            return Ok(());
+        }
+        // Materialise unseen keys under staleness-neutral record latches,
+        // re-checking inside the rmw: a concurrent writer may have landed
+        // between the read and here, and its value must win over the
+        // initialiser (the per-key path got the same guarantee from holding
+        // the record lock across read+init).
+        absent.sort_unstable();
+        let init_keys: Vec<u64> = absent.iter().map(|&i| keys[i]).collect();
+        let latches = self.controller.lock_records(&init_keys);
+        let (scale, seed) = (self.options.init_scale, self.options.seed);
+        let written = self
+            .store
+            .multi_rmw(&init_keys, &|i, current| match current {
+                Some(bytes) => bytes.to_vec(),
+                None => {
+                    self.stats.record_init();
+                    encode_vector(&init_vector(init_keys[i], dim, scale, seed))
+                }
+            });
+        drop(latches);
+        for (&i, bytes) in absent.iter().zip(written?) {
+            let row = slots[i].get_mut().unwrap_or_else(|e| e.into_inner());
+            decode_vector_into(&bytes, row)?;
+        }
+        Ok(())
     }
 
     /// Fetch embeddings for a batch of keys (alias of

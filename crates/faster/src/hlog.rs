@@ -24,7 +24,7 @@ use mlkv_storage::{
 };
 
 use crate::address::Address;
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 
 /// Marker for a frame that holds no page yet.
 const NO_PAGE: u64 = u64::MAX;
@@ -253,37 +253,32 @@ impl HybridLog {
     /// addresses of a whole key range and fetch them with one coalesced
     /// scatter via [`HybridLog::read_records_from_disk`].
     pub fn read_record_memory(&self, addr: Address) -> StorageResult<Option<(Record, ReadSource)>> {
-        self.check_addr(addr)?;
-        if addr.raw() >= self.head.load(Ordering::Acquire) {
-            // May still be None when the page was evicted between the head
-            // check and the frame lock; the caller then reads the device.
-            self.read_record_from_memory(addr)
-        } else {
-            Ok(None)
-        }
+        self.with_record_memory(addr, |record, source| (record.to_record(), source))
     }
 
-    /// Reject invalid or not-yet-allocated addresses.
-    fn check_addr(&self, addr: Address) -> StorageResult<()> {
-        if addr.is_invalid() || addr.raw() >= self.tail.load(Ordering::Acquire) {
-            return Err(StorageError::Corruption(format!(
-                "read of invalid address {addr}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Attempt to read a record from the in-memory window; `Ok(None)` when the
-    /// page is no longer resident.
-    fn read_record_from_memory(
+    /// [`HybridLog::read_record_memory`] without the copy: when `addr` is
+    /// resident, call `f` with the record decoded in place and the region it
+    /// was served from, while the page's frame is read-locked — so an
+    /// in-place update ([`HybridLog::try_update_in_place`], which takes the
+    /// frame's write lock) can never be seen half-written. `f` must not call
+    /// back into the log. `Ok(None)` means the record lives only on the
+    /// device.
+    pub fn with_record_memory<R>(
         &self,
         addr: Address,
-    ) -> StorageResult<Option<(Record, ReadSource)>> {
+        f: impl FnOnce(RecordRef<'_>, ReadSource) -> R,
+    ) -> StorageResult<Option<R>> {
+        self.check_addr(addr)?;
+        if addr.raw() < self.head.load(Ordering::Acquire) {
+            return Ok(None);
+        }
         let page = addr.page(self.page_size);
         let offset = addr.offset_in_page(self.page_size);
         let frame_lock = self.frame_for(page);
         let frame = frame_lock.read();
         if frame.page_index != page {
+            // Evicted between the head check and the frame lock; the caller
+            // reads the device.
             return Ok(None);
         }
         if offset + Record::HEADER_LEN > self.page_size {
@@ -298,9 +293,18 @@ impl HybridLog {
                 "record at {addr} crosses page boundary"
             )));
         }
-        let record = Record::decode(&frame.data[offset..offset + total])?;
-        let source = self.region_of(addr);
-        Ok(Some((record, source)))
+        let record = RecordRef::decode(&frame.data[offset..offset + total])?;
+        Ok(Some(f(record, self.region_of(addr))))
+    }
+
+    /// Reject invalid or not-yet-allocated addresses.
+    fn check_addr(&self, addr: Address) -> StorageResult<()> {
+        if addr.is_invalid() || addr.raw() >= self.tail.load(Ordering::Acquire) {
+            return Err(StorageError::Corruption(format!(
+                "read of invalid address {addr}"
+            )));
+        }
+        Ok(())
     }
 
     /// Bytes of the speculative first read at `addr`: header plus as much of

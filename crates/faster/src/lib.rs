@@ -40,5 +40,5 @@ pub use address::Address;
 pub use epoch::EpochManager;
 pub use hash_index::HashIndex;
 pub use hlog::HybridLog;
-pub use record::{Record, RecordFlags};
+pub use record::{Record, RecordFlags, RecordRef};
 pub use store::FasterKv;

@@ -125,16 +125,54 @@ impl Record {
     /// Decode a whole record from `bytes` (which must contain at least the full
     /// record).
     pub fn decode(bytes: &[u8]) -> StorageResult<Record> {
-        let (prev, key, value_len, flags) = Self::decode_header(bytes)?;
-        if bytes.len() < Self::HEADER_LEN + value_len {
-            return Err(StorageError::Corruption(format!(
-                "record value truncated: {} < {}",
-                bytes.len(),
-                Self::HEADER_LEN + value_len
-            )));
+        RecordRef::decode(bytes).map(RecordRef::to_record)
+    }
+
+    /// True when this record marks a deletion.
+    pub fn is_tombstone(&self) -> bool {
+        self.flags.is_tombstone()
+    }
+
+    /// Borrow this record as a [`RecordRef`].
+    pub fn view(&self) -> RecordRef<'_> {
+        RecordRef {
+            prev: self.prev,
+            key: self.key,
+            flags: self.flags,
+            value: &self.value,
         }
-        let value = bytes[Self::HEADER_LEN..Self::HEADER_LEN + value_len].to_vec();
-        Ok(Record {
+    }
+}
+
+/// A record decoded in place: the header fields, and the value still in the
+/// buffer it was read from (a page frame, or a device read's buffer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Address of the previous record in the same hash-bucket chain.
+    pub prev: Address,
+    /// The record's key.
+    pub key: u64,
+    /// Flags (tombstone).
+    pub flags: RecordFlags,
+    /// The value bytes (empty for tombstones).
+    pub value: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// Decode a whole record from `bytes` (which must contain at least the
+    /// full record) without copying its value.
+    pub fn decode(bytes: &'a [u8]) -> StorageResult<Self> {
+        let (prev, key, value_len, flags) = Record::decode_header(bytes)?;
+        let value = bytes
+            .get(Record::HEADER_LEN..Record::HEADER_LEN + value_len)
+            .ok_or_else(|| {
+                StorageError::Corruption(format!(
+                    "record value truncated: {} < {}",
+                    bytes.len(),
+                    Record::HEADER_LEN + value_len
+                ))
+            })?;
+        Ok(Self {
             prev,
             key,
             flags,
@@ -142,9 +180,14 @@ impl Record {
         })
     }
 
-    /// True when this record marks a deletion.
-    pub fn is_tombstone(&self) -> bool {
-        self.flags.is_tombstone()
+    /// Copy the value out into an owned [`Record`].
+    pub fn to_record(self) -> Record {
+        Record {
+            prev: self.prev,
+            key: self.key,
+            flags: self.flags,
+            value: self.value.to_vec(),
+        }
     }
 }
 
@@ -159,6 +202,16 @@ mod tests {
         assert_eq!(bytes.len(), rec.serialized_len());
         let decoded = Record::decode(&bytes).unwrap();
         assert_eq!(decoded, rec);
+    }
+
+    #[test]
+    fn a_borrowed_decode_matches_the_owned_one() {
+        let rec = Record::new(42, vec![1, 2, 3], Address::new(777));
+        let bytes = rec.encode();
+        let view = RecordRef::decode(&bytes).unwrap();
+        assert_eq!(view, rec.view());
+        assert_eq!(view.value, &bytes[Record::HEADER_LEN..]);
+        assert_eq!(view.to_record(), rec);
     }
 
     #[test]

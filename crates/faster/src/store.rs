@@ -2,6 +2,7 @@
 //! [`KvStore`] interface used by the MLKV layer and the benchmark harness.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -9,16 +10,18 @@ use parking_lot::RwLock;
 
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::{split_sorted, BatchExecutor};
-use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
+use mlkv_storage::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
 use mlkv_storage::wal::{WalOp, WalReader, WalWriter};
-use mlkv_storage::{DurabilityMode, StorageError, StorageMetrics, StorageResult, StoreConfig};
+use mlkv_storage::{
+    DurabilityMode, ReadTally, StorageError, StorageMetrics, StorageResult, StoreConfig,
+};
 
 use crate::address::Address;
 use crate::checkpoint;
 use crate::epoch::EpochManager;
 use crate::hash_index::HashIndex;
 use crate::hlog::HybridLog;
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 
 /// File name of WAL generation `gen` inside the store directory.
 fn wal_file_name(gen: u64) -> String {
@@ -57,48 +60,53 @@ struct WalHandle {
 
 /// A key's newest record, as the resolver found it — possibly a tombstone,
 /// so a deleted key can be told from one never written (`None`).
-struct Found {
+struct Found<V> {
     addr: Address,
-    record: Record,
-    source: ReadSource,
+    /// What the resolver's `take` made of the live value; `None` for a
+    /// tombstone.
+    value: Option<V>,
 }
 
-impl Found {
+impl<V> Found<V> {
     fn is_live(&self) -> bool {
-        !self.record.is_tombstone()
+        self.value.is_some()
     }
 }
 
 /// One distinct key of a range resolved by [`FasterKv::resolve_sorted_range`].
-struct Resolution {
+struct Resolution<V> {
     key: Key,
     /// The key's occurrences, as a span of the range's `order` slice.
-    span: std::ops::Range<usize>,
+    span: Range<usize>,
     /// The chain head the walk started from (what a promotion CASes against).
     head: Address,
-    outcome: StorageResult<Option<Found>>,
+    outcome: StorageResult<Option<Found<V>>>,
 }
 
-impl Resolution {
+impl<V> Resolution<V> {
     /// Take one record of the key's chain: either it is the key's newest
     /// version and the walk ends (the invalid address, as at a chain's end),
-    /// or the walk hops to its `prev`.
-    fn visit(&mut self, addr: Address, record: Record, source: ReadSource) -> Address {
+    /// or the walk hops to its `prev`. A newest version that is live is handed
+    /// to `take` while its bytes are still borrowed.
+    fn visit(
+        &mut self,
+        addr: Address,
+        record: RecordRef<'_>,
+        source: ReadSource,
+        take: &mut impl FnMut(&Range<usize>, &[u8], ReadSource) -> V,
+    ) -> Address {
         if !(record.flags.is_valid() && record.key == self.key) {
             return record.prev;
         }
-        self.outcome = Ok(Some(Found {
-            addr,
-            record,
-            source,
-        }));
+        let value = (!record.flags.is_tombstone()).then(|| take(&self.span, record.value, source));
+        self.outcome = Ok(Some(Found { addr, value }));
         Address::INVALID
     }
 }
 
 /// A writer's view of a [`Resolution`] whose reads succeeded: the key, the
 /// span of its occurrences, and its newest record if it has one.
-type Resolved = (Key, std::ops::Range<usize>, Option<Found>);
+type Resolved<V> = (Key, Range<usize>, Option<Found<V>>);
 
 /// A FASTER-like key-value store.
 pub struct FasterKv {
@@ -343,6 +351,13 @@ impl FasterKv {
     /// adjacent) to the key's newest record. Every read, write, delete and
     /// promotion resolves through here. The caller must hold epoch protection.
     ///
+    /// A live newest record is handed to `take(span, value, source)` — `span`
+    /// being the key's occurrences in `order` — while its bytes are borrowed:
+    /// a record in memory under its page frame's read lock, so no in-place
+    /// update is seen half-written, and a record read from the device in the
+    /// scatter's buffer. What `take` returns is the resolution's value, so a
+    /// reader that consumes the bytes in place allocates nothing per key.
+    ///
     /// Chain hops that leave the in-memory window are not read one record at a
     /// time: the walk is breadth-first over chain depth, and each round
     /// collects every distinct key's pending device address and fetches them
@@ -352,8 +367,13 @@ impl FasterKv {
     /// *submitted* before the memory phase runs and before the previous
     /// round's is harvested, so the device resolves one cohort's hops while
     /// this worker walks memory-resident chains and decodes the other's.
-    fn resolve_sorted_range(&self, keys: &[Key], order: &[usize]) -> Vec<Resolution> {
-        let mut out: Vec<Resolution> = Vec::new();
+    fn resolve_sorted_range<V>(
+        &self,
+        keys: &[Key],
+        order: &[usize],
+        mut take: impl FnMut(&Range<usize>, &[u8], ReadSource) -> V,
+    ) -> Vec<Resolution<V>> {
+        let mut out: Vec<Resolution<V>> = Vec::new();
         let mut start = 0;
         for occurrences in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
             let key = keys[occurrences[0]];
@@ -405,8 +425,11 @@ impl FasterKv {
             // scatter).
             for (d, mut addr) in mem {
                 while !addr.is_invalid() {
-                    addr = match self.log.read_record_memory(addr) {
-                        Ok(Some((record, source))) => out[d].visit(addr, record, source),
+                    let step = self.log.with_record_memory(addr, |record, source| {
+                        out[d].visit(addr, record, source, &mut take)
+                    });
+                    addr = match step {
+                        Ok(Some(next)) => next,
                         Ok(None) => {
                             evicted.push((d, addr));
                             break;
@@ -424,9 +447,10 @@ impl FasterKv {
             if let Some((cursors, scatter)) = inflight.take() {
                 for ((d, addr), record) in cursors.into_iter().zip(scatter.wait()) {
                     match record {
-                        Ok(record) => {
-                            pending.push((d, out[d].visit(addr, record, ReadSource::Disk)))
-                        }
+                        Ok(record) => pending.push((
+                            d,
+                            out[d].visit(addr, record.view(), ReadSource::Disk, &mut take),
+                        )),
                         Err(e) => out[d].outcome = Err(e),
                     }
                 }
@@ -438,66 +462,69 @@ impl FasterKv {
 
     /// [`FasterKv::resolve_sorted_range`] for a writer: the first read fault
     /// fails the whole range *before* any of its keys is modified.
-    fn resolve_for_write(&self, keys: &[Key], order: &[usize]) -> StorageResult<Vec<Resolved>> {
-        self.resolve_sorted_range(keys, order)
+    fn resolve_for_write<V>(
+        &self,
+        keys: &[Key],
+        order: &[usize],
+        take: impl FnMut(&Range<usize>, &[u8], ReadSource) -> V,
+    ) -> StorageResult<Vec<Resolved<V>>> {
+        self.resolve_sorted_range(keys, order, take)
             .into_iter()
             .map(|r| Ok((r.key, r.span, r.outcome?)))
             .collect()
     }
 
     /// One-key batch through the resolver.
-    fn resolve_key(&self, key: Key) -> StorageResult<Option<Found>> {
-        let mut resolved = self.resolve_sorted_range(&[key], &[0]);
+    fn resolve_key<V>(
+        &self,
+        key: Key,
+        take: impl FnMut(&Range<usize>, &[u8], ReadSource) -> V,
+    ) -> StorageResult<Option<Found<V>>> {
+        let mut resolved = self.resolve_sorted_range(&[key], &[0], take);
         resolved.pop().expect("one key, one resolution").outcome
     }
 
-    /// Turn a resolved key into a read result, recording the read metrics.
-    fn read_outcome(&self, outcome: StorageResult<Option<Found>>) -> StorageResult<ReadResult> {
-        match outcome?.filter(Found::is_live) {
-            Some(Found { record, source, .. }) => {
-                match source {
-                    ReadSource::Disk => self.metrics.record_disk_read(record.value.len() as u64),
-                    _ => self.metrics.record_mem_hit(),
-                }
-                Ok(ReadResult {
-                    value: record.value,
-                    source,
-                })
-            }
-            None => {
-                self.metrics.record_miss();
-                Err(StorageError::KeyNotFound)
-            }
-        }
-    }
-
     /// Read a contiguous range of the key-sorted batch order: resolve each
-    /// distinct key once and fan its value out to duplicate occurrences. The
-    /// caller must hold epoch protection. Returns `(original position,
-    /// result)` pairs.
+    /// distinct key once and call `visit(position, value)` for each of its
+    /// occurrences — `None` for an absent or deleted key, and a key in memory
+    /// visited in place (see [`FasterKv::resolve_sorted_range`]). Returns the
+    /// `(position, error)` of every occurrence of a key whose read failed;
+    /// those are not visited. The range's read metrics are added once. The
+    /// caller must hold epoch protection.
     fn read_sorted_range(
         &self,
         keys: &[Key],
         order: &[usize],
-    ) -> Vec<(usize, StorageResult<Vec<u8>>)> {
-        let mut out = Vec::with_capacity(order.len());
-        for resolution in self.resolve_sorted_range(keys, order) {
-            let result = self.read_outcome(resolution.outcome).map(|r| r.value);
-            let (&last, duplicates) = order[resolution.span]
-                .split_last()
-                .expect("a key occurs at least once");
-            for &slot in duplicates {
-                out.push((
-                    slot,
-                    match &result {
-                        Ok(value) => Ok(value.clone()),
-                        Err(e) => Err(e.clone_shallow()),
-                    },
-                ));
+        mut visit: impl FnMut(usize, Option<&[u8]>),
+    ) -> Vec<(usize, StorageError)> {
+        let mut tally = ReadTally::default();
+        let resolutions = self.resolve_sorted_range(keys, order, |span, value, source| {
+            tally.hit(source, value.len());
+            for &slot in &order[span.clone()] {
+                visit(slot, Some(value));
             }
-            out.push((last, result));
+        });
+        let mut errors = Vec::new();
+        for resolution in resolutions {
+            let slots = &order[resolution.span];
+            match resolution.outcome {
+                Ok(Some(found)) if found.is_live() => {}
+                Ok(_) => {
+                    tally.miss();
+                    for &slot in slots {
+                        visit(slot, None);
+                    }
+                }
+                Err(e) => {
+                    let (&last, duplicates) =
+                        slots.split_last().expect("a key occurs at least once");
+                    errors.extend(duplicates.iter().map(|&slot| (slot, e.clone_shallow())));
+                    errors.push((last, e));
+                }
+            }
         }
-        out
+        self.metrics.record_reads(&tally);
+        errors
     }
 
     /// Apply a contiguous range of a key-sorted `multi_rmw` order: resolve,
@@ -511,15 +538,16 @@ impl FasterKv {
         f: &BatchRmwFn,
     ) -> StorageResult<Vec<(usize, Vec<u8>)>> {
         let mut out: Vec<(usize, Vec<u8>)> = Vec::with_capacity(order.len());
-        for (key, span, found) in self.resolve_for_write(keys, order)? {
+        let resolved = self.resolve_for_write(keys, order, |_, value, _| value.to_vec())?;
+        self.metrics.record_rmws(order.len() as u64);
+        for (key, span, found) in resolved {
             let addr = found.as_ref().map(|f| f.addr);
-            let initial = found.filter(Found::is_live).map(|f| f.record.value);
+            let initial = found.and_then(|f| f.value);
             if initial.is_none() {
                 self.live_records.fetch_add(1, Ordering::Relaxed);
             }
             let first = out.len();
             for &i in &order[span] {
-                self.metrics.record_rmw();
                 let current = match out.len() > first {
                     true => out.last().map(|(_, v)| v.as_slice()),
                     false => initial.as_deref(),
@@ -543,12 +571,12 @@ impl FasterKv {
         order: &[usize],
         entries: &[Option<&[u8]>],
     ) -> StorageResult<()> {
-        for (key, span, found) in self.resolve_for_write(keys, order)? {
+        let resolved = self.resolve_for_write(keys, order, |_, _, _| ())?;
+        let upserts = order.iter().filter(|&&i| entries[i].is_some()).count();
+        self.metrics.record_upserts(upserts as u64);
+        for (key, span, found) in resolved {
             let addr = found.as_ref().map(|f| f.addr);
             let slots = &order[span];
-            for _ in slots.iter().filter(|&&i| entries[i].is_some()) {
-                self.metrics.record_upsert();
-            }
             let last = entries[*slots.last().expect("a key occurs at least once")];
             match (found.is_some_and(|f| f.is_live()), last) {
                 (was_live, Some(value)) => {
@@ -673,20 +701,55 @@ impl KvStore for FasterKv {
 
     fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
         let _guard = self.epoch.acquire();
-        self.read_outcome(self.resolve_key(key))
+        let read = self
+            .resolve_key(key, |_, value, source| ReadResult {
+                value: value.to_vec(),
+                source,
+            })?
+            .and_then(|found| found.value);
+        let mut tally = ReadTally::default();
+        match &read {
+            Some(r) => tally.hit(r.source, r.value.len()),
+            None => tally.miss(),
+        }
+        self.metrics.record_reads(&tally);
+        read.ok_or(StorageError::KeyNotFound)
     }
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
         // Keys are visited in sorted order so duplicate keys walk their hash
         // chain only once, and each range pays one epoch enter/exit (the
         // dominant fixed cost of a point read).
-        let mut out: Vec<Option<StorageResult<Vec<u8>>>> = keys.iter().map(|_| None).collect();
-        let ranges = self.run_sorted_ranges(keys, |range| self.read_sorted_range(keys, range));
-        for (i, result) in ranges.into_iter().flatten() {
-            out[i] = Some(result);
+        let mut out: Vec<StorageResult<Vec<u8>>> = keys
+            .iter()
+            .map(|_| Err(StorageError::KeyNotFound))
+            .collect();
+        let ranges = self.run_sorted_ranges(keys, |range| {
+            let mut values = Vec::with_capacity(range.len());
+            let errors = self.read_sorted_range(keys, range, |slot, value| {
+                if let Some(value) = value {
+                    values.push((slot, value.to_vec()));
+                }
+            });
+            (values, errors)
+        });
+        for (values, errors) in ranges {
+            for (i, value) in values {
+                out[i] = Ok(value);
+            }
+            for (i, e) in errors {
+                out[i] = Err(e);
+            }
         }
-        out.into_iter()
-            .map(|r| r.expect("every slot filled"))
+        out
+    }
+
+    fn multi_read(&self, keys: &[Key], visit: &BatchReadFn) -> Vec<(usize, StorageError)> {
+        // As `multi_get`, but a value in memory is visited in place, under
+        // its range's epoch guard and its page frame's read lock.
+        self.run_sorted_ranges(keys, |range| self.read_sorted_range(keys, range, visit))
+            .into_iter()
+            .flatten()
             .collect()
     }
 
@@ -736,7 +799,9 @@ impl KvStore for FasterKv {
     fn exists(&self, key: Key) -> StorageResult<bool> {
         // A resolve without touching the read metrics.
         let _guard = self.epoch.acquire();
-        Ok(self.resolve_key(key)?.is_some_and(|f| f.is_live()))
+        Ok(self
+            .resolve_key(key, |_, _, _| ())?
+            .is_some_and(|f| f.is_live()))
     }
 
     fn write_batch(&self, batch: &mlkv_storage::WriteBatch) -> StorageResult<()> {
@@ -771,12 +836,16 @@ impl KvStore for FasterKv {
         unique.sort_unstable();
         unique.dedup();
         let order: Vec<usize> = (0..unique.len()).collect();
-        let mut candidates: Vec<(Found, Key, Address)> = Vec::new();
-        for resolution in self.resolve_sorted_range(&unique, &order) {
+        let mut candidates: Vec<(Address, Vec<u8>, Key, Address)> = Vec::new();
+        let resolutions = self.resolve_sorted_range(&unique, &order, |_, value, source| {
+            (source == ReadSource::Disk).then(|| value.to_vec())
+        });
+        for resolution in resolutions {
             match resolution.outcome {
-                Ok(Some(found)) if found.is_live() && found.source == ReadSource::Disk => {
-                    candidates.push((found, resolution.key, resolution.head));
-                }
+                Ok(Some(Found {
+                    addr,
+                    value: Some(Some(value)),
+                })) => candidates.push((addr, value, resolution.key, resolution.head)),
                 // Already memory-resident, tombstoned or absent (the paper
                 // explicitly skips these to avoid extra flushed pages) — or
                 // unreadable right now, which costs this key its hint and the
@@ -784,14 +853,12 @@ impl KvStore for FasterKv {
                 _ => self.metrics.record_prefetch_skip(),
             }
         }
-        candidates.sort_unstable_by_key(|(found, _, _)| found.addr);
+        candidates.sort_unstable_by_key(|(addr, ..)| *addr);
         let mut promoted = 0;
-        for (found, key, head) in candidates {
+        for (_, value, key, head) in candidates {
             // The head check up front saves appending a copy that would only
             // lose its CAS.
-            if self.index.head(key) == head
-                && self.try_install(Record::new(key, found.record.value, head))?
-            {
+            if self.index.head(key) == head && self.try_install(Record::new(key, value, head))? {
                 self.metrics.record_prefetch_copy();
                 promoted += 1;
             } else {
@@ -1104,9 +1171,12 @@ mod tests {
         }
         // Replay the race deterministically: a promoter reads key 0's cold
         // value and chain head, then a writer lands before the install.
-        let resolution = store.resolve_sorted_range(&[0], &[0]).pop().unwrap();
+        let resolution = store
+            .resolve_sorted_range(&[0], &[0], |_, value, source| (value.to_vec(), source))
+            .pop()
+            .unwrap();
         let found = resolution.outcome.unwrap().unwrap();
-        let (value, source) = (found.record.value, found.source);
+        let (value, source) = found.value.unwrap();
         assert_eq!(source, ReadSource::Disk);
         store.put(0, &[9u8; 64]).unwrap();
         assert!(
@@ -1160,7 +1230,8 @@ mod tests {
         };
         let serial = open(1);
         let parallel = open(8);
-        let keys: Vec<u64> = (0..4096u64).map(|i| (i * 7) % 900).collect();
+        let n = 2 * mlkv_storage::exec::MIN_KEYS_PER_WORKER as u64;
+        let keys: Vec<u64> = (0..n).map(|i| (i * 7) % 900).collect();
         let bump = |i: usize, cur: Option<&[u8]>| -> Vec<u8> {
             let n = cur
                 .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
@@ -1176,6 +1247,11 @@ mod tests {
             assert_eq!(a.as_ref().ok(), b.as_ref().ok());
         }
         assert_eq!(serial.approximate_len(), parallel.approximate_len());
+        assert_eq!(
+            serial.metrics().snapshot(),
+            parallel.metrics().snapshot(),
+            "per-range counting adds up to the serial store's"
+        );
     }
 
     #[test]

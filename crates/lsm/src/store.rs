@@ -876,8 +876,9 @@ mod tests {
             }
             store.flush().unwrap(); // everything lives in SSTables
         }
-        // Above the executor cutoff, with duplicates and misses mixed in.
-        let keys: Vec<u64> = (0..4096u64).map(|i| (i * 3) % 2100).collect();
+        // Large enough to fan out, with duplicates and misses mixed in.
+        let n = 2 * mlkv_storage::exec::MIN_KEYS_PER_WORKER as u64;
+        let keys: Vec<u64> = (0..n).map(|i| (i * 3) % 2100).collect();
         let a = serial.multi_get(&keys);
         let b = parallel.multi_get(&keys);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {

@@ -163,11 +163,13 @@ pub struct StoreConfig {
     /// checkpoint recorded.
     pub index_buckets: usize,
     /// The one worker knob: threads a single batched operation (`multi_get` /
-    /// `multi_rmw` / `write_batch`) may fan out over, and with it the number
-    /// of memtable shards (LSM), leaf-latch lanes and buffer-pool shards
-    /// (B+tree) the write path is built with. `0` means "auto" (size from
-    /// [`crate::exec::available_parallelism`]); `1` runs every batch inline
-    /// on the caller, in order. See [`crate::exec::BatchExecutor`].
+    /// `multi_read` / `multi_rmw` / `write_batch`) may fan out over, and with
+    /// it the number of memtable shards (LSM), leaf-latch lanes and
+    /// buffer-pool shards (B+tree) the write path is built with. `0` means
+    /// "auto" (size from [`crate::exec::available_parallelism`]); `1` runs
+    /// every batch inline on the caller, in order. A batch fans out only when
+    /// every worker gets [`crate::exec::MIN_KEYS_PER_WORKER`] keys; see
+    /// [`crate::exec::BatchExecutor`].
     pub parallelism: usize,
     /// Extra latency injected into every device read. `Duration::ZERO` (the
     /// default) disables injection. Used by benchmarks to model SSD/NVMe read

@@ -10,22 +10,44 @@
 //!
 //! **The one rule.** This module alone decides whether a batch runs inline or
 //! fans out, and `parallelism` is the only worker knob (reads and writes share
-//! one executor per engine). A batch runs inline — every job on the calling
-//! thread, in job order — when `parallelism <= 1`, when it has fewer than two
-//! jobs, or when it covers fewer than [`PARALLEL_CUTOFF`] keys; otherwise
-//! `min(parallelism, jobs)` workers claim the jobs. Engines never branch on
-//! that themselves: they always build their disjoint jobs (sizing range splits
-//! with [`BatchExecutor::planned_workers`], which is 1 for a batch that will
-//! run inline, so [`split_sorted`] yields a single range) and call
+//! one executor per engine). A batch of `n` keys fans out to `w` workers only
+//! when every worker gets at least [`MIN_KEYS_PER_WORKER`] keys:
+//! `w = min(parallelism, jobs, n / MIN_KEYS_PER_WORKER)`, and `w <= 1` runs
+//! every job on the calling thread, in job order. So a batch needs at least
+//! `2 × MIN_KEYS_PER_WORKER` keys before any thread is spawned. Engines never
+//! branch on that themselves: they always build their disjoint jobs (sizing
+//! range splits with [`BatchExecutor::planned_workers`], which is 1 for a batch
+//! that will run inline, so [`split_sorted`] yields a single range) and call
 //! [`BatchExecutor::execute`] once.
+//!
+//! **Where the constant comes from.** Measured on a 2-core x86-64 host:
+//!
+//! * a `std::thread::scope` spawn plus join costs 15–16 µs with the host idle
+//!   and 35–43 µs while a training run's trainer, applier and look-ahead
+//!   threads share it (a ~420-key warm FASTER batch took 118.5 µs for
+//!   `multi_get` and 112.3 µs for `multi_rmw` at auto parallelism, against
+//!   83.5 µs and 69.5 µs inline);
+//! * a warm key costs 0.17 µs (`multi_rmw`) to 0.20 µs (`multi_get`) inline.
+//!
+//! Those two alone would put break-even near 200 keys per worker, but only if
+//! the spawned worker found an idle core. On a loaded host it does not: with
+//! the earlier 256-key total cutoff, fanning a 1024- or 4096-key gather or
+//! apply out to 2–8 workers gained at most 1.02x, i.e. nothing at 2048 keys
+//! per worker; and even on the idle host a warm 16384-key gather split over 2
+//! workers (8192 keys each) ran at 0.95–1.05x of inline. Break-even therefore
+//! sits above 4096 keys per worker there. At that value no batch of the
+//! benchmark's training and serving workloads fans out (gathers and applies
+//! there are ≤ 512 keys; populate chunks and fused serving ticks ≤ 4096):
+//! fan-out is left to batches of 8192 keys and more, such as a WAL replay.
+//! Persistent workers were not built for the same reason — no hot batch
+//! would use them.
 //!
 //! Design points:
 //!
 //! * **`std::thread::scope` based** — jobs may borrow the caller's stack
 //!   (keys, output buffers, the engine itself), so no `'static` bound and no
-//!   `unsafe` is needed. Workers are spawned per batch; for the batch sizes
-//!   this matters for (≥ [`PARALLEL_CUTOFF`] keys) the spawn cost is noise
-//!   compared to the work.
+//!   `unsafe` is needed. Workers are spawned per batch, which the rule above
+//!   only allows once a worker's share of the batch outweighs the spawn.
 //! * **Work-stealing cursor** — jobs are claimed from a shared atomic cursor,
 //!   so skewed job sizes (one hot shard, one huge leaf group) do not idle the
 //!   other workers.
@@ -48,9 +70,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Minimum number of keys in a batch before spawning workers pays for itself.
-/// Below this, the executor always runs inline.
-pub const PARALLEL_CUTOFF: usize = 256;
+/// Fewest keys a worker must get before a batch fans out to it (see the
+/// module docs for the measurements behind the value). A batch of fewer than
+/// `2 × MIN_KEYS_PER_WORKER` keys always runs inline.
+pub const MIN_KEYS_PER_WORKER: usize = 4096;
 
 /// Number of worker threads the host can usefully run
 /// ([`std::thread::available_parallelism`], 1 when unknown).
@@ -101,20 +124,21 @@ impl BatchExecutor {
     }
 
     /// The one rule (see the module docs): the number of workers that run a
-    /// batch of `jobs` jobs covering `total_keys` keys — 1 (inline) when the
-    /// batch is too small to benefit, otherwise `min(parallelism, jobs)`.
+    /// batch of `jobs` jobs covering `total_keys` keys —
+    /// `min(parallelism, jobs, total_keys / MIN_KEYS_PER_WORKER)`, at least 1
+    /// (inline).
     fn workers_for(&self, jobs: usize, total_keys: usize) -> usize {
-        if self.parallelism <= 1 || jobs <= 1 || total_keys < PARALLEL_CUTOFF {
-            1
-        } else {
-            self.parallelism.min(jobs)
-        }
+        self.parallelism
+            .min(jobs)
+            .min(total_keys / MIN_KEYS_PER_WORKER)
+            .max(1)
     }
 
     /// Number of workers a batch of `total_keys` keys will get *before* its
     /// job decomposition is known — how many ranges an engine should split
-    /// the batch into: 1 below the cutoff, the configured parallelism
-    /// otherwise. [`BatchExecutor::execute`] re-clamps to the actual job
+    /// the batch into: 1 for a batch that runs inline, otherwise as many
+    /// workers as get [`MIN_KEYS_PER_WORKER`] keys each, up to the configured
+    /// parallelism. [`BatchExecutor::execute`] re-clamps to the actual job
     /// count.
     pub fn planned_workers(&self, total_keys: usize) -> usize {
         self.workers_for(self.parallelism, total_keys)
@@ -122,8 +146,9 @@ impl BatchExecutor {
 
     /// Run `jobs` (each owning a disjoint slice of the batch) and return their
     /// results in job order. `total_keys` is the number of keys the whole
-    /// batch covers; small batches, single jobs and `parallelism = 1` run
-    /// inline on the caller, in job order (see [`PARALLEL_CUTOFF`]).
+    /// batch covers; a batch too small to give two workers
+    /// [`MIN_KEYS_PER_WORKER`] keys each, a single job and `parallelism = 1`
+    /// all run inline on the caller, in job order.
     ///
     /// Jobs may borrow from the caller's stack. A panicking job propagates to
     /// the caller once all workers have finished.
@@ -132,35 +157,8 @@ impl BatchExecutor {
         F: FnOnce() -> T + Send,
         T: Send,
     {
-        let workers = self.workers_for(jobs.len(), total_keys);
-        self.run(jobs, workers)
-    }
-
-    /// Like [`BatchExecutor::execute`] but without the key-count cutoff: for
-    /// callers that have already gated on a better measure of work (e.g. the
-    /// table layer's decoded-element count, where few keys of a large
-    /// dimension are still a lot of copying). Parallelises whenever
-    /// `parallelism >= 2` and there are at least two jobs.
-    pub fn execute_ungated<F, T>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send,
-        T: Send,
-    {
-        let workers = if self.parallelism <= 1 || jobs.len() <= 1 {
-            1
-        } else {
-            self.parallelism.min(jobs.len())
-        };
-        self.run(jobs, workers)
-    }
-
-    /// Shared body of the `execute*` entry points.
-    fn run<F, T>(&self, jobs: Vec<F>, workers: usize) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send,
-        T: Send,
-    {
         let n = jobs.len();
+        let workers = self.workers_for(n, total_keys);
         if workers <= 1 {
             return jobs.into_iter().map(|job| job()).collect();
         }
@@ -248,8 +246,14 @@ mod tests {
     #[test]
     fn small_batches_run_inline_even_with_workers() {
         let exec = BatchExecutor::new(8);
-        assert_eq!(exec.workers_for(8, PARALLEL_CUTOFF - 1), 1);
+        assert_eq!(exec.workers_for(8, 2 * MIN_KEYS_PER_WORKER - 1), 1);
         assert_eq!(exec.workers_for(1, 1 << 20), 1);
+        // Every worker gets at least MIN_KEYS_PER_WORKER keys.
+        assert_eq!(exec.workers_for(8, 2 * MIN_KEYS_PER_WORKER), 2);
+        assert_eq!(exec.workers_for(8, 3 * MIN_KEYS_PER_WORKER - 1), 2);
+        assert_eq!(exec.workers_for(8, 3 * MIN_KEYS_PER_WORKER), 3);
+        assert_eq!(exec.workers_for(8, 100 * MIN_KEYS_PER_WORKER), 8);
+        assert_eq!(exec.workers_for(3, 100 * MIN_KEYS_PER_WORKER), 3);
     }
 
     #[test]
@@ -259,16 +263,44 @@ mod tests {
         let jobs: Vec<_> = (0..16usize)
             .map(|i| move || (i, std::thread::current().id()))
             .collect();
-        let out = exec.execute(jobs, PARALLEL_CUTOFF - 1);
+        let out = exec.execute(jobs, 2 * MIN_KEYS_PER_WORKER - 1);
         assert_eq!(out.len(), 16);
         for (slot, (i, thread)) in out.into_iter().enumerate() {
             assert_eq!(i, slot, "inline jobs run in job order");
             assert_eq!(thread, caller, "job {i} left the caller's thread");
         }
-        // At the cutoff the same batch does fan out (some job runs elsewhere
-        // only if a spawned worker wins the cursor, so just pin the plan).
-        assert_eq!(exec.planned_workers(PARALLEL_CUTOFF - 1), 1);
-        assert_eq!(exec.planned_workers(PARALLEL_CUTOFF), 8);
+        // At two workers' worth of keys the same batch does fan out (some job
+        // runs elsewhere only if a spawned worker wins the cursor, so just pin
+        // the plan).
+        assert_eq!(exec.planned_workers(2 * MIN_KEYS_PER_WORKER - 1), 1);
+        assert_eq!(exec.planned_workers(2 * MIN_KEYS_PER_WORKER), 2);
+        assert_eq!(exec.planned_workers(8 * MIN_KEYS_PER_WORKER), 8);
+        assert_eq!(BatchExecutor::new(2).planned_workers(1 << 20), 2);
+    }
+
+    #[test]
+    fn a_fanned_out_batch_runs_on_more_than_one_thread() {
+        // Each job waits (up to a deadline) for the other to start, which
+        // only an inline run, one job after the other, cannot satisfy.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let exec = BatchExecutor::new(2);
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let jobs: Vec<_> = (0..2)
+            .map(|i| {
+                let started = &started;
+                move || {
+                    started[i].store(true, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !started[1 - i].load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    started[1 - i].load(Ordering::SeqCst)
+                }
+            })
+            .collect();
+        let overlapped = exec.execute(jobs, 2 * MIN_KEYS_PER_WORKER);
+        assert_eq!(overlapped, vec![true, true]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::metrics::StorageMetrics;
 
 /// Keys are 64-bit sparse-feature identifiers, matching the paper's setting where
@@ -74,6 +74,13 @@ pub enum ReadSource {
 /// are always applied by a single worker, in batch order).
 pub type BatchRmwFn<'a> = dyn Fn(usize, Option<&[u8]>) -> Vec<u8> + Sync + 'a;
 
+/// Visitor of a batched read ([`KvStore::multi_read`]): receives the
+/// *position* of a key within the batch and its current value, borrowed for
+/// the duration of the call, or `None` when the key is absent. `Sync` for the
+/// same reason as [`BatchRmwFn`]: engines may call it from several
+/// batch-executor workers at once, for distinct positions.
+pub type BatchReadFn<'a> = dyn Fn(usize, Option<&[u8]>) + Sync + 'a;
+
 /// Callback of a per-key read-modify-write: receives the current value (or
 /// `None`) and returns the value to store. `Sync` for the same reason as
 /// [`BatchRmwFn`]: per-key mutations are thin wrappers over the batch entry
@@ -132,6 +139,44 @@ pub trait KvStore: Send + Sync + 'static {
     /// ```
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
         keys.iter().map(|k| self.get(*k)).collect()
+    }
+
+    /// Read a batch of keys in place: call `visit(i, value)` for every
+    /// position `i` of `keys` (duplicates allowed) whose read succeeded —
+    /// `Some` with the value's bytes, `None` when the key is absent — and
+    /// return the `(position, error)` of every read that failed; `visit` is
+    /// not called for those.
+    ///
+    /// An engine that keeps values in memory hands out its own bytes, under
+    /// whatever protection makes them stable (FASTER's epoch guard and page
+    /// frame lock, `MemStore`'s shard lock), so no per-key buffer is
+    /// allocated; `visit` must therefore be quick and must not call back into
+    /// the store. Positions may be visited in any order, and from several
+    /// threads at once. The default wraps [`KvStore::multi_get`].
+    ///
+    /// ```
+    /// use std::sync::Mutex;
+    /// use mlkv_storage::{KvStore, MemStore};
+    ///
+    /// let store = MemStore::new();
+    /// store.put(1, b"one").unwrap();
+    /// let lens = Mutex::new(vec![None; 3]);
+    /// let errors = store.multi_read(&[1, 2, 1], &|i, value| {
+    ///     lens.lock().unwrap()[i] = Some(value.map(<[u8]>::len));
+    /// });
+    /// assert!(errors.is_empty());
+    /// assert_eq!(lens.into_inner().unwrap(), vec![Some(Some(3)), Some(None), Some(Some(3))]);
+    /// ```
+    fn multi_read(&self, keys: &[Key], visit: &BatchReadFn) -> Vec<(usize, StorageError)> {
+        let mut errors = Vec::new();
+        for (i, result) in self.multi_get(keys).into_iter().enumerate() {
+            match result {
+                Ok(value) => visit(i, Some(&value)),
+                Err(e) if e.is_not_found() => visit(i, None),
+                Err(e) => errors.push((i, e)),
+            }
+        }
+        errors
     }
 
     /// Insert or overwrite `key` with `value`.
@@ -382,6 +427,24 @@ mod tests {
         assert!(store.exists(1).unwrap());
         assert!(!store.exists(2).unwrap());
         assert_eq!(store.contains(1).unwrap(), store.exists(1).unwrap());
+
+        // multi_read visits every position with what multi_get returns.
+        let seen = std::sync::Mutex::new(Vec::new());
+        let errors = store.multi_read(&[9, 2, 1, 9], &|i, value| {
+            seen.lock().unwrap().push((i, value.map(<[u8]>::to_vec)));
+        });
+        assert!(errors.is_empty());
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort();
+        assert_eq!(
+            seen,
+            vec![
+                (0, Some(vec![10, 11])),
+                (1, None),
+                (2, Some(vec![1, 12])),
+                (3, Some(vec![10, 11]))
+            ]
+        );
     }
 
     #[test]

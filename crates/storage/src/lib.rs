@@ -52,9 +52,9 @@ pub use device::{
 pub use error::{StorageError, StorageResult};
 pub use exec::BatchExecutor;
 pub use io::{IoPlanner, PendingRead, ReadReq};
-pub use kv::{BatchRmwFn, KvStore, RmwFn, WriteBatch};
+pub use kv::{BatchReadFn, BatchRmwFn, KvStore, RmwFn, WriteBatch};
 pub use memstore::MemStore;
-pub use metrics::{MetricsSnapshot, StorageMetrics};
+pub use metrics::{MetricsSnapshot, ReadTally, StorageMetrics};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use ring::{IoBatch, IoRing, RingDevice};
 pub use wal::{

@@ -12,8 +12,8 @@ use parking_lot::RwLock;
 
 use crate::error::{StorageError, StorageResult};
 use crate::exec::BatchExecutor;
-use crate::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
-use crate::metrics::StorageMetrics;
+use crate::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
+use crate::metrics::{ReadTally, StorageMetrics};
 
 /// Sharded in-memory hash-map store.
 pub struct MemStore {
@@ -77,18 +77,40 @@ impl MemStore {
             .collect()
     }
 
-    /// Read `key` from an already-locked shard, recording metrics.
-    fn lookup(&self, shard: &HashMap<Key, Vec<u8>>, key: Key) -> StorageResult<Vec<u8>> {
-        match shard.get(&key) {
-            Some(v) => {
-                self.metrics.record_mem_hit();
-                Ok(v.clone())
-            }
-            None => {
-                self.metrics.record_miss();
-                Err(StorageError::KeyNotFound)
-            }
-        }
+    /// Run `each(position, value)` over every position of `keys`, one job per
+    /// shard group under that shard's read lock, and return the groups'
+    /// results. A group counts its hits and misses locally and adds them to
+    /// the metrics once.
+    fn read_shards<T: Send>(
+        &self,
+        keys: &[Key],
+        each: impl Fn(usize, Option<&[u8]>) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let each = &each;
+        let jobs: Vec<_> = self
+            .shard_groups(keys)
+            .into_iter()
+            .map(|(s, positions)| {
+                move || {
+                    let shard = self.shards[s].read();
+                    let mut tally = ReadTally::default();
+                    let out = positions
+                        .into_iter()
+                        .map(|i| {
+                            let value = shard.get(&keys[i]).map(Vec::as_slice);
+                            match value {
+                                Some(v) => tally.hit(ReadSource::HotMemory, v.len()),
+                                None => tally.miss(),
+                            }
+                            each(i, value)
+                        })
+                        .collect();
+                    self.metrics.record_reads(&tally);
+                    out
+                }
+            })
+            .collect();
+        self.executor.execute(jobs, keys.len())
     }
 }
 
@@ -119,28 +141,19 @@ impl KvStore for MemStore {
         // runs the per-shard groups inline or across workers.
         let mut out: Vec<StorageResult<Vec<u8>>> = Vec::with_capacity(keys.len());
         out.extend(keys.iter().map(|_| Err(StorageError::KeyNotFound)));
-        let jobs: Vec<_> = self
-            .shard_groups(keys)
-            .into_iter()
-            .map(|(s, positions)| {
-                move || {
-                    let shard = self.shards[s].read();
-                    positions
-                        .into_iter()
-                        .map(|i| (i, self.lookup(&shard, keys[i])))
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect();
-        for (i, result) in self
-            .executor
-            .execute(jobs, keys.len())
-            .into_iter()
-            .flatten()
-        {
-            out[i] = result;
+        let groups = self.read_shards(keys, |i, value| (i, value.map(<[u8]>::to_vec)));
+        for (i, value) in groups.into_iter().flatten() {
+            if let Some(value) = value {
+                out[i] = Ok(value);
+            }
         }
         out
+    }
+
+    fn multi_read(&self, keys: &[Key], visit: &BatchReadFn) -> Vec<(usize, StorageError)> {
+        // The visitor borrows each value under its shard's read lock.
+        self.read_shards(keys, visit);
+        Vec::new()
     }
 
     fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
@@ -168,10 +181,10 @@ impl KvStore for MemStore {
             .map(|(s, positions)| {
                 move || {
                     let mut shard = self.shards[s].write();
+                    self.metrics.record_rmws(positions.len() as u64);
                     positions
                         .into_iter()
                         .map(|i| {
-                            self.metrics.record_rmw();
                             let new = f(i, shard.get(&keys[i]).map(|v| v.as_slice()));
                             shard.insert(keys[i], new.clone());
                             (i, new)
@@ -210,8 +223,8 @@ impl KvStore for MemStore {
             .map(|(s, positions)| {
                 move || {
                     let mut shard = self.shards[s].write();
+                    self.metrics.record_upserts(positions.len() as u64);
                     for i in positions {
-                        self.metrics.record_upsert();
                         shard.insert(*ops[i].0, ops[i].1.clone());
                     }
                 }
@@ -327,9 +340,9 @@ mod tests {
 
     #[test]
     fn parallel_batches_match_serial_results_exactly() {
-        // Batches above the executor cutoff, across parallelism levels: results
+        // Batches large enough to fan out, across parallelism levels: results
         // and final state must be byte-identical to the serial store.
-        let n = 4096usize;
+        let n = 2 * crate::exec::MIN_KEYS_PER_WORKER;
         let keys: Vec<u64> = (0..n as u64).map(|i| (i * 13) % 1500).collect();
         let serial = MemStore::with_shards_and_parallelism(16, 1);
         let parallel = MemStore::with_shards_and_parallelism(16, 8);
@@ -352,6 +365,19 @@ mod tests {
         let parallel_get = parallel.multi_get(&keys);
         for (a, b) in serial_get.iter().zip(&parallel_get) {
             assert_eq!(a.as_ref().ok(), b.as_ref().ok());
+        }
+        assert_eq!(
+            serial.metrics().snapshot(),
+            parallel.metrics().snapshot(),
+            "per-group counting adds up to the serial store's"
+        );
+        let read = parking_lot::Mutex::new(vec![None; keys.len()]);
+        let errors = parallel.multi_read(&keys, &|i, value| {
+            read.lock()[i] = Some(value.map(<[u8]>::to_vec));
+        });
+        assert!(errors.is_empty());
+        for (got, want) in read.into_inner().into_iter().zip(&serial_get) {
+            assert_eq!(got, Some(want.as_ref().ok().cloned()));
         }
         assert_eq!(serial.approximate_len(), parallel.approximate_len());
     }

@@ -7,6 +7,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::kv::ReadSource;
+
 /// Thread-safe I/O and cache counters.
 ///
 /// All counters are monotonically increasing; readers take a [`MetricsSnapshot`]
@@ -95,6 +97,49 @@ pub struct StorageMetrics {
     pub repl_role: AtomicU64,
 }
 
+/// The read outcomes of one batch range, counted on the thread that resolves
+/// the range and added to [`StorageMetrics`] once, by
+/// [`StorageMetrics::record_reads`]. The counters share a cache line that
+/// every reading and writing thread updates, so batch paths pay for it once
+/// per range instead of once per key.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ReadTally {
+    mem_hits: u64,
+    disk_reads: u64,
+    disk_read_bytes: u64,
+    misses: u64,
+}
+
+impl ReadTally {
+    /// Count a read that found a `bytes`-byte value in `source` (what
+    /// [`StorageMetrics::record_mem_hit`] or
+    /// [`StorageMetrics::record_disk_read`] counts for one key).
+    #[inline]
+    pub fn hit(&mut self, source: ReadSource, bytes: usize) {
+        match source {
+            ReadSource::Disk => {
+                self.disk_reads += 1;
+                self.disk_read_bytes += bytes as u64;
+            }
+            _ => self.mem_hits += 1,
+        }
+    }
+
+    /// Count a read that found no value.
+    #[inline]
+    pub fn miss(&mut self) {
+        self.misses += 1;
+    }
+}
+
+/// Add `n` to `counter`, skipping the atomic when there is nothing to add.
+#[inline]
+fn add(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 /// A point-in-time copy of [`StorageMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -161,6 +206,16 @@ impl StorageMetrics {
         self.lookups.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record a range's reads at once; equal to one `record_mem_hit`,
+    /// `record_disk_read` or `record_miss` per key the tally counted.
+    pub fn record_reads(&self, tally: &ReadTally) {
+        add(&self.mem_hits, tally.mem_hits);
+        add(&self.disk_reads, tally.disk_reads);
+        add(&self.disk_read_bytes, tally.disk_read_bytes);
+        add(&self.lookups, tally.mem_hits + tally.disk_reads);
+        add(&self.misses, tally.misses);
+    }
+
     /// Record a device read that is not a user lookup (e.g. prefetch I/O).
     #[inline]
     pub fn record_background_disk_read(&self, bytes: u64) {
@@ -181,10 +236,22 @@ impl StorageMetrics {
         self.upserts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record `n` upserts of one batch range.
+    #[inline]
+    pub fn record_upserts(&self, n: u64) {
+        add(&self.upserts, n);
+    }
+
     /// Record an RMW.
     #[inline]
     pub fn record_rmw(&self) {
         self.rmws.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `n` RMWs of one batch range.
+    #[inline]
+    pub fn record_rmws(&self, n: u64) {
+        add(&self.rmws, n);
     }
 
     /// Record a lookup that found nothing.
@@ -494,6 +561,35 @@ mod tests {
         assert_eq!(s.disk_writes, 2);
         assert_eq!(s.disk_write_bytes, 8192 + 21);
         assert_eq!(s.total_io_bytes(), 4096 + 8192 + 21);
+    }
+
+    #[test]
+    fn a_read_tally_adds_what_per_key_calls_would() {
+        let per_key = StorageMetrics::new();
+        let batched = StorageMetrics::new();
+        let mut tally = ReadTally::default();
+        for (source, bytes) in [
+            (ReadSource::HotMemory, 64),
+            (ReadSource::Disk, 64),
+            (ReadSource::ColdMemory, 64),
+            (ReadSource::Disk, 100),
+        ] {
+            match source {
+                ReadSource::Disk => per_key.record_disk_read(bytes as u64),
+                _ => per_key.record_mem_hit(),
+            }
+            tally.hit(source, bytes);
+        }
+        per_key.record_miss();
+        tally.miss();
+        for _ in 0..3 {
+            per_key.record_rmw();
+            per_key.record_upsert();
+        }
+        batched.record_reads(&tally);
+        batched.record_rmws(3);
+        batched.record_upserts(3);
+        assert_eq!(batched.snapshot(), per_key.snapshot());
     }
 
     #[test]

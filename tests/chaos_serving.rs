@@ -379,7 +379,6 @@ fn open_served_table(kind: BackendKind, config: StoreConfig) -> Arc<EmbeddingTab
             .lookahead_workers(0)
             .app_cache_bytes(0)
             .seed(SEED)
-            .parallelism(1)
             .build()
             .expect("build table"),
     )

@@ -1,7 +1,8 @@
 //! Concurrent batch correctness: `gather` running against `apply_gradients`
 //! on the same key set must never lose an update, on any backend, under any
 //! interleaving — and the shard-parallel batch executor must produce
-//! byte-identical state at every parallelism level.
+//! byte-identical state at every parallelism level, on both sides of the
+//! batch size at which it starts to fan out.
 //!
 //! The stress tests are loom-style in spirit: real threads plus *seeded*
 //! interleavings (seed-derived chunk sizes and per-thread key orders vary the
@@ -51,7 +52,6 @@ fn table_for(kind: BackendKind, parallelism: usize) -> Arc<EmbeddingTable> {
         EmbeddingTable::builder(store_for(kind, parallelism))
             .dim(DIM)
             .staleness_bound(u32::MAX)
-            .parallelism(parallelism)
             .build()
             .unwrap(),
     )
@@ -141,12 +141,12 @@ fn gather_racing_apply_gradients_loses_no_update_on_any_backend() {
 #[test]
 fn parallel_batches_racing_each_other_converge_to_the_same_totals() {
     // Two updater threads, each applying a known number of gradients per key
-    // through large (executor-eligible) batches: the per-key record locks must
-    // serialise the read-modify-writes so no step is lost, on every backend.
+    // through training-sized batches with duplicate keys: the per-key record
+    // locks must serialise the read-modify-writes so no step is lost, on every
+    // backend.
     for kind in BackendKind::ALL {
         let table = table_for(kind, 0);
         let keys: Vec<u64> = (0..128).collect();
-        // Tile the key set so each batch clears the executor's parallel cutoff.
         let batch: Vec<u64> = keys.iter().cycle().take(512).copied().collect();
         let rounds = 4usize;
         let occurrences_per_key = (batch.len() / keys.len()) * rounds * 2;
@@ -189,8 +189,9 @@ fn parallel_batches_racing_each_other_converge_to_the_same_totals() {
 fn check_parallelism_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u8) {
     let levels = [1usize, 2, 8];
     let tables: Vec<Arc<EmbeddingTable>> = levels.iter().map(|&p| table_for(kind, p)).collect();
-    // Tile the random key pattern past the executor's cutoff so the parallel
-    // paths genuinely engage on multi-core hosts.
+    // Tile the random key pattern to a training step's batch size. Batches
+    // this size run inline; `parallelism` still sizes the write path's
+    // shards (fan-out itself is covered by the boundary tests below).
     let batch: Vec<u64> = base_keys.iter().cycle().take(512).copied().collect();
     for round in 0..rounds {
         let grad = vec![0.125f32 * (round + 1) as f32; DIM];
@@ -243,13 +244,12 @@ proptest! {
 
 /// Two concurrent writers on *disjoint* key ranges applied at every
 /// parallelism level — which sizes the engine's memtable shards / leaf-latch
-/// lanes / buffer-pool shards and fans out its reads and the table's decode
-/// as well as its writes: the final store state must be byte-identical to
-/// `parallelism = 1`. The ranges are disjoint because gradient arithmetic is
+/// lanes / buffer-pool shards: the final store state must be byte-identical
+/// to `parallelism = 1`. The ranges are disjoint because gradient arithmetic is
 /// floating-point — byte-identity across configurations is only well-defined
 /// when no two threads race on the same key. Duplicate keys *within* one
-/// batch are still exercised (the executor splits batches into whole-key
-/// ranges, covered by `parallelism_levels_are_byte_identical`).
+/// batch are still exercised (a fanned-out batch is split into whole-key
+/// ranges, covered by the boundary tests below).
 fn check_concurrent_writer_equivalence(kind: BackendKind, base_keys: &[u64], rounds: u8) {
     let levels = [1usize, 2, 8];
     let programs: [Vec<u64>; 2] = [
@@ -263,8 +263,8 @@ fn check_concurrent_writer_equivalence(kind: BackendKind, base_keys: &[u64], rou
             .iter()
             .map(|keys| {
                 let table = Arc::clone(&table);
-                // Tile past the executor's parallel cutoff so the sharded
-                // write path genuinely engages at parallelism > 1.
+                // Training-sized batches: they run inline, on write paths
+                // sharded by the parallelism level.
                 let batch: Vec<u64> = keys.iter().cycle().take(512).copied().collect();
                 std::thread::spawn(move || {
                     for round in 0..rounds {
@@ -327,7 +327,6 @@ fn lsm_memtable_flush_under_concurrent_writers_loses_no_update() {
         EmbeddingTable::builder(store)
             .dim(DIM)
             .staleness_bound(u32::MAX)
-            .parallelism(1)
             .build()
             .unwrap(),
     );
@@ -364,7 +363,6 @@ fn lsm_memtable_flush_under_concurrent_writers_loses_no_update() {
         EmbeddingTable::builder(open_store(BackendKind::RocksDbLike, tiny).unwrap())
             .dim(DIM)
             .staleness_bound(u32::MAX)
-            .parallelism(1)
             .build()
             .unwrap(),
     );
@@ -457,22 +455,18 @@ fn lsm_reader_racing_rmw_across_flushes_loses_no_increment() {
 
 /// The boundary `mlkv_storage::exec` switches on: every engine's `write_batch`,
 /// `multi_rmw` and `multi_get`, with duplicate keys, on both sides of
-/// `PARALLEL_CUTOFF` and at `parallelism` 1 / 2 / 8, must return the results
-/// and leave the state of a per-key loop on a serial `MemStore`. The tiny
+/// `2 × MIN_KEYS_PER_WORKER` (the smallest batch that fans out, to two
+/// workers) and at `parallelism` 2 / 8, must return the results and leave the
+/// state of a per-key loop on a serial `MemStore`. (Below the boundary both
+/// levels run inline, which is all `parallelism` 1 ever does.) The tiny
 /// memory budget keeps most of each disk engine cold, so the batches cross the
-/// cutoff on the device paths too.
+/// boundary on the device paths too.
 #[test]
 fn batch_ops_match_a_per_key_loop_on_both_sides_of_the_executor_cutoff() {
-    use mlkv_storage::exec::PARALLEL_CUTOFF;
+    use mlkv_storage::exec::MIN_KEYS_PER_WORKER;
     use mlkv_storage::{MemStore, WriteBatch};
 
-    let sizes = [
-        1,
-        PARALLEL_CUTOFF - 1,
-        PARALLEL_CUTOFF,
-        PARALLEL_CUTOFF + 1,
-        4 * PARALLEL_CUTOFF,
-    ];
+    let sizes = [1, 2 * MIN_KEYS_PER_WORKER - 1, 2 * MIN_KEYS_PER_WORKER];
     let append = |i: usize, cur: Option<&[u8]>| -> Vec<u8> {
         let mut v = cur.map(<[u8]>::to_vec).unwrap_or_default();
         v.push(i as u8);
@@ -484,7 +478,7 @@ fn batch_ops_match_a_per_key_loop_on_both_sides_of_the_executor_cutoff() {
         BackendKind::RocksDbLike,
         BackendKind::WiredTigerLike,
     ] {
-        for parallelism in [1usize, 2, 8] {
+        for parallelism in [2usize, 8] {
             let cell = format!("{} parallelism {parallelism}", kind.name());
             let config = store_config(parallelism)
                 .with_memory_budget(8 << 10)
@@ -493,9 +487,10 @@ fn batch_ops_match_a_per_key_loop_on_both_sides_of_the_executor_cutoff() {
             let model = MemStore::with_shards_and_parallelism(1, 1);
             let mut key_space = 0u64;
             for (round, &n) in sizes.iter().enumerate() {
-                // Every key occurs about twice per batch, and the rounds'
-                // key ranges overlap, so later batches update earlier state.
-                let distinct = n as u64 / 2 + 1;
+                // Every key occurs about four times per batch, and the
+                // rounds' key ranges overlap, so later batches update earlier
+                // state.
+                let distinct = n as u64 / 4 + 1;
                 key_space = key_space.max(distinct);
                 let keys: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % distinct).collect();
 
@@ -557,11 +552,10 @@ fn wal_ships_one_group_per_acked_batch_in_commit_order() {
 
     use mlkv_storage::{Shipment, WalShipper, WalTap};
 
-    // Mixed batch sizes: the 512- and 300-key batches clear the executor's
-    // parallel cutoff, so shard workers stage them concurrently — the
-    // committer must still log exactly one WAL group per acknowledged batch,
-    // published to the tap in commit order.
-    let batch_sizes = [3usize, 512, 1, 300];
+    // Mixed batch sizes: the largest fans out, so shard workers stage it
+    // concurrently — the committer must still log exactly one WAL group per
+    // acknowledged batch, published to the tap in commit order.
+    let batch_sizes = [3usize, 512, 1, 2 * mlkv_storage::exec::MIN_KEYS_PER_WORKER];
     for kind in PERSISTENT {
         let dir = temp_dir(kind.name());
         std::fs::remove_dir_all(&dir).ok();
@@ -640,7 +634,7 @@ fn deep_chain_config(parallelism: usize) -> StoreConfig {
 /// `approximate_len`, and the WAL replay on reopen (one batch holding a key's
 /// put / delete / put in occurrence order) — against a per-key loop on a
 /// serial `MemStore`, over cold chains ≥ 3 records deep, on both sides of the
-/// executor cutoff.
+/// batch size at which the executor fans out.
 #[test]
 fn faster_resolver_paths_match_a_per_key_loop_over_deep_cold_chains() {
     use mlkv_storage::{MemStore, WriteBatch};
@@ -677,7 +671,8 @@ fn faster_resolver_paths_match_a_per_key_loop_over_deep_cold_chains() {
             store.put(k, &[k as u8; 8]).unwrap();
             model.put(k, &[k as u8; 8]).unwrap();
         }
-        for (round, n) in [1usize, 255, 257, 1024].into_iter().enumerate() {
+        let fans_out = 2 * mlkv_storage::exec::MIN_KEYS_PER_WORKER;
+        for (round, n) in [1usize, 257, fans_out].into_iter().enumerate() {
             // Every key occurs about twice per batch.
             let distinct = n as u64 / 2 + 1;
             let keys: Vec<u64> = (0..n as u64)
@@ -693,8 +688,9 @@ fn faster_resolver_paths_match_a_per_key_loop_over_deep_cold_chains() {
             assert_eq!(got, want, "parallelism {parallelism}: multi_rmw of {n}");
             check(&store, &format!("multi_rmw of {n}"));
 
-            // Deletes of live, already-deleted and never-written keys.
-            for &k in keys.iter().step_by(3).chain(&[SPACE + 1]) {
+            // Deletes of live, already-deleted and never-written keys (a
+            // bounded sample of a large batch: each is its own commit).
+            for &k in keys.iter().step_by((n / 128).max(3)).chain(&[SPACE + 1]) {
                 store.delete(k).unwrap();
                 model.delete(k).unwrap();
                 store.delete(k).unwrap();
@@ -741,7 +737,6 @@ fn promoter_racing_apply_gradients_ends_byte_identical_to_the_serial_shadow() {
         EmbeddingTable::builder(store)
             .dim(DIM)
             .staleness_bound(u32::MAX)
-            .parallelism(2)
             .build()
             .unwrap()
     };
@@ -808,4 +803,188 @@ fn promoter_racing_apply_gradients_ends_byte_identical_to_the_serial_shadow() {
         raced.store().approximate_len(),
         shadow.store().approximate_len()
     );
+}
+
+/// `multi_read` and `gather_into` on every engine at `parallelism` 1 and 8,
+/// on both sides of `2 × MIN_KEYS_PER_WORKER`, over live, tombstoned and
+/// never-written keys, mostly cold (8 KiB budget). `multi_read` visits every
+/// position exactly once with what `multi_get` returns for it, and every row
+/// `gather_into` (and so `gather`) writes — lazily initialised rows included —
+/// is the row a per-key `get_one` returns on an identically built table.
+#[test]
+fn multi_read_and_gather_into_match_multi_get_and_per_key_reads() {
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    use mlkv::codec::encode_vector;
+    use mlkv_storage::exec::MIN_KEYS_PER_WORKER;
+    use mlkv_storage::WriteBatch;
+
+    /// Keys `0..LIVE` are written, every fifth of them deleted again; batch
+    /// keys in `LIVE..SPACE` are never written before the batch reads them.
+    const LIVE: u64 = 600;
+    const SPACE: u64 = 700;
+    let sizes = [37, 2 * MIN_KEYS_PER_WORKER - 1, 2 * MIN_KEYS_PER_WORKER];
+    let batch_keys = |round: usize, n: usize| -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| match (i * 13 + round as u64) % SPACE {
+                // A fresh never-written range per round, so every round's
+                // gather initialises keys.
+                k if k >= LIVE => k + 1_000 * round as u64,
+                k => k,
+            })
+            .collect()
+    };
+    let delete_every_fifth = |table: &EmbeddingTable| {
+        for k in (0..LIVE).step_by(5) {
+            table.store().delete(k).unwrap();
+        }
+    };
+    for kind in [
+        BackendKind::InMemory,
+        BackendKind::Faster,
+        BackendKind::RocksDbLike,
+        BackendKind::WiredTigerLike,
+    ] {
+        for parallelism in [1usize, 8] {
+            let cell = format!("{} parallelism {parallelism}", kind.name());
+            // `batched` serves the batch calls, `reference` the per-key ones.
+            let tables: Vec<EmbeddingTable> = (0..2)
+                .map(|_| {
+                    let config = store_config(parallelism)
+                        .with_memory_budget(8 << 10)
+                        .with_page_size(2 << 10);
+                    let store = open_store(kind, config).unwrap();
+                    let mut batch = WriteBatch::new();
+                    for k in 0..LIVE {
+                        batch.put(k, encode_vector(&[k as f32; DIM]));
+                    }
+                    store.write_batch(&batch).unwrap();
+                    let table = EmbeddingTable::builder(store)
+                        .dim(DIM)
+                        .staleness_bound(u32::MAX)
+                        .build()
+                        .unwrap();
+                    delete_every_fifth(&table);
+                    table
+                })
+                .collect();
+            let (batched, reference) = (&tables[0], &tables[1]);
+
+            // Reads only, so every size sees tombstones and absent keys.
+            for (round, &n) in sizes.iter().enumerate() {
+                let keys = batch_keys(round, n);
+                let store = batched.store();
+                let visits = Mutex::new(vec![None; n]);
+                let failed = store.multi_read(&keys, &|i, value| {
+                    let mut visits = visits.lock().unwrap();
+                    assert!(visits[i].is_none(), "{cell}: position {i} visited twice");
+                    visits[i] = Some(value.map(<[u8]>::to_vec));
+                });
+                assert!(failed.is_empty(), "{cell}: {n} keys");
+                let visits = visits.into_inner().unwrap();
+                for (i, (got, want)) in visits.into_iter().zip(store.multi_get(&keys)).enumerate() {
+                    let want = match want {
+                        Ok(value) => Some(value),
+                        Err(e) if e.is_not_found() => None,
+                        Err(e) => panic!("{cell}: multi_get failed: {e}"),
+                    };
+                    assert_eq!(got, Some(want), "{cell}: position {i} of {n}");
+                }
+            }
+
+            for (round, &n) in sizes.iter().enumerate() {
+                let keys = batch_keys(round, n);
+                let mut rows = vec![f32::NAN; n * DIM];
+                batched.gather_into(&keys, &mut rows).unwrap();
+                let mut per_key: HashMap<u64, Vec<f32>> = HashMap::new();
+                for (i, k) in keys.iter().enumerate() {
+                    let want = per_key
+                        .entry(*k)
+                        .or_insert_with(|| reference.get_one(*k).unwrap());
+                    assert_eq!(
+                        &rows[i * DIM..(i + 1) * DIM],
+                        want.as_slice(),
+                        "{cell}: key {k} at position {i} of {n}"
+                    );
+                }
+                // Both tables initialised the same keys to the same rows;
+                // tombstone a fifth of the written keys again on both.
+                delete_every_fifth(batched);
+                delete_every_fifth(reference);
+            }
+            assert_eq!(
+                batched.stats().initialised,
+                reference.stats().initialised,
+                "{cell}: lazy initialisations"
+            );
+        }
+    }
+}
+
+/// FASTER hands `multi_read` a row in memory in place, under the page
+/// frame's read lock, while an in-place update holds the write lock: a
+/// gather can never see an update half-written. An applier subtracts the
+/// same amount from all 16 coordinates of every row while two gatherers read
+/// (staleness control off, so nothing above the engine orders them): every
+/// gathered row has 16 equal coordinates.
+#[test]
+fn faster_gathers_never_see_a_torn_row() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const WIDE: usize = 16;
+    let keys: Vec<u64> = (0..256).collect();
+    // The mutable half of the window holds all 256 rows, so every update is
+    // an in-place overwrite of the bytes the gatherers read (an appended
+    // record is complete before the index links it).
+    let store = open_store(
+        BackendKind::Faster,
+        store_config(0)
+            .with_memory_budget(64 << 10)
+            .with_page_size(4 << 10),
+    )
+    .unwrap();
+    let table = Arc::new(
+        EmbeddingTable::builder(store)
+            .dim(WIDE)
+            .enforce_staleness(false)
+            .build()
+            .unwrap(),
+    );
+    table
+        .put(&keys, &vec![vec![0.0; WIDE]; keys.len()])
+        .unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let gatherers: Vec<_> = (0..2)
+        .map(|g| {
+            let (table, done, keys) = (Arc::clone(&table), Arc::clone(&done), keys.clone());
+            std::thread::spawn(move || {
+                let mut rows = vec![0.0f32; keys.len() * WIDE];
+                let mut gathers = 0u64;
+                while !done.load(Ordering::SeqCst) || gathers == 0 {
+                    table.gather_into(&keys, &mut rows).unwrap();
+                    for (k, row) in keys.iter().zip(rows.chunks_exact(WIDE)) {
+                        assert!(
+                            row.iter().all(|x| *x == row[0]),
+                            "gatherer {g}: key {k} read torn: {row:?}"
+                        );
+                    }
+                    gathers += 1;
+                }
+                gathers
+            })
+        })
+        .collect();
+    let grad = [1.0f32; WIDE];
+    let updates: Vec<(u64, &[f32])> = keys.iter().map(|k| (*k, grad.as_slice())).collect();
+    for _ in 0..200 {
+        table.apply_gradients(&updates, 1.0).unwrap();
+    }
+    done.store(true, Ordering::SeqCst);
+    for gatherer in gatherers {
+        assert!(gatherer.join().unwrap() > 0);
+    }
+    for row in table.gather(&keys).unwrap() {
+        assert_eq!(row, vec![-200.0; WIDE]);
+    }
 }

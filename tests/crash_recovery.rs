@@ -83,7 +83,6 @@ fn open_table(kind: BackendKind, config: StoreConfig) -> EmbeddingTable {
         .app_cache_bytes(0)
         .init_scale(0.1)
         .seed(7)
-        .parallelism(1)
         .build()
         .expect("build table")
 }
