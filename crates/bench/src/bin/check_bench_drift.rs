@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! cargo run --release -p mlkv-bench --bin check_bench_drift -- \
-//!     --baseline BENCH_io_async.json --current /tmp/io_async_smoke.json \
+//!     --baseline BENCH_batch_parallel.json --current /tmp/batch_smoke.json \
 //!     [--threshold 0.30] [--strict]
 //! ```
 //!
@@ -31,9 +31,8 @@ use std::process::ExitCode;
 use mlkv_bench::arg_value;
 
 /// The speedup fields the emitters write, in lookup order. Higher is better.
-const SPEEDUP_KEYS: [&str; 4] = [
+const SPEEDUP_KEYS: [&str; 3] = [
     "speedup_vs_serial",
-    "speedup_vs_sync",
     "throughput_retained_vs_serving",
     "read_throughput_vs_primary",
 ];
@@ -187,10 +186,9 @@ fn main() -> ExitCode {
     let mut regressions = 0usize;
     let mut compared = 0usize;
     for (key, base) in &baseline {
-        // Denominator rows (serial / sync) carry a speedup
-        // of exactly 1.0 in both files, so they compare as trivially ok; no
-        // filtering, or genuine sub-1.0 data rows (e.g. WiredTiger's ~0.96x
-        // async cell) would silently escape regression detection.
+        // Denominator rows (serial) carry a speedup of exactly 1.0 in both
+        // files, so they compare as trivially ok; no filtering, or genuine
+        // sub-1.0 data rows would silently escape regression detection.
         let Some(cur) = current.get(key) else {
             eprintln!("::warning::bench drift: row missing from current run: {key}");
             continue;

@@ -11,10 +11,6 @@
 //!   latency; and the write half of the matrix — one `apply_gradients` batch
 //!   at the same parallelism levels on every sharded-write-path engine, warm
 //!   plus a cold FASTER configuration.
-//! * `BENCH_io_async.json` (`mlkv_bench::io_coalesce`): the coalesced
-//!   cold-SSD gather on FASTER / RocksDB-label LSM / WiredTiger-label B+tree
-//!   with blocking reads (`io_backend = sync`) vs submission-queue reads
-//!   (`io_backend = async`), at the same parallelism.
 //! * `BENCH_durability.json` (`mlkv_storage::wal` group commit): `write_batch`
 //!   throughput on each disk engine with `durability = None` vs
 //!   `GroupCommit`, across group sizes — the group-commit sync cost is paid
@@ -36,7 +32,7 @@
 //!
 //! ```text
 //! cargo run --release -p mlkv-bench --bin emit_bench_json \
-//!     [-- --out PATH] [--io-async-out PATH] \
+//!     [-- --out PATH] \
 //!     [--durability-out PATH] [--fault-out PATH] [--replication-out PATH] \
 //!     [--batch-only] [--fault-only] [--replication-only] [--quick]
 //! ```
@@ -203,89 +199,6 @@ fn push_group(
             });
         }
     }
-}
-
-/// One `BENCH_io_async.json` row: the coalesced cold-SSD gather under one
-/// read backend (sync blocking `pread`s vs async submission queue).
-struct IoAsyncCell {
-    engine: &'static str,
-    io_backend: mlkv_storage::IoBackend,
-    mean_ns: u128,
-    speedup_vs_sync: f64,
-}
-
-/// Measure the sync/async pair for every disk-backed engine (same
-/// parallelism — the only variable is how reads reach the device).
-fn run_io_async(quick: bool) -> Vec<IoAsyncCell> {
-    use mlkv_storage::IoBackend;
-    let (warmup, iters) = if quick { (1, 1) } else { (1, 8) };
-    let mut cells = Vec::new();
-    for backend in io_coalesce::BACKENDS {
-        let mut sync_ns = 0u128;
-        for io_backend in [IoBackend::Sync, IoBackend::Async] {
-            let table = io_coalesce::cold_table_io(backend, io_backend, io_coalesce::PARALLELISM);
-            let mean_ns = measure_gather(
-                &table,
-                io_coalesce::IO_BATCH,
-                io_coalesce::KEY_SPACE,
-                warmup,
-                iters,
-            );
-            if io_backend == IoBackend::Sync {
-                sync_ns = mean_ns;
-            }
-            let speedup = sync_ns as f64 / mean_ns.max(1) as f64;
-            eprintln!(
-                "{:>10} cold-ssd batch {} p{} io_backend={io_backend}: \
-                 {:>10.3} ms/gather ({speedup:.2}x vs sync)",
-                backend.name(),
-                io_coalesce::IO_BATCH,
-                io_coalesce::PARALLELISM,
-                mean_ns as f64 / 1e6
-            );
-            cells.push(IoAsyncCell {
-                engine: backend.name(),
-                io_backend,
-                mean_ns,
-                speedup_vs_sync: speedup,
-            });
-        }
-    }
-    cells
-}
-
-fn write_io_async_json(cells: &[IoAsyncCell], quick: bool, out_path: &str) {
-    let mut json = String::new();
-    let note = format!(
-        "coalesced cold-SSD gather (batch {}, parallelism {}, {}us/request + \
-         1 GiB/s simulated SSD, queue depth {}) with blocking reads (io_backend=sync) vs \
-         submission-queue reads (io_backend=async); async submits each pass's merged reads \
-         as one batch so their fixed costs overlap up to the queue depth, and both modes \
-         return byte-identical results (tests/io_coalesce.rs)",
-        io_coalesce::IO_BATCH,
-        io_coalesce::PARALLELISM,
-        io_coalesce::READ_LATENCY.as_micros(),
-        io_coalesce::IO_QUEUE_DEPTH,
-    );
-    json_prologue(&mut json, "io_async", quick, &note);
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"engine\": \"{}\", \"workload\": \"gather-cold-ssd\", \"batch\": {}, \
-             \"parallelism\": {}, \"io_backend\": \"{}\", \"mean_ns\": {}, \
-             \"speedup_vs_sync\": {:.3}}}",
-            c.engine,
-            io_coalesce::IO_BATCH,
-            io_coalesce::PARALLELISM,
-            c.io_backend,
-            c.mean_ns,
-            c.speedup_vs_sync
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).unwrap();
-    println!("wrote {out_path}");
 }
 
 /// One `BENCH_durability.json` row: `write_batch` throughput on a disk engine
@@ -625,8 +538,6 @@ fn main() {
     }
     let out_path = mlkv_bench::arg_value(&args, "--out")
         .unwrap_or_else(|| "BENCH_batch_parallel.json".to_string());
-    let io_async_out_path = mlkv_bench::arg_value(&args, "--io-async-out")
-        .unwrap_or_else(|| "BENCH_io_async.json".to_string());
     let durability_out_path = mlkv_bench::arg_value(&args, "--durability-out")
         .unwrap_or_else(|| "BENCH_durability.json".to_string());
 
@@ -707,7 +618,7 @@ fn main() {
          and its speedup_vs_serial is ~1.0 plus whatever the level's shard and lane counts \
          change; only the 16384-key warm gathers fan out (min(parallelism, 4) workers), and \
          their speedup needs that many idle cores; the cold-ssd rows add 25us simulated SSD \
-         reads under the default submission backend and resolve through FASTER's one \
+         reads, submitted to the simulated device's virtual clock, and resolve through FASTER's one \
          batched chain walk (one coalesced submission per chain depth, never one read per \
          key)",
         min = MIN_KEYS_PER_WORKER,
@@ -730,9 +641,6 @@ fn main() {
     if batch_only {
         return;
     }
-
-    let io_async_cells = run_io_async(quick);
-    write_io_async_json(&io_async_cells, quick, &io_async_out_path);
 
     let durability_cells = run_durability(quick);
     write_durability_json(&durability_cells, quick, &durability_out_path);

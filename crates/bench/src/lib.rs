@@ -318,25 +318,22 @@ pub mod batch_parallel {
     }
 }
 
-/// Shared setup for the coalesced cold-path I/O measurements of the
-/// `emit_bench_json` recorder.
+/// Shared setup for the coalesced cold-path I/O measurements.
 ///
 /// The stores are larger-than-memory with a throughput-priced simulated SSD
 /// ([`mlkv_storage::SimLatencyDevice`]: fixed cost per request + per-byte
 /// transfer), so a cold gather is dominated by device round trips — the cost
-/// the coalescing [`mlkv_storage::IoPlanner`] cuts and the async backend
-/// overlaps.
+/// the coalescing [`mlkv_storage::IoPlanner`] cuts and the simulated device's
+/// clocked submissions overlap.
 pub mod io_coalesce {
     use std::sync::Arc;
     use std::time::Duration;
 
     use mlkv::{open_store, BackendKind, EmbeddingTable};
-    use mlkv_storage::{IoBackend, StoreConfig};
+    use mlkv_storage::StoreConfig;
 
     pub use super::batch_parallel::rotating_keys;
 
-    /// Gather batch size (the acceptance batch of the paper-scale runs).
-    pub const IO_BATCH: usize = 1024;
     /// Key space: ~6x the memory budget, so most of a random gather is cold.
     pub const KEY_SPACE: u64 = 4_000;
     /// Embedding dimension of the cold tables.
@@ -346,20 +343,11 @@ pub mod io_coalesce {
     /// Simulated SSD transfer rate: 1 GiB/s, so merged large reads still pay
     /// for every byte they move.
     pub const READ_BYTES_PER_SEC: u64 = 1 << 30;
-    /// Worker count both backends run at (same parallelism, per the bench's
-    /// apples-to-apples contract).
-    pub const PARALLELISM: usize = 4;
-    /// Submission-queue depth of the async-backend rows: how many in-flight
-    /// merged reads the simulated device overlaps per submission.
-    pub const IO_QUEUE_DEPTH: usize = 32;
-    /// Gap threshold of the sync-vs-async rows. The default 4 KiB gap folds
-    /// this dense setup into one or two giant runs per pass — nothing left
-    /// for a submission queue to overlap. The async comparison instead
-    /// measures the complementary scenario the submission queue exists for: ranges too far apart to merge (a 256 B
-    /// gap leaves one merged run per record here), where the sync path pays
-    /// one blocking round trip per run and the async path overlaps them up
-    /// to [`IO_QUEUE_DEPTH`].
-    pub const ASYNC_GAP_BYTES: usize = 256;
+    /// Gap threshold of the cold tables. The default 4 KiB gap folds this
+    /// dense setup into one or two giant runs per pass; a 256 B gap leaves
+    /// one merged run per record, so a pass is a submission of many requests
+    /// whose fixed costs the simulated device overlaps.
+    pub const GAP_BYTES: usize = 256;
     /// The disk-backed engines the bench sweeps (labels follow the paper's
     /// figures: RocksDB = LSM, WiredTiger = B+tree).
     pub const BACKENDS: [BackendKind; 3] = [
@@ -368,23 +356,13 @@ pub mod io_coalesce {
         BackendKind::WiredTigerLike,
     ];
 
-    /// Larger-than-memory table over the simulated SSD for the sync-vs-async
-    /// comparison recorded in
-    /// `BENCH_io_async.json`: `IoBackend::Async` submits each pass's merged
-    /// reads as one batch, so their fixed costs overlap up to
-    /// [`IO_QUEUE_DEPTH`]. Uses [`ASYNC_GAP_BYTES`] so each pass genuinely
-    /// leaves many merged runs (see that constant's docs).
-    pub fn cold_table_io(
-        backend: BackendKind,
-        io_backend: IoBackend,
-        parallelism: usize,
-    ) -> Arc<EmbeddingTable> {
+    /// Larger-than-memory table over the simulated SSD, with [`GAP_BYTES`]
+    /// so each pass genuinely leaves many merged runs.
+    pub fn cold_table_io(backend: BackendKind, parallelism: usize) -> Arc<EmbeddingTable> {
         let store = open_store(
             backend,
             StoreConfig::in_memory()
-                .with_io_gap_bytes(ASYNC_GAP_BYTES)
-                .with_io_backend(io_backend)
-                .with_io_queue_depth(IO_QUEUE_DEPTH)
+                .with_io_gap_bytes(GAP_BYTES)
                 .with_memory_budget(64 << 10)
                 .with_page_size(4 << 10)
                 .with_index_buckets(1 << 14)
@@ -419,26 +397,10 @@ mod tests {
     #[test]
     fn io_coalesce_setup_gathers_identically_to_per_key_reads() {
         for backend in io_coalesce::BACKENDS {
-            let table = io_coalesce::cold_table_io(backend, mlkv_storage::IoBackend::Sync, 1);
+            let table = io_coalesce::cold_table_io(backend, 1);
             let keys = io_coalesce::rotating_keys(3, 64, io_coalesce::KEY_SPACE);
             let per_key: Vec<Vec<f32>> = keys.iter().map(|&k| table.get_one(k).unwrap()).collect();
             assert_eq!(table.gather(&keys).unwrap(), per_key, "{}", backend.name());
-        }
-    }
-
-    #[test]
-    fn io_async_setup_gathers_identically_to_sync() {
-        use mlkv_storage::IoBackend;
-        for backend in io_coalesce::BACKENDS {
-            let sync = io_coalesce::cold_table_io(backend, IoBackend::Sync, 1);
-            let async_ = io_coalesce::cold_table_io(backend, IoBackend::Async, 1);
-            let keys = io_coalesce::rotating_keys(11, 64, io_coalesce::KEY_SPACE);
-            assert_eq!(
-                sync.gather(&keys).unwrap(),
-                async_.gather(&keys).unwrap(),
-                "{}",
-                backend.name()
-            );
         }
     }
 

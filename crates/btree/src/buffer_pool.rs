@@ -200,8 +200,8 @@ impl BufferPool {
     }
 
     /// Submit the scatter behind [`BufferPool::fault_batch`] and return a
-    /// handle to finish it with. Under the async backend the leaf reads
-    /// overlap whatever the caller does between submit and
+    /// handle to finish it with. On a device that completes submissions
+    /// later the leaf reads overlap whatever the caller does between submit and
     /// [`PendingLeafFetch::wait`] — `BtreeStore::multi_get` builds its leaf
     /// groups in that window.
     pub fn submit_fault_batch(&self, page_ids: &[u64]) -> PendingLeafFetch<'_> {
@@ -378,16 +378,11 @@ impl BufferPool {
 pub struct PendingLeafFetch<'a> {
     pool: &'a BufferPool,
     missing: Vec<u64>,
-    /// `None` when nothing needed fetching (or coalescing is off).
+    /// `None` when nothing needed fetching.
     pending: Option<PendingRead>,
 }
 
 impl PendingLeafFetch<'_> {
-    /// True once waiting would not park.
-    pub fn try_complete(&self) -> bool {
-        self.pending.as_ref().is_none_or(PendingRead::try_complete)
-    }
-
     /// Finish the fetch: park on the scatter, decode the leaves and warm
     /// spare pool capacity. Best-effort like [`BufferPool::fault_batch`]: a
     /// failed scatter simply yields no leaves and the per-leaf path surfaces

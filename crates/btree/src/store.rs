@@ -739,7 +739,7 @@ impl KvStore for BtreeStore {
         routed.sort_unstable_by_key(|&(page, _)| page);
         // Submit the scatter for the batch's missing leaf pages first, so
         // the device fetches them while the leaf groups are being built
-        // below (the pool bookkeeping the async backend overlaps). Groups
+        // below (the pool bookkeeping a later-completing device overlaps). Groups
         // whose page was fetched read the returned copy (the tree read lock
         // held across this whole call excludes leaf mutations, so the copies
         // cannot go stale); everything else pins the pool.

@@ -70,6 +70,5 @@ pub use table::{EmbeddingTable, TableBuilder, TableOptions};
 
 // Re-export the storage-facing types users need when configuring backends.
 pub use mlkv_storage::{
-    BatchExecutor, DurabilityMode, IoBackend, KvStore, StorageError, StorageResult, StoreConfig,
-    WriteBatch,
+    BatchExecutor, DurabilityMode, KvStore, StorageError, StorageResult, StoreConfig, WriteBatch,
 };

@@ -197,7 +197,7 @@ impl std::ops::Deref for EmbeddingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlkv_storage::{DurabilityMode, IoBackend};
+    use mlkv_storage::DurabilityMode;
 
     #[test]
     fn open_matches_figure_3_usage() {
@@ -233,32 +233,24 @@ mod tests {
 
     #[test]
     fn io_knobs_reach_the_store_and_preserve_results() {
-        for io_backend in [IoBackend::Sync, IoBackend::Async] {
-            // `store_config` replaces the builder's config wholesale; the
-            // setters after it write into the replacement (last call wins).
-            let model = Mlkv::builder("io-knobs")
-                .dim(4)
-                .backend(BackendKind::Faster)
-                .memory_budget(1 << 30)
-                .store_config(
-                    StoreConfig::in_memory()
-                        .with_io_gap_bytes(256)
-                        .with_io_backend(io_backend)
-                        .with_io_queue_depth(8),
-                )
-                .memory_budget(16 << 10)
-                .page_size(1 << 10)
-                .build()
-                .unwrap();
-            let keys: Vec<u64> = (0..500).collect();
-            let rows = vec![vec![0.25f32; 4]; keys.len()];
-            model.put(&keys, &rows).unwrap();
-            // Larger-than-memory (the 1 GiB budget set before `store_config`
-            // is gone): gathers hit the cold path on either backend.
-            assert!(model.store().metrics().snapshot().disk_write_bytes > 0);
-            let got = model.get(&keys).unwrap();
-            assert_eq!(got, rows, "io_backend={io_backend}");
-        }
+        // `store_config` replaces the builder's config wholesale; the setters
+        // after it write into the replacement (last call wins).
+        let model = Mlkv::builder("io-knobs")
+            .dim(4)
+            .backend(BackendKind::Faster)
+            .memory_budget(1 << 30)
+            .store_config(StoreConfig::in_memory().with_io_gap_bytes(256))
+            .memory_budget(16 << 10)
+            .page_size(1 << 10)
+            .build()
+            .unwrap();
+        let keys: Vec<u64> = (0..500).collect();
+        let rows = vec![vec![0.25f32; 4]; keys.len()];
+        model.put(&keys, &rows).unwrap();
+        // Larger-than-memory (the 1 GiB budget set before `store_config` is
+        // gone): gathers hit the cold path.
+        assert!(model.store().metrics().snapshot().disk_write_bytes > 0);
+        assert_eq!(model.get(&keys).unwrap(), rows);
     }
 
     #[test]

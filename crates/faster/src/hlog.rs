@@ -372,8 +372,7 @@ impl HybridLog {
         }
     }
 
-    /// Fetch the records at `addrs` with one coalesced (possibly
-    /// asynchronous) scatter: [`HybridLog::submit_records_from_disk`]
+    /// Fetch the records at `addrs` with one coalesced scatter: [`HybridLog::submit_records_from_disk`]
     /// finished immediately.
     pub fn read_records_from_disk(&self, addrs: &[Address]) -> Vec<StorageResult<Record>> {
         self.submit_records_from_disk(addrs.to_vec()).wait()
@@ -523,10 +522,10 @@ impl HybridLog {
 
 /// A cold-record scatter in flight ([`HybridLog::submit_records_from_disk`]).
 ///
-/// Under the async backend the submission's merged reads overlap each other
-/// in the device while the caller walks memory-resident chains; the sync
-/// backend completes at submit time and [`PendingRecords::wait`] just
-/// decodes.
+/// On a device that completes submissions later (the simulated SSD's virtual
+/// clock) the merged reads overlap each other, and the caller's walk of
+/// memory-resident chains; a device that completes inline has read them by
+/// the time [`PendingRecords::wait`] decodes.
 pub struct PendingRecords<'a> {
     log: &'a HybridLog,
     /// Requested addresses (taken by value — used by the error fallbacks).
@@ -539,11 +538,6 @@ pub struct PendingRecords<'a> {
 }
 
 impl PendingRecords<'_> {
-    /// True once waiting would not park.
-    pub fn try_complete(&self) -> bool {
-        self.pending.try_complete()
-    }
-
     /// Finish the batch: park on the speculative scatter, submit the
     /// follow-up scatter for oversized values, decode the complete records
     /// while it is in flight, then resolve the stragglers.

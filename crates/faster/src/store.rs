@@ -414,8 +414,8 @@ impl FasterKv {
                     mem.push((d, addr));
                 }
             }
-            // Submit the device round first: its merged reads overlap each
-            // other (and this worker's memory phase) under the async backend.
+            // Submit the device round first: on a device that completes it
+            // later, its merged reads overlap this worker's memory phase.
             let submitted = (!disk.is_empty()).then(|| {
                 let addrs = disk.iter().map(|&(_, addr)| addr).collect();
                 (disk, self.log.submit_records_from_disk(addrs))

@@ -249,8 +249,8 @@ impl SsTable {
 
     /// Submit one coalesced scatter for every key of the batch this table
     /// admits (bloom + index reject the rest without I/O) and return a handle
-    /// to finish the pass with. Under the async backend the scatter's merged
-    /// reads overlap each other in the device while the caller works —
+    /// to finish the pass with. On a device that completes submissions later
+    /// the scatter's merged reads overlap each other while the caller works —
     /// [`crate::store::LsmStore`] uses the window to finish the *previous*
     /// table pass's bookkeeping, pipelining the passes.
     pub fn submit_get_many(&self, keys: Vec<u64>) -> PendingTableGets<'_> {
@@ -325,11 +325,6 @@ pub struct PendingTableGets<'a> {
 }
 
 impl PendingTableGets<'_> {
-    /// True once waiting would not park.
-    pub fn try_complete(&self) -> bool {
-        self.pending.try_complete()
-    }
-
     /// Finish the pass: park on the scatter, then decode every admitted
     /// key's entry. A failed merged read falls back to per-key point gets so
     /// each slot surfaces its own result.

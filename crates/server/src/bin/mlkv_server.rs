@@ -8,9 +8,8 @@
 //! The process runs until a client sends a `Shutdown` frame (see
 //! `Client::shutdown_server`); it installs no signal handlers, so SIGINT or
 //! SIGTERM end it without the drain. Shutdown drains admitted work and
-//! flushes the table. The `MLKV_IO_BACKEND`, `MLKV_PARALLELISM`,
-//! `MLKV_DURABILITY`, and `MLKV_REPLICATION_MODE` environment overrides
-//! apply on top of the flags; `--replicate-from` starts
+//! flushes the table. The `MLKV_PARALLELISM`, `MLKV_DURABILITY`, and
+//! `MLKV_REPLICATION_MODE` environment overrides apply on top of the flags; `--replicate-from` starts
 //! the process as a replica of the given primary. Dispatch has no flags: the
 //! batcher runs whatever is queued the moment its previous tick returns.
 

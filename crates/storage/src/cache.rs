@@ -31,11 +31,16 @@ impl Shard {
     }
 
     fn evict_lru(&mut self) -> Option<u64> {
-        let victim = self
-            .map
-            .iter()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(k, _)| *k)?;
+        // An explicit loop, not `min_by_key`: every insert into a full shard
+        // scans it, and the iterator's out-of-line `fold` ran that scan at
+        // half speed whenever it landed in another codegen unit.
+        let mut oldest: Option<(u64, u64)> = None;
+        for (&key, &(_, stamp)) in &self.map {
+            if oldest.is_none_or(|(_, min)| stamp < min) {
+                oldest = Some((key, stamp));
+            }
+        }
+        let (victim, _) = oldest?;
         if let Some((v, _)) = self.map.remove(&victim) {
             self.bytes -= v.len();
         }

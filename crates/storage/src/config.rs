@@ -11,41 +11,6 @@ use std::time::Duration;
 use crate::device::Device;
 use crate::error::StorageResult;
 
-/// How cold-path batch reads reach the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// Blocking reads: every merged range is a synchronous `pread` on the
-    /// issuing worker (the pre-submission-queue behaviour).
-    Sync,
-    /// Submission-queue reads (the default): batches are submitted via
-    /// [`crate::Device::submit_reads`] and completed asynchronously (an
-    /// [`crate::IoRing`] poller for real devices, a virtual clock for the
-    /// simulated one), so merged reads overlap each other and workers park on
-    /// completions instead of blocking in `pread`.
-    #[default]
-    Async,
-}
-
-impl IoBackend {
-    /// Parse the CI-matrix spelling (`"sync"` / `"async"`, case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sync" => Some(Self::Sync),
-            "async" => Some(Self::Async),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for IoBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Sync => "sync",
-            Self::Async => "async",
-        })
-    }
-}
-
 /// When a store's write-ahead log syncs its device — the trade between
 /// per-operation fsync cost and the bytes a power loss may take with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -188,19 +153,6 @@ pub struct StoreConfig {
     /// trade wasted transfer bytes for fewer round trips; the default (4 KiB)
     /// merges anything within a typical flash page.
     pub io_gap_bytes: usize,
-    /// How cold-path batch reads reach the device: submission-queue reads
-    /// completed asynchronously ([`IoBackend::Async`], the default) or
-    /// blocking `pread`s ([`IoBackend::Sync`]).
-    pub io_backend: IoBackend,
-    /// Submission-queue depth of the async I/O backend. The two completion
-    /// engines apply it at different granularities: an [`crate::IoRing`]
-    /// (real devices) holds this many *submissions* before its
-    /// [`crate::IoRing::submit`] applies backpressure, while the simulated
-    /// device overlaps this many *requests within one submission*
-    /// (`latency × ceil(N / depth)`), modelling the in-device overlap a
-    /// native io_uring backend would realise on hardware. Ignored under
-    /// [`IoBackend::Sync`].
-    pub io_queue_depth: usize,
     /// When the write-ahead log syncs its device (see [`DurabilityMode`]).
     pub durability: DurabilityMode,
     /// Override how per-file devices are constructed (crash injection, fault
@@ -215,10 +167,6 @@ pub struct StoreConfig {
 
 /// Default [`StoreConfig::io_gap_bytes`]: one typical flash page.
 pub const DEFAULT_IO_GAP_BYTES: usize = 4 << 10;
-
-/// Default [`StoreConfig::io_queue_depth`]: a typical NVMe submission-queue
-/// slice per submitter.
-pub const DEFAULT_IO_QUEUE_DEPTH: usize = 32;
 
 /// Group-commit window used when `MLKV_DURABILITY=group` gives no explicit
 /// window: large enough that in practice every acknowledged batch pays
@@ -236,8 +184,6 @@ impl Default for StoreConfig {
             simulated_read_latency: Duration::ZERO,
             simulated_read_bytes_per_sec: 0,
             io_gap_bytes: DEFAULT_IO_GAP_BYTES,
-            io_backend: IoBackend::Async,
-            io_queue_depth: DEFAULT_IO_QUEUE_DEPTH,
             durability: DurabilityMode::None,
             device_factory: None,
             wal_tap: None,
@@ -308,19 +254,6 @@ impl StoreConfig {
         self
     }
 
-    /// Select how cold-path batch reads reach the device (sync `pread`s or
-    /// submission-queue async; see [`IoBackend`]).
-    pub fn with_io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Set the async backend's submission-queue depth (clamped to ≥ 1).
-    pub fn with_io_queue_depth(mut self, depth: usize) -> Self {
-        self.io_queue_depth = depth.max(1);
-        self
-    }
-
     /// Set the WAL durability mode (see [`DurabilityMode`]).
     pub fn with_durability(mut self, mode: DurabilityMode) -> Self {
         self.durability = mode;
@@ -340,16 +273,14 @@ impl StoreConfig {
         self
     }
 
-    /// Apply the CI test-matrix environment overrides: `MLKV_IO_BACKEND`
-    /// (`sync` / `async`), `MLKV_PARALLELISM` (worker count) and
-    /// `MLKV_DURABILITY` (`none` / `buffered` / `group[:<window>]`, see
-    /// [`DurabilityMode::parse`]). Unset or unparsable variables leave the
-    /// configuration untouched. Tests that exercise cold-path equality call
-    /// this so one binary runs under every `io_backend × parallelism` cell of
-    /// the CI matrix.
+    /// Apply the CI test-matrix environment overrides: `MLKV_PARALLELISM`
+    /// (worker count) and `MLKV_DURABILITY` (`none` / `buffered` /
+    /// `group[:<window>]`, see [`DurabilityMode::parse`]). Unset or
+    /// unparsable variables leave the configuration untouched. Tests that
+    /// exercise cold-path equality call this so one binary runs under every
+    /// `parallelism` cell of the CI matrix.
     pub fn apply_env_overrides(self) -> Self {
         self.apply_overrides(
-            std::env::var("MLKV_IO_BACKEND").ok().as_deref(),
             std::env::var("MLKV_PARALLELISM").ok().as_deref(),
             std::env::var("MLKV_DURABILITY").ok().as_deref(),
         )
@@ -357,15 +288,7 @@ impl StoreConfig {
 
     /// Pure body of [`StoreConfig::apply_env_overrides`] (unit-testable
     /// without mutating process-global environment state).
-    fn apply_overrides(
-        mut self,
-        io_backend: Option<&str>,
-        parallelism: Option<&str>,
-        durability: Option<&str>,
-    ) -> Self {
-        if let Some(backend) = io_backend.and_then(IoBackend::parse) {
-            self.io_backend = backend;
-        }
+    fn apply_overrides(mut self, parallelism: Option<&str>, durability: Option<&str>) -> Self {
         if let Some(parallelism) = parallelism.and_then(|s| s.trim().parse::<usize>().ok()) {
             self.parallelism = parallelism;
         }
@@ -382,7 +305,7 @@ impl StoreConfig {
 }
 
 /// Serving-path fault-tolerance tuning, overridable from the environment the
-/// same way the I/O matrix knobs are: `MLKV_DEDUP_SLOTS` (idempotency-window
+/// same way the CI matrix knobs are: `MLKV_DEDUP_SLOTS` (idempotency-window
 /// slots), `MLKV_HEALTH_PROBE_MS` (recovery-probe interval while degraded),
 /// `MLKV_RETRY_MAX` (client retry attempts), `MLKV_RETRY_BACKOFF_MS` /
 /// `MLKV_RETRY_BACKOFF_CAP_MS` (client backoff ladder). Unset or unparsable
@@ -564,30 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn io_backend_knobs_default_and_compose() {
-        let cfg = StoreConfig::default();
-        assert_eq!(cfg.io_backend, IoBackend::Async);
-        assert_eq!(cfg.io_queue_depth, DEFAULT_IO_QUEUE_DEPTH);
-        let cfg = cfg.with_io_backend(IoBackend::Sync).with_io_queue_depth(0);
-        assert_eq!(cfg.io_backend, IoBackend::Sync);
-        assert_eq!(cfg.io_queue_depth, 1, "depth clamps to at least one slot");
-        assert_eq!(IoBackend::parse("Async"), Some(IoBackend::Async));
-        assert_eq!(IoBackend::parse(" sync "), Some(IoBackend::Sync));
-        assert_eq!(IoBackend::parse("uring"), None);
-        assert_eq!(IoBackend::Async.to_string(), "async");
-    }
-
-    #[test]
     fn env_overrides_apply_only_when_parsable() {
-        let cfg = StoreConfig::default().apply_overrides(Some("sync"), Some("4"), None);
-        assert_eq!(cfg.io_backend, IoBackend::Sync);
+        let cfg = StoreConfig::default().apply_overrides(Some("4"), None);
         assert_eq!(cfg.parallelism, 4);
-        let cfg = StoreConfig::default().apply_overrides(Some("bogus"), Some("not-a-number"), None);
-        assert_eq!(cfg.io_backend, IoBackend::Async);
+        let cfg = StoreConfig::default().apply_overrides(Some("not-a-number"), None);
         assert_eq!(cfg.parallelism, 0);
         let cfg = StoreConfig::default()
             .with_parallelism(2)
-            .apply_overrides(None, None, None);
+            .apply_overrides(None, None);
         assert_eq!(cfg.parallelism, 2, "unset vars leave the config untouched");
     }
 
@@ -655,7 +562,7 @@ mod tests {
         assert_eq!(DurabilityMode::parse("group:soon"), None);
         assert_eq!(DurabilityMode::parse("fsync"), None);
 
-        let cfg = StoreConfig::default().apply_overrides(None, None, Some("group:8"));
+        let cfg = StoreConfig::default().apply_overrides(None, Some("group:8"));
         assert_eq!(
             cfg.durability,
             DurabilityMode::GroupCommit { window: 8 },
@@ -663,7 +570,7 @@ mod tests {
         );
         let cfg = StoreConfig::default()
             .with_durability(DurabilityMode::Buffered)
-            .apply_overrides(None, None, Some("bogus"));
+            .apply_overrides(None, Some("bogus"));
         assert_eq!(
             cfg.durability,
             DurabilityMode::Buffered,

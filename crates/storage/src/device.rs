@@ -33,9 +33,7 @@ pub trait Device: Send + Sync {
     /// Semantically identical to calling [`Device::read_at`] once per request
     /// — which is exactly the default implementation — but a single trait call
     /// lets implementations batch, reorder or price the requests as one
-    /// submission (see [`FileDevice`] and [`SimLatencyDevice`]). Engines
-    /// normally go through [`crate::IoPlanner::read`], which additionally
-    /// coalesces near-adjacent ranges into single large reads.
+    /// submission (see [`FileDevice`] and [`SimLatencyDevice`]).
     fn read_scatter(&self, reqs: &mut [ReadReq]) -> StorageResult<()> {
         for req in reqs.iter_mut() {
             self.read_at(req.offset, &mut req.buf)?;
@@ -43,20 +41,15 @@ pub trait Device: Send + Sync {
         Ok(())
     }
 
-    /// Submit a batch of reads for asynchronous completion, taking ownership
-    /// of the requests while they are in flight.
-    ///
-    /// The default implementation completes synchronously (it is
-    /// [`Device::read_scatter`] wrapped in an already-complete
-    /// [`IoBatch`]), so every device is correct under the async API.
-    /// [`crate::RingDevice`] replaces it with a real submission queue
-    /// ([`crate::IoRing`]) and [`SimLatencyDevice`] with a virtual-clock
-    /// completion; engines reach it through [`crate::IoPlanner::submit`]
-    /// when [`crate::StoreConfig::io_backend`] is `Async`.
-    fn submit_reads(&self, reqs: Vec<ReadReq>) -> IoBatch {
-        let mut reqs = reqs;
-        let result = self.read_scatter(&mut reqs).map(|()| reqs);
-        IoBatch::ready(result)
+    /// Submit a batch of reads, taking ownership of the requests until the
+    /// returned [`IoBatch`] is waited on. The device decides when they
+    /// complete: the default completes them inline (it is
+    /// [`Device::read_scatter`] wrapped in an already-complete batch), and
+    /// [`SimLatencyDevice`] on its virtual clock. Engines reach it through
+    /// [`crate::IoPlanner::submit`], which coalesces near-adjacent ranges
+    /// into single large reads first.
+    fn submit_reads(&self, mut reqs: Vec<ReadReq>) -> IoBatch {
+        IoBatch::ready(self.read_scatter(&mut reqs).map(|()| reqs))
     }
 
     /// Current logical size in bytes (highest written offset + length).
@@ -302,7 +295,9 @@ impl Device for MemDevice {
 /// a **per-byte transfer cost** derived from a configured throughput, so
 /// merging N small reads into one large read genuinely pays 1 fixed cost + N
 /// transfers instead of N of each — the same trade a real NVMe queue makes.
-/// Sleeps, not spins, so concurrent readers overlap. Enabled via
+/// Sleeps, not spins, so concurrent readers overlap, and a
+/// [`Device::submit_reads`] submission overlaps up to [`SIM_QUEUE_DEPTH`] of
+/// its requests' fixed costs. Enabled via
 /// [`crate::StoreConfig::with_simulated_read_latency`] /
 /// [`crate::StoreConfig::with_simulated_read_throughput`]; writes are not
 /// delayed (the engines already batch them into page-sized flushes).
@@ -310,8 +305,11 @@ pub struct SimLatencyDevice {
     inner: std::sync::Arc<dyn Device>,
     read_latency: std::time::Duration,
     read_bytes_per_sec: u64,
-    queue_depth: usize,
 }
+
+/// Requests of one [`SimLatencyDevice`] submission whose fixed costs overlap:
+/// a typical NVMe submission-queue slice per submitter.
+pub const SIM_QUEUE_DEPTH: usize = 32;
 
 impl SimLatencyDevice {
     /// Wrap `inner`, delaying every `read_at` by `read_latency` (unlimited
@@ -331,16 +329,7 @@ impl SimLatencyDevice {
             inner,
             read_latency,
             read_bytes_per_sec: bytes_per_sec,
-            queue_depth: crate::config::DEFAULT_IO_QUEUE_DEPTH,
         }
-    }
-
-    /// Set the simulated submission-queue depth: the number of in-flight
-    /// requests whose fixed costs overlap in one [`Device::submit_reads`]
-    /// submission (synchronous reads are unaffected).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
     }
 
     /// Transfer time for `bytes` at the configured throughput.
@@ -379,15 +368,15 @@ impl Device for SimLatencyDevice {
 
     fn submit_reads(&self, reqs: Vec<ReadReq>) -> IoBatch {
         // Virtual-clock completion: a submission of N requests keeps up to
-        // `queue_depth` of them in flight at once, so it pays
+        // `SIM_QUEUE_DEPTH` of them in flight at once, so it pays
         // ceil(N / depth) fixed costs (not N, the serial `read_scatter`
         // price) plus the full transfer. The deadline is computed up front
         // and the batch completes when it passes, so a submitter that works
-        // between submit and wait only pays the residual device time — the
-        // overlap win the async backend exists for, measurable without real
-        // hardware. The inner reads (instant memory copies) run at wait time.
+        // between submit and wait only pays the residual device time —
+        // measurable without real hardware. The inner reads (instant memory
+        // copies) run at wait time.
         let total_bytes: u64 = reqs.iter().map(|r| r.buf.len() as u64).sum();
-        let rounds = reqs.len().div_ceil(self.queue_depth) as u32;
+        let rounds = reqs.len().div_ceil(SIM_QUEUE_DEPTH) as u32;
         let service = self.read_latency * rounds + self.transfer_cost(total_bytes);
         let deadline = std::time::Instant::now() + service;
         let inner = std::sync::Arc::clone(&self.inner);
@@ -414,7 +403,7 @@ impl Device for SimLatencyDevice {
 /// ([`Device::read_scatter`] / [`Device::submit_reads`]) and per-request
 /// `read_at` from the Nth read operation onward, with an injected I/O error.
 ///
-/// Used by the async-path fault tests to prove that a submission failing
+/// Used by the cold-path fault tests to prove that a submission failing
 /// mid-batch surfaces per-slot errors without hanging any completion waiter,
 /// and that the store is fully readable again once the device recovers
 /// ([`FailingDevice::heal`]). Writes and syncs are never failed *by default*,
@@ -781,14 +770,12 @@ impl Device for CrashDevice {
 /// is configured, memory-backed otherwise. `name` distinguishes multiple device
 /// files of one engine (e.g. `hlog.dat`, `wal.dat`). A configured
 /// `simulated_read_latency` / `simulated_read_bytes_per_sec` wraps the device
-/// in a [`SimLatencyDevice`]; an `Async` [`crate::StoreConfig::io_backend`]
-/// makes [`Device::submit_reads`] genuinely asynchronous — via the simulated
-/// device's virtual clock when one is configured, via a lazily-spawned
-/// [`crate::IoRing`] ([`crate::RingDevice`]) otherwise. A configured
+/// in a [`SimLatencyDevice`], whose submissions complete on its virtual clock;
+/// every other device completes them inline. A configured
 /// [`crate::DeviceFactory`] replaces the base (file/memory) construction —
 /// the crash- and fault-injection harnesses use it to slide a [`CrashDevice`]
 /// or [`FailingDevice`] under every file of a store — and still gets the
-/// sim/ring wrapping applied on top.
+/// simulated-latency wrapping applied on top.
 pub fn device_from_config(
     cfg: &crate::StoreConfig,
     name: &str,
@@ -801,27 +788,14 @@ pub fn device_from_config(
         }
         (None, None) => std::sync::Arc::new(MemDevice::new()),
     };
-    let simulated = !cfg.simulated_read_latency.is_zero() || cfg.simulated_read_bytes_per_sec != 0;
-    if simulated {
-        // The simulated device's own virtual-clock `submit_reads` models the
-        // async queue; wrapping it in a ring would serialise its sleeps on
-        // the poller thread instead.
-        return Ok(std::sync::Arc::new(
-            SimLatencyDevice::with_throughput(
-                device,
-                cfg.simulated_read_latency,
-                cfg.simulated_read_bytes_per_sec,
-            )
-            .with_queue_depth(cfg.io_queue_depth),
-        ));
+    if cfg.simulated_read_latency.is_zero() && cfg.simulated_read_bytes_per_sec == 0 {
+        return Ok(device);
     }
-    match cfg.io_backend {
-        crate::config::IoBackend::Sync => Ok(device),
-        crate::config::IoBackend::Async => Ok(std::sync::Arc::new(crate::ring::RingDevice::new(
-            device,
-            cfg.io_queue_depth,
-        ))),
-    }
+    Ok(std::sync::Arc::new(SimLatencyDevice::with_throughput(
+        device,
+        cfg.simulated_read_latency,
+        cfg.simulated_read_bytes_per_sec,
+    )))
 }
 
 #[cfg(test)]
@@ -956,16 +930,21 @@ mod tests {
     fn sim_submit_reads_overlaps_fixed_costs_up_to_queue_depth() {
         let latency = std::time::Duration::from_millis(4);
         let inner = std::sync::Arc::new(MemDevice::new());
-        inner.append(&vec![3u8; 1024]).unwrap();
-        let dev = SimLatencyDevice::new(inner, latency).with_queue_depth(4);
-        // 8 requests at depth 4: two rounds of fixed cost, not eight.
-        let reqs: Vec<ReadReq> = (0..8).map(|i| ReadReq::new(i * 64, 64)).collect();
+        let n = 2 * SIM_QUEUE_DEPTH as u64;
+        inner.append(&vec![3u8; 64 * n as usize]).unwrap();
+        let dev = SimLatencyDevice::new(inner, latency);
+        // Two queue depths of requests: two rounds of fixed cost, not 64.
+        let reqs: Vec<ReadReq> = (0..n).map(|i| ReadReq::new(i * 64, 64)).collect();
         let start = std::time::Instant::now();
         let batch = dev.submit_reads(reqs);
         let submitted_in = start.elapsed();
         let filled = batch.wait().unwrap();
         let total = start.elapsed();
         assert!(total >= latency * 2, "two virtual rounds must be paid");
+        assert!(
+            total < latency * 32,
+            "the fixed costs must overlap (64 serially)"
+        );
         assert!(
             submitted_in < latency,
             "submission must not sleep (virtual clock defers the cost)"
@@ -1125,24 +1104,22 @@ mod tests {
 
     #[test]
     fn device_from_config_wires_the_async_backend() {
-        use crate::config::IoBackend;
-        // Async without simulation: ring-wrapped, submissions complete.
-        let cfg = crate::StoreConfig::in_memory()
-            .with_io_backend(IoBackend::Async)
-            .with_io_queue_depth(2);
-        let dev = device_from_config(&cfg, "x.dat").unwrap();
+        // Without simulation: submissions complete inline.
+        let dev = device_from_config(&crate::StoreConfig::in_memory(), "x.dat").unwrap();
         dev.append(&[1, 2, 3, 4]).unwrap();
         let reqs = dev.submit_reads(vec![ReadReq::new(1, 2)]).wait().unwrap();
         assert_eq!(reqs[0].buf, vec![2, 3]);
-        // Async with simulation: the virtual clock serves submissions (and
-        // sync reads still pay their latency).
-        let cfg = crate::StoreConfig::in_memory()
-            .with_io_backend(IoBackend::Async)
-            .with_simulated_read_latency(std::time::Duration::from_millis(1));
+        // With simulation: the virtual clock serves submissions, so the
+        // submit itself does not sleep and the wait pays the latency.
+        let latency = std::time::Duration::from_millis(5);
+        let cfg = crate::StoreConfig::in_memory().with_simulated_read_latency(latency);
         let dev = device_from_config(&cfg, "x.dat").unwrap();
         dev.append(&[7; 16]).unwrap();
+        let start = std::time::Instant::now();
         let batch = dev.submit_reads(vec![ReadReq::new(0, 4), ReadReq::new(8, 4)]);
+        assert!(start.elapsed() < latency, "a clocked submit must not sleep");
         let reqs = batch.wait().unwrap();
+        assert!(start.elapsed() >= latency, "its wait pays the latency");
         assert!(reqs.iter().all(|r| r.buf == vec![7; 4]));
     }
 

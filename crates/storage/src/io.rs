@@ -6,24 +6,23 @@
 //! which models their fixed per-request cost) the round trips dominate the
 //! transfer. [`IoPlanner`] turns a batch of [`ReadReq`]s into few large device
 //! reads: it sorts the requests by offset, merges ranges whose gap is at most
-//! [`crate::StoreConfig::io_gap_bytes`], reads each merged run with a single
-//! `read_at`, and slices the bytes back into the per-request buffers.
+//! [`crate::StoreConfig::io_gap_bytes`], reads each merged run as one device
+//! request, and slices the bytes back into the per-request buffers.
 //!
 //! The planner is pure plumbing: it never looks at the bytes, so duplicate,
 //! overlapping and unsorted requests all work, and the result is byte-identical
 //! to the per-request loop ([`Device::read_scatter`]'s default implementation)
 //! for every gap threshold.
 //!
-//! Under [`crate::IoBackend::Async`] the planner also drives the submission
-//! queue: [`IoPlanner::submit`] plans the same merged runs, hands them to
-//! [`Device::submit_reads`] as **one** submission (so the merged reads overlap
-//! each other in the device instead of running serially), and returns a
-//! [`PendingRead`] the caller finishes with [`PendingRead::wait`] — after
-//! doing whatever CPU work it can overlap with the device.
+//! [`IoPlanner::submit`] hands the merged runs to [`Device::submit_reads`] as
+//! **one** submission and returns a [`PendingRead`] the caller finishes with
+//! [`PendingRead::wait`], after doing whatever CPU work it can overlap with
+//! the device. When the reads complete is the device's business: the default
+//! completes them inline, [`crate::SimLatencyDevice`] on its virtual clock
+//! (see [`crate::ring`]).
 
 use std::sync::Arc;
 
-use crate::config::IoBackend;
 use crate::device::Device;
 use crate::error::StorageResult;
 use crate::metrics::StorageMetrics;
@@ -77,17 +76,15 @@ struct Run {
 /// ranges into single large reads (see the module docs).
 ///
 /// Engines embed one (built from their [`crate::StoreConfig`]) and route every
-/// cold-path batch read through [`IoPlanner::read`] (blocking) or
-/// [`IoPlanner::submit`] (asynchronous under [`IoBackend::Async`]).
+/// cold-path batch read through [`IoPlanner::submit`].
 #[derive(Debug, Clone)]
 pub struct IoPlanner {
     gap_bytes: u64,
-    backend: IoBackend,
     metrics: Option<Arc<StorageMetrics>>,
 }
 
 impl Default for IoPlanner {
-    /// The [`crate::StoreConfig`] default gap threshold and backend.
+    /// The [`crate::StoreConfig`] default gap threshold.
     fn default() -> Self {
         Self::from_config(&crate::StoreConfig::default())
     }
@@ -98,18 +95,13 @@ impl IoPlanner {
     pub fn new(gap_bytes: u64) -> Self {
         Self {
             gap_bytes,
-            backend: IoBackend::Sync,
             metrics: None,
         }
     }
 
     /// Build a planner from the store configuration knobs.
     pub fn from_config(cfg: &crate::StoreConfig) -> Self {
-        Self {
-            gap_bytes: cfg.io_gap_bytes as u64,
-            backend: cfg.io_backend,
-            metrics: None,
-        }
+        Self::new(cfg.io_gap_bytes as u64)
     }
 
     /// Attach the engine's metrics block, so run-cap splits surface as
@@ -119,49 +111,21 @@ impl IoPlanner {
         self
     }
 
-    /// Force a read backend (used by tests and benches; engines normally
-    /// inherit it from [`crate::StoreConfig::io_backend`]).
-    pub fn with_backend(mut self, backend: IoBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The read backend this planner drives ([`IoBackend::Sync`] blocks in
-    /// [`IoPlanner::read`]-style `pread`s; [`IoBackend::Async`] submits).
-    pub fn backend(&self) -> IoBackend {
-        self.backend
-    }
-
-    /// Fill every request's buffer from `device`, coalescing near-adjacent
-    /// ranges into single device reads.
-    ///
-    /// Byte-identical to [`Device::read_scatter`] for any request batch; the
-    /// first failing device read aborts (callers needing per-request error
-    /// granularity fall back to per-request reads on error).
-    pub fn read(&self, device: &dyn Device, reqs: &mut [ReadReq]) -> StorageResult<()> {
-        for run in self.plan(reqs) {
-            self.read_run(device, reqs, &run)?;
-        }
-        Ok(())
-    }
-
-    /// Submit the batch and return a handle to finish it with. Under
-    /// [`IoBackend::Sync`] this performs the (blocking) [`IoPlanner::read`]
-    /// eagerly and the handle is already complete; under
-    /// [`IoBackend::Async`] the merged runs go to [`Device::submit_reads`]
-    /// as one submission, and [`PendingRead::wait`] slices the completed
-    /// bytes back into the per-request buffers.
+    /// Submit the batch and return a handle to finish it with: the merged
+    /// runs go to [`Device::submit_reads`] as one submission, and
+    /// [`PendingRead::wait`] slices the completed bytes back into the
+    /// per-request buffers. An empty batch never reaches the device.
     pub fn submit(&self, device: &dyn Device, mut reqs: Vec<ReadReq>) -> PendingRead {
-        if self.backend == IoBackend::Sync {
-            let result = self.read(device, &mut reqs).map(|()| reqs);
+        if reqs.is_empty() {
             return PendingRead {
-                state: PendingState::Done(Some(result)),
+                batch: IoBatch::ready(Ok(Vec::new())),
+                runs: Vec::new(),
+                reqs,
             };
         }
         let runs = self.plan(&reqs);
         // Single-member runs cover exactly their request's range: move the
-        // request's own buffer into the submission (the sync path reads
-        // straight into it for the same reason) instead of allocating a
+        // request's own buffer into the submission instead of allocating a
         // covering buffer and copying back.
         let merged: Vec<ReadReq> = runs
             .iter()
@@ -170,9 +134,10 @@ impl IoPlanner {
                 _ => ReadReq::new(run.start, (run.end - run.start) as usize),
             })
             .collect();
-        let batch = device.submit_reads(merged);
         PendingRead {
-            state: PendingState::Merged { batch, runs, reqs },
+            batch: device.submit_reads(merged),
+            runs,
+            reqs,
         }
     }
 
@@ -207,106 +172,64 @@ impl IoPlanner {
         }
         runs
     }
-
-    /// Issue one merged read covering the run's range and slice it back into
-    /// the member requests' buffers. Single-member runs read straight into
-    /// their own buffer (no scratch copy).
-    fn read_run(&self, device: &dyn Device, reqs: &mut [ReadReq], run: &Run) -> StorageResult<()> {
-        match run.members.as_slice() {
-            [] => Ok(()),
-            [i] => {
-                let req = &mut reqs[*i];
-                device.read_at(req.offset, &mut req.buf)
-            }
-            members => {
-                let mut scratch = vec![0u8; (run.end - run.start) as usize];
-                device.read_at(run.start, &mut scratch)?;
-                for &i in members {
-                    let req = &mut reqs[i];
-                    let at = (req.offset - run.start) as usize;
-                    let len = req.buf.len();
-                    req.buf.copy_from_slice(&scratch[at..at + len]);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-enum PendingState {
-    /// Sync backend: the read already happened at submit time.
-    Done(Option<StorageResult<Vec<ReadReq>>>),
-    /// Async backend: the merged runs are in flight; completion
-    /// slices them back into the original requests.
-    Merged {
-        batch: IoBatch,
-        runs: Vec<Run>,
-        reqs: Vec<ReadReq>,
-    },
 }
 
 /// A batch read in flight ([`IoPlanner::submit`]).
 ///
-/// Callers overlap CPU work between submit and [`PendingRead::wait`]; the
-/// wait parks on the device completion (condvar or virtual clock) rather
-/// than blocking inside `pread`.
+/// Callers overlap CPU work between submit and [`PendingRead::wait`]; how
+/// much device time is left to wait for depends on the device.
 pub struct PendingRead {
-    state: PendingState,
+    /// The merged runs' submission.
+    batch: IoBatch,
+    /// The plan the submission's requests follow, one request per run.
+    runs: Vec<Run>,
+    /// The caller's requests; single-member runs' buffers travel in `batch`.
+    reqs: Vec<ReadReq>,
 }
 
 impl PendingRead {
-    /// True once waiting would not park (always true on the sync backend).
-    pub fn try_complete(&self) -> bool {
-        match &self.state {
-            PendingState::Done(_) => true,
-            PendingState::Merged { batch, .. } => batch.try_complete(),
-        }
-    }
-
-    /// Park until the submission completes and return the filled requests
-    /// (in their original order). The first failing device read fails the
-    /// whole batch, exactly like [`IoPlanner::read`]; callers needing
-    /// per-request granularity fall back to per-request reads on error.
+    /// Wait for the submission and return the filled requests (in their
+    /// original order). The first failing device read fails the whole
+    /// batch; callers needing per-request granularity fall back to
+    /// per-request reads on error.
     pub fn wait(self) -> StorageResult<Vec<ReadReq>> {
-        match self.state {
-            PendingState::Done(result) => result.expect("sync submission holds its result"),
-            PendingState::Merged {
-                batch,
-                runs,
-                mut reqs,
-            } => {
-                let merged = batch.wait()?;
-                for (run, filled) in runs.iter().zip(merged) {
-                    match run.members.as_slice() {
-                        // Single-member runs travelled as the request itself:
-                        // move it back into its slot.
-                        [i] => reqs[*i] = filled,
-                        members => {
-                            for &i in members {
-                                let req = &mut reqs[i];
-                                let at = (req.offset - run.start) as usize;
-                                let len = req.buf.len();
-                                req.buf.copy_from_slice(&filled.buf[at..at + len]);
-                            }
-                        }
+        let Self {
+            batch,
+            runs,
+            mut reqs,
+        } = self;
+        let merged = batch.wait()?;
+        for (run, filled) in runs.iter().zip(merged) {
+            match run.members.as_slice() {
+                // Single-member runs travelled as the request itself: move it
+                // back into its slot.
+                [i] => reqs[*i] = filled,
+                members => {
+                    for &i in members {
+                        let req = &mut reqs[i];
+                        let at = (req.offset - run.start) as usize;
+                        let len = req.buf.len();
+                        req.buf.copy_from_slice(&filled.buf[at..at + len]);
                     }
                 }
-                Ok(reqs)
             }
         }
+        Ok(reqs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemDevice;
+    use crate::device::{MemDevice, SimLatencyDevice};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Device wrapper counting `read_at` calls (merged runs count once).
+    /// Device wrapper counting `read_at` calls (merged runs count once) and
+    /// `submit_reads` calls (completed inline, like the trait default).
     struct CountingDevice {
         inner: MemDevice,
         reads: AtomicU64,
+        submits: AtomicU64,
     }
 
     impl CountingDevice {
@@ -317,6 +240,7 @@ mod tests {
             Self {
                 inner,
                 reads: AtomicU64::new(0),
+                submits: AtomicU64::new(0),
             }
         }
 
@@ -332,6 +256,10 @@ mod tests {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
             self.reads.fetch_add(1, Ordering::Relaxed);
             self.inner.read_at(offset, buf)
+        }
+        fn submit_reads(&self, mut reqs: Vec<ReadReq>) -> IoBatch {
+            self.submits.fetch_add(1, Ordering::Relaxed);
+            IoBatch::ready(self.read_scatter(&mut reqs).map(|()| reqs))
         }
         fn len(&self) -> u64 {
             self.inner.len()
@@ -354,10 +282,18 @@ mod tests {
             .collect()
     }
 
+    fn submit(
+        planner: &IoPlanner,
+        dev: &dyn Device,
+        reqs: &[(u64, usize)],
+    ) -> StorageResult<Vec<Vec<u8>>> {
+        let batch: Vec<ReadReq> = reqs.iter().map(|&(o, l)| ReadReq::new(o, l)).collect();
+        let filled = planner.submit(dev, batch).wait()?;
+        Ok(filled.into_iter().map(ReadReq::into_buf).collect())
+    }
+
     fn run_planner(planner: &IoPlanner, dev: &dyn Device, reqs: &[(u64, usize)]) -> Vec<Vec<u8>> {
-        let mut batch: Vec<ReadReq> = reqs.iter().map(|&(o, l)| ReadReq::new(o, l)).collect();
-        planner.read(dev, &mut batch).unwrap();
-        batch.into_iter().map(ReadReq::into_buf).collect()
+        submit(planner, dev, reqs).unwrap()
     }
 
     #[test]
@@ -431,24 +367,46 @@ mod tests {
     fn zero_length_and_empty_batches_are_fine() {
         let dev = CountingDevice::with_bytes(64);
         let planner = IoPlanner::new(16);
-        let mut empty: Vec<ReadReq> = Vec::new();
-        planner.read(&dev, &mut empty).unwrap();
+        assert!(run_planner(&planner, &dev, &[]).is_empty());
         let got = run_planner(&planner, &dev, &[(8, 0), (8, 8)]);
         assert_eq!(got[0], Vec::<u8>::new());
         assert_eq!(got[1].len(), 8);
     }
 
     #[test]
+    fn empty_batches_never_reach_the_device() {
+        let dev = CountingDevice::with_bytes(64);
+        let pending = IoPlanner::new(0).submit(&dev, Vec::new());
+        assert!(pending.wait().unwrap().is_empty());
+        assert_eq!(dev.submits.load(Ordering::Relaxed), 0, "no submission");
+        assert_eq!(dev.reads(), 0, "no read");
+        run_planner(&IoPlanner::new(0), &dev, &[(0, 8), (32, 8)]);
+        assert_eq!(dev.submits.load(Ordering::Relaxed), 1, "one per batch");
+    }
+
+    #[test]
     fn read_errors_propagate() {
         let dev = CountingDevice::with_bytes(64);
         let planner = IoPlanner::new(u64::MAX);
-        let mut reqs = vec![ReadReq::new(0, 32), ReadReq::new(1024, 32)];
-        assert!(planner.read(&dev, &mut reqs).is_err(), "read past end");
+        assert!(
+            submit(&planner, &dev, &[(0, 32), (1024, 32)]).is_err(),
+            "read past end"
+        );
+    }
+
+    /// A clocked device (the simulated SSD) over the same bytes as
+    /// [`CountingDevice::with_bytes`].
+    fn clocked_device(n: usize) -> SimLatencyDevice {
+        let inner = Arc::new(MemDevice::new());
+        let bytes: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+        inner.append(&bytes).unwrap();
+        SimLatencyDevice::new(inner, std::time::Duration::from_micros(1))
     }
 
     #[test]
     fn async_submit_matches_sync_read_for_every_planner_shape() {
-        let dev = CountingDevice::with_bytes(4096);
+        let inline = CountingDevice::with_bytes(4096);
+        let clocked = clocked_device(4096);
         let reqs = [
             (0u64, 64usize),
             (64, 64),
@@ -456,37 +414,22 @@ mod tests {
             (0, 16), // duplicate/overlap
             (4000, 96),
         ];
-        let want = expected(&dev, &reqs);
-        for backend in [IoBackend::Sync, IoBackend::Async] {
-            for planner in [
-                IoPlanner::new(64).with_backend(backend),
-                IoPlanner::new(u64::MAX).with_backend(backend),
-            ] {
-                assert_eq!(planner.backend(), backend);
-                let batch: Vec<ReadReq> = reqs.iter().map(|&(o, l)| ReadReq::new(o, l)).collect();
-                let pending = planner.submit(&dev, batch);
-                let got: Vec<Vec<u8>> = pending
-                    .wait()
-                    .unwrap()
-                    .into_iter()
-                    .map(ReadReq::into_buf)
-                    .collect();
-                assert_eq!(got, want, "backend {backend}");
+        let want = expected(&inline, &reqs);
+        for dev in [&inline as &dyn Device, &clocked] {
+            for planner in [IoPlanner::new(64), IoPlanner::new(u64::MAX)] {
+                assert_eq!(run_planner(&planner, dev, &reqs), want);
             }
         }
-        // An empty batch under async completes at once.
-        let planner = IoPlanner::new(0).with_backend(IoBackend::Async);
-        let pending = planner.submit(&dev, Vec::new());
-        assert!(pending.try_complete());
-        assert!(pending.wait().unwrap().is_empty());
     }
 
     #[test]
     fn async_submit_surfaces_read_errors() {
-        let dev = CountingDevice::with_bytes(64);
-        let planner = IoPlanner::new(u64::MAX).with_backend(IoBackend::Async);
-        let pending = planner.submit(&dev, vec![ReadReq::new(0, 32), ReadReq::new(1024, 32)]);
-        assert!(pending.wait().is_err(), "read past end must fail the batch");
+        let dev = clocked_device(64);
+        let planner = IoPlanner::new(u64::MAX);
+        assert!(
+            submit(&planner, &dev, &[(0, 32), (1024, 32)]).is_err(),
+            "read past end must fail the clocked batch"
+        );
     }
 
     #[test]
@@ -517,10 +460,6 @@ mod tests {
     #[test]
     fn from_config_honours_the_knobs() {
         let cfg = crate::StoreConfig::in_memory().with_io_gap_bytes(123);
-        let planner = IoPlanner::from_config(&cfg);
-        assert_eq!(planner.gap_bytes, 123);
-        assert_eq!(planner.backend(), IoBackend::Async);
-        let cfg = crate::StoreConfig::in_memory().with_io_backend(IoBackend::Sync);
-        assert_eq!(IoPlanner::from_config(&cfg).backend(), IoBackend::Sync);
+        assert_eq!(IoPlanner::from_config(&cfg).gap_bytes, 123);
     }
 }

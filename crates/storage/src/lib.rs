@@ -9,12 +9,11 @@
 //!   engines for their on-disk components, with a vectored batch read
 //!   ([`Device::read_scatter`]).
 //! * [`IoPlanner`] / [`ReadReq`] — the cold-path I/O planner that coalesces a
-//!   batch of near-adjacent device reads into few large ones, and (under
-//!   [`config::IoBackend::Async`]) submits them asynchronously as one batch.
-//! * [`IoRing`] / [`IoBatch`] — the io_uring-style submission/completion
-//!   queue behind [`Device::submit_reads`]: a fixed-depth ring with a
-//!   dedicated poller thread, condvar-backed completions, and a virtual-clock
-//!   variant for the simulated device.
+//!   batch of near-adjacent device reads into few large ones and submits them
+//!   to the device as one batch.
+//! * [`IoBatch`] — the handle [`Device::submit_reads`] returns. The device
+//!   decides when a submission completes: inline by default, on a virtual
+//!   clock for the simulated SSD ([`SimLatencyDevice`]).
 //! * [`Page`] / [`PageId`] — fixed-size page plumbing for paged engines.
 //! * [`ShardedLruCache`] — a general purpose byte cache used both as block cache
 //!   (LSM), buffer-pool victim cache (B+tree) and application cache (MLKV core).
@@ -42,8 +41,8 @@ pub mod wal;
 
 pub use cache::ShardedLruCache;
 pub use config::{
-    DeviceFactory, DurabilityMode, FaultTuning, IoBackend, ReplicationTuning, StoreConfig,
-    DEFAULT_GROUP_COMMIT_WINDOW, DEFAULT_IO_QUEUE_DEPTH,
+    DeviceFactory, DurabilityMode, FaultTuning, ReplicationTuning, StoreConfig,
+    DEFAULT_GROUP_COMMIT_WINDOW,
 };
 pub use device::{
     device_from_config, CrashClock, CrashDevice, Device, FailingDevice, FileDevice, MemDevice,
@@ -56,7 +55,7 @@ pub use kv::{BatchReadFn, BatchRmwFn, KvStore, RmwFn, WriteBatch};
 pub use memstore::MemStore;
 pub use metrics::{MetricsSnapshot, ReadTally, StorageMetrics};
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use ring::{IoBatch, IoRing, RingDevice};
+pub use ring::IoBatch;
 pub use wal::{
     ReplicaApplier, Shipment, WalGroup, WalOp, WalReader, WalShipper, WalTap, WalWriter,
 };

@@ -27,10 +27,10 @@ const PERSISTENT: [BackendKind; 3] = [
     BackendKind::WiredTigerLike,
 ];
 
-/// Base store configuration. CI's env matrix (`MLKV_IO_BACKEND` /
-/// `MLKV_PARALLELISM`) applies first so a matrix cell steers the defaults;
-/// the explicit knobs a test pins (a nonzero parallelism, a level under
-/// sweep) then win over the environment.
+/// Base store configuration. CI's env matrix (`MLKV_PARALLELISM`) applies
+/// first so a matrix cell steers the defaults; the explicit knobs a test pins
+/// (a nonzero parallelism, a level under sweep) then win over the
+/// environment.
 fn store_config(parallelism: usize) -> StoreConfig {
     let mut cfg = StoreConfig::in_memory()
         .apply_env_overrides()

@@ -61,8 +61,8 @@ fn crash_factory(dir: &Path, clock: &Arc<CrashClock>) -> DeviceFactory {
 
 /// Small budgets so the run exercises memtable flushes, hybrid-log spills and
 /// buffer-pool evictions, not just the WAL. `apply_env_overrides` keeps the
-/// CI `MLKV_IO_BACKEND` matrix in force; the explicit parallelism keeps the
-/// sync schedule deterministic.
+/// CI matrix's environment knobs in force; the explicit parallelism keeps
+/// the sync schedule deterministic.
 fn crash_config(dir: &Path, clock: &Arc<CrashClock>) -> StoreConfig {
     StoreConfig::on_disk(dir)
         .with_device_factory(crash_factory(dir, clock))

@@ -2,8 +2,9 @@
 //! and the coalescing [`IoPlanner`] must be byte-identical to the per-request
 //! `read_at` loop on every device type, for every gap threshold, and for
 //! arbitrary (duplicate / overlapping / unsorted) request batches — and a cold
-//! `multi_get` through the planner must return, on every backend, exactly what
-//! per-key `get`s return.
+//! `multi_get` through the planner must return, on every backend and whether
+//! the device completes its submissions inline or on a virtual clock, exactly
+//! what per-key `get`s return.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,13 +13,13 @@ use proptest::prelude::*;
 
 use mlkv::{open_store, BackendKind};
 use mlkv_storage::{
-    Device, FailingDevice, FileDevice, IoBackend, IoPlanner, MemDevice, ReadReq, SimLatencyDevice,
-    StoreConfig,
+    BatchExecutor, Device, FailingDevice, FileDevice, IoPlanner, MemDevice, ReadReq,
+    SimLatencyDevice, StoreConfig,
 };
 
 /// Base configuration of every cold-path equality test, with the CI matrix's
-/// `MLKV_IO_BACKEND` / `MLKV_PARALLELISM` environment overrides applied —
-/// one test binary covers all four `io_backend × parallelism` cells.
+/// `MLKV_PARALLELISM` environment override applied — one test binary covers
+/// every `parallelism` cell.
 fn matrix_config() -> StoreConfig {
     StoreConfig::in_memory().apply_env_overrides()
 }
@@ -85,10 +86,10 @@ proptest! {
             prop_assert_eq!(&want, &got, "{}: read_scatter", name);
             // The coalescing planner at every interesting gap threshold.
             for gap in [0u64, 1, 13, 512, 4096, u64::MAX] {
-                let mut batch: Vec<ReadReq> =
+                let batch: Vec<ReadReq> =
                     reqs.iter().map(|&(o, l)| ReadReq::new(o, l)).collect();
-                IoPlanner::new(gap).read(dev.as_ref(), &mut batch).unwrap();
-                let got: Vec<Vec<u8>> = batch.into_iter().map(ReadReq::into_buf).collect();
+                let filled = IoPlanner::new(gap).submit(dev.as_ref(), batch).wait().unwrap();
+                let got: Vec<Vec<u8>> = filled.into_iter().map(ReadReq::into_buf).collect();
                 prop_assert_eq!(&want, &got, "{}: planner gap {}", name, gap);
             }
         }
@@ -100,15 +101,21 @@ proptest! {
         probes in proptest::collection::vec(0u64..700, 1..400),
     ) {
         // Tiny memory budgets force most of each store onto the device, so the
-        // probes genuinely exercise the scatter paths of every engine.
-        for backend in BackendKind::ALL {
+        // probes genuinely exercise the scatter paths of every engine; the
+        // simulated SSD completes its submissions on its virtual clock, the
+        // plain memory device inline.
+        for (backend, latency) in BackendKind::ALL
+            .into_iter()
+            .flat_map(|b| [(b, Duration::ZERO), (b, Duration::from_micros(1))])
+        {
             let store = open_store(
                 backend,
                 matrix_config()
                     .with_memory_budget(16 << 10)
                     .with_page_size(2 << 10)
                     .with_index_buckets(128)
-                    .with_io_gap_bytes(256),
+                    .with_io_gap_bytes(256)
+                    .with_simulated_read_latency(latency),
             )
             .unwrap();
             for k in 0..600u64 {
@@ -123,8 +130,9 @@ proptest! {
                     Ok(v) => prop_assert_eq!(
                         x.as_ref().ok(),
                         Some(&v),
-                        "{}: key {} (pos {})",
+                        "{} ({:?} latency): key {} (pos {})",
                         backend.name(),
+                        latency,
                         probes[i],
                         i
                     ),
@@ -138,117 +146,53 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Acceptance gate of the async tentpole: a cold `multi_get` through the
-    /// submission-queue backend is byte-identical to the blocking-`pread`
-    /// path on every storage backend, for arbitrary probe batches.
-    #[test]
-    fn cold_multi_get_is_identical_with_sync_and_async_io(
-        probes in proptest::collection::vec(0u64..700, 1..400),
-    ) {
-        for backend in BackendKind::ALL {
-            let open = |io_backend: IoBackend| {
-                open_store(
-                    backend,
-                    matrix_config()
-                        .with_memory_budget(16 << 10)
-                        .with_page_size(2 << 10)
-                        .with_index_buckets(128)
-                        .with_io_backend(io_backend)
-                        .with_io_queue_depth(4),
-                )
-                .unwrap()
-            };
-            let sync = open(IoBackend::Sync);
-            let async_ = open(IoBackend::Async);
-            for store in [&sync, &async_] {
-                for k in 0..600u64 {
-                    store.put(k, &[(k % 251) as u8; 24]).unwrap();
-                }
-                store.delete(5).unwrap();
-                store.flush().unwrap();
-            }
-            let a = sync.multi_get(&probes);
-            let b = async_.multi_get(&probes);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                prop_assert_eq!(
-                    x.as_ref().ok(),
-                    y.as_ref().ok(),
-                    "{}: key {} (pos {})",
-                    backend.name(),
-                    probes[i],
-                    i
-                );
-                // Both sides agree with the per-key ground truth.
-                match async_.get(probes[i]) {
-                    Ok(v) => prop_assert_eq!(y.as_ref().unwrap(), &v),
-                    Err(e) => {
-                        prop_assert!(e.is_not_found());
-                        prop_assert!(y.as_ref().unwrap_err().is_not_found());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Disk-backed async reads: a store over real files (`FileDevice` fronted by
-/// the `IoRing` poller) serves cold batches identically to the sync path and
-/// persists across reopen under either backend.
+/// Disk-backed stores: a store over real files (`FileDevice`, whose
+/// submissions complete inline) serves a cold batch exactly as per-key `get`s
+/// do, and persists across reopen.
 #[test]
 fn disk_backed_async_store_matches_sync_and_reopens() {
     let dir = std::env::temp_dir().join(format!(
-        "mlkv-io-async-disk-{}-{:?}",
+        "mlkv-io-disk-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     for backend in BackendKind::ALL {
-        let open = |io_backend: IoBackend, sub: &str| {
+        let open = || {
             open_store(
                 backend,
-                StoreConfig::on_disk(dir.join(sub).join(backend.name()))
+                StoreConfig::on_disk(dir.join(backend.name()))
                     .with_memory_budget(16 << 10)
                     .with_page_size(2 << 10)
-                    .with_index_buckets(128)
-                    .with_io_backend(io_backend)
-                    .with_io_queue_depth(4),
+                    .with_index_buckets(128),
             )
             .unwrap()
         };
-        let sync = open(IoBackend::Sync, "sync");
-        let async_ = open(IoBackend::Async, "async");
-        for store in [&sync, &async_] {
-            for k in 0..400u64 {
-                store.put(k, &[(k % 251) as u8; 48]).unwrap();
-            }
-            store.flush().unwrap();
+        let store = open();
+        for k in 0..400u64 {
+            store.put(k, &[(k % 251) as u8; 48]).unwrap();
         }
+        store.flush().unwrap();
         let probes: Vec<u64> = (0..1024u64).map(|i| (i * 13) % 500).collect();
-        let a = sync.multi_get(&probes);
-        let b = async_.multi_get(&probes);
-        for (key, (x, y)) in probes.iter().zip(a.iter().zip(&b)) {
+        for (key, got) in probes.iter().zip(store.multi_get(&probes)) {
             assert_eq!(
-                x.as_ref().ok(),
-                y.as_ref().ok(),
+                got.ok(),
+                store.get(*key).ok(),
                 "{}: key {key}",
                 backend.name()
             );
         }
-        // Reopen the async store's files and read. Only the engines that
-        // recover without an explicit checkpoint (LSM via WAL/SSTables,
-        // B+tree via its meta page) keep their data across a plain reopen.
+        // Reopen the store's files and read. Only the engines that recover
+        // without an explicit checkpoint (LSM via WAL/SSTables, B+tree via
+        // its meta page) keep their data across a plain reopen.
         if matches!(
             backend,
             BackendKind::RocksDbLike | BackendKind::WiredTigerLike
         ) {
-            drop(async_);
-            let reopened = open(IoBackend::Async, "async");
+            drop(store);
             assert_eq!(
-                reopened.get(7).ok(),
-                sync.get(7).ok(),
+                open().get(7).unwrap(),
+                vec![7u8; 48],
                 "{} reopen",
                 backend.name()
             );
@@ -317,8 +261,8 @@ fn faster_cold_batch_results_survive_spills_and_large_values() {
 
 /// Cold batches cost submissions, not keys: a 1024-key cold `multi_rmw`,
 /// `write_batch` and `multi_promote` on FASTER each reach the device a few
-/// times per chain depth per planned range — never once per key — under both
-/// read backends. "A few" is two: the resolver submits a round's scatter
+/// times per chain depth per planned range — never once per key. "A few" is
+/// two: the resolver submits a round's scatter
 /// before it harvests the previous one, so a range's cursors travel as two
 /// alternating cohorts (chains whose head was already on the device, and
 /// chains that left the in-memory window during the first walk), each making
@@ -349,13 +293,15 @@ fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
     assert!(max_depth >= 2, "batch keys must have an older version");
 
     let batch_keys: Vec<u64> = (0..BATCH).collect();
+    // The executor's plan for the batch, so the bound follows its cutoff.
+    let ranges = BatchExecutor::new(WORKERS).planned_workers(BATCH as usize) as u64;
     type Op = fn(&FasterKv, &[u64]);
     let ops: [(&str, u64, Op); 3] = [
-        ("multi_rmw", WORKERS as u64, |store, keys| {
+        ("multi_rmw", ranges, |store, keys| {
             let bump = |_: usize, cur: Option<&[u8]>| cur.unwrap().iter().map(|b| b + 1).collect();
             store.multi_rmw(keys, &bump).unwrap();
         }),
-        ("write_batch", WORKERS as u64, |store, keys| {
+        ("write_batch", ranges, |store, keys| {
             let mut batch = WriteBatch::new();
             for &k in keys {
                 batch.put(k, vec![7u8; 24]);
@@ -366,52 +312,48 @@ fn faster_cold_write_and_promote_batches_read_per_chain_depth_not_per_key() {
             assert!(store.multi_promote(keys).unwrap() > 0);
         }),
     ];
-    for io_backend in [IoBackend::Sync, IoBackend::Async] {
-        for (name, ranges, op) in &ops {
-            // A healthy `FailingDevice` is the call counter: it counts every
-            // `read_at`, `read_scatter` and `submit_reads` that reaches it.
-            let device = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
-            let factory = {
-                let device = Arc::clone(&device);
-                DeviceFactory::new(move |_| Ok(Arc::clone(&device) as Arc<dyn Device>))
-            };
-            let store = FasterKv::open(
-                StoreConfig::in_memory()
-                    .with_device_factory(factory)
-                    .with_memory_budget(16 << 10)
-                    .with_page_size(2 << 10)
-                    .with_index_buckets(BUCKETS)
-                    // Every round's scatter merges into one run, so a round
-                    // is one device call on either backend.
-                    .with_io_gap_bytes(1 << 20)
-                    .with_parallelism(WORKERS)
-                    .with_io_backend(io_backend),
-            )
-            .unwrap();
-            for k in 0..KEYS {
-                store.put(k, &[(k % 251) as u8; 24]).unwrap();
-            }
-            for &k in &batch_keys {
-                let source = store.get_traced(k).unwrap().source;
-                assert_eq!(
-                    source,
-                    mlkv_storage::kv::ReadSource::Disk,
-                    "key {k} must be cold"
-                );
-            }
-
-            let before = device.reads();
-            op(&store, &batch_keys);
-            let reads = device.reads() - before;
-            let cell = format!("{name} under {io_backend}");
-            assert!(reads > 0, "{cell}: the batch must reach the device");
-            assert!(
-                reads <= 2 * max_depth * ranges,
-                "{cell}: {reads} device read calls for {BATCH} cold keys; at most {} (chain \
-                 depth {max_depth}, {ranges} ranges)",
-                2 * max_depth * ranges
+    for (name, ranges, op) in &ops {
+        // A healthy `FailingDevice` is the call counter: it counts every
+        // `read_at`, `read_scatter` and `submit_reads` that reaches it.
+        let device = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+        let factory = {
+            let device = Arc::clone(&device);
+            DeviceFactory::new(move |_| Ok(Arc::clone(&device) as Arc<dyn Device>))
+        };
+        let store = FasterKv::open(
+            StoreConfig::in_memory()
+                .with_device_factory(factory)
+                .with_memory_budget(16 << 10)
+                .with_page_size(2 << 10)
+                .with_index_buckets(BUCKETS)
+                // Every round's scatter merges into one run, so a round
+                // is one device call.
+                .with_io_gap_bytes(1 << 20)
+                .with_parallelism(WORKERS),
+        )
+        .unwrap();
+        for k in 0..KEYS {
+            store.put(k, &[(k % 251) as u8; 24]).unwrap();
+        }
+        for &k in &batch_keys {
+            let source = store.get_traced(k).unwrap().source;
+            assert_eq!(
+                source,
+                mlkv_storage::kv::ReadSource::Disk,
+                "key {k} must be cold"
             );
         }
+
+        let before = device.reads();
+        op(&store, &batch_keys);
+        let reads = device.reads() - before;
+        assert!(reads > 0, "{name}: the batch must reach the device");
+        assert!(
+            reads <= 2 * max_depth * ranges,
+            "{name}: {reads} device read calls for {BATCH} cold keys; at most {} (chain \
+             depth {max_depth}, {ranges} ranges)",
+            2 * max_depth * ranges
+        );
     }
 }
 
@@ -511,97 +453,102 @@ impl Device for PointReads {
 
 /// Cold LSM writes cost table passes, not keys: a 1024-key cold `multi_rmw`
 /// over three SSTables resolves through the grouped probe `multi_get` uses —
-/// per planned range, one coalesced scatter per table — under both read
-/// backends. The bound is `tables × ranges` = 3 × 2 = 6 SSTable read calls.
-/// Measured: 5 submissions and zero `read_at` under the async backend (one
-/// of the five is a pass that admitted no key and went out empty); 4 under
-/// the blocking backend, where the planner reads each coalesced pass with
-/// one `read_at` of the merged run. The per-key path this replaced made one
-/// `read_at` per cold key: 1024.
+/// per planned range, at most one coalesced submission per table, and none
+/// for a pass that admits no key. The bound is `tables × ranges`, with the
+/// ranges the executor plans for the batch (one: a 1024-key batch runs
+/// inline). Measured: 3 submissions and zero `read_at`. The per-key path
+/// this replaced made one `read_at` per cold key: 1024. A batch only the
+/// oldest table holds costs one submission, not one per table.
 #[test]
 fn lsm_cold_rmw_batches_read_per_table_pass_not_per_key() {
     use mlkv_storage::{DeviceFactory, KvStore};
 
     const TABLES: u64 = 3;
     const PER_TABLE: u64 = 1024;
-    const WORKERS: u64 = 2;
+    const WORKERS: usize = 2;
     type Files = Arc<std::sync::Mutex<Vec<(String, Arc<FailingDevice>, Arc<PointReads>)>>>;
-    for io_backend in [IoBackend::Sync, IoBackend::Async] {
-        // A healthy `FailingDevice` per file is the call counter (every
-        // `read_at`, `read_scatter` and `submit_reads`); the `PointReads`
-        // under it counts the `read_at`s alone.
-        let files: Files = Arc::default();
-        let factory = {
-            let files = Arc::clone(&files);
-            DeviceFactory::new(move |name| {
-                let point = Arc::new(PointReads {
-                    inner: Arc::new(MemDevice::new()),
-                    count: Default::default(),
-                });
-                let calls = Arc::new(FailingDevice::new(Arc::clone(&point) as Arc<dyn Device>, 0));
-                files
-                    .lock()
-                    .unwrap()
-                    .push((name.to_string(), Arc::clone(&calls), point));
-                Ok(calls as Arc<dyn Device>)
-            })
-        };
-        let store = mlkv_lsm::LsmStore::open(
-            StoreConfig::in_memory()
-                .with_device_factory(factory)
-                // Large enough that neither populating nor the batch flushes
-                // on its own, and that the block cache stays cold.
-                .with_memory_budget(1 << 20)
-                // Every table pass's scatter merges into one run, so a pass
-                // is one device call on either backend.
-                .with_io_gap_bytes(1 << 20)
-                .with_parallelism(WORKERS as usize)
-                .with_io_backend(io_backend),
-        )
-        .unwrap();
-        for t in 0..TABLES {
-            for k in t * PER_TABLE..(t + 1) * PER_TABLE {
-                store.put(k, &[(k % 251) as u8; 24]).unwrap();
-            }
-            store.flush().unwrap();
-        }
-        assert_eq!(store.table_count() as u64, TABLES);
-        // Every third key: 1024 cold keys spread across all three tables.
-        let batch: Vec<u64> = (0..PER_TABLE).map(|i| i * TABLES).collect();
-        let sst_counts = || {
+    // A healthy `FailingDevice` per file is the call counter (every
+    // `read_at`, `read_scatter` and `submit_reads`); the `PointReads`
+    // under it counts the `read_at`s alone.
+    let files: Files = Arc::default();
+    let factory = {
+        let files = Arc::clone(&files);
+        DeviceFactory::new(move |name| {
+            let point = Arc::new(PointReads {
+                inner: Arc::new(MemDevice::new()),
+                count: Default::default(),
+            });
+            let calls = Arc::new(FailingDevice::new(Arc::clone(&point) as Arc<dyn Device>, 0));
             files
                 .lock()
                 .unwrap()
-                .iter()
-                .filter(|(name, _, _)| name.starts_with("sst_"))
-                .fold((0, 0), |(calls, points), (_, c, p)| {
-                    (
-                        calls + c.reads(),
-                        points + p.count.load(std::sync::atomic::Ordering::SeqCst),
-                    )
-                })
-        };
+                .push((name.to_string(), Arc::clone(&calls), point));
+            Ok(calls as Arc<dyn Device>)
+        })
+    };
+    let store = mlkv_lsm::LsmStore::open(
+        StoreConfig::in_memory()
+            .with_device_factory(factory)
+            // Large enough that neither populating nor the batch flushes
+            // on its own, and that the block cache stays cold.
+            .with_memory_budget(1 << 20)
+            // Every table pass's scatter merges into one run, so a pass
+            // is one device call.
+            .with_io_gap_bytes(1 << 20)
+            .with_parallelism(WORKERS),
+    )
+    .unwrap();
+    for t in 0..TABLES {
+        for k in t * PER_TABLE..(t + 1) * PER_TABLE {
+            store.put(k, &[(k % 251) as u8; 24]).unwrap();
+        }
+        store.flush().unwrap();
+    }
+    assert_eq!(store.table_count() as u64, TABLES);
+    // Every third key: 1024 cold keys spread across all three tables.
+    let batch: Vec<u64> = (0..PER_TABLE).map(|i| i * TABLES).collect();
+    let sst_counts = || {
+        files
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(name, _, _)| name.starts_with("sst_"))
+            .fold((0, 0), |(calls, points), (_, c, p)| {
+                (
+                    calls + c.reads(),
+                    points + p.count.load(std::sync::atomic::Ordering::SeqCst),
+                )
+            })
+    };
 
-        let (calls_before, points_before) = sst_counts();
-        let bump = |_: usize, cur: Option<&[u8]>| cur.unwrap().iter().map(|b| b + 1).collect();
-        store.multi_rmw(&batch, &bump).unwrap();
-        let (calls_after, points_after) = sst_counts();
-        let (calls, points) = (calls_after - calls_before, points_after - points_before);
-        let bound = TABLES * WORKERS;
-        if io_backend == IoBackend::Async {
-            assert_eq!(points, 0, "under {io_backend}: {points} read_at calls");
-        }
-        assert!(
-            calls > 0,
-            "under {io_backend}: the batch must reach the device"
-        );
-        assert!(
-            calls <= bound,
-            "under {io_backend}: {calls} SSTable read calls for {PER_TABLE} cold keys; at most \
-             {bound} ({TABLES} tables, {WORKERS} ranges)"
-        );
-        for (k, got) in batch.iter().zip(store.multi_get(&batch)) {
-            assert_eq!(got.unwrap(), vec![(k % 251) as u8 + 1; 24], "key {k}");
-        }
+    let (calls_before, points_before) = sst_counts();
+    let bump = |_: usize, cur: Option<&[u8]>| cur.unwrap().iter().map(|b| b + 1).collect();
+    store.multi_rmw(&batch, &bump).unwrap();
+    let (calls_after, points_after) = sst_counts();
+    let (calls, points) = (calls_after - calls_before, points_after - points_before);
+    let ranges = BatchExecutor::new(WORKERS).planned_workers(batch.len()) as u64;
+    let bound = TABLES * ranges;
+    assert_eq!(points, 0, "{points} read_at calls");
+    assert!(calls > 0, "the batch must reach the device");
+    assert!(
+        calls <= bound,
+        "{calls} SSTable read calls for {PER_TABLE} cold keys; at most {bound} ({TABLES} \
+         tables, {ranges} ranges)"
+    );
+    // Keys only the oldest table holds: the two newer tables' passes admit
+    // none of them, and a pass that admits nothing never reaches the device.
+    let oldest: Vec<u64> = (1..PER_TABLE).filter(|k| k % TABLES != 0).take(8).collect();
+    let (calls_before, _) = sst_counts();
+    for (k, got) in oldest.iter().zip(store.multi_get(&oldest)) {
+        assert_eq!(got.unwrap(), vec![(k % 251) as u8; 24], "key {k}");
+    }
+    let (calls_after, _) = sst_counts();
+    assert_eq!(
+        calls_after - calls_before,
+        1,
+        "empty table passes reached the device"
+    );
+    for (k, got) in batch.iter().zip(store.multi_get(&batch)) {
+        assert_eq!(got.unwrap(), vec![(k % 251) as u8 + 1; 24], "key {k}");
     }
 }

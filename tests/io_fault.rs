@@ -1,178 +1,185 @@
-//! Async-path fault injection: a device that starts failing mid-batch must
+//! Cold-path fault injection: a device that starts failing mid-batch must
 //! surface per-slot errors on every engine's cold path — without hanging any
-//! completion waiter — and the store must be fully readable again once the
-//! device recovers.
+//! waiter — and the store must be fully readable again once the device
+//! recovers.
 //!
-//! The injection point is [`FailingDevice`], stacked *under* the async ring
-//! ([`RingDevice`]) so the failure travels the real submission/completion
-//! path: submit → ring poller hits the error → condvar delivers it to the
-//! parked waiter.
+//! The injection point is [`FailingDevice`]. Each engine's test runs under
+//! both completion styles a submission can meet: over the failing device
+//! directly, whose submissions complete inline, and under a
+//! [`SimLatencyDevice`], whose submissions complete on its virtual clock — so
+//! the failing inner read runs when the caller waits, the path every
+//! simulated-SSD store takes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mlkv_btree::{BufferPool, LeafPage};
 use mlkv_faster::{Address, HybridLog, Record};
 use mlkv_lsm::memtable::Entry;
 use mlkv_lsm::SsTable;
-use mlkv_storage::{
-    Device, FailingDevice, IoBackend, IoPlanner, MemDevice, RingDevice, StorageMetrics,
-};
+use mlkv_storage::{Device, FailingDevice, IoPlanner, MemDevice, SimLatencyDevice, StorageMetrics};
 
-/// A ring-fronted failing device: `(injection handle, device for the engine)`.
-fn failing_async_device() -> (Arc<FailingDevice>, Arc<dyn Device>) {
-    let mem: Arc<dyn Device> = Arc::new(MemDevice::new());
-    let failing = Arc::new(FailingDevice::new(mem, 0)); // starts healthy
-    let ring: Arc<dyn Device> =
-        Arc::new(RingDevice::new(Arc::clone(&failing) as Arc<dyn Device>, 4));
-    (failing, ring)
+/// One healthy failing device per completion style: `(style, injection
+/// handle, device for the engine)`.
+fn failing_devices() -> [(&'static str, Arc<FailingDevice>, Arc<dyn Device>); 2] {
+    let fresh = || Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+    let inline = fresh();
+    let under_clock = fresh();
+    let clocked = SimLatencyDevice::new(
+        Arc::clone(&under_clock) as Arc<dyn Device>,
+        Duration::from_micros(20),
+    );
+    [
+        ("inline", Arc::clone(&inline), inline),
+        ("clocked", under_clock, Arc::new(clocked)),
+    ]
 }
 
-fn async_planner() -> IoPlanner {
-    IoPlanner::new(4096).with_backend(IoBackend::Async)
+fn planner() -> IoPlanner {
+    IoPlanner::new(4096)
 }
 
 #[test]
 fn faster_hlog_surfaces_async_faults_and_recovers() {
-    let (failing, device) = failing_async_device();
-    let log = HybridLog::new(
-        device,
-        4 << 10, // 4 frames of 1 KiB: most records spill
-        1 << 10,
-        false,
-        async_planner(),
-        Arc::new(StorageMetrics::new()),
-    )
-    .unwrap();
-    let mut addrs = Vec::new();
-    for k in 0..200u64 {
-        let record = Record::new(k, vec![(k % 251) as u8; 64], Address::INVALID);
-        addrs.push((k, log.append(&record.encode()).unwrap()));
-    }
-    let head = log.head();
-    let cold: Vec<Address> = addrs
-        .iter()
-        .filter(|&&(_, a)| a < head)
-        .map(|&(_, a)| a)
-        .collect();
-    assert!(cold.len() > 20, "need cold records");
+    for (style, failing, device) in failing_devices() {
+        let log = HybridLog::new(
+            device,
+            4 << 10, // 4 frames of 1 KiB: most records spill
+            1 << 10,
+            false,
+            planner(),
+            Arc::new(StorageMetrics::new()),
+        )
+        .unwrap();
+        let mut addrs = Vec::new();
+        for k in 0..200u64 {
+            let record = Record::new(k, vec![(k % 251) as u8; 64], Address::INVALID);
+            addrs.push((k, log.append(&record.encode()).unwrap()));
+        }
+        let head = log.head();
+        let cold: Vec<Address> = addrs
+            .iter()
+            .filter(|&&(_, a)| a < head)
+            .map(|&(_, a)| a)
+            .collect();
+        assert!(cold.len() > 20, "{style}: need cold records");
+        for result in log.read_records_from_disk(&cold) {
+            result.unwrap();
+        }
 
-    // Healthy baseline through the async path, polling before parking the
-    // way a scheduler would: try_complete never blocks and eventually turns
-    // true, after which wait() returns without parking.
-    let pending = log.submit_records_from_disk(cold.clone());
-    while !pending.try_complete() {
-        std::thread::yield_now();
-    }
-    for result in pending.wait() {
-        result.unwrap();
-    }
+        // Device starts failing: every slot must surface an error — promptly,
+        // not by hanging a waiter.
+        failing.fail_after(0);
+        let results = log.read_records_from_disk(&cold);
+        assert_eq!(results.len(), cold.len());
+        for result in &results {
+            assert!(
+                result.is_err(),
+                "{style}: every slot must surface the fault"
+            );
+        }
 
-    // Device starts failing: every slot must surface an error — promptly,
-    // not by hanging a completion waiter.
-    failing.fail_after(0);
-    let results = log.read_records_from_disk(&cold);
-    assert_eq!(results.len(), cold.len());
-    for result in &results {
-        assert!(result.is_err(), "every slot must surface the fault");
-    }
-
-    // Recovery: the same batch reads clean again and matches per-record
-    // ground truth — the store is still fully readable.
-    failing.heal();
-    for (addr, result) in cold.iter().zip(log.read_records_from_disk(&cold)) {
-        let record = result.unwrap();
-        let (want, _) = log.read_record(*addr).unwrap();
-        assert_eq!(record.key, want.key);
-        assert_eq!(record.value, want.value);
+        // Recovery: the same batch reads clean again and matches per-record
+        // ground truth — the store is still fully readable.
+        failing.heal();
+        for (addr, result) in cold.iter().zip(log.read_records_from_disk(&cold)) {
+            let record = result.unwrap();
+            let (want, _) = log.read_record(*addr).unwrap();
+            assert_eq!(record.key, want.key, "{style}");
+            assert_eq!(record.value, want.value, "{style}");
+        }
     }
 }
 
 #[test]
 fn sstable_surfaces_async_faults_and_recovers() {
-    let (failing, device) = failing_async_device();
-    let entries: Vec<(u64, Entry)> = (0..100u64)
-        .map(|k| (k, Some(vec![(k % 251) as u8; 32])))
-        .collect();
-    let metrics = StorageMetrics::new();
-    let table = SsTable::build(device, async_planner(), &entries, 1, &metrics).unwrap();
+    for (style, failing, device) in failing_devices() {
+        let entries: Vec<(u64, Entry)> = (0..100u64)
+            .map(|k| (k, Some(vec![(k % 251) as u8; 32])))
+            .collect();
+        let metrics = StorageMetrics::new();
+        let table = SsTable::build(device, planner(), &entries, 1, &metrics).unwrap();
 
-    // Probe set mixes present keys, absences and duplicates. Poll the
-    // pending pass before finishing it (the non-blocking half of the API).
-    let probes: Vec<u64> = vec![0, 99, 7, 7, 1_000, 42];
-    let pending = table.submit_get_many(probes.clone());
-    while !pending.try_complete() {
-        std::thread::yield_now();
-    }
-    let baseline = pending.wait(&metrics);
-    assert!(baseline.iter().all(|r| r.is_ok()));
+        // Probe set mixes present keys, absences and duplicates.
+        let probes: Vec<u64> = vec![0, 99, 7, 7, 1_000, 42];
+        let baseline = table.get_many(&probes, &metrics);
+        assert!(baseline.iter().all(|r| r.is_ok()), "{style}");
 
-    failing.fail_after(0);
-    let faulted = table.get_many(&probes, &metrics);
-    assert_eq!(faulted.len(), probes.len());
-    for (key, result) in probes.iter().zip(&faulted) {
-        match result {
-            // Bloom/index rejects never touch the device, so absent keys
-            // still resolve.
-            Ok(None) => assert!(*key >= 100, "key {key} wrongly rejected"),
-            Ok(other) => panic!("key {key}: fault swallowed ({other:?})"),
-            Err(_) => assert!(*key < 100, "key {key} errored without I/O"),
+        failing.fail_after(0);
+        let faulted = table.get_many(&probes, &metrics);
+        assert_eq!(faulted.len(), probes.len());
+        for (key, result) in probes.iter().zip(&faulted) {
+            match result {
+                // Bloom/index rejects never touch the device, so absent keys
+                // still resolve.
+                Ok(None) => assert!(*key >= 100, "{style}: key {key} wrongly rejected"),
+                Ok(other) => panic!("{style}: key {key}: fault swallowed ({other:?})"),
+                Err(_) => assert!(*key < 100, "{style}: key {key} errored without I/O"),
+            }
         }
-    }
 
-    failing.heal();
-    let recovered = table.get_many(&probes, &metrics);
-    for ((a, b), key) in baseline.iter().zip(&recovered).zip(&probes) {
-        assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap(), "key {key}");
+        failing.heal();
+        let recovered = table.get_many(&probes, &metrics);
+        for ((a, b), key) in baseline.iter().zip(&recovered).zip(&probes) {
+            assert_eq!(
+                a.as_ref().unwrap(),
+                b.as_ref().unwrap(),
+                "{style}: key {key}"
+            );
+        }
     }
 }
 
 #[test]
 fn buffer_pool_faults_degrade_to_per_leaf_errors_and_recover() {
-    let (failing, device) = failing_async_device();
-    let warm = BufferPool::new(
-        Arc::clone(&device),
-        8,
-        4096,
-        1,
-        async_planner(),
-        Arc::new(StorageMetrics::new()),
-    );
-    for id in 0..6u64 {
-        let mut leaf = LeafPage::new();
-        leaf.insert(id * 10, vec![id as u8; 8]);
-        warm.install_new(id, leaf).unwrap();
-    }
-    warm.flush_all().unwrap();
-    // A second, cold pool over the same device forces genuine faults.
-    let cold = BufferPool::new(
-        device,
-        4,
-        4096,
-        1,
-        async_planner(),
-        Arc::new(StorageMetrics::new()),
-    );
+    for (style, failing, device) in failing_devices() {
+        let warm = BufferPool::new(
+            Arc::clone(&device),
+            8,
+            4096,
+            1,
+            planner(),
+            Arc::new(StorageMetrics::new()),
+        );
+        for id in 0..6u64 {
+            let mut leaf = LeafPage::new();
+            leaf.insert(id * 10, vec![id as u8; 8]);
+            warm.install_new(id, leaf).unwrap();
+        }
+        warm.flush_all().unwrap();
+        // A second, cold pool over the same device forces genuine faults.
+        let cold = BufferPool::new(
+            device,
+            4,
+            4096,
+            1,
+            planner(),
+            Arc::new(StorageMetrics::new()),
+        );
 
-    failing.fail_after(0);
-    // The batch scatter is best-effort: a failing device yields no leaves...
-    assert!(cold.fault_batch(&[0, 1, 2, 3]).is_empty());
-    // ...and the per-leaf path surfaces the genuine error, without hanging.
-    assert!(cold.with_leaf(0, |_| ()).is_err());
+        failing.fail_after(0);
+        // The batch scatter is best-effort: a failing device yields no
+        // leaves...
+        assert!(cold.fault_batch(&[0, 1, 2, 3]).is_empty(), "{style}");
+        // ...and the per-leaf path surfaces the genuine error, without
+        // hanging.
+        assert!(cold.with_leaf(0, |_| ()).is_err(), "{style}");
 
-    failing.heal();
-    let pending = cold.submit_fault_batch(&[0, 1, 2, 3]);
-    while !pending.try_complete() {
-        std::thread::yield_now();
+        failing.heal();
+        let fetched = cold.fault_batch(&[0, 1, 2, 3]);
+        assert_eq!(
+            fetched.len(),
+            4,
+            "{style}: recovered scatter fetches every leaf"
+        );
+        for (&id, leaf) in &fetched {
+            assert_eq!(leaf.get(id * 10), Some(vec![id as u8; 8].as_slice()));
+        }
+        let (value, _) = cold
+            .with_leaf(5, |l| l.get(50).map(|v| v.to_vec()))
+            .unwrap();
+        assert_eq!(value, Some(vec![5u8; 8]), "{style}");
     }
-    let fetched = pending.wait();
-    assert_eq!(fetched.len(), 4, "recovered scatter fetches every leaf");
-    for (&id, leaf) in &fetched {
-        assert_eq!(leaf.get(id * 10), Some(vec![id as u8; 8].as_slice()));
-    }
-    let (value, _) = cold
-        .with_leaf(5, |l| l.get(50).map(|v| v.to_vec()))
-        .unwrap();
-    assert_eq!(value, Some(vec![5u8; 8]));
 }
 
 /// Injection handles by file name, shared with the factory that made them.
@@ -319,8 +326,8 @@ fn faulty_value(k: u64) -> Vec<u8> {
 
 /// A FASTER store over one [`FailingDevice`], almost entirely cold. Every
 /// cold key resolves in one device round: the speculative scatter (one read
-/// operation on either backend — the gap threshold merges it into a single
-/// run) completes the small values, and a follow-up scatter fetches the
+/// operation — the gap threshold merges it into a single run) completes the
+/// small values, and a follow-up scatter fetches the
 /// rest of the long ones. Failing from the second read operation on thus
 /// faults a subset of the round's requests. Returns the injection handle,
 /// the store and its cold keys.
