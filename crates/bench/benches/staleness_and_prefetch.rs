@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlkv::record_word::AtomicRecordWord;
-use mlkv::{BackendKind, LookaheadDest, Mlkv};
+use mlkv::{BackendKind, Mlkv};
 
 fn bench_record_word(c: &mut Criterion) {
     let mut group = c.benchmark_group("record_word");
@@ -91,7 +91,7 @@ fn bench_lookahead(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 7919) % 10_000;
-            table.lookahead(&[(k + 7919) % 10_000], LookaheadDest::StorageBuffer);
+            table.lookahead(&[(k + 7919) % 10_000]);
             table.get_one(k).unwrap()
         })
     });

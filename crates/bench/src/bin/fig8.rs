@@ -18,7 +18,7 @@ fn options(bound: u32) -> TrainerOptions {
         simulated_compute: default_compute(),
         eval_every_batches: 0,
         eval_samples: 256,
-        prefetch: PrefetchMode::Conventional,
+        prefetch: PrefetchMode::LookAhead,
         update_mode: if bound == 0 {
             UpdateMode::Synchronous
         } else {

@@ -268,8 +268,6 @@ pub mod batch_parallel {
             EmbeddingTable::builder(store)
                 .dim(16)
                 .staleness_bound(u32::MAX)
-                // Cache small enough that gathers exercise the storage engine.
-                .app_cache_bytes(1 << 10)
                 .build()
                 .unwrap(),
         );
@@ -375,8 +373,6 @@ pub mod io_coalesce {
             EmbeddingTable::builder(store)
                 .dim(DIM)
                 .staleness_bound(u32::MAX)
-                // Cache small enough that gathers exercise the storage engine.
-                .app_cache_bytes(1 << 10)
                 .build()
                 .unwrap(),
         );

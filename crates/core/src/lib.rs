@@ -10,8 +10,9 @@
 //!
 //! * **Data stalls** are hidden by [`EmbeddingTable::lookahead`] — *look-ahead
 //!   prefetching* that copies soon-to-be-needed records from disk into the
-//!   storage engine's memory buffer (or into an application cache) ahead of
-//!   time, beyond the staleness window (paper §III-C2).
+//!   storage engine's memory buffer ahead of time, beyond the staleness window
+//!   (paper §III-C2). It never reads a value into the application, so every
+//!   row a gather returns comes from the engine.
 //! * **Staleness** is bounded per record by a latch-free vector clock packed
 //!   into the 64-bit record word ([`RecordWord`], paper Figure 5(a)); the
 //!   staleness bound selects BSP / SSP / ASP training (paper §III-C1).
@@ -22,7 +23,7 @@
 //! engine:
 //!
 //! ```
-//! use mlkv::{BackendKind, LookaheadDest, Mlkv};
+//! use mlkv::{BackendKind, Mlkv};
 //!
 //! // nn_model, emb_tables = MLKV.Open(model_id, dim, staleness_bound)
 //! let model = Mlkv::builder("quickstart")
@@ -44,7 +45,7 @@
 //! model.apply_gradients(&updates, 0.1).unwrap();
 //!
 //! // Tell MLKV which keys the *next* batches will touch.
-//! model.lookahead(&[100, 101, 102], LookaheadDest::StorageBuffer);
+//! model.lookahead(&[100, 101, 102]);
 //! ```
 //!
 //! The storage engines themselves live in sibling crates (`mlkv-faster`,
@@ -62,7 +63,7 @@ pub mod table;
 
 pub use backend::{open_store, BackendKind};
 pub use model::{EmbeddingModel, EmbeddingModelBuilder, Mlkv};
-pub use prefetch::{LookaheadDest, PrefetchStats, Prefetcher};
+pub use prefetch::{PrefetchStats, Prefetcher};
 pub use record_word::{AcquireOutcome, AtomicRecordWord, PutLatch, RecordWord};
 pub use staleness::{ConsistencyMode, StalenessController, StalenessStats};
 pub use stats::{TableStats, TableStatsSnapshot};

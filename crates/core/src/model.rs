@@ -130,12 +130,6 @@ impl EmbeddingModelBuilder {
         self
     }
 
-    /// Application cache budget in bytes.
-    pub fn app_cache_bytes(mut self, bytes: usize) -> Self {
-        self.options.app_cache_bytes = bytes;
-        self
-    }
-
     /// Seed of the deterministic embedding initialiser.
     pub fn seed(mut self, seed: u64) -> Self {
         self.options.seed = seed;
@@ -221,7 +215,6 @@ mod tests {
             .backend(BackendKind::RocksDbLike)
             .memory_budget(1 << 20)
             .lookahead_workers(2)
-            .app_cache_bytes(1 << 16)
             .seed(7)
             .build()
             .unwrap();

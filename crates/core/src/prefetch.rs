@@ -1,18 +1,17 @@
 //! Look-ahead prefetching (paper §III-C2, Figure 5(b)).
 //!
-//! The non-blocking `Lookahead(keys, dest)` interface hands batches of keys that
-//! will be needed in *future* iterations to a pool of background workers. Each
-//! worker either
+//! The non-blocking `Lookahead(keys)` interface hands batches of keys that will
+//! be needed in *future* iterations to a pool of background workers, which copy
+//! the records from the on-disk region into the storage engine's mutable memory
+//! buffer (one [`KvStore::multi_promote`] per request). This is what
+//! distinguishes look-ahead prefetching from conventional prefetching: it works
+//! *beyond* the staleness bound because it never reads the value into the
+//! application, so it cannot violate bounded staleness. Every row a gather
+//! returns still comes from the engine.
 //!
-//! * copies the record from the on-disk region into the storage engine's mutable
-//!   memory buffer (`LookaheadDest::StorageBuffer`, via
-//!   [`KvStore::promote_to_memory`]) — this is what distinguishes look-ahead
-//!   prefetching from conventional prefetching: it works *beyond* the staleness
-//!   bound because it never reads the value into the application, so it cannot
-//!   violate bounded staleness; or
-//! * loads the value into the application-side cache
-//!   (`LookaheadDest::ApplicationCache`), which is conventional prefetching and
-//!   therefore only useful within the staleness window.
+//! There is one destination. Conventional prefetching is a trainer gathering
+//! k steps early into its own buffer; its staleness cost belongs to that
+//! trainer, not to the table.
 //!
 //! Records already resident in the immutable in-memory region are *not* copied
 //! (that would only create extra pages to flush), mirroring the paper.
@@ -23,23 +22,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use mlkv_storage::{KvStore, ShardedLruCache};
-
-/// Where prefetched embeddings should be materialised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookaheadDest {
-    /// Copy cold records into the storage engine's mutable memory buffer.
-    StorageBuffer,
-    /// Load values into the application cache.
-    ApplicationCache,
-}
-
-/// One prefetch request.
-#[derive(Debug, Clone)]
-struct Request {
-    keys: Vec<u64>,
-    dest: LookaheadDest,
-}
+use mlkv_storage::KvStore;
 
 /// Counters describing prefetcher activity.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +33,8 @@ pub struct PrefetchStats {
     pub completed: u64,
     /// Keys that resulted in a copy into the storage buffer.
     pub promoted: u64,
-    /// Keys loaded into the application cache.
+    /// Always 0: no prefetch reads a value into the application. Kept until
+    /// the benchmark drops its application-cache hit-ratio metric.
     pub cached: u64,
     /// Keys that were already hot / missing and needed no work.
     pub skipped: u64,
@@ -61,71 +45,44 @@ struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     promoted: AtomicU64,
-    cached: AtomicU64,
     skipped: AtomicU64,
 }
 
 /// Background look-ahead prefetcher.
 pub struct Prefetcher {
-    sender: Option<Sender<Request>>,
+    sender: Option<Sender<Vec<u64>>>,
     workers: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
 }
 
 impl Prefetcher {
-    /// Spawn `num_workers` background workers serving look-ahead requests for
-    /// `store`, filling `app_cache` for application-cache destinations.
-    pub fn new(
-        store: Arc<dyn KvStore>,
-        app_cache: Arc<ShardedLruCache>,
-        num_workers: usize,
-    ) -> Self {
-        let (sender, receiver): (Sender<Request>, Receiver<Request>) = unbounded();
+    /// Spawn `num_workers` background workers promoting look-ahead keys
+    /// into `store`'s memory buffer.
+    pub fn new(store: Arc<dyn KvStore>, num_workers: usize) -> Self {
+        let (sender, receiver): (Sender<Vec<u64>>, Receiver<Vec<u64>>) = unbounded();
         let counters = Arc::new(Counters::default());
         let workers = (0..num_workers.max(1))
             .map(|_| {
                 let receiver = receiver.clone();
                 let store = Arc::clone(&store);
-                let cache = Arc::clone(&app_cache);
                 let counters = Arc::clone(&counters);
                 std::thread::spawn(move || {
-                    while let Ok(req) = receiver.recv() {
-                        match req.dest {
-                            LookaheadDest::StorageBuffer => {
-                                // One batched promote per request: the engine
-                                // pays its epoch enter/exit once and copies
-                                // cold records in log-address order.
-                                let total = req.keys.len() as u64;
-                                let promoted = match store.multi_promote(&req.keys) {
-                                    Ok(n) => n as u64,
-                                    // I/O failure mid-promote: the batch is a
-                                    // hint, so count it as skipped and move on.
-                                    Err(_) => 0,
-                                };
-                                counters.promoted.fetch_add(promoted, Ordering::Relaxed);
-                                counters
-                                    .skipped
-                                    .fetch_add(total - promoted, Ordering::Relaxed);
-                                counters.completed.fetch_add(total, Ordering::Relaxed);
-                            }
-                            LookaheadDest::ApplicationCache => {
-                                // One batched storage read per request instead
-                                // of a point read per key.
-                                let values = store.multi_get(&req.keys);
-                                for (key, value) in req.keys.into_iter().zip(values) {
-                                    match value {
-                                        Ok(value) => {
-                                            cache.insert(key, value);
-                                            counters.cached.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        Err(_) => {
-                                            counters.skipped.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
+                    while let Ok(keys) = receiver.recv() {
+                        // One batched promote per request: the engine pays
+                        // its epoch enter/exit once and copies cold records
+                        // in log-address order.
+                        let total = keys.len() as u64;
+                        let promoted = match store.multi_promote(&keys) {
+                            Ok(n) => n as u64,
+                            // I/O failure mid-promote: the batch is a hint, so
+                            // count it as skipped and move on.
+                            Err(_) => 0,
+                        };
+                        counters.promoted.fetch_add(promoted, Ordering::Relaxed);
+                        counters
+                            .skipped
+                            .fetch_add(total - promoted, Ordering::Relaxed);
+                        counters.completed.fetch_add(total, Ordering::Relaxed);
                     }
                 })
             })
@@ -146,7 +103,7 @@ impl Prefetcher {
     /// [`PrefetchStats`] hit-rate that the trainers' `AdaptiveLookahead`
     /// steers the look-ahead depth with. All counters are therefore per
     /// *unique* key.
-    pub fn lookahead(&self, keys: &[u64], dest: LookaheadDest) {
+    pub fn lookahead(&self, keys: &[u64]) {
         if keys.is_empty() {
             return;
         }
@@ -158,7 +115,7 @@ impl Prefetcher {
             .fetch_add(unique.len() as u64, Ordering::Relaxed);
         if let Some(sender) = &self.sender {
             // The channel is unbounded; send only fails after shutdown.
-            let _ = sender.send(Request { keys: unique, dest });
+            let _ = sender.send(unique);
         }
     }
 
@@ -178,7 +135,7 @@ impl Prefetcher {
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             promoted: self.counters.promoted.load(Ordering::Relaxed),
-            cached: self.counters.cached.load(Ordering::Relaxed),
+            cached: 0,
             skipped: self.counters.skipped.load(Ordering::Relaxed),
         }
     }
@@ -218,10 +175,9 @@ mod tests {
     #[test]
     fn storage_buffer_prefetch_promotes_cold_records() {
         let store = cold_store();
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(Arc::clone(&store), cache, 2);
+        let prefetcher = Prefetcher::new(Arc::clone(&store), 2);
         let keys: Vec<u64> = (0..64).collect();
-        prefetcher.lookahead(&keys, LookaheadDest::StorageBuffer);
+        prefetcher.lookahead(&keys);
         prefetcher.wait_idle();
         let stats = prefetcher.stats();
         assert_eq!(stats.completed, 64);
@@ -232,74 +188,48 @@ mod tests {
     }
 
     #[test]
-    fn application_cache_prefetch_fills_cache() {
-        let store: Arc<dyn KvStore> = Arc::new(MemStore::new());
-        for k in 0..100u64 {
-            store.put(k, &[k as u8; 16]).unwrap();
-        }
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(Arc::clone(&store), Arc::clone(&cache), 1);
-        prefetcher.lookahead(
-            &(0..50u64).collect::<Vec<_>>(),
-            LookaheadDest::ApplicationCache,
-        );
-        prefetcher.wait_idle();
-        assert_eq!(prefetcher.stats().cached, 50);
-        assert_eq!(cache.len(), 50);
-        assert_eq!(cache.get(7), Some(vec![7u8; 16]));
-    }
-
-    #[test]
     fn missing_keys_are_counted_as_skipped() {
-        let store: Arc<dyn KvStore> = Arc::new(MemStore::new());
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(store, cache, 1);
-        prefetcher.lookahead(&[1, 2, 3], LookaheadDest::ApplicationCache);
+        let prefetcher = Prefetcher::new(cold_store(), 1);
+        prefetcher.lookahead(&[5001, 5002, 5003]);
         prefetcher.wait_idle();
         let stats = prefetcher.stats();
+        assert_eq!(stats.completed, 3);
         assert_eq!(stats.skipped, 3);
-        assert_eq!(stats.cached, 0);
+        assert_eq!(stats.promoted, 0);
     }
 
     #[test]
     fn duplicate_keys_are_announced_once() {
-        let store: Arc<dyn KvStore> = Arc::new(MemStore::new());
-        store.put(1, &[1u8; 8]).unwrap();
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(store, Arc::clone(&cache), 1);
-        prefetcher.lookahead(&[1, 1, 1, 2, 2], LookaheadDest::ApplicationCache);
+        // Key 1 is cold; key 5001 is missing.
+        let prefetcher = Prefetcher::new(cold_store(), 1);
+        prefetcher.lookahead(&[1, 1, 1, 5001, 5001]);
         prefetcher.wait_idle();
         let stats = prefetcher.stats();
         assert_eq!(stats.submitted, 2, "duplicates must collapse");
         assert_eq!(stats.completed, 2);
-        assert_eq!(stats.cached, 1);
+        assert_eq!(stats.promoted, 1);
         assert_eq!(stats.skipped, 1);
     }
 
     #[test]
     fn empty_request_is_a_noop() {
         let store: Arc<dyn KvStore> = Arc::new(MemStore::new());
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(store, cache, 1);
-        prefetcher.lookahead(&[], LookaheadDest::StorageBuffer);
+        let prefetcher = Prefetcher::new(store, 1);
+        prefetcher.lookahead(&[]);
         prefetcher.wait_idle();
         assert_eq!(prefetcher.stats(), PrefetchStats::default());
     }
 
     #[test]
     fn drop_drains_outstanding_requests() {
-        let store: Arc<dyn KvStore> = Arc::new(MemStore::new());
-        for k in 0..100u64 {
-            store.put(k, &[1u8; 8]).unwrap();
-        }
-        let cache = Arc::new(ShardedLruCache::new(1 << 20, 4));
-        let prefetcher = Prefetcher::new(store, Arc::clone(&cache), 2);
-        prefetcher.lookahead(
-            &(0..100u64).collect::<Vec<_>>(),
-            LookaheadDest::ApplicationCache,
-        );
+        let store = cold_store();
+        let prefetcher = Prefetcher::new(Arc::clone(&store), 2);
+        prefetcher.lookahead(&(0..100u64).collect::<Vec<_>>());
         drop(prefetcher);
-        // All requests must have been processed before drop returned.
-        assert_eq!(cache.len(), 100);
+        // All requests must have been processed before drop returned: the
+        // engine decided, copy or skip, on every key.
+        let m = store.metrics().snapshot();
+        assert!(m.prefetch_copies > 0);
+        assert_eq!(m.prefetch_copies + m.prefetch_skips, 100);
     }
 }

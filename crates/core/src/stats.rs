@@ -9,7 +9,8 @@ pub struct TableStatsSnapshot {
     pub gets: u64,
     /// Embedding vectors written through `Put`/`Rmw`.
     pub puts: u64,
-    /// Gets served from the application cache.
+    /// Always 0: every Get is served by the storage engine. Kept until the
+    /// benchmark drops its application-cache hit-ratio metric.
     pub cache_hits: u64,
     /// Keys lazily initialised because they had never been written.
     pub initialised: u64,
@@ -24,7 +25,6 @@ pub struct TableStatsSnapshot {
 pub struct TableStats {
     gets: AtomicU64,
     puts: AtomicU64,
-    cache_hits: AtomicU64,
     initialised: AtomicU64,
     get_ns: AtomicU64,
     put_ns: AtomicU64,
@@ -46,10 +46,6 @@ impl TableStats {
         self.put_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_init(&self) {
         self.initialised.fetch_add(1, Ordering::Relaxed);
     }
@@ -59,7 +55,7 @@ impl TableStats {
         TableStatsSnapshot {
             gets: self.gets.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
             initialised: self.initialised.load(Ordering::Relaxed),
             get_ns: self.get_ns.load(Ordering::Relaxed),
             put_ns: self.put_ns.load(Ordering::Relaxed),
@@ -73,19 +69,10 @@ impl TableStatsSnapshot {
         TableStatsSnapshot {
             gets: self.gets - earlier.gets,
             puts: self.puts - earlier.puts,
-            cache_hits: self.cache_hits - earlier.cache_hits,
+            cache_hits: 0,
             initialised: self.initialised - earlier.initialised,
             get_ns: self.get_ns - earlier.get_ns,
             put_ns: self.put_ns - earlier.put_ns,
-        }
-    }
-
-    /// Fraction of Gets answered from the application cache.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.gets as f64
         }
     }
 }
@@ -99,12 +86,10 @@ mod tests {
         let stats = TableStats::new();
         stats.record_get(10, 1000);
         stats.record_put(5, 500);
-        stats.record_cache_hit();
         stats.record_init();
         let first = stats.snapshot();
         assert_eq!(first.gets, 10);
         assert_eq!(first.puts, 5);
-        assert_eq!(first.cache_hits, 1);
         assert_eq!(first.initialised, 1);
         stats.record_get(2, 100);
         let second = stats.snapshot();
@@ -112,16 +97,5 @@ mod tests {
         assert_eq!(d.gets, 2);
         assert_eq!(d.get_ns, 100);
         assert_eq!(d.puts, 0);
-    }
-
-    #[test]
-    fn cache_hit_ratio_handles_zero_gets() {
-        assert_eq!(TableStatsSnapshot::default().cache_hit_ratio(), 0.0);
-        let s = TableStatsSnapshot {
-            gets: 4,
-            cache_hits: 1,
-            ..Default::default()
-        };
-        assert!((s.cache_hit_ratio() - 0.25).abs() < 1e-12);
     }
 }

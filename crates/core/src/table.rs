@@ -4,17 +4,18 @@
 //! The table is **batch-first**: a training step calls
 //! [`EmbeddingTable::gather`] once for its forward pass and
 //! [`EmbeddingTable::apply_gradients`] once for its backward pass, and each of
-//! those performs a single staleness-controller admission, a single bulk cache
-//! probe, and a single batched storage call — instead of per-key dispatch,
-//! per-key locking and per-key cache probes.
+//! those performs a single staleness-controller admission and a single batched
+//! storage call — instead of per-key dispatch and per-key locking. Every row a
+//! gather returns comes from the storage engine: [`EmbeddingTable::lookahead`]
+//! only promotes records into the engine's memory buffer.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mlkv_storage::{KvStore, ShardedLruCache, StorageError, StorageResult, WriteBatch};
+use mlkv_storage::{KvStore, StorageError, StorageResult, WriteBatch};
 
 use crate::codec::{decode_vector, decode_vector_into, encode_vector, init_vector};
-use crate::prefetch::{LookaheadDest, PrefetchStats, Prefetcher};
+use crate::prefetch::{PrefetchStats, Prefetcher};
 use crate::staleness::{ConsistencyMode, StalenessController, StalenessStats};
 use crate::stats::{TableStats, TableStatsSnapshot};
 
@@ -30,8 +31,6 @@ pub struct TableOptions {
     pub enforce_staleness: bool,
     /// Number of background look-ahead workers.
     pub lookahead_workers: usize,
-    /// Byte budget of the application-side cache.
-    pub app_cache_bytes: usize,
     /// Scale of the uniform random initialisation of unseen embeddings.
     pub init_scale: f32,
     /// Seed of the deterministic initialiser.
@@ -45,7 +44,6 @@ impl Default for TableOptions {
             staleness_bound: 0,
             enforce_staleness: true,
             lookahead_workers: 1,
-            app_cache_bytes: 8 << 20,
             init_scale: 0.05,
             seed: 42,
         }
@@ -101,12 +99,6 @@ impl TableBuilder {
         self
     }
 
-    /// Byte budget of the application-side cache.
-    pub fn app_cache_bytes(mut self, bytes: usize) -> Self {
-        self.options.app_cache_bytes = bytes;
-        self
-    }
-
     /// Scale of the uniform random initialisation of unseen embeddings.
     pub fn init_scale(mut self, scale: f32) -> Self {
         self.options.init_scale = scale;
@@ -139,7 +131,6 @@ pub struct EmbeddingTable {
     store: Arc<dyn KvStore>,
     options: TableOptions,
     controller: StalenessController,
-    cache: Arc<ShardedLruCache>,
     prefetcher: Prefetcher,
     stats: TableStats,
 }
@@ -162,20 +153,11 @@ impl EmbeddingTable {
         }
         let mode = ConsistencyMode::from_bound(options.staleness_bound);
         let controller = StalenessController::new(mode, options.enforce_staleness);
-        let cache = Arc::new(ShardedLruCache::new(
-            options.app_cache_bytes.max(1 << 10),
-            16,
-        ));
-        let prefetcher = Prefetcher::new(
-            Arc::clone(&store),
-            Arc::clone(&cache),
-            options.lookahead_workers,
-        );
+        let prefetcher = Prefetcher::new(Arc::clone(&store), options.lookahead_workers);
         Ok(Self {
             store,
             options,
             controller,
-            cache,
             prefetcher,
             stats: TableStats::new(),
         })
@@ -223,7 +205,7 @@ impl EmbeddingTable {
     /// let model = Mlkv::open("gather-doc", 4, 0).unwrap();
     /// let rows = model.gather(&[1, 2, 1]).unwrap();
     /// assert_eq!(rows.len(), 3);
-    /// assert_eq!(rows[0], rows[2]); // duplicates fan out from one probe
+    /// assert_eq!(rows[0], rows[2]); // duplicates fan out from one read
     /// ```
     pub fn gather(&self, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
         if keys.is_empty() {
@@ -245,11 +227,11 @@ impl EmbeddingTable {
     /// lazily initialised.
     ///
     /// This is the batch-first forward-pass path: one staleness-controller
-    /// admission for the whole batch, one bulk application-cache probe, one
-    /// [`KvStore::multi_read`] for the cache misses — which decodes each
-    /// unique key once, straight from the engine's bytes into its first
-    /// occurrence's row — and one [`KvStore::multi_rmw`] materialising the
-    /// keys the store does not hold. Later occurrences of a key copy its row.
+    /// admission for the whole batch, one [`KvStore::multi_read`] — which
+    /// decodes each unique key once, straight from the engine's bytes into its
+    /// first occurrence's row — and one [`KvStore::multi_rmw`] materialising
+    /// the keys the store does not hold. Later occurrences of a key copy its
+    /// row.
     ///
     /// ```
     /// use mlkv::Mlkv;
@@ -301,25 +283,7 @@ impl EmbeddingTable {
         // its staleness clock, exactly like the per-key path on deduplicated
         // batches.
         self.controller.admit_get_batch(&unique)?;
-
-        // Bulk cache probe, collecting the misses for one storage batch read.
-        let mut missing: Vec<u64> = Vec::new();
-        let mut missing_rows: Vec<usize> = Vec::new();
-        for (&key, &row) in unique.iter().zip(&first_rows) {
-            match self.cache.get(key) {
-                Some(bytes) => {
-                    self.stats.record_cache_hit();
-                    decode_vector_into(&bytes, &mut out[row * dim..][..dim])?;
-                }
-                None => {
-                    missing.push(key);
-                    missing_rows.push(row);
-                }
-            }
-        }
-        if !missing.is_empty() {
-            self.read_rows(&missing, &missing_rows, out)?;
-        }
+        self.read_rows(&unique, &first_rows, out)?;
         for (from, to) in copies {
             out.copy_within(from * dim..(from + 1) * dim, to * dim);
         }
@@ -398,7 +362,6 @@ impl EmbeddingTable {
         let start = Instant::now();
         let guard = self.controller.acquire_put(key)?;
         let bytes = encode_vector(value);
-        self.cache.invalidate(key);
         let result = self.store.put(key, &bytes);
         drop(guard);
         self.stats.record_put(1, start.elapsed().as_nanos() as u64);
@@ -426,7 +389,6 @@ impl EmbeddingTable {
         let guards = self.controller.acquire_put_batch(keys)?;
         let mut batch = WriteBatch::new();
         for (k, v) in keys.iter().zip(values) {
-            self.cache.invalidate(*k);
             batch.put(*k, encode_vector(v));
         }
         let result = self.store.write_batch(&batch);
@@ -445,7 +407,6 @@ impl EmbeddingTable {
         let mut current = self.read_or_init(key)?;
         f(&mut current);
         self.check_dim(&current)?;
-        self.cache.invalidate(key);
         let bytes = encode_vector(&current);
         self.store.put(key, &bytes)?;
         drop(guard);
@@ -457,7 +418,7 @@ impl EmbeddingTable {
     /// `(key, gradient)` pair. This is the common
     /// "Put(keys, values + optimizer(gradients))" pattern of Figure 3,
     /// executed as one staleness admission (record locks held for the whole
-    /// scatter), one cache-invalidation sweep, and one [`KvStore::multi_rmw`].
+    /// scatter) and one [`KvStore::multi_rmw`].
     /// Duplicate keys apply their gradients cumulatively in input order;
     /// unseen keys are lazily initialised before the gradient lands.
     ///
@@ -506,9 +467,6 @@ impl EmbeddingTable {
         // Staleness admission covers only the embedding rows; tag records are
         // internal bookkeeping outside the staleness domain.
         let guards = self.controller.acquire_put_batch(&grad_keys)?;
-        for key in &keys {
-            self.cache.invalidate(*key);
-        }
         let dim = self.options.dim;
         let (scale, seed) = (self.options.init_scale, self.options.seed);
         // The rmw callback cannot return an error, so an undecodable stored row
@@ -562,9 +520,11 @@ impl EmbeddingTable {
         result
     }
 
-    /// Non-blocking look-ahead prefetch of `keys` into `dest` (paper §III-C2).
-    pub fn lookahead(&self, keys: &[u64], dest: LookaheadDest) {
-        self.prefetcher.lookahead(keys, dest);
+    /// Non-blocking look-ahead prefetch of `keys` into the storage engine's
+    /// memory buffer (paper §III-C2). It never reads a value into the
+    /// application, so it cannot violate the staleness bound.
+    pub fn lookahead(&self, keys: &[u64]) {
+        self.prefetcher.lookahead(keys);
     }
 
     /// Block until all submitted look-ahead work has completed.
@@ -628,12 +588,8 @@ impl EmbeddingTable {
         Ok(())
     }
 
-    /// Read the embedding through cache → store, lazily initialising it.
+    /// Read the embedding from the store, lazily initialising it.
     fn read_or_init(&self, key: u64) -> StorageResult<Vec<f32>> {
-        if let Some(bytes) = self.cache.get(key) {
-            self.stats.record_cache_hit();
-            return decode_vector(&bytes, self.options.dim);
-        }
         match self.store.get(key) {
             Ok(bytes) => decode_vector(&bytes, self.options.dim),
             Err(e) if e.is_not_found() => {
@@ -657,6 +613,7 @@ mod tests {
     use super::*;
     use crate::backend::{open_store, BackendKind};
     use mlkv_storage::StoreConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn table(bound: u32) -> EmbeddingTable {
         let store = open_store(
@@ -843,16 +800,44 @@ mod tests {
         assert_eq!(t.staleness_stats().blocked_gets, 0);
     }
 
-    /// An in-memory store whose `multi_rmw` sets `entered` and then waits
-    /// until `proceed` is set: it holds an `apply_gradients`, and the Put
-    /// latches it took, inside the engine call for as long as a test needs.
-    struct HeldRmwStore {
-        inner: mlkv_storage::MemStore,
-        entered: std::sync::atomic::AtomicBool,
-        proceed: std::sync::atomic::AtomicBool,
+    /// The engine call a [`HeldStore`] holds.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Held {
+        /// An `apply_gradients`, with the Put latches it took.
+        Rmw,
+        /// A look-ahead's promote.
+        Promote,
     }
 
-    impl KvStore for HeldRmwStore {
+    /// An in-memory store whose `held` call sets `entered` and then waits
+    /// until `proceed` is set: it holds that call inside the engine for as
+    /// long as a test needs.
+    struct HeldStore {
+        inner: mlkv_storage::MemStore,
+        held: Held,
+        entered: AtomicBool,
+        proceed: AtomicBool,
+    }
+
+    impl HeldStore {
+        fn new(held: Held) -> Arc<Self> {
+            Arc::new(Self {
+                inner: mlkv_storage::MemStore::new(),
+                held,
+                entered: AtomicBool::new(false),
+                proceed: AtomicBool::new(false),
+            })
+        }
+
+        fn hold(&self, call: Held) {
+            if self.held == call {
+                self.entered.store(true, Ordering::SeqCst);
+                wait_until(|| self.proceed.load(Ordering::SeqCst));
+            }
+        }
+    }
+
+    impl KvStore for HeldStore {
         fn name(&self) -> &'static str {
             self.inner.name()
         }
@@ -873,10 +858,12 @@ mod tests {
             keys: &[u64],
             f: &mlkv_storage::BatchRmwFn,
         ) -> StorageResult<Vec<Vec<u8>>> {
-            use std::sync::atomic::Ordering;
-            self.entered.store(true, Ordering::SeqCst);
-            wait_until(|| self.proceed.load(Ordering::SeqCst));
+            self.hold(Held::Rmw);
             self.inner.multi_rmw(keys, f)
+        }
+        fn multi_promote(&self, keys: &[u64]) -> StorageResult<usize> {
+            self.hold(Held::Promote);
+            self.inner.multi_promote(keys)
         }
         fn delete(&self, key: u64) -> StorageResult<()> {
             self.inner.delete(key)
@@ -902,12 +889,7 @@ mod tests {
 
     #[test]
     fn bsp_gather_blocked_on_the_bound_reads_the_put_it_waited_for() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let store = Arc::new(HeldRmwStore {
-            inner: mlkv_storage::MemStore::new(),
-            entered: AtomicBool::new(false),
-            proceed: AtomicBool::new(false),
-        });
+        let store = HeldStore::new(Held::Rmw);
         let t = Arc::new(
             EmbeddingTable::builder(Arc::clone(&store) as Arc<dyn KvStore>)
                 .dim(8)
@@ -940,21 +922,27 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_into_application_cache_hits_on_next_get() {
-        let t = table(u32::MAX);
-        for k in 0..50u64 {
-            t.put_one(k, &[k as f32; 8]).unwrap();
-        }
-        t.lookahead(
-            &(0..50u64).collect::<Vec<_>>(),
-            LookaheadDest::ApplicationCache,
-        );
+    fn bsp_gather_after_a_lookahead_racing_an_apply_reads_the_apply() {
+        let store = HeldStore::new(Held::Promote);
+        let t = EmbeddingTable::builder(Arc::clone(&store) as Arc<dyn KvStore>)
+            .dim(4)
+            .staleness_bound(0)
+            .build()
+            .unwrap();
+        t.put_one(1, &[1.0; 4]).unwrap();
+        assert_eq!(t.gather(&[1]).unwrap(), vec![vec![1.0; 4]]);
+        // The next step's look-ahead stalls inside the engine while this
+        // step's update lands.
+        t.lookahead(&[1]);
+        wait_until(|| store.entered.load(Ordering::SeqCst));
+        t.apply_gradients(&[(1, &[1.0; 4][..])], 0.5).unwrap();
+        store.proceed.store(true, Ordering::SeqCst);
         t.wait_for_lookahead();
-        let before = t.stats().cache_hits;
-        let v = t.get_one(7).unwrap();
-        assert_eq!(v, vec![7.0; 8]);
-        assert_eq!(t.stats().cache_hits, before + 1);
-        assert_eq!(t.prefetch_stats().cached, 50);
+        assert_eq!(
+            t.gather(&[1]).unwrap(),
+            vec![vec![0.5; 4]],
+            "a look-ahead must never hand a gather the row an apply replaced"
+        );
     }
 
     #[test]
@@ -975,25 +963,12 @@ mod tests {
         for k in 0..2000u64 {
             t.put_one(k, &[k as f32; 8]).unwrap();
         }
-        t.lookahead(
-            &(0..32u64).collect::<Vec<_>>(),
-            LookaheadDest::StorageBuffer,
-        );
+        t.lookahead(&(0..32u64).collect::<Vec<_>>());
         t.wait_for_lookahead();
         assert!(t.prefetch_stats().promoted > 0);
         assert!(t.store_metrics().prefetch_copies > 0);
         // Values survive promotion.
         assert_eq!(t.get_one(0).unwrap(), vec![0.0; 8]);
-    }
-
-    #[test]
-    fn cache_never_serves_stale_values_after_put() {
-        let t = table(u32::MAX);
-        t.put_one(9, &[1.0; 8]).unwrap();
-        t.lookahead(&[9], LookaheadDest::ApplicationCache);
-        t.wait_for_lookahead();
-        t.put_one(9, &[2.0; 8]).unwrap();
-        assert_eq!(t.get_one(9).unwrap(), vec![2.0; 8]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ struct Inner {
 
 /// LSM-tree key-value store (RocksDB stand-in).
 ///
-/// Write concurrency: mutating batches hold the structural lock ([`Inner`])
+/// Write concurrency: mutating batches hold the structural lock (`Inner`)
 /// *shared* and serialise on the hash-sharded memtable's per-shard locks, so
 /// batches touching disjoint shards commit concurrently. Each batch stages its
 /// values under its shard locks, then one grouped WAL append + one

@@ -1,9 +1,7 @@
 //! A sharded LRU byte cache.
 //!
-//! Used as the LSM block cache, as a victim cache for the B+tree buffer pool, and
-//! as the *application cache* that MLKV's `Lookahead(keys, dest=ApplicationCache)`
-//! fills (paper §III-C2). The cache is capacity-bounded in bytes and evicts the
-//! least-recently-used entry of the shard that overflows.
+//! The LSM engine's block cache. The cache is capacity-bounded in bytes and
+//! evicts the least-recently-used entry of the shard that overflows.
 
 use std::collections::HashMap;
 

@@ -15,8 +15,8 @@
 //!   decides when a submission completes: inline by default, on a virtual
 //!   clock for the simulated SSD ([`SimLatencyDevice`]).
 //! * [`Page`] / [`PageId`] — fixed-size page plumbing for paged engines.
-//! * [`ShardedLruCache`] — a general purpose byte cache used both as block cache
-//!   (LSM), buffer-pool victim cache (B+tree) and application cache (MLKV core).
+//! * [`ShardedLruCache`] — the byte cache the LSM engine uses as its block
+//!   cache.
 //! * [`StorageMetrics`] — atomic counters describing disk traffic and cache
 //!   behaviour; every engine exposes one so that the benchmark harness can report
 //!   I/O alongside throughput.

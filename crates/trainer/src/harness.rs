@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mlkv::{EmbeddingTable, LookaheadDest, PrefetchStats, StorageError, StorageResult};
+use mlkv::{EmbeddingTable, PrefetchStats, StorageError, StorageResult};
 
 /// How embedding updates are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,9 +25,6 @@ pub enum UpdateMode {
 pub enum PrefetchMode {
     /// No prefetching at all.
     None,
-    /// Conventional prefetching: future keys are loaded into the application
-    /// cache (only safe within the staleness window).
-    Conventional,
     /// Look-ahead prefetching (§III-C2): future keys are promoted into the
     /// storage engine's memory buffer, beyond the staleness window.
     LookAhead,
@@ -192,9 +189,9 @@ impl Drop for UpdateDispatcher {
 /// trainers announce keys), replacing the fixed `lookahead_batches: 4`.
 ///
 /// The controller watches the *useful fraction* of completed prefetch work in
-/// [`PrefetchStats`]: keys that resulted in a storage-buffer copy or an
-/// application-cache fill are useful; keys that were skipped (already
-/// memory-resident, or missing) are wasted work. When most announced keys are
+/// [`PrefetchStats`]: keys that resulted in a storage-buffer copy are useful;
+/// keys that were skipped (already memory-resident, or missing) are wasted
+/// work. When most announced keys are
 /// skipped, the look-ahead is running too deep — the rows it copies arrive
 /// long before they are needed and only evict hot rows from the memory buffer
 /// — so the depth shrinks. When nearly every announced key is cold, deeper
@@ -248,8 +245,7 @@ impl AdaptiveLookahead {
         if completed < Self::MIN_WINDOW {
             return self.depth;
         }
-        let useful =
-            (stats.promoted + stats.cached).saturating_sub(self.last.promoted + self.last.cached);
+        let useful = stats.promoted.saturating_sub(self.last.promoted);
         self.last = stats;
         let useful_fraction = useful as f64 / completed as f64;
         if useful_fraction < Self::LOW_WATER {
@@ -265,8 +261,7 @@ impl AdaptiveLookahead {
 pub fn issue_prefetch(table: &EmbeddingTable, keys: &[u64], mode: PrefetchMode) {
     match mode {
         PrefetchMode::None => {}
-        PrefetchMode::Conventional => table.lookahead(keys, LookaheadDest::ApplicationCache),
-        PrefetchMode::LookAhead => table.lookahead(keys, LookaheadDest::StorageBuffer),
+        PrefetchMode::LookAhead => table.lookahead(keys),
     }
 }
 
@@ -392,19 +387,14 @@ mod tests {
         }
         issue_prefetch(
             &t,
-            &(0..10u64).collect::<Vec<_>>(),
-            PrefetchMode::Conventional,
-        );
-        issue_prefetch(
-            &t,
             &(10..20u64).collect::<Vec<_>>(),
             PrefetchMode::LookAhead,
         );
         issue_prefetch(&t, &[999], PrefetchMode::None);
         t.wait_for_lookahead();
         let stats = t.prefetch_stats();
-        assert_eq!(stats.submitted, 20);
-        assert!(stats.cached >= 10);
+        assert_eq!(stats.submitted, 10);
+        assert_eq!(stats.completed, 10);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * synchronous (BSP), bounded-stale (SSP) and fully asynchronous (ASP)
 //!   embedding updates, selected by the table's staleness bound and the
 //!   [`harness::UpdateMode`];
-//! * conventional vs. look-ahead prefetching of future batches' keys;
+//! * look-ahead prefetching of future batches' keys, or none;
 //! * a latency breakdown into embedding access / forward / backward, throughput
 //!   in samples per second, convergence-vs-time series and an approximate
 //!   energy-per-batch estimate (Figures 2, 6, 7, 8, 9, 11).

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use mlkv::{BackendKind, LookaheadDest, Mlkv};
+use mlkv::{BackendKind, Mlkv};
 
 const NUM_EMBEDDINGS: u64 = 50_000;
 const DIM: usize = 32;
@@ -50,7 +50,7 @@ fn main() -> mlkv::StorageResult<()> {
 
     // Access another cold range, but announce it via Lookahead first.
     let prefetched_keys: Vec<u64> = (4_000..8_000).collect();
-    table.lookahead(&prefetched_keys, LookaheadDest::StorageBuffer);
+    table.lookahead(&prefetched_keys);
     table.wait_for_lookahead();
     let start = Instant::now();
     for chunk in prefetched_keys.chunks(256) {

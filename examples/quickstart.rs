@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mlkv::{BackendKind, LookaheadDest, Mlkv};
+use mlkv::{BackendKind, Mlkv};
 
 fn main() -> mlkv::StorageResult<()> {
     // nn_model, emb_tables = MLKV.Open(model_id, dim, staleness_bound)
@@ -26,7 +26,7 @@ fn main() -> mlkv::StorageResult<()> {
 
         // Tell MLKV what the *next* iteration will need (look-ahead prefetching).
         let next_keys: Vec<u64> = ((step + 1) * 10..(step + 1) * 10 + 8).collect();
-        model.lookahead(&next_keys, LookaheadDest::StorageBuffer);
+        model.lookahead(&next_keys);
 
         // Forward: one batched gather fetches every embedding of the step.
         let emb_values = model.gather(&keys)?;
@@ -50,8 +50,8 @@ fn main() -> mlkv::StorageResult<()> {
 
     let stats = model.stats();
     println!(
-        "done: {} gets, {} puts, {} lazily initialised embeddings, {} cache hits",
-        stats.gets, stats.puts, stats.initialised, stats.cache_hits
+        "done: {} gets, {} puts, {} lazily initialised embeddings",
+        stats.gets, stats.puts, stats.initialised
     );
     Ok(())
 }

@@ -377,7 +377,6 @@ fn open_served_table(kind: BackendKind, config: StoreConfig) -> Arc<EmbeddingTab
             .staleness_bound(u32::MAX)
             .enforce_staleness(false)
             .lookahead_workers(0)
-            .app_cache_bytes(0)
             .seed(SEED)
             .build()
             .expect("build table"),

@@ -80,7 +80,6 @@ fn open_table(kind: BackendKind, config: StoreConfig) -> EmbeddingTable {
         .staleness_bound(u32::MAX)
         .enforce_staleness(false)
         .lookahead_workers(0)
-        .app_cache_bytes(0)
         .init_scale(0.1)
         .seed(7)
         .build()

@@ -2,10 +2,11 @@
 //! threads and backends: bounded staleness consistency and look-ahead
 //! prefetching.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlkv::{BackendKind, LookaheadDest, Mlkv};
+use mlkv::{open_store, BackendKind, EmbeddingTable, Mlkv, StoreConfig};
 
 #[test]
 fn ssp_bound_is_never_exceeded_under_concurrency() {
@@ -89,7 +90,7 @@ fn lookahead_beyond_the_staleness_bound_does_not_violate_it() {
         table.put_one(k, &[k as f32; 4]).unwrap();
     }
     let future_keys: Vec<u64> = (0..500).collect();
-    table.lookahead(&future_keys, LookaheadDest::StorageBuffer);
+    table.lookahead(&future_keys);
     table.wait_for_lookahead();
     for k in &future_keys {
         assert_eq!(
@@ -103,32 +104,6 @@ fn lookahead_beyond_the_staleness_bound_does_not_violate_it() {
         assert_eq!(table.get_one(k).unwrap(), vec![k as f32; 4]);
     }
     assert!(table.prefetch_stats().promoted > 0);
-}
-
-#[test]
-fn conventional_prefetch_fills_the_application_cache_only() {
-    let model = Mlkv::builder("conventional")
-        .dim(4)
-        .staleness_bound(u32::MAX)
-        .memory_budget(64 << 10)
-        .page_size(4 << 10)
-        .build()
-        .unwrap();
-    let table = model.table();
-    for k in 0..2_000u64 {
-        table.put_one(k, &[1.0; 4]).unwrap();
-    }
-    let promoted_before = table.store_metrics().prefetch_copies;
-    table.lookahead(
-        &(0..200u64).collect::<Vec<_>>(),
-        LookaheadDest::ApplicationCache,
-    );
-    table.wait_for_lookahead();
-    assert_eq!(table.store_metrics().prefetch_copies, promoted_before);
-    assert!(table.prefetch_stats().cached >= 200);
-    let hits_before = table.stats().cache_hits;
-    table.get_one(10).unwrap();
-    assert_eq!(table.stats().cache_hits, hits_before + 1);
 }
 
 #[test]
@@ -156,9 +131,80 @@ fn every_backend_supports_the_full_table_api() {
             "{}",
             backend.name()
         );
-        model.lookahead(&keys, LookaheadDest::StorageBuffer);
+        model.lookahead(&keys);
         model.wait_for_lookahead();
         model.flush().unwrap();
         assert_eq!(model.len(), 32, "{}", backend.name());
+    }
+}
+
+/// The staleness bound, checked on the values a gather returns rather than on
+/// the table's own counter. Every row of a counter table starts at 0.0, and
+/// every apply adds exactly 1.0 to each coordinate. Two threads each gather
+/// and then apply the same keys. A gather that starts after `G` gathers have
+/// returned may run at most `s` applies ahead, so each coordinate it reads is
+/// at least `G - s`; and it is at most the number of applies started.
+#[test]
+fn gathered_values_stay_within_the_staleness_bound_on_every_engine() {
+    const DIM: usize = 4;
+    const STEPS: u64 = 200;
+    let keys: Arc<Vec<u64>> = Arc::new((0..16).collect());
+    for kind in BackendKind::ALL {
+        for bound in [0u32, 1, 10] {
+            let store =
+                open_store(kind, StoreConfig::in_memory().with_memory_budget(1 << 20)).unwrap();
+            let table = Arc::new(
+                EmbeddingTable::builder(store)
+                    .dim(DIM)
+                    .staleness_bound(bound)
+                    .build()
+                    .unwrap(),
+            );
+            table.put(&keys, &vec![vec![0.0; DIM]; keys.len()]).unwrap();
+            let gathers_returned = Arc::new(AtomicU64::new(0));
+            let applies_started = Arc::new(AtomicU64::new(0));
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let table = Arc::clone(&table);
+                    let keys = Arc::clone(&keys);
+                    let gathers_returned = Arc::clone(&gathers_returned);
+                    let applies_started = Arc::clone(&applies_started);
+                    std::thread::spawn(move || {
+                        let plus_one = [-1.0f32; DIM];
+                        let updates: Vec<(u64, &[f32])> =
+                            keys.iter().map(|&k| (k, &plus_one[..])).collect();
+                        for _ in 0..STEPS {
+                            let before = gathers_returned.load(Ordering::SeqCst);
+                            let rows = table.gather(&keys).unwrap();
+                            gathers_returned.fetch_add(1, Ordering::SeqCst);
+                            let started = applies_started.load(Ordering::SeqCst);
+                            let floor = before.saturating_sub(u64::from(bound));
+                            for (key, row) in keys.iter().zip(&rows) {
+                                for &x in row {
+                                    assert!(
+                                        x >= floor as f32 && x <= started as f32,
+                                        "{} bound {bound}: key {key} read {x} after {before} \
+                                         gathers and {started} applies started",
+                                        kind.name()
+                                    );
+                                }
+                            }
+                            applies_started.fetch_add(1, Ordering::SeqCst);
+                            table.apply_gradients(&updates, 1.0).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            let total = (2 * STEPS) as f32;
+            assert_eq!(
+                table.gather(&keys).unwrap(),
+                vec![vec![total; DIM]; keys.len()],
+                "{} bound {bound}: every apply lands exactly once",
+                kind.name()
+            );
+        }
     }
 }
