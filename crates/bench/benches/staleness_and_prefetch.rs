@@ -4,9 +4,9 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlkv::record_word::AtomicRecordWord;
-use mlkv::{BackendKind, Mlkv};
+use mlkv::{BackendKind, ConsistencyMode, Mlkv, StalenessController};
 
 fn bench_record_word(c: &mut Criterion) {
     let mut group = c.benchmark_group("record_word");
@@ -25,6 +25,70 @@ fn bench_record_word(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// Words the admission benches track: the key space of a `train-cold` table.
+const TRACKED_KEYS: u64 = 200_000;
+/// Bytes streamed between cold samples: more than the last-level cache of the
+/// 2-core Xeon host the numbers in ROADMAP.md were taken on (105 MiB).
+const EVICT_BYTES: usize = 128 << 20;
+
+/// Gather-sized batches: 509 scattered draws each, sorted and deduplicated
+/// as `EmbeddingTable::gather` hands them to the controller.
+fn scattered_batches() -> Vec<Vec<u64>> {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    (0..64)
+        .map(|_| {
+            let mut keys: Vec<u64> = (0..509)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % TRACKED_KEYS
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        })
+        .collect()
+}
+
+/// One staleness-controller batch call: a gather's admission or an apply's
+/// Put latches (taken and released).
+fn bench_admission(c: &mut Criterion) {
+    let ctl = StalenessController::new(ConsistencyMode::Asp, true);
+    drop(
+        ctl.acquire_put_batch(&(0..TRACKED_KEYS).collect::<Vec<_>>())
+            .unwrap(),
+    );
+    let batches = scattered_batches();
+    let mut evict = vec![0u64; EVICT_BYTES / 8];
+    let admit: fn(&StalenessController, &[u64]) = |ctl, keys| ctl.admit_get_batch(keys).unwrap();
+    let put: fn(&StalenessController, &[u64]) =
+        |ctl, keys| drop(ctl.acquire_put_batch(keys).unwrap());
+    for (name, run) in [("admit_get_batch", admit), ("put_batch", put)] {
+        let mut group = c.benchmark_group(name);
+        group
+            .sample_size(20)
+            .warm_up_time(Duration::from_millis(200))
+            .measurement_time(Duration::from_millis(600));
+        let mut next = 0;
+        // Cold: the table is evicted from every cache level before each batch.
+        group.bench_function("cold", |b| {
+            b.iter_batched(
+                || {
+                    evict.iter_mut().for_each(|w| *w = w.wrapping_add(1));
+                    next = (next + 1) % batches.len();
+                    &batches[next]
+                },
+                |keys| run(&ctl, keys),
+                BatchSize::PerIteration,
+            )
+        });
+        group.bench_function("hot", |b| b.iter(|| run(&ctl, &batches[0])));
+        group.finish();
+    }
 }
 
 fn bench_table_get(c: &mut Criterion) {
@@ -98,5 +162,11 @@ fn bench_lookahead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_record_word, bench_table_get, bench_lookahead);
+criterion_group!(
+    benches,
+    bench_record_word,
+    bench_admission,
+    bench_table_get,
+    bench_lookahead
+);
 criterion_main!(benches);

@@ -113,7 +113,10 @@ impl EmbeddingModelBuilder {
         self
     }
 
-    /// Number of background look-ahead workers.
+    /// Number of background look-ahead workers. With 0, no worker thread
+    /// is spawned and `lookahead` promotes nothing: it counts every unique
+    /// key as submitted, completed and skipped, and `wait_for_lookahead`
+    /// returns at once.
     pub fn lookahead_workers(mut self, workers: usize) -> Self {
         self.options.lookahead_workers = workers;
         self

@@ -57,11 +57,12 @@ pub struct Prefetcher {
 
 impl Prefetcher {
     /// Spawn `num_workers` background workers promoting look-ahead keys
-    /// into `store`'s memory buffer.
+    /// into `store`'s memory buffer. With 0 workers no thread is spawned and
+    /// every announced key is counted as completed and skipped at once.
     pub fn new(store: Arc<dyn KvStore>, num_workers: usize) -> Self {
         let (sender, receiver): (Sender<Vec<u64>>, Receiver<Vec<u64>>) = unbounded();
         let counters = Arc::new(Counters::default());
-        let workers = (0..num_workers.max(1))
+        let workers: Vec<JoinHandle<()>> = (0..num_workers)
             .map(|_| {
                 let receiver = receiver.clone();
                 let store = Arc::clone(&store);
@@ -88,7 +89,7 @@ impl Prefetcher {
             })
             .collect();
         Self {
-            sender: Some(sender),
+            sender: (!workers.is_empty()).then_some(sender),
             workers,
             counters,
         }
@@ -113,9 +114,17 @@ impl Prefetcher {
         self.counters
             .submitted
             .fetch_add(unique.len() as u64, Ordering::Relaxed);
-        if let Some(sender) = &self.sender {
+        match &self.sender {
             // The channel is unbounded; send only fails after shutdown.
-            let _ = sender.send(unique);
+            Some(sender) => {
+                let _ = sender.send(unique);
+            }
+            // No worker: nothing will promote these keys.
+            None => {
+                let n = unique.len() as u64;
+                self.counters.skipped.fetch_add(n, Ordering::Relaxed);
+                self.counters.completed.fetch_add(n, Ordering::Release);
+            }
         }
     }
 
@@ -155,7 +164,8 @@ impl Drop for Prefetcher {
 mod tests {
     use super::*;
     use mlkv_faster::FasterKv;
-    use mlkv_storage::{MemStore, StoreConfig};
+    use mlkv_storage::kv::{ReadResult, RmwFn};
+    use mlkv_storage::{MemStore, StorageMetrics, StorageResult, StoreConfig};
 
     fn cold_store() -> Arc<dyn KvStore> {
         // A tiny memory window guarantees that early keys spill to "disk".
@@ -218,6 +228,67 @@ mod tests {
         prefetcher.lookahead(&[]);
         prefetcher.wait_idle();
         assert_eq!(prefetcher.stats(), PrefetchStats::default());
+    }
+
+    /// Forwards to a [`MemStore`], counting `multi_promote` calls.
+    struct PromoteCounter {
+        inner: MemStore,
+        promotes: AtomicU64,
+    }
+
+    impl KvStore for PromoteCounter {
+        fn name(&self) -> &'static str {
+            "promote-counter"
+        }
+        fn get_traced(&self, key: u64) -> StorageResult<ReadResult> {
+            self.inner.get_traced(key)
+        }
+        fn put(&self, key: u64, value: &[u8]) -> StorageResult<()> {
+            self.inner.put(key, value)
+        }
+        fn rmw(&self, key: u64, f: &RmwFn) -> StorageResult<Vec<u8>> {
+            self.inner.rmw(key, f)
+        }
+        fn delete(&self, key: u64) -> StorageResult<()> {
+            self.inner.delete(key)
+        }
+        fn multi_promote(&self, keys: &[u64]) -> StorageResult<usize> {
+            self.promotes.fetch_add(1, Ordering::Relaxed);
+            self.inner.multi_promote(keys)
+        }
+        fn approximate_len(&self) -> usize {
+            self.inner.approximate_len()
+        }
+        fn metrics(&self) -> Arc<StorageMetrics> {
+            self.inner.metrics()
+        }
+        fn flush(&self) -> StorageResult<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn zero_workers_spawn_no_thread_and_promote_nothing() {
+        let store = Arc::new(PromoteCounter {
+            inner: MemStore::new(),
+            promotes: AtomicU64::new(0),
+        });
+        let prefetcher = Prefetcher::new(Arc::clone(&store) as Arc<dyn KvStore>, 0);
+        assert!(prefetcher.workers.is_empty());
+        prefetcher.lookahead(&[1, 2, 2, 3]);
+        prefetcher.wait_idle();
+        let stats = prefetcher.stats();
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.completed,
+                stats.skipped,
+                stats.promoted
+            ),
+            (3, 3, 3, 0)
+        );
+        drop(prefetcher);
+        assert_eq!(store.promotes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

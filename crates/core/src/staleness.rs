@@ -11,10 +11,42 @@
 //! `record_word` is applied to it. The controller also measures the time Gets
 //! spend blocked on the staleness bound — that is exactly the "data stall"
 //! component that Figures 2 and 8 report.
+//!
+//! # The staleness table
+//!
+//! The paper keeps the clock in the record's own lock word. Here it lives in
+//! a per-table side table keyed by the embedding key, in two parts:
+//!
+//! * **Index** — an open-addressed array of 16-byte slots (`key`, word id),
+//!   probed linearly from a multiplicative hash of the key. A slot is claimed
+//!   with one compare-and-swap on its key and is never emptied again.
+//! * **Arena** — the words themselves, in append-only chunks of doubling size
+//!   (the first holds 1024 words). Word id `i` lives at a fixed chunk and
+//!   offset computed from `i` alone, and a chunk, once allocated, is never
+//!   freed or reallocated.
+//!
+//! Key `u64::MAX` marks an empty slot, so it cannot be stored in the index;
+//! it gets a dedicated word of its own and is otherwise tracked like any key.
+//!
+//! **Growth.** A batch reserves room for the keys it may insert before it
+//! inserts the first. When reserved keys would pass half of the index's
+//! capacity, the index doubles under its write lock, and only the index is
+//! rehashed. Words never move, so a word resolved before a growth is the same
+//! word after it: a [`RecordGuard`] holds a plain reference to its word and
+//! never holds the index lock.
+//!
+//! **The lock rule.** Every admission resolves all of its words under one
+//! read lock of the index and releases it *before* it compares-and-swaps,
+//! spins on a latch or waits on the bound. The workspace's
+//! `parking_lot::RwLock` is `std::sync::RwLock` underneath, which makes new
+//! readers queue behind a waiting writer; a waiter that kept the read
+//! lock would let one growth queue behind a Put held across a slow engine
+//! call, and then every admission behind that growth. Under this rule the
+//! read lock is held only while probing and claiming slots, which never
+//! waits on another thread's latch or on the bound.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -74,13 +106,83 @@ pub struct StalenessStats {
     pub gets: u64,
     /// Number of Put acquisitions performed.
     pub puts: u64,
+    /// Keys with a materialised vector clock when the snapshot was taken.
+    pub tracked_keys: u64,
+    /// Bytes the staleness table holds for them: its index plus its word
+    /// arena, both allocated ahead of use.
+    pub tracked_bytes: u64,
+}
+
+/// Key of an empty index slot; the key itself has a dedicated word.
+const EMPTY: u64 = u64::MAX;
+/// Word id of a slot whose key is claimed but whose word is not yet published.
+const PENDING: u32 = u32::MAX;
+/// Slots of a fresh index (a power of two).
+const FIRST_INDEX_SLOTS: usize = 1 << 10;
+/// Most inserts one reservation covers.
+const RESERVE_STEP: usize = 1 << 10;
+/// log2 of the words in the arena's first chunk; chunk `c` holds
+/// `1 << (FIRST_CHUNK_BITS + c)` words.
+const FIRST_CHUNK_BITS: u32 = 10;
+/// Enough chunks for every word id below [`PENDING`].
+const CHUNKS: usize = (33 - FIRST_CHUNK_BITS) as usize;
+
+/// One index entry: a key and the id of its word in the arena.
+struct Slot {
+    key: AtomicU64,
+    id: AtomicU32,
+}
+
+impl Default for Slot {
+    fn default() -> Self {
+        Self {
+            key: AtomicU64::new(EMPTY),
+            id: AtomicU32::new(PENDING),
+        }
+    }
+}
+
+impl Slot {
+    /// The slot's word id, waiting out the claimer's publish (it holds the
+    /// same read lock and never blocks between claim and publish).
+    fn id(&self) -> u32 {
+        loop {
+            let id = self.id.load(Ordering::Acquire);
+            if id != PENDING {
+                return id;
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// The first slot to probe for `key` in an index of `slots` slots.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// The arena chunk and offset of word `id`.
+fn locate(id: u32) -> (usize, usize) {
+    let x = id as usize + (1 << FIRST_CHUNK_BITS);
+    let chunk = (usize::BITS - 1 - x.leading_zeros() - FIRST_CHUNK_BITS) as usize;
+    (chunk, x - (1 << (chunk as u32 + FIRST_CHUNK_BITS)))
 }
 
 /// Per-key vector clocks plus the acquisition protocol.
 pub struct StalenessController {
     mode: ConsistencyMode,
     enabled: bool,
-    shards: Vec<RwLock<HashMap<u64, Arc<AtomicRecordWord>>>>,
+    /// Open-addressed index, at most half full (see the module docs).
+    index: RwLock<Box<[Slot]>>,
+    /// Keys inserted plus room reserved by batches still inserting.
+    reserved: AtomicUsize,
+    /// Keys inserted into the index; the next word id.
+    inserted: AtomicU32,
+    /// The word arena: chunk `c` is allocated by the first insert that needs it.
+    chunks: [OnceLock<Box<[AtomicRecordWord]>>; CHUNKS],
+    /// The word of key [`EMPTY`], and whether that key has been touched.
+    empty_key_word: AtomicRecordWord,
+    empty_key_tracked: AtomicBool,
     blocked_gets: AtomicU64,
     stall_ns: AtomicU64,
     gets: AtomicU64,
@@ -91,15 +193,24 @@ pub struct StalenessController {
 
 /// RAII guard for an acquired record lock; releases on drop.
 #[derive(Debug)]
-pub struct RecordGuard {
-    word: Arc<AtomicRecordWord>,
+pub struct RecordGuard<'a> {
+    word: &'a AtomicRecordWord,
     /// Set for a Put: its release also lowers staleness.
     put: Option<PutLatch>,
     mark_replaced: bool,
     released: bool,
 }
 
-impl RecordGuard {
+impl<'a> RecordGuard<'a> {
+    fn new(word: &'a AtomicRecordWord, put: Option<PutLatch>) -> Self {
+        Self {
+            word,
+            put,
+            mark_replaced: false,
+            released: false,
+        }
+    }
+
     /// Mark that the protected operation relocated the record (sets the
     /// Replaced bit on release).
     pub fn mark_replaced(&mut self) {
@@ -122,7 +233,7 @@ impl RecordGuard {
     }
 }
 
-impl Drop for RecordGuard {
+impl Drop for RecordGuard<'_> {
     fn drop(&mut self) {
         self.do_release();
     }
@@ -141,7 +252,12 @@ impl StalenessController {
         Self {
             mode,
             enabled,
-            shards: (0..64).map(|_| RwLock::new(HashMap::new())).collect(),
+            index: RwLock::new((0..FIRST_INDEX_SLOTS).map(|_| Slot::default()).collect()),
+            reserved: AtomicUsize::new(0),
+            inserted: AtomicU32::new(0),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            empty_key_word: AtomicRecordWord::new(),
+            empty_key_tracked: AtomicBool::new(false),
             blocked_gets: AtomicU64::new(0),
             stall_ns: AtomicU64::new(0),
             gets: AtomicU64::new(0),
@@ -160,37 +276,178 @@ impl StalenessController {
         self.enabled
     }
 
-    fn shard_for(&self, key: u64) -> &RwLock<HashMap<u64, Arc<AtomicRecordWord>>> {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h as usize) % self.shards.len()]
+    /// The vector clock for `key`, creating it lazily.
+    pub fn word(&self, key: u64) -> &AtomicRecordWord {
+        self.words(&[key])[0]
     }
 
-    /// The vector clock for `key`, creating it lazily.
-    pub fn word(&self, key: u64) -> Arc<AtomicRecordWord> {
-        {
-            let shard = self.shard_for(key).read();
-            if let Some(w) = shard.get(&key) {
-                return Arc::clone(w);
+    /// The vector clocks of `keys`, in order, creating missing ones: one read
+    /// lock of the index for the batch and one probe per key, released before
+    /// the caller touches a word (the lock rule in the module docs).
+    fn words(&self, keys: &[u64]) -> Vec<&AtomicRecordWord> {
+        let mut words = Vec::with_capacity(keys.len());
+        loop {
+            let slots = self.index.read();
+            // Room this batch has reserved and not yet used.
+            let mut room = 0;
+            let mut short = None;
+            for &key in &keys[words.len()..] {
+                if key == EMPTY {
+                    self.empty_key_tracked.store(true, Ordering::Relaxed);
+                    words.push(&self.empty_key_word);
+                    continue;
+                }
+                let id = match self.probe(&slots, key) {
+                    Ok(id) => id,
+                    Err(vacant) => {
+                        if room == 0 {
+                            // One reservation covers the rest of the batch, up
+                            // to a step, so a big batch of mostly known keys
+                            // does not grow the index for nothing.
+                            let want = (keys.len() - words.len()).min(RESERVE_STEP);
+                            if !self.reserve(slots.len(), want) {
+                                short = Some(want);
+                                break;
+                            }
+                            room = want;
+                        }
+                        let (id, claimed) = self.claim(&slots, vacant, key);
+                        room -= claimed as usize;
+                        id
+                    }
+                };
+                words.push(self.arena_word(id));
+            }
+            if room > 0 {
+                self.reserved.fetch_sub(room, Ordering::Relaxed);
+            }
+            drop(slots);
+            match short {
+                None => return words,
+                Some(want) => self.grow(want),
             }
         }
-        let mut shard = self.shard_for(key).write();
-        Arc::clone(
-            shard
-                .entry(key)
-                .or_insert_with(|| Arc::new(AtomicRecordWord::new())),
-        )
+    }
+
+    /// Find `key`'s word id, or the vacant slot where its probe ended.
+    fn probe(&self, slots: &[Slot], key: u64) -> Result<u32, usize> {
+        let mask = slots.len() - 1;
+        let mut pos = home(key, slots.len());
+        loop {
+            let slot = &slots[pos];
+            match slot.key.load(Ordering::Acquire) {
+                EMPTY => return Err(pos),
+                k if k == key => return Ok(slot.id()),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    /// Insert `key` from the vacant slot `pos` onwards (another batch may
+    /// claim that slot first): its word id, and whether this call inserted it.
+    fn claim(&self, slots: &[Slot], mut pos: usize, key: u64) -> (u32, bool) {
+        let mask = slots.len() - 1;
+        loop {
+            let slot = &slots[pos];
+            match slot
+                .key
+                .compare_exchange(EMPTY, key, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => {
+                    let id = self.inserted.fetch_add(1, Ordering::Relaxed);
+                    assert!(id < PENDING, "staleness table is full");
+                    let (chunk, _) = locate(id);
+                    self.chunks[chunk].get_or_init(|| {
+                        (0..1usize << (FIRST_CHUNK_BITS + chunk as u32))
+                            .map(|_| AtomicRecordWord::new())
+                            .collect()
+                    });
+                    slot.id.store(id, Ordering::Release);
+                    return (id, true);
+                }
+                Err(k) if k == key => return (slot.id(), false),
+                Err(_) => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    /// Reserve room for `n` inserts in an index of `slots` slots, keeping it
+    /// at most half full; false (and nothing reserved) when it must grow.
+    fn reserve(&self, slots: usize, n: usize) -> bool {
+        let before = self.reserved.fetch_add(n, Ordering::Relaxed);
+        if (before + n) * 2 <= slots {
+            return true;
+        }
+        self.reserved.fetch_sub(n, Ordering::Relaxed);
+        false
+    }
+
+    /// Double the index until `n` more keys fit at most half full. Only the
+    /// index is rehashed; no word moves.
+    fn grow(&self, n: usize) {
+        let mut slots = self.index.write();
+        // No batch holds the read lock, so nothing is reserved but inserted.
+        let want = (self.reserved.load(Ordering::Relaxed) + n) * 2;
+        if slots.len() >= want {
+            return; // another batch grew it, or gave its room back
+        }
+        let mut grown: Box<[Slot]> = (0..want.next_power_of_two())
+            .map(|_| Slot::default())
+            .collect();
+        let mask = grown.len() - 1;
+        for slot in slots.iter_mut() {
+            let key = *slot.key.get_mut();
+            if key == EMPTY {
+                continue;
+            }
+            let mut pos = home(key, grown.len());
+            while *grown[pos].key.get_mut() != EMPTY {
+                pos = (pos + 1) & mask;
+            }
+            grown[pos] = Slot {
+                key: AtomicU64::new(key),
+                id: AtomicU32::new(*slot.id.get_mut()),
+            };
+        }
+        *slots = grown;
+    }
+
+    /// Word `id`, whose chunk its inserter allocated before publishing it.
+    fn arena_word(&self, id: u32) -> &AtomicRecordWord {
+        let (chunk, offset) = locate(id);
+        &self.chunks[chunk]
+            .get()
+            .expect("a published word has its chunk")[offset]
     }
 
     /// Current staleness of `key` (0 when never accessed).
     pub fn staleness_of(&self, key: u64) -> u32 {
-        let shard = self.shard_for(key).read();
-        shard.get(&key).map(|w| w.staleness()).unwrap_or(0)
+        if key == EMPTY {
+            return self.empty_key_word.staleness();
+        }
+        let slots = self.index.read();
+        self.probe(&slots, key)
+            .map_or(0, |id| self.arena_word(id).staleness())
     }
 
     /// Number of keys with a materialised vector clock (the "memory overhead"
     /// the paper mentions when staleness enforcement is disabled).
     pub fn tracked_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.inserted.load(Ordering::Relaxed) as usize
+            + self.empty_key_tracked.load(Ordering::Relaxed) as usize
+    }
+
+    /// Bytes held by the staleness table: the index and every allocated
+    /// arena chunk.
+    fn tracked_bytes(&self) -> usize {
+        let index = self.index.read().len() * std::mem::size_of::<Slot>();
+        let words: usize = self
+            .chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|c| c.len())
+            .sum();
+        index + words * std::mem::size_of::<AtomicRecordWord>()
     }
 
     /// Acquire the record lock for a Get, waiting while the staleness bound
@@ -203,21 +460,17 @@ impl StalenessController {
     /// between that read's miss and the initialiser's write, which would
     /// overwrite it. (The batch path materialises its misses under
     /// [`StalenessController::lock_records`] and a re-checking rmw instead.)
-    pub fn acquire_get(&self, key: u64) -> StorageResult<Option<RecordGuard>> {
+    pub fn acquire_get(&self, key: u64) -> StorageResult<Option<RecordGuard<'_>>> {
         if !self.enabled {
             return Ok(None);
         }
         self.gets.fetch_add(1, Ordering::Relaxed);
-        let word = self.wait_get(key, AtomicRecordWord::try_acquire_get)?;
-        Ok(Some(RecordGuard {
-            word,
-            put: None,
-            mark_replaced: false,
-            released: false,
-        }))
+        let word = self.word(key);
+        self.wait_get(key, word, AtomicRecordWord::try_acquire_get)?;
+        Ok(Some(RecordGuard::new(word, None)))
     }
 
-    /// The waiting core of a Get: retry `attempt` on `key`'s word until it
+    /// The waiting core of a Get: retry `attempt` on `key`'s `word` until it
     /// succeeds, spinning while the record is latched and yielding while the
     /// staleness bound blocks it (counted as a blocked Get, up to the wait
     /// timeout). Stats other than the stall are counted by the callers, so
@@ -225,19 +478,19 @@ impl StalenessController {
     fn wait_get(
         &self,
         key: u64,
+        word: &AtomicRecordWord,
         attempt: fn(&AtomicRecordWord, u32) -> AcquireOutcome,
-    ) -> StorageResult<Arc<AtomicRecordWord>> {
-        let word = self.word(key);
+    ) -> StorageResult<()> {
         let bound = self.mode.bound();
         let mut blocked_since: Option<Instant> = None;
         loop {
-            match attempt(&word, bound) {
+            match attempt(word, bound) {
                 AcquireOutcome::Acquired => {
                     if let Some(since) = blocked_since {
                         self.stall_ns
                             .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
-                    return Ok(word);
+                    return Ok(());
                 }
                 AcquireOutcome::Contended => {
                     std::hint::spin_loop();
@@ -259,12 +512,12 @@ impl StalenessController {
     }
 
     /// Admit a whole batch of Gets in a single controller call: one stats
-    /// update for the batch, then one staleness-counter CAS per key
-    /// ([`AtomicRecordWord::try_admit_get`]). A key waits only while the
-    /// staleness bound blocks it — never on a record latch — so a batch can
-    /// neither deadlock against concurrent writers nor stall behind a Put
-    /// that holds its latch across a slow engine call. Returns immediately
-    /// when enforcement is disabled.
+    /// update and one index lookup for the batch, then one staleness-counter
+    /// CAS per key ([`AtomicRecordWord::try_admit_get`]). A key waits only
+    /// while the staleness bound blocks it — never on a record latch — so a
+    /// batch can neither deadlock against concurrent writers nor stall behind
+    /// a Put that holds its latch across a slow engine call. Returns
+    /// immediately when enforcement is disabled.
     ///
     /// Skipping the latch is sound because it would guard nothing here:
     ///
@@ -290,8 +543,8 @@ impl StalenessController {
             return Ok(());
         }
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        for &key in keys {
-            self.wait_get(key, AtomicRecordWord::try_admit_get)?;
+        for (&key, word) in keys.iter().zip(self.words(keys)) {
+            self.wait_get(key, word, AtomicRecordWord::try_admit_get)?;
         }
         Ok(())
     }
@@ -300,12 +553,12 @@ impl StalenessController {
     /// Put's staleness decrement happens when the guard is released, so hold
     /// it until the update has landed. Returns `None` when enforcement is
     /// disabled.
-    pub fn acquire_put(&self, key: u64) -> StorageResult<Option<RecordGuard>> {
+    pub fn acquire_put(&self, key: u64) -> StorageResult<Option<RecordGuard<'_>>> {
         if !self.enabled {
             return Ok(None);
         }
         self.puts.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(self.lock_put(key)))
+        Ok(Some(lock_put(self.word(key))))
     }
 
     /// Acquire the record locks for a batch of Puts in a single controller
@@ -314,15 +567,15 @@ impl StalenessController {
     /// deadlock against each other; Put acquisitions never wait on the
     /// staleness bound, only on the (always short-lived) record locks.
     /// Returns `None` when enforcement is disabled.
-    pub fn acquire_put_batch(&self, keys: &[u64]) -> StorageResult<Option<Vec<RecordGuard>>> {
+    pub fn acquire_put_batch(&self, keys: &[u64]) -> StorageResult<Option<Vec<RecordGuard<'_>>>> {
         if !self.enabled {
             return Ok(None);
         }
-        let mut unique: Vec<u64> = keys.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
+        let unique = sorted_unique(keys);
         self.puts.fetch_add(unique.len() as u64, Ordering::Relaxed);
-        Ok(Some(unique.into_iter().map(|k| self.lock_put(k)).collect()))
+        Ok(Some(
+            self.words(&unique).into_iter().map(lock_put).collect(),
+        ))
     }
 
     /// Acquire staleness-neutral latches on `keys` (sorted and deduplicated
@@ -330,50 +583,22 @@ impl StalenessController {
     /// concurrent Gets/Puts on those records without touching their vector
     /// clocks — used by maintenance writes such as materialising lazily
     /// initialised records. Returns `None` when enforcement is disabled.
-    pub fn lock_records(&self, keys: &[u64]) -> Option<Vec<RecordGuard>> {
+    pub fn lock_records(&self, keys: &[u64]) -> Option<Vec<RecordGuard<'_>>> {
         if !self.enabled {
             return None;
         }
-        let mut unique: Vec<u64> = keys.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
+        let words = self.words(&sorted_unique(keys));
         Some(
-            unique
+            words
                 .into_iter()
-                .map(|key| {
-                    let word = self.word(key);
-                    loop {
-                        match word.try_acquire_latch() {
-                            AcquireOutcome::Acquired => {
-                                return RecordGuard {
-                                    word,
-                                    put: None,
-                                    mark_replaced: false,
-                                    released: false,
-                                }
-                            }
-                            _ => std::hint::spin_loop(),
-                        }
+                .map(|word| {
+                    while word.try_acquire_latch() != AcquireOutcome::Acquired {
+                        std::hint::spin_loop();
                     }
+                    RecordGuard::new(word, None)
                 })
                 .collect(),
         )
-    }
-
-    /// Spin until the Put lock for `key` is held (stats counted by callers).
-    fn lock_put(&self, key: u64) -> RecordGuard {
-        let word = self.word(key);
-        loop {
-            if let Some(latch) = word.try_acquire_put() {
-                return RecordGuard {
-                    word,
-                    put: Some(latch),
-                    mark_replaced: false,
-                    released: false,
-                };
-            }
-            std::hint::spin_loop();
-        }
     }
 
     /// Aggregate statistics so far.
@@ -383,13 +608,34 @@ impl StalenessController {
             stall_ns: self.stall_ns.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
+            tracked_keys: self.tracked_keys() as u64,
+            tracked_bytes: self.tracked_bytes() as u64,
         }
+    }
+}
+
+/// `keys` sorted and deduplicated: the order batches take latches in.
+fn sorted_unique(keys: &[u64]) -> Vec<u64> {
+    let mut unique = keys.to_vec();
+    unique.sort_unstable();
+    unique.dedup();
+    unique
+}
+
+/// Spin until the Put lock on `word` is held (stats counted by callers).
+fn lock_put(word: &AtomicRecordWord) -> RecordGuard<'_> {
+    loop {
+        if let Some(latch) = word.try_acquire_put() {
+            return RecordGuard::new(word, Some(latch));
+        }
+        std::hint::spin_loop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn mode_mapping_matches_paper() {
@@ -595,5 +841,157 @@ mod tests {
         assert_eq!(ctl.tracked_keys(), 2);
         ctl.acquire_put(1).unwrap().unwrap().release();
         assert_eq!(ctl.staleness_of(1), 1);
+    }
+
+    #[test]
+    fn four_threads_track_a_million_distinct_keys_exactly() {
+        const KEYS: u64 = 1_000_000;
+        let ctl = Arc::new(StalenessController::new(ConsistencyMode::Ssp(10), true));
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let ctl = Arc::clone(&ctl);
+                std::thread::spawn(move || {
+                    // Interleaved keys, so the threads insert side by side.
+                    let keys: Vec<u64> = (t..KEYS).step_by(4).collect();
+                    for batch in keys.chunks(512) {
+                        ctl.admit_get_batch(batch).unwrap();
+                        let puts: Vec<u64> = batch.iter().copied().filter(|k| k % 8 < 4).collect();
+                        drop(ctl.acquire_put_batch(&puts).unwrap());
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(ctl.tracked_keys(), KEYS as usize);
+        for key in 0..KEYS {
+            assert_eq!(ctl.staleness_of(key), (key % 8 >= 4) as u32, "key {key}");
+        }
+        let stats = ctl.stats();
+        assert_eq!((stats.gets, stats.puts), (KEYS, KEYS / 2));
+    }
+
+    #[test]
+    fn threads_inserting_the_same_keys_share_one_word_each() {
+        const KEYS: u64 = 50_000;
+        let ctl = Arc::new(StalenessController::new(ConsistencyMode::Asp, true));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let ctl = Arc::clone(&ctl);
+                std::thread::spawn(move || {
+                    let keys: Vec<u64> = (0..KEYS).collect();
+                    for batch in keys.chunks(256) {
+                        ctl.admit_get_batch(batch).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(ctl.tracked_keys(), KEYS as usize);
+        assert!((0..KEYS).all(|key| ctl.staleness_of(key) == 4));
+    }
+
+    #[test]
+    fn batch_admission_grows_the_table_while_a_put_holds_the_latch() {
+        let ctl = Arc::new(StalenessController::new(ConsistencyMode::Ssp(10), true));
+        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let before = ctl.tracked_bytes();
+        let (done, admitted) = std::sync::mpsc::channel();
+        let admitter = {
+            let ctl = Arc::clone(&ctl);
+            std::thread::spawn(move || {
+                // Far more new keys than a fresh index holds: it must grow.
+                let keys: Vec<u64> = (0..100_000).collect();
+                ctl.admit_get_batch(&keys).unwrap();
+                done.send(()).unwrap();
+            })
+        };
+        // Watchdog: a growth that waits on the latch would hang until the put
+        // is released below.
+        let outcome = admitted.recv_timeout(Duration::from_secs(5));
+        drop(put);
+        admitter.join().unwrap();
+        assert!(outcome.is_ok(), "a growing admission waited on a put latch");
+        assert!(ctl.tracked_bytes() > before, "the index did not grow");
+        assert_eq!(ctl.staleness_of(5), 1);
+        assert_eq!(ctl.tracked_keys(), 100_000);
+    }
+
+    #[test]
+    fn growth_completes_while_a_get_waits_on_the_bound() {
+        let ctl = Arc::new(StalenessController::with_timeout(
+            ConsistencyMode::Bsp,
+            true,
+            Duration::from_secs(5),
+        ));
+        ctl.admit_get_batch(&[5]).unwrap();
+        let waiter = {
+            let ctl = Arc::clone(&ctl);
+            std::thread::spawn(move || ctl.admit_get_batch(&[5]))
+        };
+        while ctl.stats().blocked_gets == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The blocked Get holds no index lock, so a growth goes through.
+        let keys: Vec<u64> = (100..100_000).collect();
+        ctl.admit_get_batch(&keys).unwrap();
+        drop(ctl.acquire_put_batch(&[5]).unwrap());
+        waiter.join().unwrap().unwrap();
+        assert_eq!(ctl.staleness_of(5), 1);
+    }
+
+    #[test]
+    fn a_guard_taken_before_a_growth_releases_the_same_word_after_it() {
+        let ctl = StalenessController::new(ConsistencyMode::Ssp(10), true);
+        ctl.admit_get_batch(&[7]).unwrap();
+        let guard = ctl.acquire_put(7).unwrap().unwrap();
+        let before = ctl.tracked_bytes();
+        ctl.admit_get_batch(&(100..100_000).collect::<Vec<_>>())
+            .unwrap();
+        assert!(ctl.tracked_bytes() > before, "the index did not grow");
+        assert!(ctl.word(7).load().locked);
+        drop(guard);
+        assert!(!ctl.word(7).load().locked);
+        assert_eq!(ctl.staleness_of(7), 0, "the put landed on the same word");
+    }
+
+    #[test]
+    fn keys_zero_and_max_are_tracked_like_any_other_key() {
+        let ctl = StalenessController::new(ConsistencyMode::Ssp(1), true);
+        assert_eq!(ctl.staleness_of(0), 0);
+        assert_eq!(ctl.staleness_of(u64::MAX), 0);
+        assert_eq!(ctl.tracked_keys(), 0);
+        ctl.admit_get_batch(&[0, u64::MAX, 0, u64::MAX]).unwrap();
+        assert_eq!(ctl.staleness_of(0), 2);
+        assert_eq!(ctl.staleness_of(u64::MAX), 2);
+        assert_eq!(ctl.tracked_keys(), 2);
+        drop(ctl.acquire_put_batch(&[u64::MAX, 0]).unwrap());
+        assert_eq!(ctl.staleness_of(0), 1);
+        assert_eq!(ctl.staleness_of(u64::MAX), 1);
+        let guard = ctl.acquire_get(u64::MAX).unwrap().unwrap();
+        assert!(ctl.word(u64::MAX).load().locked);
+        assert!(!ctl.word(0).load().locked);
+        drop(guard);
+        assert!(!ctl.word(u64::MAX).load().locked);
+        assert_eq!(ctl.staleness_of(u64::MAX), 2);
+        assert_eq!(ctl.tracked_keys(), 2);
+    }
+
+    #[test]
+    fn stats_report_the_table_at_most_56_bytes_per_key() {
+        const KEYS: u64 = 200_000;
+        let ctl = StalenessController::new(ConsistencyMode::Asp, true);
+        let keys: Vec<u64> = (0..KEYS).collect();
+        drop(ctl.acquire_put_batch(&keys).unwrap());
+        let stats = ctl.stats();
+        assert_eq!(stats.tracked_keys, KEYS);
+        assert!(
+            stats.tracked_bytes <= 56 * KEYS,
+            "{} B per key",
+            stats.tracked_bytes / KEYS
+        );
     }
 }

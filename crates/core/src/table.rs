@@ -29,7 +29,10 @@ pub struct TableOptions {
     /// Whether bounded-staleness enforcement is active. Disabling it leaves only
     /// the per-key memory overhead, as described in §IV-E.
     pub enforce_staleness: bool,
-    /// Number of background look-ahead workers.
+    /// Number of background look-ahead workers. With 0, no worker thread
+    /// is spawned and `lookahead` promotes nothing: it counts every unique
+    /// key as submitted, completed and skipped, and `wait_for_lookahead`
+    /// returns at once.
     pub lookahead_workers: usize,
     /// Scale of the uniform random initialisation of unseen embeddings.
     pub init_scale: f32,
@@ -93,7 +96,10 @@ impl TableBuilder {
         self
     }
 
-    /// Number of background look-ahead workers.
+    /// Number of background look-ahead workers. With 0, no worker thread
+    /// is spawned and `lookahead` promotes nothing: it counts every unique
+    /// key as submitted, completed and skipped, and `wait_for_lookahead`
+    /// returns at once.
     pub fn lookahead_workers(mut self, workers: usize) -> Self {
         self.options.lookahead_workers = workers;
         self
