@@ -4,9 +4,12 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use mlkv::record_word::AtomicRecordWord;
-use mlkv::{BackendKind, ConsistencyMode, Mlkv, StalenessController};
+use mlkv::{
+    open_store, BackendKind, ConsistencyMode, EmbeddingTable, Mlkv, StalenessController,
+    StoreConfig,
+};
 
 fn bench_record_word(c: &mut Criterion) {
     let mut group = c.benchmark_group("record_word");
@@ -17,10 +20,9 @@ fn bench_record_word(c: &mut Criterion) {
     let word = AtomicRecordWord::new();
     group.bench_function("get_put_cycle", |b| {
         b.iter(|| {
-            let _ = word.try_acquire_get(u32::MAX);
-            word.release(false);
+            let _ = word.try_admit_get(u32::MAX);
             if let Some(latch) = word.try_acquire_put() {
-                word.release_put(latch, false);
+                word.release_put(latch);
             }
         })
     });
@@ -33,20 +35,30 @@ const TRACKED_KEYS: u64 = 200_000;
 /// 2-core Xeon host the numbers in ROADMAP.md were taken on (105 MiB).
 const EVICT_BYTES: usize = 128 << 20;
 
-/// Gather-sized batches: 509 scattered draws each, sorted and deduplicated
-/// as `EmbeddingTable::gather` hands them to the controller.
-fn scattered_batches() -> Vec<Vec<u64>> {
+/// Gather-sized batches: 509 scattered draws each, duplicates included, in
+/// the order a trainer would look them up.
+fn scattered_draws() -> Vec<Vec<u64>> {
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     (0..64)
         .map(|_| {
-            let mut keys: Vec<u64> = (0..509)
+            (0..509)
                 .map(|_| {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
                     x % TRACKED_KEYS
                 })
-                .collect();
+                .collect()
+        })
+        .collect()
+}
+
+/// [`scattered_draws`], sorted and deduplicated as `EmbeddingTable::gather`
+/// hands them to the controller and the engine.
+fn scattered_batches() -> Vec<Vec<u64>> {
+    scattered_draws()
+        .into_iter()
+        .map(|mut keys| {
             keys.sort_unstable();
             keys.dedup();
             keys
@@ -89,6 +101,59 @@ fn bench_admission(c: &mut Criterion) {
         group.bench_function("hot", |b| b.iter(|| run(&ctl, &batches[0])));
         group.finish();
     }
+}
+
+/// A warm gather: `gather_into` of 509 scattered draws over a FASTER table
+/// holding all [`TRACKED_KEYS`] rows in memory, beside the bare engine
+/// `multi_read` of the same unique keys that it wraps. The difference is the
+/// table's own share of a gather: sorting and deduplicating the draws, the
+/// staleness admission, the per-row slots, decoding and copying duplicates.
+fn bench_warm_gather(c: &mut Criterion) {
+    const DIM: usize = 16;
+    let store = open_store(
+        BackendKind::Mlkv,
+        StoreConfig::in_memory()
+            .with_memory_budget(64 << 20)
+            .with_index_buckets(1 << 18),
+    )
+    .unwrap();
+    let table = EmbeddingTable::builder(store)
+        .dim(DIM)
+        .staleness_bound(u32::MAX)
+        .lookahead_workers(0)
+        .build()
+        .unwrap();
+    let keys: Vec<u64> = (0..TRACKED_KEYS).collect();
+    for chunk in keys.chunks(4096) {
+        table
+            .put(chunk, &vec![vec![0.1; DIM]; chunk.len()])
+            .unwrap();
+    }
+    let draws = scattered_draws();
+    let unique = scattered_batches();
+    let mut group = c.benchmark_group("warm_gather");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(600));
+    let mut rows = vec![0.0f32; 509 * DIM];
+    let mut next = 0;
+    group.bench_function("gather_into", |b| {
+        b.iter(|| {
+            next = (next + 1) % draws.len();
+            table.gather_into(&draws[next], &mut rows).unwrap();
+        })
+    });
+    group.bench_function("multi_read", |b| {
+        b.iter(|| {
+            next = (next + 1) % unique.len();
+            let failed = table.store().multi_read(&unique[next], &|i, value| {
+                black_box((i, value.map(<[u8]>::len)));
+            });
+            assert!(failed.is_empty());
+        })
+    });
+    group.finish();
 }
 
 fn bench_table_get(c: &mut Criterion) {
@@ -166,6 +231,7 @@ criterion_group!(
     benches,
     bench_record_word,
     bench_admission,
+    bench_warm_gather,
     bench_table_get,
     bench_lookahead
 );

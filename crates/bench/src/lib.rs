@@ -92,9 +92,9 @@ pub fn default_compute() -> Duration {
 }
 
 /// A [`KvStore`] adapter that runs every operation through MLKV's record-word
-/// protocol (lock + staleness accounting). Used by the Figure 10 YCSB benchmark
-/// to measure the vector-clock overhead of MLKV relative to plain FASTER, as
-/// §IV-E does.
+/// protocol (Get admission, Put latches), a per-key call as a batch of one.
+/// Used by the Figure 10 YCSB benchmark to measure the vector-clock overhead
+/// of MLKV relative to plain FASTER, as §IV-E does.
 pub struct StalenessWrappedStore {
     inner: Arc<dyn KvStore>,
     controller: mlkv::StalenessController,
@@ -119,10 +119,8 @@ impl KvStore for StalenessWrappedStore {
     }
 
     fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
-        let guard = self.controller.acquire_get(key)?;
-        let out = self.inner.get_traced(key);
-        drop(guard);
-        out
+        self.controller.admit_get_batch(&[key])?;
+        self.inner.get_traced(key)
     }
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
@@ -138,16 +136,16 @@ impl KvStore for StalenessWrappedStore {
     }
 
     fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        let guard = self.controller.acquire_put(key)?;
+        let guards = self.controller.acquire_put_batch(&[key])?;
         let out = self.inner.put(key, value);
-        drop(guard);
+        drop(guards);
         out
     }
 
     fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        let guard = self.controller.acquire_put(key)?;
+        let guards = self.controller.acquire_put_batch(&[key])?;
         let out = self.inner.rmw(key, f);
-        drop(guard);
+        drop(guards);
         out
     }
 

@@ -8,19 +8,19 @@
 //! +--------+---------+---------------+--------------+
 //! ```
 //!
-//! * **Locked** — record-level latch bit; acquired by a Put for the duration
-//!   of its update and by a per-key Get for its read. A batch Get admission
+//! * **Locked** — record-level latch bit, taken only by a Put, for the
+//!   duration of its update. A Get never takes it: its admission
 //!   ([`AtomicRecordWord::try_admit_get`]) only bumps the staleness counter.
-//! * **Replaced** — set when the record's memory address has been replaced by
-//!   another thread (e.g. an RCU append or a look-ahead promotion); readers that
-//!   observe it retry through the index.
-//! * **Generation** — 30-bit version counter bumped on every completed update so
-//!   that the latest value is always returned.
+//! * **Replaced** — reserved for a record whose memory address another thread
+//!   has replaced (e.g. an RCU append or a look-ahead promotion), so that
+//!   readers retry through the index. Nothing sets it while the word lives in
+//!   a side table beside the record rather than in its header.
+//! * **Generation** — 30-bit version counter bumped on every completed update.
 //! * **Staleness** — 32-bit counter of reads whose matching update has not yet
-//!   been applied. A Get must wait until `staleness <= bound` before acquiring
-//!   the lock (and then increments it); a Put never waits, and decreases
-//!   staleness only when it releases the latch, once its update has landed —
-//!   so a Get the bound holds back is freed only by a completed Put.
+//!   been applied. A Get is admitted only while `staleness <= bound` (and then
+//!   increments it); a Put never waits on the bound, and decreases staleness
+//!   only when it releases the latch, once its update has landed — so a Get
+//!   the bound holds back is freed only by a completed Put.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,13 +65,11 @@ impl RecordWord {
     }
 }
 
-/// Outcome of one lock-acquisition attempt.
+/// Outcome of one Get admission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcquireOutcome {
-    /// The lock was acquired (the CAS succeeded).
+    /// The Get was admitted (the CAS succeeded).
     Acquired,
-    /// The record is currently locked by another thread; retry.
-    Contended,
     /// The staleness bound blocks this Get; wait until a Put lands.
     StalenessBlocked,
 }
@@ -83,7 +81,7 @@ pub enum AcquireOutcome {
 pub struct PutLatch {
     /// Reads were outstanding when the latch was taken, so this Put is the
     /// update one of them waits for and lowers staleness on release. Decided
-    /// at acquisition: while the latch is held only batch admissions touch
+    /// at acquisition: while the latch is held only Get admissions touch
     /// the counter, and they only raise it, so the release never takes back
     /// a read admitted meanwhile.
     lowers_staleness: bool,
@@ -106,41 +104,10 @@ impl AtomicRecordWord {
         RecordWord::unpack(self.word.load(Ordering::Acquire))
     }
 
-    /// Attempt the Get-side acquisition: requires `staleness <= bound`, the
-    /// record unlocked and not replaced; on success sets Locked and increments
-    /// staleness in a single compare-and-swap.
-    pub fn try_acquire_get(&self, bound: u32) -> AcquireOutcome {
-        let observed = self.word.load(Ordering::Acquire);
-        let cur = RecordWord::unpack(observed);
-        if cur.locked {
-            return AcquireOutcome::Contended;
-        }
-        if cur.staleness > bound {
-            return AcquireOutcome::StalenessBlocked;
-        }
-        let desired = RecordWord {
-            locked: true,
-            replaced: cur.replaced,
-            generation: cur.generation,
-            staleness: cur.staleness.saturating_add(1),
-        };
-        match self.word.compare_exchange(
-            observed,
-            desired.pack(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => AcquireOutcome::Acquired,
-            Err(_) => AcquireOutcome::Contended,
-        }
-    }
-
-    /// Batch Get admission: requires `staleness <= bound` and increments
+    /// Get admission: requires `staleness <= bound` and increments
     /// staleness, leaving Locked, Replaced and Generation as found — a
-    /// latch held by a Put does not delay it. Returns
-    /// [`AcquireOutcome::Acquired`] or [`AcquireOutcome::StalenessBlocked`],
-    /// never `Contended`: a CAS that loses to a concurrent change re-checks
-    /// the fresh word.
+    /// latch held by a Put does not delay it. A CAS that loses to a
+    /// concurrent change re-checks the fresh word.
     pub fn try_admit_get(&self, bound: u32) -> AcquireOutcome {
         let admitted = self
             .word
@@ -189,82 +156,27 @@ impl AtomicRecordWord {
             })
     }
 
-    /// Attempt a staleness-neutral latch acquisition: sets Locked without
-    /// touching the staleness counter. Used for maintenance writes that are
-    /// neither a Get nor a Put in the consistency protocol — e.g. materialising
-    /// a lazily-initialised record — so they exclude concurrent operations on
-    /// the record without perturbing its vector clock.
-    pub fn try_acquire_latch(&self) -> AcquireOutcome {
-        let observed = self.word.load(Ordering::Acquire);
-        let cur = RecordWord::unpack(observed);
-        if cur.locked {
-            return AcquireOutcome::Contended;
-        }
-        let desired = RecordWord {
-            locked: true,
-            ..cur
-        };
-        match self.word.compare_exchange(
-            observed,
-            desired.pack(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => AcquireOutcome::Acquired,
-            Err(_) => AcquireOutcome::Contended,
-        }
-    }
-
-    /// Release the lock after a completed operation: clears Locked, bumps the
-    /// generation (wrapping within its 30 bits) and optionally sets Replaced
-    /// when the operation relocated the record.
-    pub fn release(&self, mark_replaced: bool) {
-        self.finish(mark_replaced, false);
-    }
-
-    /// Release a Put's latch once its update has landed: like
-    /// [`AtomicRecordWord::release`], and in the same compare-and-swap
-    /// decrements staleness when the Put found reads outstanding.
-    pub fn release_put(&self, latch: PutLatch, mark_replaced: bool) {
-        self.finish(mark_replaced, latch.lowers_staleness);
-    }
-
-    fn finish(&self, mark_replaced: bool, lower_staleness: bool) {
-        loop {
-            let observed = self.word.load(Ordering::Acquire);
-            let mut cur = RecordWord::unpack(observed);
-            cur.locked = false;
-            cur.replaced = cur.replaced || mark_replaced;
-            cur.generation = (cur.generation + 1) & (GENERATION_MASK as u32);
-            cur.staleness = cur.staleness.saturating_sub(lower_staleness as u32);
-            if self
-                .word
-                .compare_exchange(observed, cur.pack(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Clear the Replaced bit (done after the index has been re-read and the
-    /// fresh record located).
-    pub fn clear_replaced(&self) {
-        loop {
-            let observed = self.word.load(Ordering::Acquire);
-            let mut cur = RecordWord::unpack(observed);
-            if !cur.replaced {
-                return;
-            }
-            cur.replaced = false;
-            if self
-                .word
-                .compare_exchange(observed, cur.pack(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
-            }
-        }
+    /// Release a Put's latch once its update has landed: clears Locked, bumps
+    /// the generation (wrapping within its 30 bits) and, in the same
+    /// compare-and-swap, decrements staleness when the Put found reads
+    /// outstanding.
+    pub fn release_put(&self, latch: PutLatch) {
+        let lower = latch.lowers_staleness as u32;
+        // The update never refuses, so the result carries nothing.
+        let _ = self
+            .word
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |observed| {
+                let cur = RecordWord::unpack(observed);
+                Some(
+                    RecordWord {
+                        locked: false,
+                        generation: (cur.generation + 1) & (GENERATION_MASK as u32),
+                        staleness: cur.staleness.saturating_sub(lower),
+                        ..cur
+                    }
+                    .pack(),
+                )
+            });
     }
 
     /// Current staleness (number of outstanding reads).
@@ -330,50 +242,32 @@ mod tests {
     #[test]
     fn get_increments_staleness_and_put_decrements() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_acquire_get(4), AcquireOutcome::Acquired);
-        word.release(false);
+        assert_eq!(word.try_admit_get(4), AcquireOutcome::Acquired);
         assert_eq!(word.staleness(), 1);
-        word.release_put(put(&word), false);
+        word.release_put(put(&word));
         assert_eq!(word.staleness(), 0);
-        assert_eq!(word.generation(), 2);
+        assert_eq!(word.generation(), 1, "only a Put bumps the generation");
     }
 
     #[test]
     fn staleness_bound_blocks_gets() {
         let word = AtomicRecordWord::new();
         // Bound 1: two outstanding Gets are allowed (staleness 0 and 1), a third must wait.
-        assert_eq!(word.try_acquire_get(1), AcquireOutcome::Acquired);
-        word.release(false);
-        assert_eq!(word.try_acquire_get(1), AcquireOutcome::Acquired);
-        word.release(false);
-        assert_eq!(word.try_acquire_get(1), AcquireOutcome::StalenessBlocked);
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::StalenessBlocked);
         // A Put unblocks it.
-        word.release_put(put(&word), false);
-        assert_eq!(word.try_acquire_get(1), AcquireOutcome::Acquired);
+        word.release_put(put(&word));
+        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
     }
 
     #[test]
     fn bound_zero_is_bsp() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_acquire_get(0), AcquireOutcome::Acquired);
-        word.release(false);
-        assert_eq!(word.try_acquire_get(0), AcquireOutcome::StalenessBlocked);
-        word.release_put(put(&word), false);
-        assert_eq!(word.try_acquire_get(0), AcquireOutcome::Acquired);
-    }
-
-    #[test]
-    fn latch_excludes_other_operations_without_touching_staleness() {
-        let word = AtomicRecordWord::new();
-        word.try_acquire_get(4);
-        word.release(false);
-        assert_eq!(word.staleness(), 1);
-        assert_eq!(word.try_acquire_latch(), AcquireOutcome::Acquired);
-        assert!(word.try_acquire_put().is_none());
-        assert_eq!(word.try_acquire_get(4), AcquireOutcome::Contended);
-        assert_eq!(word.try_acquire_latch(), AcquireOutcome::Contended);
-        word.release(false);
-        assert_eq!(word.staleness(), 1, "latch must not change staleness");
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::StalenessBlocked);
+        word.release_put(put(&word));
+        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
     }
 
     #[test]
@@ -395,7 +289,7 @@ mod tests {
         );
         // The Put found no read outstanding, so its release keeps the
         // reads admitted meanwhile counted.
-        word.release_put(latch, false);
+        word.release_put(latch);
         assert_eq!(word.staleness(), 2);
         assert!(!word.load().locked);
     }
@@ -408,7 +302,7 @@ mod tests {
         // BSP: the read the Put answers stays outstanding until it lands.
         assert_eq!(word.staleness(), 1);
         assert_eq!(word.try_admit_get(0), AcquireOutcome::StalenessBlocked);
-        word.release_put(latch, false);
+        word.release_put(latch);
         assert_eq!(word.staleness(), 0);
         assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
     }
@@ -416,10 +310,9 @@ mod tests {
     #[test]
     fn locked_record_causes_contention() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_acquire_get(10), AcquireOutcome::Acquired);
-        assert_eq!(word.try_acquire_get(10), AcquireOutcome::Contended);
+        let latch = put(&word);
         assert!(word.try_acquire_put().is_none());
-        word.release(false);
+        word.release_put(latch);
         assert!(word.try_acquire_put().is_some());
     }
 
@@ -427,30 +320,18 @@ mod tests {
     fn put_never_underflows_staleness() {
         let word = AtomicRecordWord::new();
         for _ in 0..3 {
-            word.release_put(put(&word), false);
+            word.release_put(put(&word));
         }
         assert_eq!(word.staleness(), 0);
     }
 
     #[test]
-    fn replaced_bit_set_and_cleared() {
-        let word = AtomicRecordWord::new();
-        word.release_put(put(&word), true);
-        assert!(word.load().replaced);
-        word.clear_replaced();
-        assert!(!word.load().replaced);
-        // Clearing when already clear is a no-op.
-        word.clear_replaced();
-        assert!(!word.load().replaced);
-    }
-
-    #[test]
     fn generation_wraps_within_30_bits() {
         let word = AtomicRecordWord::new();
-        // Fake a generation at the 30-bit maximum, then release once more.
+        // Fake a generation at the 30-bit maximum, then complete one more Put.
         word.word.store(
             RecordWord {
-                locked: true,
+                locked: false,
                 replaced: false,
                 generation: (1 << 30) - 1,
                 staleness: 5,
@@ -458,10 +339,10 @@ mod tests {
             .pack(),
             Ordering::SeqCst,
         );
-        word.release(false);
+        word.release_put(put(&word));
         let cur = word.load();
         assert_eq!(cur.generation, 0);
-        assert_eq!(cur.staleness, 5, "staleness untouched by release");
+        assert_eq!(cur.staleness, 4, "the wrap leaves the counter alone");
     }
 
     #[test]
@@ -473,20 +354,14 @@ mod tests {
             let word = Arc::clone(&word);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    loop {
-                        if word.try_acquire_get(u32::MAX) == AcquireOutcome::Acquired {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    word.release(false);
+                    assert_eq!(word.try_admit_get(u32::MAX), AcquireOutcome::Acquired);
                     let latch = loop {
                         if let Some(latch) = word.try_acquire_put() {
                             break latch;
                         }
                         std::hint::spin_loop();
                     };
-                    word.release_put(latch, false);
+                    word.release_put(latch);
                 }
             }));
         }
@@ -496,6 +371,6 @@ mod tests {
         let final_word = word.load();
         assert_eq!(final_word.staleness, 0);
         assert!(!final_word.locked);
-        assert_eq!(final_word.generation, 800 & ((1 << 30) - 1));
+        assert_eq!(final_word.generation, 400);
     }
 }

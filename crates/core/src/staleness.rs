@@ -12,6 +12,12 @@
 //! spend blocked on the staleness bound — that is exactly the "data stall"
 //! component that Figures 2 and 8 report.
 //!
+//! There is one protocol, and it is batched. A read admits its keys with
+//! [`StalenessController::admit_get_batch`], which waits only on the bound
+//! and takes no latch. A write takes the keys' Put latches with
+//! [`StalenessController::acquire_put_batch`] and holds them across its
+//! engine call. A per-key table call is a batch of one.
+//!
 //! # The staleness table
 //!
 //! The paper keeps the clock in the record's own lock word. Here it lives in
@@ -191,51 +197,22 @@ pub struct StalenessController {
     wait_timeout: Duration,
 }
 
-/// RAII guard for an acquired record lock; releases on drop.
+/// A Put's hold on one record latch, from
+/// [`StalenessController::acquire_put_batch`]; dropping it releases the latch
+/// (and lowers the key's staleness when the Put found reads outstanding), so
+/// hold it until the update has landed.
 #[derive(Debug)]
 pub struct RecordGuard<'a> {
     word: &'a AtomicRecordWord,
-    /// Set for a Put: its release also lowers staleness.
-    put: Option<PutLatch>,
-    mark_replaced: bool,
-    released: bool,
-}
-
-impl<'a> RecordGuard<'a> {
-    fn new(word: &'a AtomicRecordWord, put: Option<PutLatch>) -> Self {
-        Self {
-            word,
-            put,
-            mark_replaced: false,
-            released: false,
-        }
-    }
-
-    /// Mark that the protected operation relocated the record (sets the
-    /// Replaced bit on release).
-    pub fn mark_replaced(&mut self) {
-        self.mark_replaced = true;
-    }
-
-    /// Release explicitly (otherwise happens on drop).
-    pub fn release(mut self) {
-        self.do_release();
-    }
-
-    fn do_release(&mut self) {
-        if !self.released {
-            match self.put.take() {
-                Some(latch) => self.word.release_put(latch, self.mark_replaced),
-                None => self.word.release(self.mark_replaced),
-            }
-            self.released = true;
-        }
-    }
+    /// Taken when the guard drops.
+    latch: Option<PutLatch>,
 }
 
 impl Drop for RecordGuard<'_> {
     fn drop(&mut self) {
-        self.do_release();
+        if let Some(latch) = self.latch.take() {
+            self.word.release_put(latch);
+        }
     }
 }
 
@@ -450,50 +427,21 @@ impl StalenessController {
         index + words * std::mem::size_of::<AtomicRecordWord>()
     }
 
-    /// Acquire the record lock for a Get, waiting while the staleness bound
-    /// blocks it. Returns `None` when enforcement is disabled.
-    ///
-    /// Unlike [`StalenessController::admit_get_batch`], the latch is held
-    /// until the guard drops, across the caller's read: the per-key path
-    /// (`EmbeddingTable::get_one`) lazily initialises a missing key with a
-    /// plain put, and the latch is what keeps a concurrent Put from landing
-    /// between that read's miss and the initialiser's write, which would
-    /// overwrite it. (The batch path materialises its misses under
-    /// [`StalenessController::lock_records`] and a re-checking rmw instead.)
-    pub fn acquire_get(&self, key: u64) -> StorageResult<Option<RecordGuard<'_>>> {
-        if !self.enabled {
-            return Ok(None);
-        }
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let word = self.word(key);
-        self.wait_get(key, word, AtomicRecordWord::try_acquire_get)?;
-        Ok(Some(RecordGuard::new(word, None)))
-    }
-
-    /// The waiting core of a Get: retry `attempt` on `key`'s `word` until it
-    /// succeeds, spinning while the record is latched and yielding while the
-    /// staleness bound blocks it (counted as a blocked Get, up to the wait
-    /// timeout). Stats other than the stall are counted by the callers, so
-    /// batch admissions can amortise them.
-    fn wait_get(
-        &self,
-        key: u64,
-        word: &AtomicRecordWord,
-        attempt: fn(&AtomicRecordWord, u32) -> AcquireOutcome,
-    ) -> StorageResult<()> {
+    /// The waiting core of a Get: retry the admission of `key` on its `word`
+    /// until it succeeds, yielding while the staleness bound blocks it
+    /// (counted as a blocked Get, up to the wait timeout). Stats other than
+    /// the stall are counted by the caller, once per batch.
+    fn wait_get(&self, key: u64, word: &AtomicRecordWord) -> StorageResult<()> {
         let bound = self.mode.bound();
         let mut blocked_since: Option<Instant> = None;
         loop {
-            match attempt(word, bound) {
+            match word.try_admit_get(bound) {
                 AcquireOutcome::Acquired => {
                     if let Some(since) = blocked_since {
                         self.stall_ns
                             .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
                     return Ok(());
-                }
-                AcquireOutcome::Contended => {
-                    std::hint::spin_loop();
                 }
                 AcquireOutcome::StalenessBlocked => {
                     let since = *blocked_since.get_or_insert_with(|| {
@@ -522,7 +470,7 @@ impl StalenessController {
     /// Skipping the latch is sound because it would guard nothing here:
     ///
     /// * The caller reads only once the whole batch is admitted
-    ///   (`EmbeddingTable::gather` then runs one `multi_get`). Holding each
+    ///   (`EmbeddingTable::gather` then runs one `multi_read`). Holding each
     ///   latch until that read would be hold-and-wait against writers, so a
     ///   latch could only be released at admission — and a Put can land
     ///   between admission and read either way.
@@ -544,21 +492,9 @@ impl StalenessController {
         }
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         for (&key, word) in keys.iter().zip(self.words(keys)) {
-            self.wait_get(key, word, AtomicRecordWord::try_admit_get)?;
+            self.wait_get(key, word)?;
         }
         Ok(())
-    }
-
-    /// Acquire the record lock for a Put (never blocks on the bound). The
-    /// Put's staleness decrement happens when the guard is released, so hold
-    /// it until the update has landed. Returns `None` when enforcement is
-    /// disabled.
-    pub fn acquire_put(&self, key: u64) -> StorageResult<Option<RecordGuard<'_>>> {
-        if !self.enabled {
-            return Ok(None);
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(lock_put(self.word(key))))
     }
 
     /// Acquire the record locks for a batch of Puts in a single controller
@@ -576,29 +512,6 @@ impl StalenessController {
         Ok(Some(
             self.words(&unique).into_iter().map(lock_put).collect(),
         ))
-    }
-
-    /// Acquire staleness-neutral latches on `keys` (sorted and deduplicated
-    /// internally, so concurrent batches cannot deadlock). The latches exclude
-    /// concurrent Gets/Puts on those records without touching their vector
-    /// clocks — used by maintenance writes such as materialising lazily
-    /// initialised records. Returns `None` when enforcement is disabled.
-    pub fn lock_records(&self, keys: &[u64]) -> Option<Vec<RecordGuard<'_>>> {
-        if !self.enabled {
-            return None;
-        }
-        let words = self.words(&sorted_unique(keys));
-        Some(
-            words
-                .into_iter()
-                .map(|word| {
-                    while word.try_acquire_latch() != AcquireOutcome::Acquired {
-                        std::hint::spin_loop();
-                    }
-                    RecordGuard::new(word, None)
-                })
-                .collect(),
-        )
     }
 
     /// Aggregate statistics so far.
@@ -626,7 +539,10 @@ fn sorted_unique(keys: &[u64]) -> Vec<u64> {
 fn lock_put(word: &AtomicRecordWord) -> RecordGuard<'_> {
     loop {
         if let Some(latch) = word.try_acquire_put() {
-            return RecordGuard::new(word, Some(latch));
+            return RecordGuard {
+                word,
+                latch: Some(latch),
+            };
         }
         std::hint::spin_loop();
     }
@@ -653,19 +569,19 @@ mod tests {
     #[test]
     fn disabled_controller_never_blocks() {
         let ctl = StalenessController::new(ConsistencyMode::Bsp, false);
+        // Enforced, BSP would hold back every admission after the first.
         for _ in 0..10 {
-            assert!(ctl.acquire_get(1).unwrap().is_none());
+            ctl.admit_get_batch(&[1]).unwrap();
         }
-        assert_eq!(ctl.stats().gets, 0);
-        assert_eq!(ctl.tracked_keys(), 0);
+        assert_eq!(ctl.staleness_of(1), 0);
+        assert_eq!(ctl.stats().blocked_gets, 0);
     }
 
     #[test]
     fn asp_mode_never_blocks() {
         let ctl = StalenessController::new(ConsistencyMode::Asp, true);
         for _ in 0..100 {
-            let guard = ctl.acquire_get(7).unwrap().unwrap();
-            guard.release();
+            ctl.admit_get_batch(&[7]).unwrap();
         }
         assert_eq!(ctl.staleness_of(7), 100);
         assert_eq!(ctl.stats().blocked_gets, 0);
@@ -680,16 +596,15 @@ mod tests {
         ));
         // Three gets allowed (staleness 0,1,2), the fourth blocks.
         for _ in 0..3 {
-            ctl.acquire_get(5).unwrap().unwrap().release();
+            ctl.admit_get_batch(&[5]).unwrap();
         }
         let ctl2 = Arc::clone(&ctl);
         let unblocker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            ctl2.acquire_put(5).unwrap().unwrap().release();
+            drop(ctl2.acquire_put_batch(&[5]).unwrap());
         });
         let start = Instant::now();
-        let guard = ctl.acquire_get(5).unwrap().unwrap();
-        guard.release();
+        ctl.admit_get_batch(&[5]).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(40));
         unblocker.join().unwrap();
         let stats = ctl.stats();
@@ -704,8 +619,8 @@ mod tests {
             true,
             Duration::from_millis(30),
         );
-        ctl.acquire_get(1).unwrap().unwrap().release();
-        let err = ctl.acquire_get(1).unwrap_err();
+        ctl.admit_get_batch(&[1]).unwrap();
+        let err = ctl.admit_get_batch(&[1]).unwrap_err();
         assert!(matches!(err, StorageError::StalenessTimeout { key: 1, .. }));
     }
 
@@ -713,19 +628,10 @@ mod tests {
     fn guard_drop_releases_lock() {
         let ctl = StalenessController::new(ConsistencyMode::Asp, true);
         {
-            let _guard = ctl.acquire_get(3).unwrap().unwrap();
+            let _guards = ctl.acquire_put_batch(&[3]).unwrap().unwrap();
             assert!(ctl.word(3).load().locked);
         }
         assert!(!ctl.word(3).load().locked);
-    }
-
-    #[test]
-    fn mark_replaced_propagates_to_word() {
-        let ctl = StalenessController::new(ConsistencyMode::Asp, true);
-        let mut guard = ctl.acquire_put(9).unwrap().unwrap();
-        guard.mark_replaced();
-        guard.release();
-        assert!(ctl.word(9).load().replaced);
     }
 
     #[test]
@@ -768,7 +674,7 @@ mod tests {
     #[test]
     fn batch_admission_completes_while_a_put_holds_the_latch() {
         let ctl = Arc::new(StalenessController::new(ConsistencyMode::Ssp(10), true));
-        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let put = ctl.acquire_put_batch(&[5]).unwrap().unwrap();
         let (done, admitted) = std::sync::mpsc::channel();
         let admitter = {
             let ctl = Arc::clone(&ctl);
@@ -799,7 +705,7 @@ mod tests {
             Duration::from_secs(5),
         ));
         ctl.admit_get_batch(&[5]).unwrap();
-        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let put = ctl.acquire_put_batch(&[5]).unwrap().unwrap();
         let released = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let admitter = {
             let (ctl, released) = (Arc::clone(&ctl), Arc::clone(&released));
@@ -832,14 +738,14 @@ mod tests {
     #[test]
     fn staleness_is_tracked_per_key() {
         let ctl = StalenessController::new(ConsistencyMode::Ssp(10), true);
-        ctl.acquire_get(1).unwrap().unwrap().release();
-        ctl.acquire_get(1).unwrap().unwrap().release();
-        ctl.acquire_get(2).unwrap().unwrap().release();
+        ctl.admit_get_batch(&[1]).unwrap();
+        ctl.admit_get_batch(&[1]).unwrap();
+        ctl.admit_get_batch(&[2]).unwrap();
         assert_eq!(ctl.staleness_of(1), 2);
         assert_eq!(ctl.staleness_of(2), 1);
         assert_eq!(ctl.staleness_of(3), 0);
         assert_eq!(ctl.tracked_keys(), 2);
-        ctl.acquire_put(1).unwrap().unwrap().release();
+        drop(ctl.acquire_put_batch(&[1]).unwrap());
         assert_eq!(ctl.staleness_of(1), 1);
     }
 
@@ -897,7 +803,7 @@ mod tests {
     #[test]
     fn batch_admission_grows_the_table_while_a_put_holds_the_latch() {
         let ctl = Arc::new(StalenessController::new(ConsistencyMode::Ssp(10), true));
-        let put = ctl.acquire_put(5).unwrap().unwrap();
+        let put = ctl.acquire_put_batch(&[5]).unwrap().unwrap();
         let before = ctl.tracked_bytes();
         let (done, admitted) = std::sync::mpsc::channel();
         let admitter = {
@@ -947,7 +853,7 @@ mod tests {
     fn a_guard_taken_before_a_growth_releases_the_same_word_after_it() {
         let ctl = StalenessController::new(ConsistencyMode::Ssp(10), true);
         ctl.admit_get_batch(&[7]).unwrap();
-        let guard = ctl.acquire_put(7).unwrap().unwrap();
+        let guard = ctl.acquire_put_batch(&[7]).unwrap().unwrap();
         let before = ctl.tracked_bytes();
         ctl.admit_get_batch(&(100..100_000).collect::<Vec<_>>())
             .unwrap();
@@ -971,12 +877,12 @@ mod tests {
         drop(ctl.acquire_put_batch(&[u64::MAX, 0]).unwrap());
         assert_eq!(ctl.staleness_of(0), 1);
         assert_eq!(ctl.staleness_of(u64::MAX), 1);
-        let guard = ctl.acquire_get(u64::MAX).unwrap().unwrap();
+        let guard = ctl.acquire_put_batch(&[u64::MAX]).unwrap().unwrap();
         assert!(ctl.word(u64::MAX).load().locked);
         assert!(!ctl.word(0).load().locked);
         drop(guard);
         assert!(!ctl.word(u64::MAX).load().locked);
-        assert_eq!(ctl.staleness_of(u64::MAX), 2);
+        assert_eq!(ctl.staleness_of(u64::MAX), 0);
         assert_eq!(ctl.tracked_keys(), 2);
     }
 

@@ -12,7 +12,9 @@ pub struct TableStatsSnapshot {
     /// Always 0: every Get is served by the storage engine. Kept until the
     /// benchmark drops its application-cache hit-ratio metric.
     pub cache_hits: u64,
-    /// Keys lazily initialised because they had never been written.
+    /// Unseen keys whose first apply or `rmw_one` started from the
+    /// initialiser, and so stored them. A gather of an unseen key serves the
+    /// initial row without storing it, and is not counted.
     pub initialised: u64,
     /// Nanoseconds spent inside `Get` calls (storage + staleness wait).
     pub get_ns: u64,

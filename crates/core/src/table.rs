@@ -5,8 +5,10 @@
 //! [`EmbeddingTable::gather`] once for its forward pass and
 //! [`EmbeddingTable::apply_gradients`] once for its backward pass, and each of
 //! those performs a single staleness-controller admission and a single batched
-//! storage call — instead of per-key dispatch and per-key locking. Every row a
-//! gather returns comes from the storage engine: [`EmbeddingTable::lookahead`]
+//! storage call — instead of per-key dispatch and per-key locking; a per-key
+//! call is a batch of one. Every row a gather returns comes from the storage
+//! engine, or from the deterministic initialiser when the engine does not
+//! hold the key: a gather never writes, and [`EmbeddingTable::lookahead`]
 //! only promotes records into the engine's memory buffer.
 
 use std::sync::{Arc, Mutex};
@@ -21,6 +23,11 @@ use crate::stats::{TableStats, TableStatsSnapshot};
 
 /// Options controlling an embedding table.
 #[derive(Debug, Clone)]
+///
+/// `dim`, `init_scale` and `seed` are part of the table's identity, and the
+/// table does not persist them. A key that was never applied to or put is
+/// served from the initialiser, so reopening a store with other values serves
+/// other rows for those keys, just as another `dim` breaks every stored row.
 pub struct TableOptions {
     /// Embedding dimension.
     pub dim: usize,
@@ -189,21 +196,19 @@ impl EmbeddingTable {
         &self.store
     }
 
-    /// Fetch the embedding for one key, lazily initialising it when unseen.
-    /// This is the forward-pass path (`Get` in Figure 3, line 9).
+    /// Fetch the embedding for one key (`Get` in Figure 3, line 9): an
+    /// [`EmbeddingTable::gather_into`] of one key, so an unseen key is served
+    /// from the initialiser and is not written.
     pub fn get_one(&self, key: u64) -> StorageResult<Vec<f32>> {
-        let start = Instant::now();
-        let guard = self.controller.acquire_get(key)?;
-        let result = self.read_or_init(key);
-        drop(guard);
-        self.stats.record_get(1, start.elapsed().as_nanos() as u64);
-        result
+        let mut row = vec![0.0; self.options.dim];
+        self.gather_into(&[key], &mut row)?;
+        Ok(row)
     }
 
     /// Fetch embeddings for a batch of keys (order preserved, duplicates
-    /// allowed), lazily initialising unseen keys:
-    /// [`EmbeddingTable::gather_into`] one row-major buffer, split into one
-    /// `Vec` per key.
+    /// allowed): [`EmbeddingTable::gather_into`] one row-major buffer, split
+    /// into one `Vec` per key. An unseen key is served from the initialiser
+    /// and is not written.
     ///
     /// ```
     /// use mlkv::Mlkv;
@@ -229,15 +234,15 @@ impl EmbeddingTable {
 
     /// Fetch embeddings for a batch of keys (duplicates allowed) into `out`,
     /// row-major: key `i`'s embedding lands in `out[i * dim..(i + 1) * dim]`,
-    /// and `out` must hold exactly `keys.len() * dim` values. Unseen keys are
-    /// lazily initialised.
+    /// and `out` must hold exactly `keys.len() * dim` values.
     ///
     /// This is the batch-first forward-pass path: one staleness-controller
-    /// admission for the whole batch, one [`KvStore::multi_read`] — which
+    /// admission for the whole batch and one [`KvStore::multi_read`], which
     /// decodes each unique key once, straight from the engine's bytes into its
-    /// first occurrence's row — and one [`KvStore::multi_rmw`] materialising
-    /// the keys the store does not hold. Later occurrences of a key copy its
-    /// row.
+    /// first occurrence's row. Later occurrences of a key copy its row. A key
+    /// the store does not hold gets its initial row (a pure function of the
+    /// key, `dim`, `init_scale` and `seed`) and is not written: a gather
+    /// never writes, and the key's first apply or put stores it.
     ///
     /// ```
     /// use mlkv::Mlkv;
@@ -297,62 +302,39 @@ impl EmbeddingTable {
     }
 
     /// Read the unique `keys` from the store straight into their `rows` of
-    /// `out`, lazily initialising the keys the store does not hold.
+    /// `out`; a key the store does not hold gets its initial row, and nothing
+    /// is written.
     fn read_rows(&self, keys: &[u64], rows: &[usize], out: &mut [f32]) -> StorageResult<()> {
         let dim = self.options.dim;
         // The engine may visit from several batch-executor workers at once,
         // so every key's row sits behind its own lock: a key is visited once,
         // and no lock is ever contended.
         let mut by_row: Vec<Option<&mut [f32]>> = out.chunks_exact_mut(dim).map(Some).collect();
-        let mut slots: Vec<Mutex<&mut [f32]>> = rows
+        let slots: Vec<Mutex<&mut [f32]>> = rows
             .iter()
             .map(|&row| Mutex::new(by_row[row].take().expect("unique keys own distinct rows")))
             .collect();
-        let misses = Mutex::new((Vec::<usize>::new(), None::<StorageError>));
+        let undecodable = Mutex::new(None::<StorageError>);
         let failed = self.store.multi_read(keys, &|i, value| match value {
             Some(bytes) => {
                 let mut row = slots[i].lock().unwrap_or_else(|e| e.into_inner());
                 if let Err(e) = decode_vector_into(bytes, &mut row) {
-                    let mut misses = misses.lock().unwrap_or_else(|e| e.into_inner());
-                    misses.1.get_or_insert(e);
+                    let mut undecodable = undecodable.lock().unwrap_or_else(|e| e.into_inner());
+                    undecodable.get_or_insert(e);
                 }
             }
-            None => misses.lock().unwrap_or_else(|e| e.into_inner()).0.push(i),
+            None => {
+                let mut row = slots[i].lock().unwrap_or_else(|e| e.into_inner());
+                row.copy_from_slice(&self.initial_row(keys[i]));
+            }
         });
-        let (mut absent, undecodable) = misses.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some((_, e)) = failed.into_iter().min_by_key(|(i, _)| *i) {
             return Err(e);
         }
-        if let Some(e) = undecodable {
-            return Err(e);
+        match undecodable.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        if absent.is_empty() {
-            return Ok(());
-        }
-        // Materialise unseen keys under staleness-neutral record latches,
-        // re-checking inside the rmw: a concurrent writer may have landed
-        // between the read and here, and its value must win over the
-        // initialiser (the per-key path got the same guarantee from holding
-        // the record lock across read+init).
-        absent.sort_unstable();
-        let init_keys: Vec<u64> = absent.iter().map(|&i| keys[i]).collect();
-        let latches = self.controller.lock_records(&init_keys);
-        let (scale, seed) = (self.options.init_scale, self.options.seed);
-        let written = self
-            .store
-            .multi_rmw(&init_keys, &|i, current| match current {
-                Some(bytes) => bytes.to_vec(),
-                None => {
-                    self.stats.record_init();
-                    encode_vector(&init_vector(init_keys[i], dim, scale, seed))
-                }
-            });
-        drop(latches);
-        for (&i, bytes) in absent.iter().zip(written?) {
-            let row = slots[i].get_mut().unwrap_or_else(|e| e.into_inner());
-            decode_vector_into(&bytes, row)?;
-        }
-        Ok(())
     }
 
     /// Fetch embeddings for a batch of keys (alias of
@@ -361,17 +343,10 @@ impl EmbeddingTable {
         self.gather(keys)
     }
 
-    /// Upsert the embedding for one key. This is the backward-pass path (`Put`
-    /// in Figure 3, line 17).
+    /// Upsert the embedding for one key (`Put` in Figure 3, line 17): a
+    /// [`EmbeddingTable::put`] of one key.
     pub fn put_one(&self, key: u64, value: &[f32]) -> StorageResult<()> {
-        self.check_dim(value)?;
-        let start = Instant::now();
-        let guard = self.controller.acquire_put(key)?;
-        let bytes = encode_vector(value);
-        let result = self.store.put(key, &bytes);
-        drop(guard);
-        self.stats.record_put(1, start.elapsed().as_nanos() as u64);
-        result
+        self.put(&[key], &[value.to_vec()])
     }
 
     /// Upsert a batch of embeddings; `keys` and `values` must have equal
@@ -404,20 +379,28 @@ impl EmbeddingTable {
         result
     }
 
-    /// Read-modify-write a single embedding: `f` receives the current vector
-    /// (lazily initialised when unseen) and returns the new one. This maps to
-    /// MLKV's `Rmw` interface used for sparse optimizer updates.
-    pub fn rmw_one(&self, key: u64, f: impl FnOnce(&mut Vec<f32>)) -> StorageResult<Vec<f32>> {
+    /// Read-modify-write one embedding (MLKV's `Rmw`, used for sparse
+    /// optimizer updates): `f` changes the current vector in place — the
+    /// initial row when the key is unseen — and the new vector is returned.
+    /// This is a one-key [`KvStore::multi_rmw`] under the key's Put latch,
+    /// like [`EmbeddingTable::apply_gradients`], so two calls on one key
+    /// never lose an update; the engine may run `f` on another thread. An
+    /// `f` that changes the dimension leaves the stored row as it was (an
+    /// unseen key is stored at its initial row) and returns an error.
+    pub fn rmw_one(&self, key: u64, f: impl Fn(&mut Vec<f32>) + Sync) -> StorageResult<Vec<f32>> {
         let start = Instant::now();
-        let guard = self.controller.acquire_put(key)?;
-        let mut current = self.read_or_init(key)?;
-        f(&mut current);
-        self.check_dim(&current)?;
-        let bytes = encode_vector(&current);
-        self.store.put(key, &bytes)?;
-        drop(guard);
+        let guards = self.controller.acquire_put_batch(&[key])?;
+        let failure = Mutex::new(None);
+        let written = self.store.multi_rmw(&[key], &|_, current| {
+            self.updated_row(key, current, &failure, &f)
+        });
+        drop(guards);
         self.stats.record_put(1, start.elapsed().as_nanos() as u64);
-        Ok(current)
+        let written = written?;
+        if let Some(e) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            return Err(e);
+        }
+        decode_vector(&written[0], self.options.dim)
     }
 
     /// Apply SGD-style gradients: `value -= lr * grad` for each
@@ -425,8 +408,9 @@ impl EmbeddingTable {
     /// "Put(keys, values + optimizer(gradients))" pattern of Figure 3,
     /// executed as one staleness admission (record locks held for the whole
     /// scatter) and one [`KvStore::multi_rmw`].
-    /// Duplicate keys apply their gradients cumulatively in input order;
-    /// unseen keys are lazily initialised before the gradient lands.
+    /// Duplicate keys apply their gradients cumulatively in input order; an
+    /// unseen key starts from the initial row a gather serves for it, and its
+    /// first apply is what stores it.
     ///
     /// ```
     /// use mlkv::Mlkv;
@@ -473,57 +457,73 @@ impl EmbeddingTable {
         // Staleness admission covers only the embedding rows; tag records are
         // internal bookkeeping outside the staleness domain.
         let guards = self.controller.acquire_put_batch(&grad_keys)?;
-        let dim = self.options.dim;
-        let (scale, seed) = (self.options.init_scale, self.options.seed);
-        // The rmw callback cannot return an error, so an undecodable stored row
-        // is left byte-identical and the failure is surfaced after the batch.
-        // A mutex (not a Cell) because the engine may run the callback from
-        // several batch-executor workers.
-        let decode_failure = Mutex::new(None::<u64>);
-        let mut result = self
-            .store
-            .multi_rmw(&keys, &|i, current| {
-                // Positions past the gradient updates are tag records,
-                // written verbatim regardless of what was there before.
-                if i >= updates.len() {
-                    return tags[i - updates.len()].1.clone();
-                }
-                let mut value = match current {
-                    Some(bytes) => match decode_vector(bytes, dim) {
-                        Ok(v) => v,
-                        Err(_) => {
-                            decode_failure
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .get_or_insert(keys[i]);
-                            return bytes.to_vec();
-                        }
-                    },
-                    // Absent keys start from the deterministic initialiser,
-                    // like the per-key read path.
-                    None => {
-                        self.stats.record_init();
-                        init_vector(keys[i], dim, scale, seed)
-                    }
-                };
+        let failure = Mutex::new(None);
+        let result = self.store.multi_rmw(&keys, &|i, current| {
+            // Positions past the gradient updates are tag records, written
+            // verbatim regardless of what was there before.
+            if i >= updates.len() {
+                return tags[i - updates.len()].1.clone();
+            }
+            self.updated_row(keys[i], current, &failure, |value| {
                 for (v, g) in value.iter_mut().zip(updates[i].1) {
                     *v -= lr * g;
                 }
-                encode_vector(&value)
             })
-            .map(|_| ());
-        if result.is_ok() {
-            if let Some(key) = *decode_failure.lock().unwrap_or_else(|e| e.into_inner()) {
-                result = Err(StorageError::Corruption(format!(
-                    "stored embedding for key {key} does not decode to dimension {dim}; \
-                     row left unchanged"
-                )));
-            }
-        }
+        });
         drop(guards);
         self.stats
             .record_put(updates.len() as u64, start.elapsed().as_nanos() as u64);
-        result
+        result?;
+        match failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// The bytes an rmw callback stores for `key` over its stored `current`:
+    /// the row decoded — or the initial row when the store does not hold the
+    /// key — changed by `update`, encoded. The callback cannot return an
+    /// error, so a stored row that does not decode, or an update that changes
+    /// the dimension, keeps the row as it was and notes the failure in
+    /// `failure` for the caller to surface after the batch. A mutex (not a
+    /// Cell) because the engine may run the callback from several
+    /// batch-executor workers.
+    fn updated_row(
+        &self,
+        key: u64,
+        current: Option<&[u8]>,
+        failure: &Mutex<Option<StorageError>>,
+        update: impl FnOnce(&mut Vec<f32>),
+    ) -> Vec<u8> {
+        let dim = self.options.dim;
+        let note = |e| {
+            failure
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get_or_insert(e);
+        };
+        let mut value = match current {
+            Some(bytes) => match decode_vector(bytes, dim) {
+                Ok(v) => v,
+                Err(_) => {
+                    note(StorageError::Corruption(format!(
+                        "stored embedding for key {key} does not decode to dimension {dim}; \
+                         row left unchanged"
+                    )));
+                    return bytes.to_vec();
+                }
+            },
+            None => {
+                self.stats.record_init();
+                self.initial_row(key)
+            }
+        };
+        update(&mut value);
+        if let Err(e) = self.check_dim(&value) {
+            note(e);
+            return current.map_or_else(|| encode_vector(&self.initial_row(key)), <[u8]>::to_vec);
+        }
+        encode_vector(&value)
     }
 
     /// Non-blocking look-ahead prefetch of `keys` into the storage engine's
@@ -543,12 +543,14 @@ impl EmbeddingTable {
         self.controller.staleness_of(key)
     }
 
-    /// True when `key` has a stored embedding.
+    /// True when `key` has a stored embedding: one that was applied to or put.
+    /// A gather of an unseen key does not store it.
     pub fn contains(&self, key: u64) -> StorageResult<bool> {
         self.store.contains(key)
     }
 
-    /// Number of embeddings stored (approximate for log-structured backends).
+    /// Number of embeddings stored: the keys that were applied to or put, not
+    /// the keys only gathered (approximate for log-structured backends).
     pub fn len(&self) -> usize {
         self.store.approximate_len()
     }
@@ -594,23 +596,11 @@ impl EmbeddingTable {
         Ok(())
     }
 
-    /// Read the embedding from the store, lazily initialising it.
-    fn read_or_init(&self, key: u64) -> StorageResult<Vec<f32>> {
-        match self.store.get(key) {
-            Ok(bytes) => decode_vector(&bytes, self.options.dim),
-            Err(e) if e.is_not_found() => {
-                let fresh = init_vector(
-                    key,
-                    self.options.dim,
-                    self.options.init_scale,
-                    self.options.seed,
-                );
-                self.store.put(key, &encode_vector(&fresh))?;
-                self.stats.record_init();
-                Ok(fresh)
-            }
-            Err(e) => Err(e),
-        }
+    /// The row an unseen `key` starts from: a pure function of the key and
+    /// the table's `dim`, `init_scale` and `seed`.
+    fn initial_row(&self, key: u64) -> Vec<f32> {
+        let o = &self.options;
+        init_vector(key, o.dim, o.init_scale, o.seed)
     }
 }
 
@@ -642,10 +632,80 @@ mod tests {
         let a = t.get_one(5).unwrap();
         let b = t.get_one(5).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        assert_eq!(t.stats().initialised, 1);
-        assert!(t.contains(5).unwrap());
-        assert_eq!(t.len(), 1);
+        assert_eq!(
+            a,
+            init_vector(5, 8, t.options().init_scale, t.options().seed)
+        );
+        // Served from the initialiser, not stored.
+        assert_eq!(t.stats().initialised, 0);
+        assert!(!t.contains(5).unwrap());
+        assert_eq!(t.len(), 0);
+    }
+
+    /// A store that serves reads and refuses every write.
+    struct ReadOnlyStore(mlkv_storage::MemStore);
+
+    fn refused() -> StorageError {
+        StorageError::InvalidArgument("this store refuses writes".into())
+    }
+
+    impl KvStore for ReadOnlyStore {
+        fn name(&self) -> &'static str {
+            "read-only"
+        }
+        fn get_traced(&self, key: u64) -> StorageResult<mlkv_storage::kv::ReadResult> {
+            self.0.get_traced(key)
+        }
+        fn put(&self, _: u64, _: &[u8]) -> StorageResult<()> {
+            Err(refused())
+        }
+        fn rmw(&self, _: u64, _: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
+            Err(refused())
+        }
+        fn multi_rmw(
+            &self,
+            _: &[u64],
+            _: &mlkv_storage::BatchRmwFn,
+        ) -> StorageResult<Vec<Vec<u8>>> {
+            Err(refused())
+        }
+        fn write_batch(&self, _: &WriteBatch) -> StorageResult<()> {
+            Err(refused())
+        }
+        fn delete(&self, _: u64) -> StorageResult<()> {
+            Err(refused())
+        }
+        fn approximate_len(&self) -> usize {
+            self.0.approximate_len()
+        }
+        fn metrics(&self) -> Arc<mlkv_storage::StorageMetrics> {
+            self.0.metrics()
+        }
+        fn flush(&self) -> StorageResult<()> {
+            self.0.flush()
+        }
+    }
+
+    #[test]
+    fn a_store_that_refuses_writes_still_serves_unseen_keys() {
+        let inner = mlkv_storage::MemStore::new();
+        inner.put(1, &encode_vector(&[1.0; 4])).unwrap();
+        let t = EmbeddingTable::builder(Arc::new(ReadOnlyStore(inner)))
+            .dim(4)
+            .staleness_bound(u32::MAX)
+            .build()
+            .unwrap();
+        let o = t.options().clone();
+        let init = |k| init_vector(k, 4, o.init_scale, o.seed);
+        assert_eq!(
+            t.gather(&[1, 9, 1, 8]).unwrap(),
+            vec![vec![1.0; 4], init(9), vec![1.0; 4], init(8)]
+        );
+        assert_eq!(t.get_one(7).unwrap(), init(7));
+        assert!(t.apply_gradients(&[(9, &[1.0; 4][..])], 0.5).is_err());
+        assert!(t.rmw_one(9, |_| ()).is_err());
+        assert!(t.put_one(9, &[0.0; 4]).is_err());
+        assert_eq!(t.get_one(9).unwrap(), init(9));
     }
 
     #[test]
@@ -717,11 +777,12 @@ mod tests {
         }
         let keys = vec![3, 900, 3, 0, 901];
         let gathered = t.gather(&keys).unwrap();
-        // 900/901 are lazily initialised exactly like a per-key get would.
+        // 900/901 are served from the initialiser exactly like a per-key get.
         let reference: Vec<Vec<f32>> = keys.iter().map(|k| t.get_one(*k).unwrap()).collect();
         assert_eq!(gathered, reference);
         assert_eq!(gathered[0], gathered[2]);
-        assert_eq!(t.stats().initialised, 2);
+        assert_eq!(t.stats().initialised, 0);
+        assert_eq!(t.len(), 10, "a gather stores nothing");
     }
 
     #[test]
@@ -989,6 +1050,14 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec![1.5; 8]);
         assert_eq!(t.get_one(77).unwrap(), vec![1.5; 8]);
+    }
+
+    #[test]
+    fn rmw_one_that_changes_the_dimension_leaves_the_row() {
+        let t = table(u32::MAX);
+        t.put_one(1, &[1.0; 8]).unwrap();
+        assert!(t.rmw_one(1, |v| v.push(0.0)).is_err());
+        assert_eq!(t.get_one(1).unwrap(), vec![1.0; 8]);
     }
 
     #[test]

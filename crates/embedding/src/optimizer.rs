@@ -2,9 +2,11 @@
 //! sparse embedding updates.
 //!
 //! The embedding-side updates are deliberately simple functions over `&mut [f32]`
-//! so that they can be applied inside `EmbeddingTable::rmw_one` closures — the
-//! storage framework does not need to know which optimizer the application uses,
-//! matching the paper's `Put(keys, values + emb_optimizer(gradients))` pattern.
+//! so that they can be applied inside `EmbeddingTable::rmw_one` closures (which
+//! must be `Fn(&mut Vec<f32>) + Sync`: the engine may run them on a
+//! batch-executor worker) — the storage framework does not need to know which
+//! optimizer the application uses, matching the paper's
+//! `Put(keys, values + emb_optimizer(gradients))` pattern.
 
 use std::collections::HashMap;
 

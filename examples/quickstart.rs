@@ -50,7 +50,7 @@ fn main() -> mlkv::StorageResult<()> {
 
     let stats = model.stats();
     println!(
-        "done: {} gets, {} puts, {} lazily initialised embeddings",
+        "done: {} gets, {} puts, {} embeddings first stored from the initialiser",
         stats.gets, stats.puts, stats.initialised
     );
     Ok(())

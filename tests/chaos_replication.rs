@@ -346,3 +346,46 @@ fn faster_replica_catches_up_via_snapshot_then_promotes() {
 fn lsm_replica_catches_up_via_snapshot_then_promotes() {
     snapshot_catchup(BackendKind::RocksDbLike, "lsm");
 }
+
+/// A replica serves gathers without writing outside the replication stream:
+/// once it has applied every acknowledged op, a gather of written and
+/// never-written keys serves the shadow's rows and leaves the replica's
+/// length and engine write counters where they were.
+#[test]
+fn a_replicas_gather_issues_no_engine_write() {
+    let kind = BackendKind::Faster;
+    let pdir = temp_dir("pure-gather-p");
+    let rdir = temp_dir("pure-gather-r");
+    std::fs::remove_dir_all(&pdir).ok();
+    std::fs::remove_dir_all(&rdir).ok();
+
+    let primary = primary_builder(kind, &pdir).serve("127.0.0.1:0").unwrap();
+    let replica = replica_builder(kind, &rdir, primary.local_addr())
+        .serve("127.0.0.1:0")
+        .unwrap();
+    wait_for_replica(&primary);
+    let mut client = retrying_client(primary.local_addr(), replica.local_addr());
+    for j in 0..OPS {
+        client
+            .apply_with_id(j as u64 + 1, &repl_op(j), LR, None)
+            .unwrap();
+    }
+
+    // Semi-sync: every acknowledged op is already applied on the replica.
+    let table = replica.table();
+    let writes = || {
+        let m = table.store_metrics();
+        (table.len(), m.upserts, m.rmws, m.wal_appends)
+    };
+    let before = writes();
+    // Keys past the universe were never written anywhere.
+    let keys: Vec<u64> = (0..2 * UNIVERSE).collect();
+    assert_eq!(table.gather(&keys).unwrap(), shadow_state(OPS, &keys));
+    assert_eq!(writes(), before, "a replica's gather wrote to its engine");
+    assert_eq!(replica.role(), Role::Replica);
+
+    primary.kill();
+    replica.shutdown().unwrap();
+    std::fs::remove_dir_all(&pdir).ok();
+    std::fs::remove_dir_all(&rdir).ok();
+}

@@ -80,7 +80,7 @@ fn shuffled(keys: &[u64], seed: u64) -> Vec<u64> {
 /// One seeded interleaving of a gatherer racing an updater over the same
 /// (initially unseen) key set. Every key receives exactly one gradient, so
 /// whatever the schedule, the final row must be `init(key) - lr * grad`:
-/// gather's lazy initialisation must never clobber a concurrent update.
+/// a gather serving the initial row must never clobber a concurrent update.
 fn run_lost_update_round(kind: BackendKind, seed: u64) {
     let table = table_for(kind, 0);
     let num_keys = 192u64;
@@ -809,8 +809,9 @@ fn promoter_racing_apply_gradients_ends_byte_identical_to_the_serial_shadow() {
 /// on both sides of `2 × MIN_KEYS_PER_WORKER`, over live, tombstoned and
 /// never-written keys, mostly cold (8 KiB budget). `multi_read` visits every
 /// position exactly once with what `multi_get` returns for it, and every row
-/// `gather_into` (and so `gather`) writes — lazily initialised rows included —
-/// is the row a per-key `get_one` returns on an identically built table.
+/// `gather_into` (and so `gather`) writes — rows served from the initialiser
+/// included — is the row a per-key `get_one` returns on an identically built
+/// table.
 #[test]
 fn multi_read_and_gather_into_match_multi_get_and_per_key_reads() {
     use std::collections::HashMap;
