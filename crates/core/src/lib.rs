@@ -64,7 +64,7 @@ pub mod table;
 pub use backend::{open_store, BackendKind};
 pub use model::{EmbeddingModel, EmbeddingModelBuilder, Mlkv};
 pub use prefetch::{PrefetchStats, Prefetcher};
-pub use record_word::{AcquireOutcome, AtomicRecordWord, PutLatch, RecordWord};
+pub use record_word::{AtomicRecordWord, PutLatch, RecordWord};
 pub use staleness::{ConsistencyMode, StalenessController, StalenessStats};
 pub use stats::{TableStats, TableStatsSnapshot};
 pub use table::{EmbeddingTable, TableBuilder, TableOptions};

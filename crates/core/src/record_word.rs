@@ -65,15 +65,6 @@ impl RecordWord {
     }
 }
 
-/// Outcome of one Get admission attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcquireOutcome {
-    /// The Get was admitted (the CAS succeeded).
-    Acquired,
-    /// The staleness bound blocks this Get; wait until a Put lands.
-    StalenessBlocked,
-}
-
 /// A Put's hold on a record latch, from [`AtomicRecordWord::try_acquire_put`];
 /// hand it back to [`AtomicRecordWord::release_put`].
 #[must_use]
@@ -107,10 +98,10 @@ impl AtomicRecordWord {
     /// Get admission: requires `staleness <= bound` and increments
     /// staleness, leaving Locked, Replaced and Generation as found — a
     /// latch held by a Put does not delay it. A CAS that loses to a
-    /// concurrent change re-checks the fresh word.
-    pub fn try_admit_get(&self, bound: u32) -> AcquireOutcome {
-        let admitted = self
-            .word
+    /// concurrent change re-checks the fresh word. Returns `false` while the
+    /// bound blocks the Get; wait until a Put lands.
+    pub fn try_admit_get(&self, bound: u32) -> bool {
+        self.word
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |observed| {
                 let cur = RecordWord::unpack(observed);
                 (cur.staleness <= bound).then(|| {
@@ -120,11 +111,8 @@ impl AtomicRecordWord {
                     }
                     .pack()
                 })
-            });
-        match admitted {
-            Ok(_) => AcquireOutcome::Acquired,
-            Err(_) => AcquireOutcome::StalenessBlocked,
-        }
+            })
+            .is_ok()
     }
 
     /// Attempt the Put-side acquisition: skips the staleness check entirely (a
@@ -242,7 +230,7 @@ mod tests {
     #[test]
     fn get_increments_staleness_and_put_decrements() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_admit_get(4), AcquireOutcome::Acquired);
+        assert!(word.try_admit_get(4));
         assert_eq!(word.staleness(), 1);
         word.release_put(put(&word));
         assert_eq!(word.staleness(), 0);
@@ -253,21 +241,21 @@ mod tests {
     fn staleness_bound_blocks_gets() {
         let word = AtomicRecordWord::new();
         // Bound 1: two outstanding Gets are allowed (staleness 0 and 1), a third must wait.
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::StalenessBlocked);
+        assert!(word.try_admit_get(1));
+        assert!(word.try_admit_get(1));
+        assert!(!word.try_admit_get(1));
         // A Put unblocks it.
         word.release_put(put(&word));
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
+        assert!(word.try_admit_get(1));
     }
 
     #[test]
     fn bound_zero_is_bsp() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::StalenessBlocked);
+        assert!(word.try_admit_get(0));
+        assert!(!word.try_admit_get(0));
         word.release_put(put(&word));
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+        assert!(word.try_admit_get(0));
     }
 
     #[test]
@@ -275,9 +263,9 @@ mod tests {
         let word = AtomicRecordWord::new();
         let latch = put(&word);
         let held = word.load();
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::Acquired);
-        assert_eq!(word.try_admit_get(1), AcquireOutcome::StalenessBlocked);
+        assert!(word.try_admit_get(1));
+        assert!(word.try_admit_get(1));
+        assert!(!word.try_admit_get(1));
         let admitted = word.load();
         assert_eq!(
             admitted,
@@ -297,14 +285,14 @@ mod tests {
     #[test]
     fn put_lowers_staleness_only_when_it_releases() {
         let word = AtomicRecordWord::new();
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+        assert!(word.try_admit_get(0));
         let latch = put(&word);
         // BSP: the read the Put answers stays outstanding until it lands.
         assert_eq!(word.staleness(), 1);
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::StalenessBlocked);
+        assert!(!word.try_admit_get(0));
         word.release_put(latch);
         assert_eq!(word.staleness(), 0);
-        assert_eq!(word.try_admit_get(0), AcquireOutcome::Acquired);
+        assert!(word.try_admit_get(0));
     }
 
     #[test]
@@ -354,7 +342,7 @@ mod tests {
             let word = Arc::clone(&word);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    assert_eq!(word.try_admit_get(u32::MAX), AcquireOutcome::Acquired);
+                    assert!(word.try_admit_get(u32::MAX));
                     let latch = loop {
                         if let Some(latch) = word.try_acquire_put() {
                             break latch;

@@ -59,7 +59,7 @@ use parking_lot::RwLock;
 
 use mlkv_storage::{StorageError, StorageResult};
 
-use crate::record_word::{AcquireOutcome, AtomicRecordWord, PutLatch};
+use crate::record_word::{AtomicRecordWord, PutLatch};
 
 /// Consistency mode of an embedding model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,38 +427,6 @@ impl StalenessController {
         index + words * std::mem::size_of::<AtomicRecordWord>()
     }
 
-    /// The waiting core of a Get: retry the admission of `key` on its `word`
-    /// until it succeeds, yielding while the staleness bound blocks it
-    /// (counted as a blocked Get, up to the wait timeout). Stats other than
-    /// the stall are counted by the caller, once per batch.
-    fn wait_get(&self, key: u64, word: &AtomicRecordWord) -> StorageResult<()> {
-        let bound = self.mode.bound();
-        let mut blocked_since: Option<Instant> = None;
-        loop {
-            match word.try_admit_get(bound) {
-                AcquireOutcome::Acquired => {
-                    if let Some(since) = blocked_since {
-                        self.stall_ns
-                            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                AcquireOutcome::StalenessBlocked => {
-                    let since = *blocked_since.get_or_insert_with(|| {
-                        self.blocked_gets.fetch_add(1, Ordering::Relaxed);
-                        Instant::now()
-                    });
-                    if since.elapsed() > self.wait_timeout {
-                        self.stall_ns
-                            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        return Err(StorageError::StalenessTimeout { key, bound });
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
     /// Admit a whole batch of Gets in a single controller call: one stats
     /// update and one index lookup for the batch, then one staleness-counter
     /// CAS per key ([`AtomicRecordWord::try_admit_get`]). A key waits only
@@ -491,8 +459,27 @@ impl StalenessController {
             return Ok(());
         }
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let bound = self.mode.bound();
         for (&key, word) in keys.iter().zip(self.words(keys)) {
-            self.wait_get(key, word)?;
+            // Retry while the bound blocks the key, counted as one blocked
+            // Get and failing after the wait timeout.
+            let mut blocked_since: Option<Instant> = None;
+            while !word.try_admit_get(bound) {
+                let since = *blocked_since.get_or_insert_with(|| {
+                    self.blocked_gets.fetch_add(1, Ordering::Relaxed);
+                    Instant::now()
+                });
+                if since.elapsed() > self.wait_timeout {
+                    self.stall_ns
+                        .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    return Err(StorageError::StalenessTimeout { key, bound });
+                }
+                std::thread::yield_now();
+            }
+            if let Some(since) = blocked_since {
+                self.stall_ns
+                    .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
         }
         Ok(())
     }
@@ -575,6 +562,8 @@ mod tests {
         }
         assert_eq!(ctl.staleness_of(1), 0);
         assert_eq!(ctl.stats().blocked_gets, 0);
+        assert_eq!(ctl.stats().gets, 0);
+        assert_eq!(ctl.tracked_keys(), 0);
     }
 
     #[test]

@@ -777,8 +777,17 @@ mod tests {
         }
         let keys = vec![3, 900, 3, 0, 901];
         let gathered = t.gather(&keys).unwrap();
-        // 900/901 are served from the initialiser exactly like a per-key get.
-        let reference: Vec<Vec<f32>> = keys.iter().map(|k| t.get_one(*k).unwrap()).collect();
+        // Expected rows straight from the store; 900/901 were never written
+        // and come from the initialiser.
+        let o = t.options();
+        let reference: Vec<Vec<f32>> = keys
+            .iter()
+            .map(|&k| match t.store().get(k) {
+                Ok(bytes) => decode_vector(&bytes, 8).unwrap(),
+                Err(e) if e.is_not_found() => init_vector(k, 8, o.init_scale, o.seed),
+                Err(e) => panic!("get {k}: {e}"),
+            })
+            .collect();
         assert_eq!(gathered, reference);
         assert_eq!(gathered[0], gathered[2]);
         assert_eq!(t.stats().initialised, 0);
@@ -800,12 +809,11 @@ mod tests {
         let t = table(u32::MAX);
         t.apply_gradients(&[(77, &[0.0; 8][..])], 0.1).unwrap();
         // A zero gradient on an unseen key must land exactly on the
-        // deterministic initialisation the read path would produce.
-        let via_gather = {
-            let fresh = table(u32::MAX);
-            fresh.get_one(77).unwrap()
-        };
-        assert_eq!(t.get_one(77).unwrap(), via_gather);
+        // deterministic initialisation the read path serves.
+        let o = t.options();
+        let stored = decode_vector(&t.store().get(77).unwrap(), 8).unwrap();
+        assert_eq!(stored, init_vector(77, 8, o.init_scale, o.seed));
+        assert_eq!(t.get_one(77).unwrap(), stored);
         assert_eq!(t.stats().initialised, 1);
     }
 

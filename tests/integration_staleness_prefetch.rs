@@ -245,63 +245,51 @@ fn check_staleness_oracle(access: Access, kind: BackendKind, bound: u32) {
     );
 }
 
-/// Two threads each add 1.0 to one key a thousand times with `rmw_one`, and
-/// no addition is lost.
-fn check_concurrent_rmw_one(kind: BackendKind, enforce_staleness: bool) {
-    const ADDS: usize = 1_000;
-    let store = open_store(kind, StoreConfig::in_memory().with_memory_budget(1 << 20)).unwrap();
-    let table = Arc::new(
-        EmbeddingTable::builder(store)
-            .dim(4)
-            .enforce_staleness(enforce_staleness)
-            .init_scale(0.0)
-            .build()
-            .unwrap(),
-    );
-    let workers: Vec<_> = (0..2)
-        .map(|_| {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || {
-                for _ in 0..ADDS {
-                    table
-                        .rmw_one(7, |v| v.iter_mut().for_each(|x| *x += 1.0))
-                        .unwrap();
-                }
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().unwrap();
-    }
-    assert_eq!(
-        table.get_one(7).unwrap(),
-        vec![(2 * ADDS) as f32; 4],
-        "{} (enforcement {enforce_staleness}): an rmw_one was lost",
-        kind.name()
-    );
-}
-
-/// Under staleness enforcement the key's Put latch orders two `rmw_one`s.
-#[test]
-fn rmw_one_loses_no_update_under_put_latches_on_every_engine() {
-    for kind in BackendKind::ALL {
-        check_concurrent_rmw_one(kind, true);
-    }
-}
-
-/// With enforcement off no latch orders them, so the engine's own
-/// read-modify-write must. FASTER is not in the list: its `multi_rmw` reads,
-/// then writes in place or appends, with nothing that orders two callers on
-/// one key, and it relies on the table's Put latch for that (ROADMAP,
-/// "FASTER's read-modify-write is not atomic").
+/// With enforcement off no latch orders two `rmw_one`s on one key, so the
+/// engine's own read-modify-write must: two threads each add 1.0 to one key
+/// a thousand times, and no addition is lost. (Under enforcement the oracle's
+/// per-key cells check every engine.) FASTER is not in the list: its
+/// `multi_rmw` reads, then writes in place or appends, with nothing that
+/// orders two callers on one key, and it relies on the table's Put latch for
+/// that (ROADMAP, "FASTER's read-modify-write is not atomic").
 #[test]
 fn rmw_one_loses_no_update_with_enforcement_off() {
+    const ADDS: usize = 1_000;
     for kind in [
         BackendKind::RocksDbLike,
         BackendKind::WiredTigerLike,
         BackendKind::InMemory,
     ] {
-        check_concurrent_rmw_one(kind, false);
+        let store = open_store(kind, StoreConfig::in_memory().with_memory_budget(1 << 20)).unwrap();
+        let table = Arc::new(
+            EmbeddingTable::builder(store)
+                .dim(4)
+                .enforce_staleness(false)
+                .init_scale(0.0)
+                .build()
+                .unwrap(),
+        );
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let table = Arc::clone(&table);
+                std::thread::spawn(move || {
+                    for _ in 0..ADDS {
+                        table
+                            .rmw_one(7, |v| v.iter_mut().for_each(|x| *x += 1.0))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        assert_eq!(
+            table.get_one(7).unwrap(),
+            vec![(2 * ADDS) as f32; 4],
+            "{}: an rmw_one was lost",
+            kind.name()
+        );
     }
 }
 
