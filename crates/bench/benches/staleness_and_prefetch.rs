@@ -35,9 +35,10 @@ const TRACKED_KEYS: u64 = 200_000;
 /// 2-core Xeon host the numbers in ROADMAP.md were taken on (105 MiB).
 const EVICT_BYTES: usize = 128 << 20;
 
-/// Gather-sized batches: 509 scattered draws each, duplicates included, in
-/// the order a trainer would look them up.
-fn scattered_draws() -> Vec<Vec<u64>> {
+/// Gather-sized batches over a table of `table_keys` keys: 509 scattered
+/// draws each, duplicates included, in the order a trainer would look them
+/// up.
+fn scattered_draws(table_keys: u64) -> Vec<Vec<u64>> {
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     (0..64)
         .map(|_| {
@@ -46,7 +47,7 @@ fn scattered_draws() -> Vec<Vec<u64>> {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    x % TRACKED_KEYS
+                    x % table_keys
                 })
                 .collect()
         })
@@ -55,8 +56,8 @@ fn scattered_draws() -> Vec<Vec<u64>> {
 
 /// [`scattered_draws`], sorted and deduplicated as `EmbeddingTable::gather`
 /// hands them to the controller and the engine.
-fn scattered_batches() -> Vec<Vec<u64>> {
-    scattered_draws()
+fn scattered_batches(table_keys: u64) -> Vec<Vec<u64>> {
+    scattered_draws(table_keys)
         .into_iter()
         .map(|mut keys| {
             keys.sort_unstable();
@@ -74,7 +75,7 @@ fn bench_admission(c: &mut Criterion) {
         ctl.acquire_put_batch(&(0..TRACKED_KEYS).collect::<Vec<_>>())
             .unwrap(),
     );
-    let batches = scattered_batches();
+    let batches = scattered_batches(TRACKED_KEYS);
     let mut evict = vec![0u64; EVICT_BYTES / 8];
     let admit: fn(&StalenessController, &[u64]) = |ctl, keys| ctl.admit_get_batch(keys).unwrap();
     let put: fn(&StalenessController, &[u64]) =
@@ -103,56 +104,84 @@ fn bench_admission(c: &mut Criterion) {
     }
 }
 
-/// A warm gather: `gather_into` of 509 scattered draws over a FASTER table
-/// holding all [`TRACKED_KEYS`] rows in memory, beside the bare engine
-/// `multi_read` of the same unique keys that it wraps. The difference is the
-/// table's own share of a gather: sorting and deduplicating the draws, the
-/// staleness admission, the per-row slots, decoding and copying duplicates.
+/// A warm step over an in-memory FASTER table, at two table sizes (4,000
+/// keys, whose rows stay in the last-level cache, and [`TRACKED_KEYS`]) and
+/// with staleness enforcement on and off:
+///
+/// * `gather_into` of 509 scattered draws;
+/// * `apply_gradients` of the same draws' unique keys;
+/// * the bare engine `multi_read` of those unique keys, which `gather_into`
+///   wraps. The difference is the table's own share of a gather: sorting and
+///   deduplicating the draws, the staleness admission, the per-row slots,
+///   decoding and copying duplicates.
+///
+/// Rows are named `<op>/<table keys>/<enforcement>`, and the engine's
+/// `multi_read/<table keys>`.
 fn bench_warm_gather(c: &mut Criterion) {
     const DIM: usize = 16;
-    let store = open_store(
-        BackendKind::Mlkv,
-        StoreConfig::in_memory()
-            .with_memory_budget(64 << 20)
-            .with_index_buckets(1 << 18),
-    )
-    .unwrap();
-    let table = EmbeddingTable::builder(store)
-        .dim(DIM)
-        .staleness_bound(u32::MAX)
-        .lookahead_workers(0)
-        .build()
-        .unwrap();
-    let keys: Vec<u64> = (0..TRACKED_KEYS).collect();
-    for chunk in keys.chunks(4096) {
-        table
-            .put(chunk, &vec![vec![0.1; DIM]; chunk.len()])
-            .unwrap();
-    }
-    let draws = scattered_draws();
-    let unique = scattered_batches();
     let mut group = c.benchmark_group("warm_gather");
     group
         .sample_size(20)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     let mut rows = vec![0.0f32; 509 * DIM];
-    let mut next = 0;
-    group.bench_function("gather_into", |b| {
-        b.iter(|| {
-            next = (next + 1) % draws.len();
-            table.gather_into(&draws[next], &mut rows).unwrap();
-        })
-    });
-    group.bench_function("multi_read", |b| {
-        b.iter(|| {
-            next = (next + 1) % unique.len();
-            let failed = table.store().multi_read(&unique[next], &|i, value| {
-                black_box((i, value.map(<[u8]>::len)));
+    let gradient = [0.01f32; DIM];
+    for table_keys in [4_000, TRACKED_KEYS] {
+        let draws = scattered_draws(table_keys);
+        let unique = scattered_batches(table_keys);
+        let updates: Vec<Vec<(u64, &[f32])>> = unique
+            .iter()
+            .map(|keys| keys.iter().map(|&k| (k, &gradient[..])).collect())
+            .collect();
+        for enforce in [true, false] {
+            let store = open_store(
+                BackendKind::Mlkv,
+                StoreConfig::in_memory()
+                    .with_memory_budget(64 << 20)
+                    .with_index_buckets(1 << 18),
+            )
+            .unwrap();
+            let table = EmbeddingTable::builder(store)
+                .dim(DIM)
+                .staleness_bound(u32::MAX)
+                .enforce_staleness(enforce)
+                .lookahead_workers(0)
+                .build()
+                .unwrap();
+            let keys: Vec<u64> = (0..table_keys).collect();
+            for chunk in keys.chunks(4096) {
+                table
+                    .put(chunk, &vec![vec![0.1; DIM]; chunk.len()])
+                    .unwrap();
+            }
+            let label = format!("{table_keys}/{}", if enforce { "on" } else { "off" });
+            let mut next = 0;
+            group.bench_function(format!("gather_into/{label}"), |b| {
+                b.iter(|| {
+                    next = (next + 1) % draws.len();
+                    table.gather_into(&draws[next], &mut rows).unwrap();
+                })
             });
-            assert!(failed.is_empty());
-        })
-    });
+            group.bench_function(format!("apply_gradients/{label}"), |b| {
+                b.iter(|| {
+                    next = (next + 1) % updates.len();
+                    table.apply_gradients(&updates[next], 1e-3).unwrap();
+                })
+            });
+            if !enforce {
+                // The engine read does not depend on the table's enforcement.
+                group.bench_function(format!("multi_read/{table_keys}"), |b| {
+                    b.iter(|| {
+                        next = (next + 1) % unique.len();
+                        let failed = table.store().multi_read(&unique[next], &|i, value| {
+                            black_box((i, value.map(<[u8]>::len)));
+                        });
+                        assert!(failed.is_empty());
+                    })
+                });
+            }
+        }
+    }
     group.finish();
 }
 

@@ -70,8 +70,8 @@ impl EmbeddingModelBuilder {
         self
     }
 
-    /// Disable bounded-staleness enforcement entirely (leaves only the per-key
-    /// memory overhead, see §IV-E).
+    /// Disable bounded-staleness enforcement entirely: no waiting, latching or
+    /// counting, and no per-key state (see §IV-E).
     pub fn disable_staleness_enforcement(mut self) -> Self {
         self.options.enforce_staleness = false;
         self

@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use mlkv_storage::{StorageError, StorageResult};
+use mlkv_storage::{prefetch, StorageError, StorageResult};
 
 use crate::record_word::{AtomicRecordWord, PutLatch};
 
@@ -218,8 +218,8 @@ impl Drop for RecordGuard<'_> {
 
 impl StalenessController {
     /// Create a controller for `mode`. When `enabled` is false the controller
-    /// does no locking or waiting at all (the paper's "user disables bounded
-    /// staleness consistency" case — memory overhead only).
+    /// does no locking, waiting or counting at all and tracks no key (the
+    /// paper's "user disables bounded staleness consistency" case).
     pub fn new(mode: ConsistencyMode, enabled: bool) -> Self {
         Self::with_timeout(mode, enabled, Duration::from_secs(10))
     }
@@ -260,11 +260,16 @@ impl StalenessController {
 
     /// The vector clocks of `keys`, in order, creating missing ones: one read
     /// lock of the index for the batch and one probe per key, released before
-    /// the caller touches a word (the lock rule in the module docs).
+    /// the caller touches a word (the lock rule in the module docs). Every
+    /// key's home slot is prefetched before the first probe, so the probes'
+    /// misses overlap.
     fn words(&self, keys: &[u64]) -> Vec<&AtomicRecordWord> {
         let mut words = Vec::with_capacity(keys.len());
         loop {
             let slots = self.index.read();
+            for &key in &keys[words.len()..] {
+                prefetch(&slots[home(key, slots.len())]);
+            }
             // Room this batch has reserved and not yet used.
             let mut room = 0;
             let mut short = None;
@@ -407,8 +412,8 @@ impl StalenessController {
             .map_or(0, |id| self.arena_word(id).staleness())
     }
 
-    /// Number of keys with a materialised vector clock (the "memory overhead"
-    /// the paper mentions when staleness enforcement is disabled).
+    /// Number of keys with a materialised vector clock. A disabled
+    /// controller's admissions and Put batches track no key, so it stays 0.
     pub fn tracked_keys(&self) -> usize {
         self.inserted.load(Ordering::Relaxed) as usize
             + self.empty_key_tracked.load(Ordering::Relaxed) as usize
@@ -460,7 +465,9 @@ impl StalenessController {
         }
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let bound = self.mode.bound();
-        for (&key, word) in keys.iter().zip(self.words(keys)) {
+        let words = self.words(keys);
+        prefetch_all(&words);
+        for (&key, word) in keys.iter().zip(words) {
             // Retry while the bound blocks the key, counted as one blocked
             // Get and failing after the wait timeout.
             let mut blocked_since: Option<Instant> = None;
@@ -496,9 +503,9 @@ impl StalenessController {
         }
         let unique = sorted_unique(keys);
         self.puts.fetch_add(unique.len() as u64, Ordering::Relaxed);
-        Ok(Some(
-            self.words(&unique).into_iter().map(lock_put).collect(),
-        ))
+        let words = self.words(&unique);
+        prefetch_all(&words);
+        Ok(Some(words.into_iter().map(lock_put).collect()))
     }
 
     /// Aggregate statistics so far.
@@ -520,6 +527,15 @@ fn sorted_unique(keys: &[u64]) -> Vec<u64> {
     unique.sort_unstable();
     unique.dedup();
     unique
+}
+
+/// Prefetch every word of a batch before its compare-and-swap loop: each CAS
+/// waits for every earlier load, so without this the words' misses are paid
+/// one after another.
+fn prefetch_all(words: &[&AtomicRecordWord]) {
+    for &word in words {
+        prefetch(word);
+    }
 }
 
 /// Spin until the Put lock on `word` is held (stats counted by callers).

@@ -33,8 +33,9 @@ pub struct TableOptions {
     pub dim: usize,
     /// Staleness bound (0 = BSP, `u32::MAX` = ASP, otherwise SSP).
     pub staleness_bound: u32,
-    /// Whether bounded-staleness enforcement is active. Disabling it leaves only
-    /// the per-key memory overhead, as described in §IV-E.
+    /// Whether bounded-staleness enforcement is active. Disabled, the table
+    /// neither waits, latches nor counts, and tracks no key: the staleness
+    /// table stays empty.
     pub enforce_staleness: bool,
     /// Number of background look-ahead workers. With 0, no worker thread
     /// is spawned and `lookahead` promotes nothing: it counts every unique
@@ -96,8 +97,8 @@ impl TableBuilder {
         self
     }
 
-    /// Enable or disable bounded-staleness enforcement (disabling leaves only
-    /// the per-key memory overhead, §IV-E).
+    /// Enable or disable bounded-staleness enforcement (disabled, the table
+    /// tracks no key and keeps no per-key state, §IV-E).
     pub fn enforce_staleness(mut self, enforce: bool) -> Self {
         self.options.enforce_staleness = enforce;
         self

@@ -226,6 +226,14 @@ impl HashIndex {
         }
     }
 
+    /// Start loading `key`'s bucket into the cache, so that a later
+    /// [`HashIndex::head`] of it finds the line on its way (a batch
+    /// prefetches every key's bucket before it walks the first).
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        mlkv_storage::prefetch(&self.buckets[self.bucket_of(key)]);
+    }
+
     /// Current chain head for `key`: the newest record of its (bucket, tag).
     pub fn head(&self, key: u64) -> Address {
         self.locate(key, None)

@@ -38,7 +38,9 @@ const SPECULATIVE_COLD_READ: usize = 512;
 struct Frame {
     /// Log page index currently resident in this frame, or [`NO_PAGE`].
     page_index: u64,
-    data: Vec<u8>,
+    /// The page's bytes. A boxed slice is never reallocated, so the address
+    /// [`HybridLog`] records for it at construction stays the frame's.
+    data: Box<[u8]>,
     dirty: bool,
 }
 
@@ -49,6 +51,10 @@ pub struct HybridLog {
     num_frames: usize,
     mutable_bytes: u64,
     frames: Vec<RwLock<Frame>>,
+    /// Address of each frame's `data`, taken at construction, so a batch can
+    /// prefetch a record's lines without the frame lock
+    /// ([`HybridLog::prefetch_record`]).
+    frame_bases: Box<[usize]>,
     tail: AtomicU64,
     head: AtomicU64,
     read_only: AtomicU64,
@@ -77,20 +83,26 @@ impl HybridLog {
         }
         let num_frames = (memory_budget / page_size).max(2);
         let mutable_bytes = ((num_frames * page_size) / 2).max(page_size) as u64;
+        let frames: Vec<RwLock<Frame>> = (0..num_frames)
+            .map(|_| {
+                RwLock::new(Frame {
+                    page_index: NO_PAGE,
+                    data: vec![0; page_size].into_boxed_slice(),
+                    dirty: false,
+                })
+            })
+            .collect();
+        let frame_bases = frames
+            .iter()
+            .map(|frame| frame.read().data.as_ptr() as usize)
+            .collect();
         let log = Self {
             device,
             page_size,
             num_frames,
             mutable_bytes,
-            frames: (0..num_frames)
-                .map(|_| {
-                    RwLock::new(Frame {
-                        page_index: NO_PAGE,
-                        data: vec![0; page_size],
-                        dirty: false,
-                    })
-                })
-                .collect(),
+            frames,
+            frame_bases,
             tail: AtomicU64::new(Address::FIRST_VALID),
             head: AtomicU64::new(0),
             read_only: AtomicU64::new(0),
@@ -295,6 +307,20 @@ impl HybridLog {
         }
         let record = RecordRef::decode(&frame.data[offset..offset + total])?;
         Ok(Some(f(record, self.region_of(addr))))
+    }
+
+    /// Start loading the lines [`HybridLog::with_record_memory`] will touch
+    /// for `addr`: the frame's lock and the record's first two lines (its
+    /// header and the start of its value). A hint only: a frame evicted or
+    /// reused meanwhile is still read under its lock and its `page_index`
+    /// check, and a line past the frame's end is never read.
+    #[inline]
+    pub fn prefetch_record(&self, addr: Address) {
+        let slot = (addr.page(self.page_size) % self.num_frames as u64) as usize;
+        mlkv_storage::prefetch(&self.frames[slot]);
+        let at = self.frame_bases[slot] + addr.offset_in_page(self.page_size);
+        mlkv_storage::prefetch(at as *const u8);
+        mlkv_storage::prefetch((at + 64) as *const u8);
     }
 
     /// Reject invalid or not-yet-allocated addresses.
@@ -803,6 +829,32 @@ mod tests {
         let hot = *addrs.last().unwrap();
         assert!(log.read_record_memory(hot).unwrap().is_some());
         assert!(log.read_record_memory(Address::INVALID).is_err());
+    }
+
+    #[test]
+    fn frame_bases_stay_put_through_eviction_and_recovery() {
+        let log = new_log(1024, 256);
+        let bases_hold = |log: &HybridLog| {
+            log.frames
+                .iter()
+                .zip(log.frame_bases.iter())
+                .all(|(frame, &base)| frame.read().data.as_ptr() as usize == base)
+        };
+        // Append until every frame has been evicted twice: the head is
+        // past two frames' worth of pages.
+        let mut k = 0;
+        while log.head().raw() < 2 * log.num_frames() as u64 * 256 {
+            append_record(&log, k, &[k as u8; 64]);
+            k += 1;
+        }
+        assert!(bases_hold(&log), "a frame's data moved on eviction");
+        log.flush_all().unwrap();
+        let (tail, head, ro) = (log.tail().raw(), log.head().raw(), log.read_only().raw());
+        log.restore_boundaries(tail, head, ro);
+        assert!(bases_hold(&log), "a frame's data moved on recovery");
+        // The recovered tail page still reads through its frame.
+        let last = Address::new(tail - Record::len_for_value(64) as u64);
+        assert!(log.read_record_memory(last).unwrap().is_some());
     }
 
     #[test]

@@ -374,6 +374,11 @@ impl FasterKv {
         mut take: impl FnMut(&Range<usize>, &[u8], ReadSource) -> V,
     ) -> Vec<Resolution<V>> {
         let mut out: Vec<Resolution<V>> = Vec::new();
+        // Request every key's bucket before the first head lookup, so the
+        // lookups' misses overlap instead of queueing behind each other.
+        for &i in order {
+            self.index.prefetch(keys[i]);
+        }
         let mut start = 0;
         for occurrences in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
             let key = keys[occurrences[0]];
@@ -422,7 +427,12 @@ impl FasterKv {
             });
             // Memory phase: follow each resident chain until it resolves or
             // leaves the in-memory window (then it joins the next round's
-            // scatter).
+            // scatter). Every cursor's frame lock and record are requested
+            // first: each visit ends in the frame lock's atomics, which would
+            // otherwise hold the next cursor's loads back.
+            for &(_, addr) in &mem {
+                self.log.prefetch_record(addr);
+            }
             for (d, mut addr) in mem {
                 while !addr.is_invalid() {
                     let step = self.log.with_record_memory(addr, |record, source| {

@@ -22,6 +22,8 @@
 //!   I/O alongside throughput.
 //! * [`BatchExecutor`] — the shard-parallel worker pool every engine routes its
 //!   batched operations through, so one large `gather` saturates every core.
+//! * [`prefetch`] — a CPU cache hint, so a batch can request every line it
+//!   will touch before the pass that touches them.
 //!
 //! Everything here is synchronous and thread-safe; the asynchrony the paper relies
 //! on (look-ahead prefetching) is layered on top in the `mlkv` crate.
@@ -31,6 +33,7 @@ pub mod config;
 pub mod device;
 pub mod error;
 pub mod exec;
+pub mod hint;
 pub mod io;
 pub mod kv;
 pub mod memstore;
@@ -50,6 +53,7 @@ pub use device::{
 };
 pub use error::{StorageError, StorageResult};
 pub use exec::BatchExecutor;
+pub use hint::prefetch;
 pub use io::{IoPlanner, PendingRead, ReadReq};
 pub use kv::{BatchReadFn, BatchRmwFn, KvStore, RmwFn, WriteBatch};
 pub use memstore::MemStore;
