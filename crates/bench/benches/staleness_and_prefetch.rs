@@ -2,6 +2,7 @@
 //! staleness protocol (cost of the vector clock, §IV-E) and look-ahead
 //! prefetching (cost/benefit of promoting cold records, §IV-D).
 
+use std::sync::mpsc::{self, TryRecvError};
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
@@ -116,12 +117,19 @@ fn bench_admission(c: &mut Criterion) {
 ///   decoding and copying duplicates.
 ///
 /// Rows are named `<op>/<table keys>/<enforcement>`, and the engine's
-/// `multi_read/<table keys>`.
+/// `multi_read/<table keys>`. One more row,
+/// `apply_gradients/cross_thread/<TRACKED_KEYS>` (enforcement on), times the
+/// apply the way an asynchronous applier meets it: before each apply a
+/// helper thread writes the gradients and gathers the rows, so their lines
+/// sit in another core's cache, as they do after a trainer's step. The other
+/// rows find every line already in the bench thread's cache.
 fn bench_warm_gather(c: &mut Criterion) {
     const DIM: usize = 16;
     let mut group = c.benchmark_group("warm_gather");
+    // The cross-thread row takes one sample per setup, up to this many within
+    // the measurement window.
     group
-        .sample_size(20)
+        .sample_size(500)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     let mut rows = vec![0.0f32; 509 * DIM];
@@ -168,6 +176,50 @@ fn bench_warm_gather(c: &mut Criterion) {
                     table.apply_gradients(&updates[next], 1e-3).unwrap();
                 })
             });
+            if enforce && table_keys == TRACKED_KEYS {
+                group.bench_function(format!("apply_gradients/cross_thread/{table_keys}"), |b| {
+                    let (to_helper, requests) = mpsc::channel::<usize>();
+                    let (to_bench, replies) = mpsc::channel::<Vec<Vec<f32>>>();
+                    let (table, draws, unique) = (&table, &draws, &unique);
+                    std::thread::scope(|scope| {
+                        // The helper polls rather than blocks, so it keeps a
+                        // core of its own and the bench thread keeps the other.
+                        scope.spawn(move || loop {
+                            match requests.try_recv() {
+                                Ok(n) => {
+                                    let mut rows = vec![0.0f32; draws[n].len() * DIM];
+                                    table.gather_into(&draws[n], &mut rows).unwrap();
+                                    black_box(&rows);
+                                    // One allocation per row, as a trainer
+                                    // hands them over: no sequential stream
+                                    // for the hardware prefetcher to follow.
+                                    let gradients = unique[n].iter().map(|_| vec![0.01f32; DIM]);
+                                    to_bench.send(gradients.collect()).unwrap();
+                                }
+                                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                                Err(TryRecvError::Disconnected) => break,
+                            }
+                        });
+                        b.iter_batched(
+                            || {
+                                next = (next + 1) % unique.len();
+                                to_helper.send(next).unwrap();
+                                (&unique[next], replies.recv().unwrap())
+                            },
+                            |(keys, gradients)| {
+                                let updates: Vec<(u64, &[f32])> = keys
+                                    .iter()
+                                    .copied()
+                                    .zip(gradients.iter().map(Vec::as_slice))
+                                    .collect();
+                                table.apply_gradients(&updates, 1e-3).unwrap();
+                            },
+                            BatchSize::PerIteration,
+                        );
+                        drop(to_helper);
+                    });
+                });
+            }
             if !enforce {
                 // The engine read does not depend on the table's enforcement.
                 group.bench_function(format!("multi_read/{table_keys}"), |b| {

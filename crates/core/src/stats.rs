@@ -13,8 +13,10 @@ pub struct TableStatsSnapshot {
     /// benchmark drops its application-cache hit-ratio metric.
     pub cache_hits: u64,
     /// Unseen keys whose first apply or `rmw_one` started from the
-    /// initialiser, and so stored them. A gather of an unseen key serves the
-    /// initial row without storing it, and is not counted.
+    /// initialiser, and so stored them, counted when their batch succeeds. A
+    /// failed batch counts none, not even the keys it wrote before its
+    /// failing write. A gather of an unseen key serves the initial row
+    /// without storing it, and is not counted.
     pub initialised: u64,
     /// Nanoseconds spent inside `Get` calls (storage + staleness wait).
     pub get_ns: u64,
@@ -48,8 +50,8 @@ impl TableStats {
         self.put_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_init(&self) {
-        self.initialised.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_inits(&self, n: u64) {
+        self.initialised.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Take a snapshot of all counters.
@@ -88,7 +90,7 @@ mod tests {
         let stats = TableStats::new();
         stats.record_get(10, 1000);
         stats.record_put(5, 500);
-        stats.record_init();
+        stats.record_inits(1);
         let first = stats.snapshot();
         assert_eq!(first.gets, 10);
         assert_eq!(first.puts, 5);

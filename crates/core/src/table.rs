@@ -11,6 +11,7 @@
 //! hold the key: a gather never writes, and [`EmbeddingTable::lookahead`]
 //! only promotes records into the engine's memory buffer.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -134,6 +135,39 @@ impl TableBuilder {
     /// Build the table.
     pub fn build(self) -> StorageResult<EmbeddingTable> {
         EmbeddingTable::from_options(self.store, self.options)
+    }
+}
+
+/// What a batch's rmw callbacks note for their caller, which reads it once
+/// the engine's `multi_rmw` has returned: the first failure a callback could
+/// not return, and how many unseen keys started from the initialiser. Shared,
+/// not per-call state, because the engine may run the callbacks from several
+/// batch-executor workers.
+#[derive(Default)]
+struct RmwNotes {
+    failure: Mutex<Option<StorageError>>,
+    initialised: AtomicU64,
+}
+
+impl RmwNotes {
+    /// Keep `e` unless an earlier failure was noted.
+    fn fail(&self, e: StorageError) {
+        self.failure
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get_or_insert(e);
+    }
+
+    /// Close a batch whose `multi_rmw` succeeded: count its initialised keys
+    /// and surface the first noted failure. A batch whose `multi_rmw` failed
+    /// counts none — its callbacks ran ahead of writes that may not have
+    /// landed.
+    fn finish(self, stats: &TableStats) -> StorageResult<()> {
+        stats.record_inits(self.initialised.into_inner());
+        match self.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
@@ -391,16 +425,14 @@ impl EmbeddingTable {
     pub fn rmw_one(&self, key: u64, f: impl Fn(&mut Vec<f32>) + Sync) -> StorageResult<Vec<f32>> {
         let start = Instant::now();
         let guards = self.controller.acquire_put_batch(&[key])?;
-        let failure = Mutex::new(None);
+        let notes = RmwNotes::default();
         let written = self.store.multi_rmw(&[key], &|_, current| {
-            self.updated_row(key, current, &failure, &f)
+            self.updated_row(key, current, &notes, &f)
         });
         drop(guards);
         self.stats.record_put(1, start.elapsed().as_nanos() as u64);
         let written = written?;
-        if let Some(e) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
+        notes.finish(&self.stats)?;
         decode_vector(&written[0], self.options.dim)
     }
 
@@ -455,17 +487,23 @@ impl EmbeddingTable {
         let grad_keys: Vec<u64> = updates.iter().map(|(k, _)| *k).collect();
         let mut keys = grad_keys.clone();
         keys.extend(tags.iter().map(|(k, _)| *k));
+        // An asynchronous applier reads gradients that the trainer's core has
+        // just written: request all their lines now, so the callbacks' reads
+        // overlap instead of each waiting on the other core in turn.
+        for (_, grad) in updates {
+            mlkv_storage::prefetch_slice(grad);
+        }
         // Staleness admission covers only the embedding rows; tag records are
         // internal bookkeeping outside the staleness domain.
         let guards = self.controller.acquire_put_batch(&grad_keys)?;
-        let failure = Mutex::new(None);
+        let notes = RmwNotes::default();
         let result = self.store.multi_rmw(&keys, &|i, current| {
             // Positions past the gradient updates are tag records, written
             // verbatim regardless of what was there before.
             if i >= updates.len() {
                 return tags[i - updates.len()].1.clone();
             }
-            self.updated_row(keys[i], current, &failure, |value| {
+            self.updated_row(keys[i], current, &notes, |value| {
                 for (v, g) in value.iter_mut().zip(updates[i].1) {
                     *v -= lr * g;
                 }
@@ -475,10 +513,7 @@ impl EmbeddingTable {
         self.stats
             .record_put(updates.len() as u64, start.elapsed().as_nanos() as u64);
         result?;
-        match failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        notes.finish(&self.stats)
     }
 
     /// The bytes an rmw callback stores for `key` over its stored `current`:
@@ -486,28 +521,20 @@ impl EmbeddingTable {
     /// key — changed by `update`, encoded. The callback cannot return an
     /// error, so a stored row that does not decode, or an update that changes
     /// the dimension, keeps the row as it was and notes the failure in
-    /// `failure` for the caller to surface after the batch. A mutex (not a
-    /// Cell) because the engine may run the callback from several
-    /// batch-executor workers.
+    /// `notes` for the caller to surface after the batch.
     fn updated_row(
         &self,
         key: u64,
         current: Option<&[u8]>,
-        failure: &Mutex<Option<StorageError>>,
+        notes: &RmwNotes,
         update: impl FnOnce(&mut Vec<f32>),
     ) -> Vec<u8> {
         let dim = self.options.dim;
-        let note = |e| {
-            failure
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get_or_insert(e);
-        };
         let mut value = match current {
             Some(bytes) => match decode_vector(bytes, dim) {
                 Ok(v) => v,
                 Err(_) => {
-                    note(StorageError::Corruption(format!(
+                    notes.fail(StorageError::Corruption(format!(
                         "stored embedding for key {key} does not decode to dimension {dim}; \
                          row left unchanged"
                     )));
@@ -515,13 +542,13 @@ impl EmbeddingTable {
                 }
             },
             None => {
-                self.stats.record_init();
+                notes.initialised.fetch_add(1, Ordering::Relaxed);
                 self.initial_row(key)
             }
         };
         update(&mut value);
         if let Err(e) = self.check_dim(&value) {
-            note(e);
+            notes.fail(e);
             return current.map_or_else(|| encode_vector(&self.initial_row(key)), <[u8]>::to_vec);
         }
         encode_vector(&value)
@@ -816,6 +843,55 @@ mod tests {
         assert_eq!(stored, init_vector(77, 8, o.init_scale, o.seed));
         assert_eq!(t.get_one(77).unwrap(), stored);
         assert_eq!(t.stats().initialised, 1);
+    }
+
+    /// A batch whose write pass fails part-way — an append must flush a log
+    /// page to a device that fails writes — counts no initialised key: its
+    /// callbacks ran for the whole range before the first write, so the keys
+    /// they started from the initialiser were not all stored. `len()` counts
+    /// the keys stored before the failing write, not the one that failed.
+    /// The retry on the healed device counts exactly the keys it stores.
+    #[test]
+    fn failed_apply_counts_no_initialised_keys() {
+        use mlkv_storage::{Device, DeviceFactory, FailingDevice, MemDevice};
+
+        let log = Arc::new(FailingDevice::new(Arc::new(MemDevice::new()), 0));
+        let device = Arc::clone(&log);
+        let store = open_store(
+            BackendKind::Mlkv,
+            StoreConfig::in_memory()
+                .with_device_factory(DeviceFactory::new(move |_| {
+                    Ok(Arc::clone(&device) as Arc<dyn Device>)
+                }))
+                .with_memory_budget(8 << 10)
+                .with_page_size(1 << 10)
+                .with_parallelism(1),
+        )
+        .unwrap();
+        let t = EmbeddingTable::builder(store)
+            .dim(8)
+            .staleness_bound(u32::MAX)
+            .build()
+            .unwrap();
+        let grad = [0.5f32; 8];
+        // More rows than the in-memory window holds.
+        let updates: Vec<(u64, &[f32])> = (0..200).map(|k| (k, &grad[..])).collect();
+        log.set_fail_writes(true);
+        assert!(t.apply_gradients(&updates, 0.1).is_err());
+        log.heal();
+        assert_eq!(t.stats().initialised, 0);
+        let stored = updates
+            .iter()
+            .filter(|(k, _)| t.contains(*k).unwrap())
+            .count();
+        assert!(
+            0 < stored && stored < updates.len(),
+            "the write fails part-way: {stored} stored"
+        );
+        assert_eq!(t.len(), stored);
+        t.apply_gradients(&updates, 0.1).unwrap();
+        assert_eq!(t.stats().initialised, (updates.len() - stored) as u64);
+        assert_eq!(t.len(), updates.len());
     }
 
     #[test]

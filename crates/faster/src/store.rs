@@ -108,6 +108,17 @@ impl<V> Resolution<V> {
 /// span of its occurrences, and its newest record if it has one.
 type Resolved<V> = (Key, Range<usize>, Option<Found<V>>);
 
+/// One key's entry in a range's write pass: the newest record the resolver
+/// found for it (`over`), whether that record was live, and where the pass
+/// finds the key's final state (`last`, its last occurrence's index into
+/// the caller's values).
+struct KeyWrite {
+    key: Key,
+    over: Option<Address>,
+    was_live: bool,
+    last: usize,
+}
+
 /// A FASTER-like key-value store.
 pub struct FasterKv {
     index: HashIndex,
@@ -537,10 +548,12 @@ impl FasterKv {
         errors
     }
 
-    /// Apply a contiguous range of a key-sorted `multi_rmw` order: resolve,
-    /// fold `f` over each key's occurrences in order (each sees the previous
-    /// one's result), then write the key's final value once. The caller must
-    /// hold epoch protection.
+    /// Apply a contiguous range of a key-sorted `multi_rmw` order in two
+    /// passes. Resolve, then fold `f` over each key's occurrences in order
+    /// (each sees the previous one's result) for the whole range, then hand
+    /// every key's final value to the write pass
+    /// ([`FasterKv::write_range`]). A write that fails ends the range with
+    /// the keys before it written. The caller must hold epoch protection.
     fn rmw_sorted_range(
         &self,
         keys: &[Key],
@@ -550,12 +563,10 @@ impl FasterKv {
         let mut out: Vec<(usize, Vec<u8>)> = Vec::with_capacity(order.len());
         let resolved = self.resolve_for_write(keys, order, |_, value, _| value.to_vec())?;
         self.metrics.record_rmws(order.len() as u64);
+        let mut writes = Vec::with_capacity(resolved.len());
         for (key, span, found) in resolved {
-            let addr = found.as_ref().map(|f| f.addr);
+            let over = found.as_ref().map(|f| f.addr);
             let initial = found.and_then(|f| f.value);
-            if initial.is_none() {
-                self.live_records.fetch_add(1, Ordering::Relaxed);
-            }
             let first = out.len();
             for &i in &order[span] {
                 let current = match out.len() > first {
@@ -565,16 +576,22 @@ impl FasterKv {
                 let new_value = f(i, current);
                 out.push((i, new_value));
             }
-            let (_, value) = out.last().expect("a key occurs at least once");
-            self.write_value(key, value, addr)?;
+            writes.push(KeyWrite {
+                key,
+                over,
+                was_live: initial.is_some(),
+                last: out.len() - 1,
+            });
         }
+        self.write_range(&writes, |last| Some(out[last].1.as_slice()))?;
         Ok(out)
     }
 
     /// Apply a contiguous range of a key-sorted put/delete batch: resolve,
-    /// then write each key's final state once — its last occurrence decides,
-    /// which is what applying the occurrences in order would leave. The
-    /// caller must hold epoch protection.
+    /// then write each key's final state once through the write pass
+    /// ([`FasterKv::write_range`]) — its last occurrence decides, which is
+    /// what applying the occurrences in order would leave. The caller must
+    /// hold epoch protection.
     fn apply_sorted_range(
         &self,
         keys: &[Key],
@@ -584,21 +601,52 @@ impl FasterKv {
         let resolved = self.resolve_for_write(keys, order, |_, _, _| ())?;
         let upserts = order.iter().filter(|&&i| entries[i].is_some()).count();
         self.metrics.record_upserts(upserts as u64);
-        for (key, span, found) in resolved {
-            let addr = found.as_ref().map(|f| f.addr);
-            let slots = &order[span];
-            let last = entries[*slots.last().expect("a key occurs at least once")];
-            match (found.is_some_and(|f| f.is_live()), last) {
+        let writes: Vec<KeyWrite> = resolved
+            .into_iter()
+            .map(|(key, span, found)| KeyWrite {
+                key,
+                over: found.as_ref().map(|f| f.addr),
+                was_live: found.is_some_and(|f| f.is_live()),
+                last: *order[span].last().expect("a key occurs at least once"),
+            })
+            .collect();
+        self.write_range(&writes, |last| entries[last])
+    }
+
+    /// The write pass of a range, the one way the store writes one: each key
+    /// in key order takes its final state, `value_at(last)`, over the record
+    /// it resolved to — a value through [`FasterKv::write_value`], a delete
+    /// (`None`) of a live key as a tombstone, a delete of an absent one not at
+    /// all — and `live_records` follows each write that lands. Every resolved
+    /// record is requested first, so the in-place writes' misses overlap:
+    /// each write ends in its frame lock's atomics, which would otherwise hold
+    /// the next key's loads back. The first failing write ends the pass, with
+    /// the keys before it written.
+    fn write_range<'v>(
+        &self,
+        writes: &[KeyWrite],
+        value_at: impl Fn(usize) -> Option<&'v [u8]>,
+    ) -> StorageResult<()> {
+        for write in writes {
+            if let Some(addr) = write.over {
+                self.log.prefetch_record(addr);
+            }
+        }
+        for write in writes {
+            // `live_records` moves only once the write has landed, so a
+            // failed write leaves it counting what is stored.
+            match (write.was_live, value_at(write.last)) {
                 (was_live, Some(value)) => {
+                    self.write_value(write.key, value, write.over)?;
                     if !was_live {
-                        // Key absent or deleted: this put brings it (back) to life.
+                        // Key absent or deleted: this write brought it
+                        // (back) to life.
                         self.live_records.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.write_value(key, value, addr)?;
                 }
                 (true, None) => {
+                    self.append_and_install(write.key, &[], true)?;
                     self.live_records.fetch_sub(1, Ordering::Relaxed);
-                    self.append_and_install(key, &[], true)?;
                 }
                 (false, None) => {}
             }
@@ -1504,6 +1552,102 @@ mod tests {
         assert!(wal_generations(&dir).is_empty(), "None mode must not log");
         assert_eq!(store.metrics().snapshot().wal_appends, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One `multi_rmw` batch over the four kinds of key its write pass meets
+    /// — keys in the mutable region (updated in place), keys below
+    /// `read_only` (appended), absent keys (appended), and duplicate
+    /// occurrences of all three — returns and stores what a sequential fold
+    /// of its callbacks in input order does. Run inline, and fanned out to two
+    /// workers (`MIN_KEYS_PER_WORKER` keys each at least).
+    #[test]
+    fn multi_rmw_over_every_region_matches_a_sequential_fold() {
+        use mlkv_storage::exec::MIN_KEYS_PER_WORKER;
+
+        // Hot keys sort first, so the batch's appends (later in key order)
+        // cannot push them out of the mutable region before they are written.
+        let hot: Vec<u64> = (0..2_500).collect();
+        let old: Vec<u64> = (10_000..12_500).collect();
+        let filler = 20_000..20_600u64;
+        let absent: Vec<u64> = (30_000..32_000).collect();
+        let n = 2 * MIN_KEYS_PER_WORKER + 400;
+        let kinds = [&hot, &old, &absent];
+        let mut keys: Vec<u64> = kinds.iter().flat_map(|k| k.iter().copied()).collect();
+        let distinct = keys.len();
+        keys.extend((0..n - distinct).map(|j| {
+            let kind = kinds[j % 3];
+            kind[j * 7 % kind.len()]
+        }));
+        // 7919 is prime and does not divide `n`: a permutation of positions.
+        let keys: Vec<u64> = (0..n).map(|i| keys[i * 7919 % n]).collect();
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let step = |i: usize, current: Option<&[u8]>| -> Vec<u8> {
+            let base = current.map_or(1_000_003, word);
+            base.wrapping_mul(31)
+                .wrapping_add(i as u64 + 1)
+                .to_le_bytes()
+                .to_vec()
+        };
+
+        for parallelism in [1, 2] {
+            let store = FasterKv::open(
+                StoreConfig::in_memory()
+                    .with_memory_budget(1 << 20)
+                    .with_page_size(4096)
+                    .with_index_buckets(1 << 12)
+                    .with_parallelism(parallelism),
+            )
+            .unwrap();
+            assert_eq!(store.executor.planned_workers(n), parallelism);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut put = |k: u64, v: Vec<u8>| {
+                store.put(k, &v).unwrap();
+                model.insert(k, v);
+            };
+            for &k in &old {
+                put(k, k.to_le_bytes().to_vec());
+            }
+            // More than the mutable region, so `old` falls below `read_only`.
+            for k in filler.clone() {
+                put(k, vec![k as u8; 1000]);
+            }
+            for &k in &hot {
+                put(k, k.to_le_bytes().to_vec());
+            }
+            let addr_of = |k: u64| {
+                let _guard = store.epoch.acquire();
+                store.resolve_key(k, |_, _, _| ()).unwrap().map(|f| f.addr)
+            };
+            let read_only = store.log().read_only();
+            assert!(hot.iter().all(|&k| addr_of(k).unwrap() >= read_only));
+            assert!(old.iter().all(|&k| addr_of(k).unwrap() < read_only));
+            assert!(absent.iter().all(|&k| addr_of(k).is_none()));
+            let hot_addrs: Vec<_> = hot.iter().map(|&k| addr_of(k)).collect();
+            let tail = store.log().tail();
+            let len = store.approximate_len();
+
+            let expected: Vec<Vec<u8>> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| {
+                    let value = step(i, model.get(k).map(Vec::as_slice));
+                    model.insert(*k, value.clone());
+                    value
+                })
+                .collect();
+            let out = store.multi_rmw(&keys, &step).unwrap();
+            assert_eq!(out, expected, "parallelism {parallelism}");
+            for k in kinds.iter().flat_map(|k| k.iter()) {
+                assert_eq!(store.get(*k).unwrap(), model[k], "key {k}");
+            }
+            let in_place: Vec<_> = hot.iter().map(|&k| addr_of(k)).collect();
+            assert_eq!(in_place, hot_addrs, "hot keys are updated in place");
+            assert!(old
+                .iter()
+                .chain(&absent)
+                .all(|&k| addr_of(k).unwrap() >= tail));
+            assert_eq!(store.approximate_len(), len + absent.len());
+        }
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! (group prefetching; Chen et al., "Improving Hash Join Performance through
 //! Prefetching", ICDE 2004).
 //!
+//! The same holds for a batch's inputs that another thread wrote, such as the
+//! gradients a trainer hands to an asynchronous applier: each line sits in the
+//! writer's core, and a callback that reads them one key at a time pays one
+//! cross-core transfer after another ([`prefetch_slice`] asks for all of
+//! them first). And it holds for a batch's write pass, whose per-key writes
+//! each end in a lock's atomics: the pass requests every record it will write
+//! before the first write.
+//!
 //! This is a cache hint only. It is unrelated to look-ahead prefetching,
 //! which copies cold records into the engine's memory.
 
@@ -30,6 +38,31 @@ pub fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
+/// Bytes per cache line on the targets [`prefetch`] acts on.
+const CACHE_LINE: usize = 64;
+
+/// [`prefetch`] every cache line `items` spans.
+#[inline]
+pub fn prefetch_slice<T>(items: &[T]) {
+    for line in lines(items) {
+        prefetch(line as *const u8);
+    }
+}
+
+/// The address of every cache line `items` spans: none for a slice of no
+/// bytes, and one more than its length alone needs for a slice that does not
+/// start on a line boundary.
+fn lines<T>(items: &[T]) -> std::iter::StepBy<std::ops::Range<usize>> {
+    let range = items.as_ptr_range();
+    let (start, end) = (range.start as usize, range.end as usize);
+    let first = if start == end {
+        end
+    } else {
+        start & !(CACHE_LINE - 1)
+    };
+    (first..end).step_by(CACHE_LINE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,6 +79,22 @@ mod tests {
         // An address nothing maps, high in the user half.
         prefetch(usize::MAX as *const u8);
         prefetch(0x7fff_0000_0000_usize as *const u8);
+    }
+
+    #[test]
+    fn a_slice_spans_the_lines_its_bytes_touch() {
+        #[repr(align(64))]
+        struct Lines([f32; 48]);
+        let block = Lines([0.0; 48]);
+        let base = block.0.as_ptr() as usize;
+        let spanned = |items: &[f32]| lines(items).map(|a| a - base).collect::<Vec<_>>();
+        // A 16-dim row: one line when aligned, two when not.
+        assert_eq!(spanned(&block.0[..16]), [0]);
+        assert_eq!(spanned(&block.0[1..17]), [0, 64]);
+        assert_eq!(spanned(&block.0[15..33]), [0, 64, 128]);
+        assert!(spanned(&block.0[5..5]).is_empty());
+        assert_eq!(lines(&[(); 3]).count(), 0);
+        prefetch_slice(&block.0[1..17]);
     }
 
     #[test]

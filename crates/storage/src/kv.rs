@@ -192,6 +192,12 @@ pub trait KvStore: Send + Sync + 'static {
     /// batches with duplicate keys can apply per-occurrence updates; duplicate
     /// keys observe earlier occurrences' writes.
     ///
+    /// A batch that fails is not rolled back. An engine may run `f` for a
+    /// whole range of keys before it writes the first of them, so `f` can
+    /// have run for keys that were never written; a write that fails ends its
+    /// range with the keys written before it stored, and no later key of
+    /// that range. Only a batch that returns `Ok` stored every value.
+    ///
     /// The default implementation loops over [`KvStore::rmw`]; engines
     /// override it to batch locking and index traversal.
     ///

@@ -53,7 +53,7 @@ pub use device::{
 };
 pub use error::{StorageError, StorageResult};
 pub use exec::BatchExecutor;
-pub use hint::prefetch;
+pub use hint::{prefetch, prefetch_slice};
 pub use io::{IoPlanner, PendingRead, ReadReq};
 pub use kv::{BatchReadFn, BatchRmwFn, KvStore, RmwFn, WriteBatch};
 pub use memstore::MemStore;
