@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::BatchExecutor;
 use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
-use mlkv_storage::wal::{WalReader, WalWriter};
+use mlkv_storage::wal::GenerationalWal;
 use mlkv_storage::{
     Device, DurabilityMode, StorageError, StorageMetrics, StorageResult, StoreConfig,
 };
@@ -23,37 +23,8 @@ const JOURNAL_PAGE: u8 = 1; // [tag][page_id u64 LE][encoded leaf image]
 const JOURNAL_META: u8 = 2; // [tag][encoded tree meta]
 const JOURNAL_LIVE: u8 = 3; // [tag][live record count u64 LE]
 
-/// File name of journal generation `gen` inside the store directory.
-fn journal_file_name(gen: u64) -> String {
-    format!("btree_journal_{gen}.dat")
-}
-
-/// The journal generations present in `dir`, ascending (i.e. chronological).
-fn journal_generations(dir: &std::path::Path) -> Vec<u64> {
-    let mut gens = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            if let Some(rest) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("btree_journal_"))
-                .and_then(|n| n.strip_suffix(".dat"))
-            {
-                if let Ok(gen) = rest.parse::<u64>() {
-                    gens.push(gen);
-                }
-            }
-        }
-    }
-    gens.sort_unstable();
-    gens
-}
-
-/// The page-image journal past the last flush, rotated by every flush.
-struct JournalHandle {
-    writer: WalWriter,
-    gen: u64,
-}
+/// File-name prefix of the journal's generations (`btree_journal_{gen}.dat`).
+const JOURNAL_PREFIX: &str = "btree_journal_";
 
 /// Separator map: `max key reachable through this leaf -> leaf page id`. The
 /// rightmost leaf always carries `u64::MAX` so that every key routes somewhere.
@@ -103,11 +74,12 @@ pub struct BtreeStore {
     /// batches are deadlock-free; distinct leaves sharing a lane merely
     /// serialise.
     leaf_latches: Vec<Mutex<()>>,
-    /// `None` under [`DurabilityMode::None`] (or without a directory): flushes
-    /// are then the only durability, as in the seed. Otherwise every
-    /// acknowledged mutation journals the post-images of the leaves it
-    /// touched, and the journal is replayed over the base files on open.
-    journal: Option<RwLock<JournalHandle>>,
+    /// The page-image journal past the last flush, rotated by every flush.
+    /// It logs only in a durable store with a directory: under
+    /// [`DurabilityMode::None`] flushes are the only durability. Otherwise
+    /// every acknowledged mutation journals the post-images of the leaves
+    /// it touched, and the journal is replayed over the base files on open.
+    journal: GenerationalWal,
 }
 
 const META_MAGIC: u64 = 0x4D4C_4B56_4254_5245; // "MLKVBTRE"
@@ -118,6 +90,7 @@ impl BtreeStore {
         let metrics = Arc::new(StorageMetrics::new());
         let leaf_device = device_from_config(&config, "btree_leaves.dat")?;
         let meta_device = device_from_config(&config, "btree_meta.dat")?;
+        let journal = GenerationalWal::open(&config, JOURNAL_PREFIX, Arc::clone(&metrics));
         let capacity_pages = (config.memory_budget / config.page_size).max(2);
         let executor = BatchExecutor::new(config.parallelism);
         let workers = executor.parallelism();
@@ -157,65 +130,60 @@ impl BtreeStore {
             meta_device,
             tree: RwLock::new(meta),
             live: AtomicU64::new(live),
-            journal: None,
+            journal,
         };
-        if let Some(dir) = store.config.dir.clone() {
-            store.replay_journal(&dir)?;
-            if store.config.durability != DurabilityMode::None {
-                let gens = journal_generations(&dir);
-                let gen = gens.last().map(|g| g + 1).unwrap_or(0);
-                let device = device_from_config(&store.config, &journal_file_name(gen))?;
-                store.journal = Some(RwLock::new(JournalHandle {
-                    writer: WalWriter::new(
-                        device,
-                        store.config.durability,
-                        Arc::clone(&store.metrics),
-                    )
-                    .with_tap(store.config.wal_tap.clone()),
-                    gen,
-                }));
-            }
+        // Page records re-install the journaled post-image of a leaf —
+        // replacing whatever (possibly torn or stale) bytes the crash left on
+        // the leaf device — and meta/live records restore the routing table
+        // and record count as of the covering acknowledgement.
+        store.journal.replay(|records| {
+            store.install_journal_records(&mut store.tree.write(), &records)?;
+            Ok(())
+        })?;
+        if store.config.dir.is_some() && store.config.durability != DurabilityMode::None {
+            store.journal.start()?;
         }
         Ok(store)
     }
 
-    /// Replay any surviving journal generations over the base leaf/meta files,
-    /// in ascending (chronological) order. Page records re-install the
-    /// journaled post-image of a leaf — replacing whatever (possibly torn or
-    /// stale) bytes the crash left on the leaf device — and meta/live records
-    /// restore the routing table and record count as of the covering
-    /// acknowledgement. Replaying an image that is already on disk is
-    /// idempotent, so generations are *not* deleted here: until the next
-    /// flush they remain the only durable copy of their pages. They are
-    /// garbage-collected by [`BtreeStore::rotate_journal`] at flush time.
-    fn replay_journal(&mut self, dir: &std::path::Path) -> StorageResult<()> {
-        for gen in journal_generations(dir) {
-            let device = device_from_config(&self.config, &journal_file_name(gen))?;
-            for payload in WalReader::replay(device.as_ref())? {
-                match payload.first().copied() {
-                    Some(JOURNAL_PAGE) if payload.len() > 9 => {
-                        let page_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                        let leaf = LeafPage::decode(&payload[9..])?;
-                        self.pool.install_new(page_id, leaf)?;
-                    }
-                    Some(JOURNAL_META) if payload.len() > 1 => {
-                        let (meta, live) = Self::decode_meta_bytes(&payload[1..])?;
-                        *self.tree.get_mut() = meta;
-                        self.live.store(live, Ordering::SeqCst);
-                    }
-                    Some(JOURNAL_LIVE) if payload.len() >= 9 => {
-                        let live = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                        self.live.store(live, Ordering::SeqCst);
-                    }
-                    _ => {
-                        return Err(StorageError::Corruption(
-                            "unknown btree journal record".into(),
-                        ))
-                    }
+    /// Install journal records — a group shipped to a replica, or a
+    /// generation replayed on open — under the tree write lock (`tree`):
+    /// each page record's post-image replaces its leaf, a meta record the
+    /// routing table and record count, a live record the count. Returns the
+    /// installed page ids and whether the routing table changed.
+    fn install_journal_records(
+        &self,
+        tree: &mut TreeMeta,
+        records: &[Vec<u8>],
+    ) -> StorageResult<(BTreeSet<u64>, bool)> {
+        let mut touched = BTreeSet::new();
+        let mut meta_changed = false;
+        for payload in records {
+            match payload.first().copied() {
+                Some(JOURNAL_PAGE) if payload.len() > 9 => {
+                    let page_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
+                    let leaf = LeafPage::decode(&payload[9..])?;
+                    self.pool.install_new(page_id, leaf)?;
+                    touched.insert(page_id);
+                }
+                Some(JOURNAL_META) if payload.len() > 1 => {
+                    let (meta, live) = Self::decode_meta_bytes(&payload[1..])?;
+                    *tree = meta;
+                    self.live.store(live, Ordering::SeqCst);
+                    meta_changed = true;
+                }
+                Some(JOURNAL_LIVE) if payload.len() >= 9 => {
+                    let live = u64::from_le_bytes(payload[1..9].try_into().unwrap());
+                    self.live.store(live, Ordering::SeqCst);
+                }
+                _ => {
+                    return Err(StorageError::Corruption(
+                        "unknown btree journal record".into(),
+                    ))
                 }
             }
         }
-        Ok(())
+        Ok((touched, meta_changed))
     }
 
     /// Journal one acknowledged mutation: the post-images of every leaf it
@@ -229,9 +197,9 @@ impl BtreeStore {
         touched: &BTreeSet<u64>,
         meta_changed: bool,
     ) -> StorageResult<()> {
-        let Some(journal) = &self.journal else {
+        if !self.journal.is_logging() {
             return Ok(());
-        };
+        }
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(touched.len() + 2);
         for &page_id in touched {
             let image = self.pool.leaf_image(page_id)?;
@@ -249,44 +217,9 @@ impl BtreeStore {
         let mut p = vec![JOURNAL_LIVE];
         p.extend_from_slice(&self.live.load(Ordering::SeqCst).to_le_bytes());
         payloads.push(p);
-        let handle = journal.read();
-        handle
-            .writer
-            .append_group(payloads.iter().map(|p| p.as_slice()))?;
-        handle.writer.commit()
-    }
-
-    /// Start a new journal generation and delete the superseded ones. Called
-    /// by [`BtreeStore::flush`] *after* the leaf and meta devices are
-    /// hardened: every journaled image is then covered by the base files.
-    fn rotate_journal(&self) -> StorageResult<()> {
-        let dir = match &self.config.dir {
-            Some(dir) => dir.clone(),
-            None => return Ok(()),
-        };
-        match &self.journal {
-            Some(journal) => {
-                let mut handle = journal.write();
-                let old_gen = handle.gen;
-                let device = device_from_config(&self.config, &journal_file_name(old_gen + 1))?;
-                handle.writer =
-                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
-                        .with_tap(self.config.wal_tap.clone());
-                handle.gen = old_gen + 1;
-                drop(handle);
-                for gen in journal_generations(&dir) {
-                    if gen <= old_gen {
-                        let _ = std::fs::remove_file(dir.join(journal_file_name(gen)));
-                    }
-                }
-            }
-            None => {
-                for gen in journal_generations(&dir) {
-                    let _ = std::fs::remove_file(dir.join(journal_file_name(gen)));
-                }
-            }
-        }
-        Ok(())
+        self.journal
+            .append_group(payloads.iter().map(|p| p.as_slice()))?
+            .commit()
     }
 
     /// Convenience constructor for tests: purely in-memory store.
@@ -866,7 +799,8 @@ impl KvStore for BtreeStore {
             self.pool.sync()?;
             self.meta_device.sync()?;
         }
-        self.rotate_journal()
+        // Every journaled image is now covered by the base files.
+        self.journal.rotate()
     }
 
     fn replication_tap(&self) -> Option<Arc<mlkv_storage::wal::WalTap>> {
@@ -875,38 +809,12 @@ impl KvStore for BtreeStore {
 
     fn apply_replicated_group(&self, frames: &[Vec<u8>]) -> StorageResult<()> {
         // Shipped groups are page-image journal groups (see `journal_commit`):
-        // install each post-image exactly as `replay_journal` does, under the
-        // tree write lock so readers never observe a half-applied group, then
-        // re-journal the applied images so the *replica's* journal covers them
-        // across its own restarts.
+        // install each post-image exactly as the replay on open does, under
+        // the tree write lock so readers never observe a half-applied group,
+        // then re-journal the applied images so the *replica's* journal
+        // covers them across its own restarts.
         let mut tree = self.tree.write();
-        let mut touched = BTreeSet::new();
-        let mut meta_changed = false;
-        for payload in frames {
-            match payload.first().copied() {
-                Some(JOURNAL_PAGE) if payload.len() > 9 => {
-                    let page_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                    let leaf = LeafPage::decode(&payload[9..])?;
-                    self.pool.install_new(page_id, leaf)?;
-                    touched.insert(page_id);
-                }
-                Some(JOURNAL_META) if payload.len() > 1 => {
-                    let (meta, live) = Self::decode_meta_bytes(&payload[1..])?;
-                    *tree = meta;
-                    self.live.store(live, Ordering::SeqCst);
-                    meta_changed = true;
-                }
-                Some(JOURNAL_LIVE) if payload.len() >= 9 => {
-                    let live = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                    self.live.store(live, Ordering::SeqCst);
-                }
-                _ => {
-                    return Err(StorageError::Corruption(
-                        "unknown replicated btree journal record".into(),
-                    ))
-                }
-            }
-        }
+        let (touched, meta_changed) = self.install_journal_records(&mut tree, frames)?;
         self.journal_commit(&tree, &touched, meta_changed)
     }
 }
@@ -1178,9 +1086,16 @@ mod tests {
         for k in 0..100u64 {
             store.put(k, &[1u8; 32]).unwrap();
         }
-        assert_eq!(journal_generations(&dir), vec![0]);
+        assert_eq!(
+            mlkv_storage::wal::generations(&dir, JOURNAL_PREFIX),
+            vec![0]
+        );
         store.flush().unwrap();
-        assert_eq!(journal_generations(&dir), vec![1], "flush supersedes gen 0");
+        assert_eq!(
+            mlkv_storage::wal::generations(&dir, JOURNAL_PREFIX),
+            vec![1],
+            "flush supersedes gen 0"
+        );
         store.put(500, &[2u8; 32]).unwrap();
         drop(store);
         // Reopen recovers the flushed base plus the delta journal.
@@ -1226,7 +1141,7 @@ mod tests {
             .with_page_size(1 << 10);
         let store = BtreeStore::open(cfg).unwrap();
         store.put(1, &[1u8; 8]).unwrap();
-        assert!(journal_generations(&dir).is_empty());
+        assert!(mlkv_storage::wal::generations(&dir, JOURNAL_PREFIX).is_empty());
         assert_eq!(store.metrics().snapshot().wal_appends, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -119,7 +119,7 @@ pub fn write_checkpoint(store: &FasterKv, dir: &Path) -> StorageResult<()> {
     fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
     // 3. The checkpoint now covers every logged record: start a fresh WAL
     //    generation and garbage-collect the superseded ones.
-    store.rotate_wal()?;
+    store.wal.rotate()?;
     Ok(())
 }
 

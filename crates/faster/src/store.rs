@@ -11,7 +11,7 @@ use parking_lot::RwLock;
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::{split_sorted, BatchExecutor};
 use mlkv_storage::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
-use mlkv_storage::wal::{WalOp, WalReader, WalWriter};
+use mlkv_storage::wal::GenerationalWal;
 use mlkv_storage::{
     DurabilityMode, ReadTally, StorageError, StorageMetrics, StorageResult, StoreConfig,
 };
@@ -23,40 +23,8 @@ use crate::hash_index::HashIndex;
 use crate::hlog::HybridLog;
 use crate::record::{Record, RecordRef};
 
-/// File name of WAL generation `gen` inside the store directory.
-fn wal_file_name(gen: u64) -> String {
-    format!("faster_wal_{gen}.dat")
-}
-
-/// The WAL generations present in `dir`, ascending (i.e. chronological).
-fn wal_generations(dir: &std::path::Path) -> Vec<u64> {
-    let mut gens = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            if let Some(rest) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("faster_wal_"))
-                .and_then(|n| n.strip_suffix(".dat"))
-            {
-                if let Ok(gen) = rest.parse::<u64>() {
-                    gens.push(gen);
-                }
-            }
-        }
-    }
-    gens.sort_unstable();
-    gens
-}
-
-/// The delta write-ahead log past the last checkpoint: generation-numbered
-/// (`faster_wal_{gen}.dat`), rotated by every checkpoint. Appenders hold the
-/// read half of the lock (concurrent appends are fine — the device append is
-/// atomic); rotation takes the write half.
-struct WalHandle {
-    writer: WalWriter,
-    gen: u64,
-}
+/// File-name prefix of the delta WAL's generations (`faster_wal_{gen}.dat`).
+const WAL_PREFIX: &str = "faster_wal_";
 
 /// A key's newest record, as the resolver found it — possibly a tombstone,
 /// so a deleted key can be told from one never written (`None`).
@@ -110,14 +78,18 @@ type Resolved<V> = (Key, Range<usize>, Option<Found<V>>);
 
 /// One key's entry in a range's write pass: the newest record the resolver
 /// found for it (`over`), whether that record was live, and where the pass
-/// finds the key's final state (`last`, its last occurrence's index into
-/// the caller's values).
+/// finds the key's final state (`last`, the batch position of its last
+/// occurrence).
 struct KeyWrite {
     key: Key,
     over: Option<Address>,
     was_live: bool,
     last: usize,
 }
+
+/// A planned `multi_rmw` range: its write pass, and every occurrence's
+/// `(batch position, value)`.
+type RmwPlan = (Vec<KeyWrite>, Vec<(usize, Vec<u8>)>);
 
 /// A FASTER-like key-value store.
 pub struct FasterKv {
@@ -131,10 +103,10 @@ pub struct FasterKv {
     /// the hybrid log's atomic tail already make concurrent appends safe; the
     /// executor only decides how wide a single batch fans out.
     executor: BatchExecutor,
-    /// `None` under [`DurabilityMode::None`]: checkpoints are then the only
-    /// durability (the seed behaviour); otherwise every acknowledged write is
-    /// logged here and replayed on open past the last checkpoint.
-    wal: Option<RwLock<WalHandle>>,
+    /// The delta log past the last checkpoint, rotated by every checkpoint.
+    /// It logs only in a durable store with a directory: under
+    /// [`DurabilityMode::None`] checkpoints are the only durability.
+    pub(crate) wal: GenerationalWal,
     /// Writers hold the read half for the duration of each mutation;
     /// [`FasterKv::checkpoint`] takes the write half (non-blocking) so a
     /// checkpoint can never interleave with an in-flight writer.
@@ -154,6 +126,7 @@ impl FasterKv {
         };
         let index_entries = manifest.map_or(config.index_buckets, |m| m.index_entries as usize);
         let metrics = Arc::new(StorageMetrics::new());
+        let wal = GenerationalWal::open(&config, WAL_PREFIX, Arc::clone(&metrics));
         let device = device_from_config(&config, "hlog.dat")?;
         // Under per-record group commit the hybrid log syncs its data pages
         // eagerly; every other mode hardens acknowledged writes through the
@@ -176,111 +149,24 @@ impl FasterKv {
             live_records: AtomicU64::new(0),
             executor: BatchExecutor::new(config.parallelism),
             config,
-            wal: None,
+            wal,
             writer_gate: RwLock::new(()),
         };
         if let Some(manifest) = manifest {
             store.recover(&manifest)?;
         }
-        if let Some(dir) = store.config.dir.clone() {
-            store.attach_wal(&dir)?;
+        // Replay the WAL generations past the checkpoint through the batch
+        // path, one batch per generation; the log has not started, so the
+        // replay logs nothing.
+        store.wal.replay_ops(|ops| {
+            let keys: Vec<Key> = ops.iter().map(|(key, _)| *key).collect();
+            let entries: Vec<Option<&[u8]>> = ops.iter().map(|(_, v)| v.as_deref()).collect();
+            store.commit_entries(&keys, &entries)
+        })?;
+        if store.config.dir.is_some() && store.config.durability != DurabilityMode::None {
+            store.wal.start()?;
         }
         Ok(store)
-    }
-
-    /// Replay any surviving write-ahead-log generations over the checkpointed
-    /// state, then (when the store is durable) start a fresh generation for
-    /// this run's deltas.
-    ///
-    /// Generations are replayed in ascending order — rotation only ever adds a
-    /// higher generation, so ascending order is chronological. Replaying a
-    /// record whose write is already in the checkpoint is harmless: WAL
-    /// records carry full values, so re-applying them is idempotent. Stale
-    /// generations are *not* deleted here — until the next checkpoint the
-    /// WAL files are the only durable copy of their records — they are
-    /// garbage-collected by [`FasterKv::rotate_wal`] at checkpoint time.
-    fn attach_wal(&mut self, dir: &std::path::Path) -> StorageResult<()> {
-        let gens = wal_generations(dir);
-        for &gen in &gens {
-            let device = device_from_config(&self.config, &wal_file_name(gen))?;
-            let ops = WalReader::replay(device.as_ref())?
-                .iter()
-                .map(|payload| WalOp::decode(payload))
-                .collect::<StorageResult<Vec<_>>>()?;
-            let (keys, entries): (Vec<Key>, Vec<Option<&[u8]>>) = ops
-                .iter()
-                .map(|op| match op {
-                    WalOp::Put { key, value } => (*key, Some(value.as_slice())),
-                    WalOp::Delete { key } => (*key, None),
-                })
-                .unzip();
-            self.apply_entries(&keys, &entries)?;
-        }
-        if self.config.durability != DurabilityMode::None {
-            let gen = gens.last().map(|g| g + 1).unwrap_or(0);
-            let device = device_from_config(&self.config, &wal_file_name(gen))?;
-            self.wal = Some(RwLock::new(WalHandle {
-                writer: WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
-                    .with_tap(self.config.wal_tap.clone()),
-                gen,
-            }));
-        }
-        Ok(())
-    }
-
-    /// Start a new WAL generation and delete the superseded ones. Called by
-    /// [`checkpoint::write_checkpoint`] *after* the manifest rename: every
-    /// record in the old generations is covered by the just-written
-    /// checkpoint, so the files can go. Under [`DurabilityMode::None`] there
-    /// is no writer, but generations left behind by an earlier durable run
-    /// are likewise superseded and removed.
-    pub(crate) fn rotate_wal(&self) -> StorageResult<()> {
-        let dir = match &self.config.dir {
-            Some(dir) => dir.clone(),
-            None => return Ok(()),
-        };
-        match &self.wal {
-            Some(wal) => {
-                let mut handle = wal.write();
-                let old_gen = handle.gen;
-                let device = device_from_config(&self.config, &wal_file_name(old_gen + 1))?;
-                handle.writer =
-                    WalWriter::new(device, self.config.durability, Arc::clone(&self.metrics))
-                        .with_tap(self.config.wal_tap.clone());
-                handle.gen = old_gen + 1;
-                drop(handle);
-                for gen in wal_generations(&dir) {
-                    if gen <= old_gen {
-                        let _ = std::fs::remove_file(dir.join(wal_file_name(gen)));
-                    }
-                }
-            }
-            None => {
-                for gen in wal_generations(&dir) {
-                    let _ = std::fs::remove_file(dir.join(wal_file_name(gen)));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Append a whole batch of WAL records as one device write.
-    fn wal_append_group(&self, payloads: &[Vec<u8>]) -> StorageResult<()> {
-        if let Some(wal) = &self.wal {
-            wal.read()
-                .writer
-                .append_group(payloads.iter().map(|p| p.as_slice()))?;
-        }
-        Ok(())
-    }
-
-    /// Acknowledgement point: harden everything logged so far under the
-    /// configured durability mode.
-    fn wal_commit(&self) -> StorageResult<()> {
-        if let Some(wal) = &self.wal {
-            wal.read().writer.commit()?;
-        }
-        Ok(())
     }
 
     /// Convenience: an in-memory store with the given buffer budget (tests).
@@ -548,18 +434,12 @@ impl FasterKv {
         errors
     }
 
-    /// Apply a contiguous range of a key-sorted `multi_rmw` order in two
-    /// passes. Resolve, then fold `f` over each key's occurrences in order
-    /// (each sees the previous one's result) for the whole range, then hand
-    /// every key's final value to the write pass
-    /// ([`FasterKv::write_range`]). A write that fails ends the range with
-    /// the keys before it written. The caller must hold epoch protection.
-    fn rmw_sorted_range(
-        &self,
-        keys: &[Key],
-        order: &[usize],
-        f: &BatchRmwFn,
-    ) -> StorageResult<Vec<(usize, Vec<u8>)>> {
+    /// Plan a contiguous range of a key-sorted `multi_rmw` order: resolve,
+    /// then fold `f` over each key's occurrences in order (each sees the
+    /// previous one's result). Returns the range's write pass and every
+    /// occurrence's `(position, value)`; nothing is written. The caller must
+    /// hold epoch protection.
+    fn plan_rmw(&self, keys: &[Key], order: &[usize], f: &BatchRmwFn) -> StorageResult<RmwPlan> {
         let mut out: Vec<(usize, Vec<u8>)> = Vec::with_capacity(order.len());
         let resolved = self.resolve_for_write(keys, order, |_, value, _| value.to_vec())?;
         self.metrics.record_rmws(order.len() as u64);
@@ -580,28 +460,26 @@ impl FasterKv {
                 key,
                 over,
                 was_live: initial.is_some(),
-                last: out.len() - 1,
+                last: out.last().expect("a key occurs at least once").0,
             });
         }
-        self.write_range(&writes, |last| Some(out[last].1.as_slice()))?;
-        Ok(out)
+        Ok((writes, out))
     }
 
-    /// Apply a contiguous range of a key-sorted put/delete batch: resolve,
-    /// then write each key's final state once through the write pass
-    /// ([`FasterKv::write_range`]) — its last occurrence decides, which is
-    /// what applying the occurrences in order would leave. The caller must
-    /// hold epoch protection.
-    fn apply_sorted_range(
+    /// Plan a contiguous range of a key-sorted put/delete batch: resolve
+    /// each key, whose last occurrence decides its final state — what
+    /// applying the occurrences in order would leave. The caller must hold
+    /// epoch protection.
+    fn plan_entries(
         &self,
         keys: &[Key],
         order: &[usize],
         entries: &[Option<&[u8]>],
-    ) -> StorageResult<()> {
+    ) -> StorageResult<Vec<KeyWrite>> {
         let resolved = self.resolve_for_write(keys, order, |_, _, _| ())?;
         let upserts = order.iter().filter(|&&i| entries[i].is_some()).count();
         self.metrics.record_upserts(upserts as u64);
-        let writes: Vec<KeyWrite> = resolved
+        Ok(resolved
             .into_iter()
             .map(|(key, span, found)| KeyWrite {
                 key,
@@ -609,8 +487,7 @@ impl FasterKv {
                 was_live: found.is_some_and(|f| f.is_live()),
                 last: *order[span].last().expect("a key occurs at least once"),
             })
-            .collect();
-        self.write_range(&writes, |last| entries[last])
+            .collect())
     }
 
     /// The write pass of a range, the one way the store writes one: each key
@@ -657,14 +534,25 @@ impl FasterKv {
     /// Stable-sort a batch by key — duplicate keys end up adjacent, in
     /// occurrence order — split that order into contiguous whole-key ranges (a
     /// single range for a batch the executor runs inline) and run `f` over
-    /// each range under its own epoch guard, returning the results in range
+    /// each range ([`FasterKv::run_guarded`]), returning the results in range
     /// order.
     fn run_sorted_ranges<T: Send>(&self, keys: &[Key], f: impl Fn(&[usize]) -> T + Sync) -> Vec<T> {
-        let f = &f;
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| keys[i]);
         let workers = self.executor.planned_workers(order.len());
-        let jobs: Vec<_> = split_sorted(&order, keys, workers)
+        self.run_guarded(split_sorted(&order, keys, workers), order.len(), f)
+    }
+
+    /// Run `f` over each of `ranges` through the executor, each under its
+    /// own epoch guard, returning the results in range order.
+    fn run_guarded<R: Send, T: Send>(
+        &self,
+        ranges: impl IntoIterator<Item = R>,
+        total_keys: usize,
+        f: impl Fn(R) -> T + Sync,
+    ) -> Vec<T> {
+        let f = &f;
+        let jobs: Vec<_> = ranges
             .into_iter()
             .map(|range| {
                 move || {
@@ -673,45 +561,49 @@ impl FasterKv {
                 }
             })
             .collect();
-        self.executor.execute(jobs, order.len())
+        self.executor.execute(jobs, total_keys)
     }
 
-    /// The single mutation path for value writes and deletes: one grouped WAL
-    /// append covering the whole batch (log-before-apply, so an acknowledged
-    /// entry is never visible without being in the log), one epoch-guarded
-    /// apply pass fanned out through the executor, then one commit as
-    /// the acknowledgement point. `put`, `delete` and `write_batch` are all
-    /// thin wrappers over this.
+    /// Put or delete a batch of entries (`None` deletes): plan every range
+    /// ([`FasterKv::plan_entries`]), then the shared tail. `put`, `delete`,
+    /// `write_batch` and the WAL replay on open are all thin wrappers over
+    /// this. A range whose resolve fails fails the batch with nothing
+    /// logged or written.
     fn commit_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
         debug_assert_eq!(keys.len(), entries.len());
         if keys.is_empty() {
             return Ok(());
         }
         let _writers = self.writer_gate.read();
-        if self.wal.is_some() {
-            let payloads: Vec<Vec<u8>> = keys
-                .iter()
-                .zip(entries)
-                .map(|(k, e)| match e {
-                    Some(v) => WalOp::encode_put(*k, v),
-                    None => WalOp::encode_delete(*k),
-                })
-                .collect();
-            self.wal_append_group(&payloads)?;
-        }
-        self.apply_entries(keys, entries)?;
-        self.wal_commit()
+        let writes = self
+            .run_sorted_ranges(keys, |range| self.plan_entries(keys, range, entries))
+            .into_iter()
+            .collect::<StorageResult<Vec<_>>>()?;
+        self.log_and_write(keys, &writes, |i| entries[i])
     }
 
-    /// The apply pass of [`FasterKv::commit_entries`], also what replays a WAL
-    /// generation on open: whole-key ranges spread across the executor's
-    /// workers; cross-batch races on a hash chain are resolved by the index
-    /// CAS exactly as for concurrent callers. The first failing range (in
-    /// range order) is surfaced.
-    fn apply_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
-        self.run_sorted_ranges(keys, |range| self.apply_sorted_range(keys, range, entries))
-            .into_iter()
-            .collect()
+    /// The single mutation tail, once every range of a batch is planned:
+    /// append the batch's WAL group (`keys[i]` with its value `value_at(i)`,
+    /// in batch order) as one device append, run every range's write pass
+    /// ([`FasterKv::write_range`]), then commit as the acknowledgement point.
+    /// Nothing is written before it is logged, so a failed append leaves the
+    /// store untouched. Every range's pass runs even when another's fails;
+    /// the first error in range order is returned, uncommitted.
+    fn log_and_write<'v>(
+        &self,
+        keys: &[Key],
+        writes: &[Vec<KeyWrite>],
+        value_at: impl Fn(usize) -> Option<&'v [u8]> + Sync,
+    ) -> StorageResult<()> {
+        let ack = self
+            .wal
+            .append_ops((0..keys.len()).map(|i| (keys[i], value_at(i))))?;
+        self.run_guarded(writes, keys.len(), |range| {
+            self.write_range(range, &value_at)
+        })
+        .into_iter()
+        .collect::<StorageResult<()>>()?;
+        ack.commit()
     }
 
     /// Checkpoint the store into its configured directory.
@@ -823,34 +715,23 @@ impl KvStore for FasterKv {
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         let _writers = self.writer_gate.read();
         // Whole keys per range, occurrences in order, so each occurrence
-        // observes the previous one's write. Cross-key hash-chain collisions
+        // observes the previous one's value. Every range is planned before
+        // anything is logged: a range whose resolve fails fails the batch
+        // with nothing logged or written. Then the shared tail logs the
+        // batch's values — duplicate keys log their cumulative values in
+        // occurrence order, so replay converges on the same final state —
+        // and writes each key's final value. Cross-key hash-chain collisions
         // are resolved by the index CAS exactly as for concurrent callers.
         let mut out = vec![Vec::new(); keys.len()];
-        let ranges = self.run_sorted_ranges(keys, |range| self.rmw_sorted_range(keys, range, f));
-        // Every range runs to completion before the first error (in range
-        // order) is surfaced: a range whose resolve fails modifies nothing,
-        // the other ranges' writes still land. A failed batch leaves partial
-        // state (rmw failures here are I/O-level); only successful batches
-        // carry the byte-identical-across-parallelism guarantee.
-        for pairs in ranges {
-            for (i, value) in pairs? {
+        let mut writes = Vec::new();
+        for plan in self.run_sorted_ranges(keys, |range| self.plan_rmw(keys, range, f)) {
+            let (range_writes, values) = plan?;
+            for (i, value) in values {
                 out[i] = value;
             }
+            writes.push(range_writes);
         }
-        // Log the batch's resolved values (apply-before-log, as in `rmw`) as
-        // one grouped append, then acknowledge with a single commit — the
-        // group-commit amortisation the WAL exists for. Duplicate keys log
-        // their cumulative values in occurrence order, so replay converges on
-        // the same final state.
-        if self.wal.is_some() {
-            let payloads: Vec<Vec<u8>> = keys
-                .iter()
-                .zip(&out)
-                .map(|(k, v)| WalOp::encode_put(*k, v))
-                .collect();
-            self.wal_append_group(&payloads)?;
-            self.wal_commit()?;
-        }
+        self.log_and_write(keys, &writes, |i| Some(out[i].as_slice()))?;
         Ok(out)
     }
 
@@ -1448,10 +1329,10 @@ mod tests {
         for k in 0..100u64 {
             store.put(k, &[1u8; 16]).unwrap();
         }
-        assert_eq!(wal_generations(&dir), vec![0]);
+        assert_eq!(mlkv_storage::wal::generations(&dir, WAL_PREFIX), vec![0]);
         store.checkpoint().unwrap();
         // Generation 0 is superseded by the checkpoint and deleted.
-        assert_eq!(wal_generations(&dir), vec![1]);
+        assert_eq!(mlkv_storage::wal::generations(&dir, WAL_PREFIX), vec![1]);
         store.put(200, &[2u8; 16]).unwrap();
         drop(store);
         // Reopen recovers the checkpoint plus the delta WAL.
@@ -1549,7 +1430,10 @@ mod tests {
             .with_index_buckets(256);
         let store = FasterKv::open(cfg).unwrap();
         store.put(1, &[1u8; 8]).unwrap();
-        assert!(wal_generations(&dir).is_empty(), "None mode must not log");
+        assert!(
+            mlkv_storage::wal::generations(&dir, WAL_PREFIX).is_empty(),
+            "None mode must not log"
+        );
         assert_eq!(store.metrics().snapshot().wal_appends, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -18,10 +18,8 @@ pub mod bloom;
 pub mod memtable;
 pub mod sstable;
 pub mod store;
-pub mod wal;
 
 pub use bloom::BloomFilter;
 pub use memtable::MemTable;
 pub use sstable::SsTable;
 pub use store::LsmStore;
-pub use wal::WriteAheadLog;

@@ -5,11 +5,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{MutexGuard, RwLock};
 
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::{split_sorted, BatchExecutor};
 use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn, WriteBatch};
+use mlkv_storage::wal::{self, GenerationalWal};
 use mlkv_storage::{
     DurabilityMode, IoPlanner, ShardedLruCache, StorageError, StorageMetrics, StorageResult,
     StoreConfig,
@@ -17,10 +18,12 @@ use mlkv_storage::{
 
 use crate::memtable::{Entry, MemTable, ShardedMemTable};
 use crate::sstable::SsTable;
-use crate::wal::WriteAheadLog;
 
 /// Number of SSTables tolerated before a full compaction is triggered.
 const COMPACTION_THRESHOLD: usize = 6;
+
+/// File-name prefix of the WAL generations (`wal_{gen}.dat`).
+const WAL_PREFIX: &str = "wal_";
 
 /// Who an SSTable probe reads for — the read-counter rule.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -39,8 +42,9 @@ struct Inner {
     memtable: ShardedMemTable,
     /// All SSTables, oldest first.
     tables: Vec<SsTable>,
-    wal: WriteAheadLog,
-    wal_gen: u64,
+    /// Logs every mutation before the memtable applies it (see
+    /// [`mlkv_storage::wal`]); rotated by every memtable flush.
+    wal: GenerationalWal,
 }
 
 /// LSM-tree key-value store (RocksDB stand-in).
@@ -75,28 +79,9 @@ impl LsmStore {
 
         let mut tables = Vec::new();
         let mut max_seq = 0u64;
-        let mut wal_gen = 0u64;
         if let Some(dir) = &config.dir {
             std::fs::create_dir_all(dir)?;
-            let mut table_seqs = Vec::new();
-            for entry in std::fs::read_dir(dir)? {
-                let name = entry?.file_name().to_string_lossy().into_owned();
-                if let Some(seq) = name
-                    .strip_prefix("sst_")
-                    .and_then(|s| s.strip_suffix(".dat"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    table_seqs.push(seq);
-                } else if let Some(gen) = name
-                    .strip_prefix("wal_")
-                    .and_then(|s| s.strip_suffix(".dat"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    wal_gen = wal_gen.max(gen);
-                }
-            }
-            table_seqs.sort_unstable();
-            for seq in table_seqs {
+            for seq in wal::generations(dir, "sst_") {
                 let device = device_from_config(&config, &format!("sst_{seq}.dat"))?;
                 let planner = IoPlanner::from_config(&config).with_metrics(Arc::clone(&metrics));
                 match SsTable::open(device, planner, seq) {
@@ -112,20 +97,18 @@ impl LsmStore {
                 max_seq = max_seq.max(seq);
             }
         }
-        let wal_device = device_from_config(&config, &format!("wal_{wal_gen}.dat"))?;
-        let wal = WriteAheadLog::new(wal_device, config.durability, Arc::clone(&metrics))
-            .with_tap(config.wal_tap.clone());
         let executor = BatchExecutor::new(config.parallelism);
         // One memtable shard per worker, so a fanned-out batch's shard groups
         // can all be staged and applied at once.
         let memtable = ShardedMemTable::new(executor.parallelism());
-        for (key, entry) in wal.replay()? {
-            let mut shard = memtable.lock_shard(memtable.shard_of(key));
-            match entry {
-                Some(v) => shard.put(key, v),
-                None => shard.delete(key),
-            }
-        }
+        // The memtable has no other copy: the LSM keeps a log under every
+        // durability mode.
+        let mut wal = GenerationalWal::open(&config, WAL_PREFIX, Arc::clone(&metrics));
+        wal.replay_ops(|entries| {
+            memtable.restore(entries);
+            Ok(())
+        })?;
+        wal.start()?;
 
         Ok(Self {
             executor,
@@ -135,7 +118,6 @@ impl LsmStore {
                 memtable,
                 tables,
                 wal,
-                wal_gen,
             }),
             block_cache,
             memtable_budget,
@@ -211,18 +193,10 @@ impl LsmStore {
         for (key, _) in &entries {
             self.block_cache.invalidate(*key);
         }
-        // Rotate the WAL: recovered state now lives in the SSTable.
-        inner.wal_gen += 1;
-        if let Some(dir) = &self.config.dir {
-            let _ = std::fs::remove_file(dir.join(format!("wal_{}.dat", inner.wal_gen - 1)));
-        }
-        let wal_device = device_from_config(&self.config, &format!("wal_{}.dat", inner.wal_gen))?;
-        inner.wal = WriteAheadLog::new(
-            wal_device,
-            self.config.durability,
-            Arc::clone(&self.metrics),
-        )
-        .with_tap(self.config.wal_tap.clone());
+        // Rotate the WAL: recovered state now lives in the SSTable. A failed
+        // rotation keeps logging into the current generation, which the
+        // next flush supersedes.
+        inner.wal.rotate()?;
 
         if inner.tables.len() > COMPACTION_THRESHOLD {
             self.compact(inner)?;
@@ -449,15 +423,10 @@ impl LsmStore {
         self.executor.execute(jobs, total_keys)
     }
 
-    /// The single mutation tail every write path funnels through: a batch of
-    /// already-resolved entries (`Some` = put, `None` = tombstone) in batch
-    /// order. Locks the touched memtable shards in ascending index order
-    /// (deadlock-free against concurrent batches), appends the whole batch as
-    /// **one** grouped WAL record set, applies it to the shards (one executor
-    /// job per shard), then pays one
-    /// group-commit sync at the acknowledgement point. The append precedes
-    /// every memtable mutation, so a failed append leaves the store untouched
-    /// and recovery replays the batch all-or-nothing up to the torn tail.
+    /// Put or delete a batch of entries (`Some` = put, `None` = tombstone)
+    /// in batch order: lock the touched memtable shards in ascending index
+    /// order (deadlock-free against concurrent batches) and run the batch
+    /// through [`LsmStore::commit_locked`].
     fn commit_entries(&self, keys: &[Key], entries: &[Entry]) -> StorageResult<()> {
         debug_assert_eq!(keys.len(), entries.len());
         if keys.is_empty() {
@@ -466,34 +435,54 @@ impl LsmStore {
         {
             let inner = self.inner.read();
             let mut locked = inner.memtable.lock_batch(keys);
-            inner.wal.log_entries(
-                keys.iter()
-                    .copied()
-                    .zip(entries.iter().map(|e| e.as_deref())),
-            )?;
-            let apply = |shard: &mut MemTable, positions: &[usize]| {
-                for &i in positions {
-                    match &entries[i] {
-                        Some(v) => {
-                            self.metrics.record_upsert();
-                            shard.put(keys[i], v.clone());
-                        }
-                        None => shard.delete(keys[i]),
-                    }
-                    self.block_cache.invalidate(keys[i]);
-                }
-            };
-            let shards = locked.iter_mut().map(|(guard, p)| (&mut **guard, &p[..]));
-            self.run_shard_jobs(shards, keys.len(), apply);
-            // One group-commit sync acknowledges the whole batch, while the
-            // shard locks are still held so WAL order matches apply order on
-            // every shard two batches share.
-            inner.wal.commit()?;
+            let upserts = entries.iter().filter(|e| e.is_some()).count();
+            self.commit_locked(&inner, &mut locked, keys, entries, upserts as u64)?;
         }
         // The budget check runs only after the acknowledgement (a mid-batch
         // flush would rotate away the WAL covering the batch's entries) and
         // outside the shard locks. The memtable may overshoot by one batch.
         self.maybe_flush()
+    }
+
+    /// The single mutation tail every write path funnels through, under the
+    /// batch's locked memtable shards (`locked`, from
+    /// [`ShardedMemTable::lock_batch`]): append the whole batch as **one**
+    /// grouped WAL record set, apply it to the shards (one executor job per
+    /// shard), then pay one group-commit sync at the acknowledgement point.
+    /// The append precedes every memtable mutation, so a failed append
+    /// leaves the store untouched and recovery replays the batch
+    /// all-or-nothing up to the torn tail. `upserts` of the entries count as
+    /// upserts once the append landed (an RMW counts its keys as rmws
+    /// instead).
+    fn commit_locked(
+        &self,
+        inner: &Inner,
+        locked: &mut [(MutexGuard<'_, MemTable>, Vec<usize>)],
+        keys: &[Key],
+        entries: &[Entry],
+        upserts: u64,
+    ) -> StorageResult<()> {
+        let ack = inner.wal.append_ops(
+            keys.iter()
+                .copied()
+                .zip(entries.iter().map(|e| e.as_deref())),
+        )?;
+        self.metrics.record_upserts(upserts);
+        let apply = |shard: &mut MemTable, positions: &[usize]| {
+            for &i in positions {
+                match &entries[i] {
+                    Some(v) => shard.put(keys[i], v.clone()),
+                    None => shard.delete(keys[i]),
+                }
+                self.block_cache.invalidate(keys[i]);
+            }
+        };
+        let shards = locked.iter_mut().map(|(guard, p)| (&mut **guard, &p[..]));
+        self.run_shard_jobs(shards, keys.len(), apply);
+        // One group-commit sync acknowledges the whole batch, while the
+        // shard locks are still held so WAL order matches apply order on
+        // every shard two batches share.
+        ack.commit()
     }
 }
 
@@ -626,7 +615,7 @@ impl KvStore for LsmStore {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let mut out = vec![Vec::new(); keys.len()];
+        let mut entries: Vec<Entry> = vec![None; keys.len()];
         {
             let inner = self.inner.read();
             let cold = self.read_cold(&inner, keys)?;
@@ -654,29 +643,21 @@ impl KvStore for LsmStore {
             let shards = locked.iter().map(|(guard, p)| (&**guard, &p[..]));
             for staged in self.run_shard_jobs(shards, keys.len(), resolve) {
                 for (i, value) in staged {
-                    out[i] = value;
+                    entries[i] = Some(value);
                 }
             }
-            // Phase 2 (single committer): one grouped append, apply to the
-            // shards, one group-commit ack — all while the shard locks are
-            // still held, so WAL order matches apply order on shared shards.
-            inner
-                .wal
-                .log_puts(keys.iter().copied().zip(out.iter().map(|v| v.as_slice())))?;
-            let apply = |shard: &mut MemTable, positions: &[usize]| {
-                for &i in positions {
-                    shard.put(keys[i], out[i].clone());
-                    self.block_cache.invalidate(keys[i]);
-                }
-            };
-            let shards = locked.iter_mut().map(|(guard, p)| (&mut **guard, &p[..]));
-            self.run_shard_jobs(shards, keys.len(), apply);
-            inner.wal.commit()?;
+            // Phase 2: the shared tail — one grouped append, apply to the
+            // shards, one group-commit ack, all while the shard locks are
+            // still held.
+            self.commit_locked(&inner, &mut locked, keys, &entries, 0)?;
         }
         // Budget check after the ack (a mid-batch flush would rotate away the
         // WAL covering the batch) and outside the shard locks.
         self.maybe_flush()?;
-        Ok(out)
+        Ok(entries
+            .into_iter()
+            .map(|e| e.expect("every position staged"))
+            .collect())
     }
 
     fn delete(&self, key: Key) -> StorageResult<()> {

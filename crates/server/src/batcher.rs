@@ -22,12 +22,15 @@
 //!   [`DedupWindow`] already acknowledged is re-acknowledged without being
 //!   re-applied; fresh mutations ride their durable marker in the same fused
 //!   batch ([`EmbeddingTable::apply_gradients_tagged`]).
-//! * **In-doubt reconciliation** — when a fused apply fails, its sessions are
-//!   marked in-doubt: on an apply-before-log engine the gradients may already
-//!   be in live state even though the batch was NACKed. A retry from an
-//!   in-doubt session checks the store-resident marker; if the failed attempt
-//!   did land, the current live values are written back (log-before-apply,
-//!   idempotent) instead of re-applied, so the gradient is never doubled.
+//! * **In-doubt reconciliation** — a NACKed fused apply may already be in
+//!   live state, so its sessions are marked in-doubt. Two NACKs leave it
+//!   there: a failed apply after the batch was applied (the B+tree journals
+//!   only after it applies, and on every engine a failed commit sync comes
+//!   after the apply), and a semi-sync NACK, which fails a batch that is
+//!   applied and locally durable but unconfirmed by the replica quorum. A
+//!   retry from an in-doubt session checks the store-resident marker; if the
+//!   failed attempt did land, the current live values are written back
+//!   (idempotent) instead of re-applied, so the gradient is never doubled.
 //! * **Health-aware degradation** — write faults flip [`Health`] to
 //!   `Degraded`; while degraded every tick first runs a recovery probe when
 //!   due, gathers keep flowing, and mutations are refused with the retryable
@@ -60,9 +63,9 @@ pub struct Batcher {
     metrics: Arc<StorageMetrics>,
     health: Arc<Health>,
     dedup: Arc<DedupWindow>,
-    /// Sessions whose last fused apply failed: live state may hold their
-    /// mutation even though it was NACKed (apply-before-log engines), so a
-    /// retry must consult the durable marker before re-applying.
+    /// Sessions whose last fused apply was NACKed: live state may hold their
+    /// mutation (a B+tree journal fault, a failed commit sync, a semi-sync
+    /// NACK), so a retry must consult the durable marker before re-applying.
     in_doubt: HashSet<u64>,
     /// Replication state for the semi-sync acknowledgement gate (`None`
     /// outside a served replication topology).
@@ -313,9 +316,10 @@ impl Batcher {
             }
             Err(err) => {
                 drop(fused);
-                // Live state may hold this batch even though it failed
-                // (apply-before-log engines): remember the sessions so their
-                // retries reconcile against the durable marker.
+                // Live state may hold this batch even though it failed (the
+                // B+tree journals after applying; a failed commit sync comes
+                // after the apply on every engine): remember the sessions so
+                // their retries reconcile against the durable marker.
                 for p in &fresh {
                     if p.session_id != 0 {
                         self.in_doubt.insert(p.session_id);

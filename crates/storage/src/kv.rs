@@ -193,10 +193,19 @@ pub trait KvStore: Send + Sync + 'static {
     /// keys observe earlier occurrences' writes.
     ///
     /// A batch that fails is not rolled back. An engine may run `f` for a
-    /// whole range of keys before it writes the first of them, so `f` can
-    /// have run for keys that were never written; a write that fails ends its
-    /// range with the keys written before it stored, and no later key of
-    /// that range. Only a batch that returns `Ok` stored every value.
+    /// whole range of keys, or the whole batch, before it writes the first
+    /// of them, so `f` can have run for keys that were never written; a
+    /// write that fails ends its range with the keys written before it
+    /// stored, and no later key of that range. Only a batch that returns
+    /// `Ok` stored every value.
+    ///
+    /// Not every engine is atomic across concurrent callers on one key.
+    /// FASTER resolves a key's current value, runs `f`, and writes the
+    /// result later without holding a lock on the key in between, so two
+    /// concurrent batches on one key can lose an update; the embedding
+    /// table's Put latch is what orders them. On a durable store that window
+    /// also spans the batch's WAL group append, which comes before the write
+    /// (see [`crate::wal`]).
     ///
     /// The default implementation loops over [`KvStore::rmw`]; engines
     /// override it to batch locking and index traversal.
@@ -319,40 +328,34 @@ pub trait KvStore: Send + Sync + 'static {
     /// Apply one shipped replication group (the frames of a
     /// [`crate::wal::WalGroup`]) to this store, as a standby replica.
     ///
-    /// The default decodes the frames as logical [`crate::wal::WalOp`]s — the
-    /// shape FASTER's delta WAL and the LSM WAL ship — and applies them
-    /// through the store's normal write path, so the replica writes its *own*
-    /// WAL and the applied group survives a replica restart. An all-put group
-    /// is applied as one [`KvStore::write_batch`] (one local WAL group, one
-    /// sync — mirroring the primary's group commit); groups containing
-    /// deletes fall back to sequential application. Frames carry full
-    /// post-values, so re-applying a group (duplicate delivery after a
-    /// reconnect) is idempotent.
+    /// The default decodes the frames as logical records
+    /// ([`crate::wal::decode_op`]) — the shape FASTER's delta WAL and the LSM
+    /// WAL ship — and applies them through the store's normal write path, so
+    /// the replica writes its *own* WAL and the applied group survives a
+    /// replica restart. An all-put group is applied as one
+    /// [`KvStore::write_batch`] (one local WAL group, one sync — mirroring the
+    /// primary's group commit); groups containing deletes fall back to
+    /// sequential application. Frames carry full post-values, so re-applying
+    /// a group (duplicate delivery after a reconnect) is idempotent.
     ///
     /// Engines whose WAL ships physical frames instead (the B+tree's
     /// page-image journal) override this to install the shipped images.
     fn apply_replicated_group(&self, frames: &[Vec<u8>]) -> StorageResult<()> {
         let ops = frames
             .iter()
-            .map(|f| crate::wal::WalOp::decode(f))
+            .map(|f| crate::wal::decode_op(f))
             .collect::<StorageResult<Vec<_>>>()?;
-        if ops.len() > 1
-            && ops
-                .iter()
-                .all(|op| matches!(op, crate::wal::WalOp::Put { .. }))
-        {
+        if ops.len() > 1 && ops.iter().all(|(_, value)| value.is_some()) {
             let mut batch = WriteBatch::new();
-            for op in ops {
-                if let crate::wal::WalOp::Put { key, value } = op {
-                    batch.put(key, value);
-                }
+            for (key, value) in ops {
+                batch.put(key, value.expect("an all-put group"));
             }
             return self.write_batch(&batch);
         }
-        for op in ops {
-            match op {
-                crate::wal::WalOp::Put { key, value } => self.put(key, &value)?,
-                crate::wal::WalOp::Delete { key } => self.delete(key)?,
+        for (key, value) in ops {
+            match value {
+                Some(value) => self.put(key, &value)?,
+                None => self.delete(key)?,
             }
         }
         Ok(())

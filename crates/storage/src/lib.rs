@@ -61,5 +61,5 @@ pub use metrics::{MetricsSnapshot, ReadTally, StorageMetrics};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use ring::IoBatch;
 pub use wal::{
-    ReplicaApplier, Shipment, WalGroup, WalOp, WalReader, WalShipper, WalTap, WalWriter,
+    GenerationalWal, ReplicaApplier, Shipment, WalAck, WalGroup, WalShipper, WalTap, WalWriter,
 };

@@ -10,6 +10,7 @@
 //! the failing inner read runs when the caller waits, the path every
 //! simulated-SSD store takes.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -278,15 +279,14 @@ fn lsm_failed_commit_sync_surfaces_and_recovers() {
     assert_eq!(store.get(1).unwrap(), b"one");
 }
 
-/// FASTER logs before applying: a failed WAL write rejects the put entirely.
-#[test]
-fn faster_failed_wal_write_rejects_the_put() {
+/// A durable FASTER store over failing memory devices, holding `1 → "one"`,
+/// with its WAL's injection handle and the directory it scans for WAL
+/// generations (FASTER needs one, though every device is memory-backed).
+fn faulty_durable_faster(tag: &str) -> (Arc<FailingDevice>, mlkv_faster::FasterKv, PathBuf) {
     use mlkv_storage::KvStore;
 
-    // FASTER scans `dir` for WAL generations, so the config needs one even
-    // though every device the factory hands out is memory-backed.
     let dir = std::env::temp_dir().join(format!(
-        "mlkv-io-fault-faster-{}-{:?}",
+        "mlkv-io-fault-{tag}-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -302,7 +302,15 @@ fn faster_failed_wal_write_rejects_the_put() {
             .get("faster_wal_0.dat")
             .expect("wal device"),
     );
+    (wal, store, dir)
+}
 
+/// FASTER logs before applying: a failed WAL write rejects the put entirely.
+#[test]
+fn faster_failed_wal_write_rejects_the_put() {
+    use mlkv_storage::KvStore;
+
+    let (wal, store, dir) = faulty_durable_faster("faster");
     wal.set_fail_writes(true);
     assert!(store.put(2, b"two").is_err(), "write fault surfaces");
     assert!(matches!(
@@ -314,6 +322,75 @@ fn faster_failed_wal_write_rejects_the_put() {
     store.put(2, b"two").unwrap();
     assert_eq!(store.get(2).unwrap(), b"two");
     assert_eq!(store.get(1).unwrap(), b"one");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FASTER logs an RMW before it writes it: a failed WAL write rejects the
+/// batch with the old value still stored, and the retry lands once the
+/// device heals.
+#[test]
+fn faster_failed_wal_write_rejects_the_rmw() {
+    use mlkv_storage::KvStore;
+
+    let (wal, store, dir) = faulty_durable_faster("faster-rmw");
+    wal.set_fail_writes(true);
+    let two = |_: usize, _: Option<&[u8]>| b"two".to_vec();
+    assert!(store.multi_rmw(&[1], &two).is_err(), "write fault surfaces");
+    assert_eq!(
+        store.get(1).unwrap(),
+        b"one",
+        "an unlogged RMW is invisible"
+    );
+
+    wal.heal();
+    assert_eq!(store.multi_rmw(&[1], &two).unwrap(), vec![b"two".to_vec()]);
+    assert_eq!(store.get(1).unwrap(), b"two");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A WAL rotation whose new generation cannot be created keeps the current
+/// one: the flush fails, later writes keep logging into the old generation,
+/// and a reopen recovers every acknowledged write.
+#[test]
+fn lsm_failed_wal_rotation_keeps_acknowledged_writes() {
+    use mlkv_storage::KvStore;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = std::env::temp_dir().join(format!(
+        "mlkv-io-fault-lsm-rotation-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = mlkv_storage::StoreConfig::on_disk(&dir)
+        .with_memory_budget(1 << 20)
+        .with_durability(mlkv_storage::DurabilityMode::GroupCommit { window: 1 << 20 });
+    // File devices, except that creating `wal_1.dat` fails once.
+    let failed = Arc::new(AtomicBool::new(false));
+    let factory = {
+        let (dir, failed) = (dir.clone(), Arc::clone(&failed));
+        mlkv_storage::DeviceFactory::new(move |name| {
+            if name == "wal_1.dat" && !failed.swap(true, Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected create fault").into());
+            }
+            Ok(Arc::new(mlkv_storage::FileDevice::open(dir.join(name))?) as Arc<dyn Device>)
+        })
+    };
+    {
+        let store = mlkv_lsm::LsmStore::open(config.clone().with_device_factory(factory)).unwrap();
+        store.put(1, b"one").unwrap();
+        assert!(store.flush().is_err(), "the failed rotation surfaces");
+        assert!(failed.load(Ordering::SeqCst));
+        store.put(2, b"two").unwrap();
+    }
+    let store = mlkv_lsm::LsmStore::open(config).unwrap();
+    assert_eq!(store.get(1).unwrap(), b"one");
+    assert_eq!(
+        store.get(2).unwrap(),
+        b"two",
+        "an acknowledged write was lost"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The value [`cold_faulty_faster`] stores under `k`: one key in 32 has a
