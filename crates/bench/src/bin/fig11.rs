@@ -29,7 +29,6 @@ fn trisk_run(
             model: GnnModelKind::GraphSage,
             graph: GnnGraphConfig::ebay_trisk(5e-5 * scale, 23),
             hidden_dim: 32,
-            preload_features: true,
             options: TrainerOptions {
                 batch_size: 64,
                 simulated_compute: default_compute() + extra_compute,
@@ -88,7 +87,6 @@ fn main() {
                     model: GnnModelKind::GraphSage,
                     graph: GnnGraphConfig::ebay_payout(5e-6 * scale, 29),
                     hidden_dim: 32,
-                    preload_features: true,
                     options: TrainerOptions {
                         batch_size: 64,
                         simulated_compute: default_compute(),

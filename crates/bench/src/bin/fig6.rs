@@ -114,7 +114,6 @@ fn main() {
                         ..GnnGraphConfig::default()
                     },
                     hidden_dim: 32,
-                    preload_features: true,
                     options: options(scale),
                 },
             );

@@ -125,7 +125,6 @@ fn main() {
                     model: GnnModelKind::GraphSage,
                     graph: GnnGraphConfig::papers100m(2e-4 * scale, 19),
                     hidden_dim: 32,
-                    preload_features: true,
                     options: options(backend),
                 },
             );

@@ -20,9 +20,11 @@ pub enum DurabilityMode {
     /// Mirrors the paper's non-durable training runs (the default).
     #[default]
     None,
-    /// Sync only at engine barriers (flush, checkpoint, log rotation). An
-    /// acknowledged *flush* survives a crash; acknowledged individual writes
-    /// since the last barrier do **not**. The classic OS-buffered posture.
+    /// Write the log with every batch and never sync it: a clean reopen
+    /// replays it, but against power loss only the engines' own flush and
+    /// checkpoint syncs of their data files harden anything, so acknowledged
+    /// writes since the last of those may be lost. The classic OS-buffered
+    /// posture.
     Buffered,
     /// Group commit: one sync per acknowledged batch (`write_batch` /
     /// `multi_rmw` / single ops), plus a forced sync whenever `window`

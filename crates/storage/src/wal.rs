@@ -16,10 +16,10 @@
 //!
 //! * [`DurabilityMode::None`] — never sync; a crash may lose everything since
 //!   the last engine flush.
-//! * [`DurabilityMode::Buffered`] — never sync per operation; engines
-//!   harden their data files at flush / checkpoint, so a crash loses the
-//!   log's tail but acked flushes survive ([`WalWriter::barrier`] syncs the
-//!   log itself).
+//! * [`DurabilityMode::Buffered`] — the log is written with every batch and
+//!   never synced; a clean reopen replays it, but against power loss only the
+//!   engines' own flush / checkpoint syncs of their data files harden
+//!   anything.
 //! * [`DurabilityMode::GroupCommit { window }`] — sync at every commit point
 //!   and additionally whenever `window` records accumulate un-synced, so an
 //!   acknowledged batch is durable and the loss window inside an unacked
@@ -218,18 +218,6 @@ impl WalWriter {
             self.publish_pending();
         }
         Ok(())
-    }
-
-    /// Engine barrier (flush / checkpoint / rotation): syncs under every mode
-    /// except [`DurabilityMode::None`].
-    pub fn barrier(&self) -> StorageResult<()> {
-        match self.mode {
-            DurabilityMode::None => {
-                self.publish_pending();
-                Ok(())
-            }
-            _ => self.sync(),
-        }
     }
 
     /// Unconditionally sync the device and reset the group-commit window.
@@ -852,13 +840,10 @@ mod tests {
         wal.append_group([b"a".as_slice()]).unwrap();
         wal.commit().unwrap();
         assert_eq!(metrics.snapshot().wal_syncs, 0, "buffered: commit is free");
-        wal.barrier().unwrap();
-        assert_eq!(metrics.snapshot().wal_syncs, 1, "buffered: barrier syncs");
 
         let (_, metrics, wal) = writer(DurabilityMode::None);
         wal.append_group([b"a".as_slice()]).unwrap();
         wal.commit().unwrap();
-        wal.barrier().unwrap();
         assert_eq!(metrics.snapshot().wal_syncs, 0, "none: never syncs");
     }
 
@@ -938,9 +923,6 @@ mod tests {
                 0,
                 "{mode}: publishing does not add syncs"
             );
-            wal.append_group([b"y".as_slice()]).unwrap();
-            wal.barrier().unwrap();
-            assert_eq!(tap.next_offset(), 2, "{mode}: barrier publishes");
         }
     }
 

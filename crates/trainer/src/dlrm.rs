@@ -1,22 +1,14 @@
 //! DLRM / CTR training loop (Criteo-style workloads, FFNN and DCN models).
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
-use mlkv::codec::decode_vector;
 use mlkv::{EmbeddingTable, StorageResult};
 use mlkv_embedding::metrics::auc;
 use mlkv_embedding::nn::{DeepCross, Mlp};
 use mlkv_workloads::criteo::{CriteoConfig, CriteoGenerator, CtrSample};
 
-use crate::energy::EnergyModel;
-use crate::harness::{
-    issue_prefetch, simulate_compute, AdaptiveLookahead, PrefetchMode, TrainerOptions,
-    UpdateDispatcher,
-};
-use crate::report::{LatencyBreakdown, TrainingReport};
+use crate::harness::{read_rows, train, Gradients, Rows, Task, TrainerOptions};
+use crate::report::TrainingReport;
 
 /// Which CTR model to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +48,23 @@ impl CtrModel {
             CtrModel::Dcn(m) => m.predict(input),
         }
     }
+
+    /// Predicted click probability of `sample`, its rows read through
+    /// [`read_rows`].
+    fn predict_sample(&self, table: &EmbeddingTable, sample: &CtrSample) -> StorageResult<f32> {
+        let rows = read_rows(table, &sample.sparse_keys)?;
+        Ok(self.predict(&build_input(rows.iter().map(Vec::as_slice), &sample.dense)))
+    }
+
+    /// AUC over `samples`.
+    fn auc(&self, table: &EmbeddingTable, samples: &[CtrSample]) -> StorageResult<f64> {
+        let scores = samples
+            .iter()
+            .map(|s| self.predict_sample(table, s))
+            .collect::<StorageResult<Vec<f32>>>()?;
+        let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
+        Ok(auc(&scores, &labels))
+    }
 }
 
 /// Configuration of a DLRM training run.
@@ -82,12 +91,18 @@ impl Default for DlrmTrainerConfig {
     }
 }
 
+/// The model's input: the sample's embedding rows, then its dense features.
+fn build_input<'a>(rows: impl Iterator<Item = &'a [f32]>, dense: &[f32]) -> Vec<f32> {
+    let mut input: Vec<f32> = rows.flatten().copied().collect();
+    input.extend_from_slice(dense);
+    input
+}
+
 /// CTR training loop over an MLKV embedding table.
 pub struct DlrmTrainer {
     table: Arc<EmbeddingTable>,
     config: DlrmTrainerConfig,
     model: CtrModel,
-    energy: EnergyModel,
 }
 
 impl DlrmTrainer {
@@ -110,197 +125,72 @@ impl DlrmTrainer {
             table,
             config,
             model,
-            energy: EnergyModel::default(),
         }
-    }
-
-    /// Read a batch of embeddings for evaluation without touching the
-    /// staleness clock: one `multi_get` straight at the store.
-    fn eval_embeddings(&self, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
-        let dim = self.table.dim();
-        self.table
-            .store()
-            .multi_get(keys)
-            .into_iter()
-            .map(|result| match result {
-                Ok(bytes) => decode_vector(&bytes, dim),
-                Err(e) if e.is_not_found() => Ok(vec![0.0; dim]),
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-
-    fn build_input(&self, embeddings: &[Vec<f32>], dense: &[f32]) -> Vec<f32> {
-        let dim = self.table.dim();
-        let mut input = Vec::with_capacity(embeddings.len() * dim + dense.len());
-        for e in embeddings {
-            input.extend_from_slice(e);
-        }
-        input.extend_from_slice(dense);
-        input
-    }
-
-    /// Evaluate AUC on `samples`, reading embeddings directly from the store.
-    fn evaluate(&self, samples: &[CtrSample]) -> StorageResult<f64> {
-        let mut scores = Vec::with_capacity(samples.len());
-        let mut labels = Vec::with_capacity(samples.len());
-        for s in samples {
-            let embeddings = self.eval_embeddings(&s.sparse_keys)?;
-            let input = self.build_input(&embeddings, &s.dense);
-            scores.push(self.model.predict(&input));
-            labels.push(s.label);
-        }
-        Ok(auc(&scores, &labels))
     }
 
     /// Run `num_batches` of training and return the report.
     pub fn run(&mut self, num_batches: usize) -> StorageResult<TrainingReport> {
-        let opts = self.config.options.clone();
         let mut generator = CriteoGenerator::new(self.config.criteo.clone());
-        let eval_set = generator.next_batch(opts.eval_samples);
-        let mut dispatcher = UpdateDispatcher::new(
-            Arc::clone(&self.table),
-            opts.update_mode,
-            opts.learning_rate,
-        );
-
-        // Sliding window of upcoming batches so prefetches can run ahead; its
-        // depth is tuned at runtime from the observed prefetch hit-rate.
-        let mut lookahead = AdaptiveLookahead::new(
-            opts.lookahead_batches,
-            opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
-        );
-        let mut window: VecDeque<Vec<CtrSample>> = VecDeque::new();
-        for _ in 0..=lookahead.depth() {
-            window.push_back(generator.next_batch(opts.batch_size));
-        }
-
-        let mut breakdown = LatencyBreakdown::default();
-        let mut convergence = Vec::new();
-        let mut samples_done = 0u64;
-        let io_before = self.table.store_metrics().total_io_bytes();
-        let stall_before = self.table.staleness_stats().stall_ns;
-        let run_start = Instant::now();
-        let dim = self.table.dim();
-
-        for batch_idx in 0..num_batches {
-            let batch = window.pop_front().expect("window is pre-filled");
-            // Top the window up to the current look-ahead depth, announcing
-            // the keys of every newly generated batch. At steady state this
-            // announces one batch per step; after a depth change the window
-            // drains or refills over the next few steps.
-            while window.len() <= lookahead.depth() {
-                let future = generator.next_batch(opts.batch_size);
-                let future_keys: Vec<u64> = future
-                    .iter()
-                    .flat_map(|s| s.sparse_keys.iter().copied())
-                    .collect();
-                issue_prefetch(&self.table, &future_keys, opts.prefetch);
-                window.push_back(future);
-            }
-            if (batch_idx + 1) % 8 == 0 {
-                lookahead.observe(self.table.prefetch_stats());
-            }
-
-            // --- Embedding access (Get). ---
-            // Keys are deduplicated per batch (as DLRM systems do), so each
-            // unique embedding sees exactly one Get and one Put per batch and
-            // staleness counts whole batches, not sample occurrences.
-            let t0 = Instant::now();
-            let mut unique_keys: Vec<u64> = batch
-                .iter()
-                .flat_map(|s| s.sparse_keys.iter().copied())
-                .collect();
-            unique_keys.sort_unstable();
-            unique_keys.dedup();
-            let fetched = self.table.gather(&unique_keys)?;
-            let embedding_of: HashMap<u64, &Vec<f32>> =
-                unique_keys.iter().copied().zip(fetched.iter()).collect();
-            let emb_get_s = t0.elapsed().as_secs_f64();
-
-            // --- Forward + backward. ---
-            let t1 = Instant::now();
-            let mut grad_accum: HashMap<u64, (Vec<f32>, u32)> = HashMap::new();
-            for sample in &batch {
-                let embeddings: Vec<Vec<f32>> = sample
-                    .sparse_keys
-                    .iter()
-                    .map(|k| (*embedding_of[k]).clone())
-                    .collect();
-                let input = self.build_input(&embeddings, &sample.dense);
-                let (_, d_input) = self
-                    .model
-                    .train_step(&input, sample.label, opts.learning_rate);
-                // Split the input gradient back into per-feature embedding gradients.
-                for (field, key) in sample.sparse_keys.iter().enumerate() {
-                    let grad = &d_input[field * dim..(field + 1) * dim];
-                    let entry = grad_accum
-                        .entry(*key)
-                        .or_insert_with(|| (vec![0.0; dim], 0));
-                    for (a, g) in entry.0.iter_mut().zip(grad) {
-                        *a += g;
-                    }
-                    entry.1 += 1;
-                }
-            }
-            let compute_s = t1.elapsed().as_secs_f64();
-            simulate_compute(opts.simulated_compute);
-
-            // --- Embedding update (one batched scatter). ---
-            // Mean gradient per key, so popular keys do not receive outsized steps.
-            let updates: Vec<(u64, Vec<f32>)> = grad_accum
-                .into_iter()
-                .map(|(key, (sum, count))| (key, sum.iter().map(|g| g / count as f32).collect()))
-                .collect();
-            let put_time = dispatcher.dispatch(updates)?;
-
-            breakdown.emb_access_s += emb_get_s + put_time.as_secs_f64();
-            breakdown.forward_s += compute_s * 0.4;
-            breakdown.backward_s += compute_s * 0.6 + opts.simulated_compute.as_secs_f64();
-            samples_done += batch.len() as u64;
-
-            if opts.eval_every_batches > 0 && (batch_idx + 1) % opts.eval_every_batches == 0 {
-                let metric = self.evaluate(&eval_set)?;
-                convergence.push((run_start.elapsed().as_secs_f64(), metric));
-            }
-        }
-
-        dispatcher.drain()?;
-        let duration = run_start.elapsed();
-        let final_metric = self.evaluate(&eval_set)?;
-        convergence.push((duration.as_secs_f64(), final_metric));
-        let io_bytes = self.table.store_metrics().total_io_bytes() - io_before;
-        let stall_s = (self.table.staleness_stats().stall_ns - stall_before) as f64 / 1e9;
-        let busy_s = breakdown.forward_s + breakdown.backward_s;
-        Ok(TrainingReport {
-            label: format!(
-                "{}-{} ({})",
-                self.config.model.name(),
-                self.table.dim(),
-                self.table.store().name()
-            ),
-            throughput: samples_done as f64 / duration.as_secs_f64().max(1e-9),
-            samples: samples_done,
-            duration,
-            final_metric,
-            convergence,
-            breakdown,
-            joules_per_batch: self.energy.joules_per_batch(
-                busy_s,
-                breakdown.emb_access_s + stall_s,
-                io_bytes,
-                num_batches as u64,
-            ),
-            stall_s,
-            io_bytes,
-        })
+        let eval_set = generator.next_batch(self.config.options.eval_samples);
+        let mut task = CtrTask {
+            model: &mut self.model,
+            kind: self.config.model,
+            generator,
+            eval_set,
+            batch_size: self.config.options.batch_size,
+            dim: self.table.dim(),
+        };
+        train(&self.table, &self.config.options, &mut task, num_batches)
     }
 
     /// Predicted click probability for a sample (used by examples).
     pub fn predict(&self, sample: &CtrSample) -> StorageResult<f32> {
-        let embeddings = self.eval_embeddings(&sample.sparse_keys)?;
-        let input = self.build_input(&embeddings, &sample.dense);
-        Ok(self.model.predict(&input))
+        self.model.predict_sample(&self.table, sample)
+    }
+}
+
+/// One DLRM run: the model, the sample stream and the held-out samples.
+struct CtrTask<'a> {
+    model: &'a mut CtrModel,
+    kind: DlrmModelKind,
+    generator: CriteoGenerator,
+    eval_set: Vec<CtrSample>,
+    batch_size: usize,
+    dim: usize,
+}
+
+impl Task for CtrTask<'_> {
+    type Batch = Vec<CtrSample>;
+    const FORWARD_SHARE: f64 = 0.4;
+
+    fn next_batch(&mut self) -> Self::Batch {
+        self.generator.next_batch(self.batch_size)
+    }
+
+    fn keys(&self, batch: &Self::Batch) -> Vec<u64> {
+        batch
+            .iter()
+            .flat_map(|s| s.sparse_keys.iter().copied())
+            .collect()
+    }
+
+    fn step(&mut self, batch: &Self::Batch, rows: &Rows, grads: &mut Gradients, lr: f32) {
+        for sample in batch {
+            let input = build_input(sample.sparse_keys.iter().map(|k| rows[k]), &sample.dense);
+            let (_, d_input) = self.model.train_step(&input, sample.label, lr);
+            // Split the input gradient back into per-feature embedding gradients.
+            for (key, grad) in sample.sparse_keys.iter().zip(d_input.chunks(self.dim)) {
+                grads.add(*key, grad);
+            }
+        }
+    }
+
+    fn evaluate(&self, table: &EmbeddingTable) -> StorageResult<f64> {
+        self.model.auc(table, &self.eval_set)
+    }
+
+    fn label(&self, dim: usize) -> String {
+        format!("{}-{dim}", self.kind.name())
     }
 }
 
@@ -349,7 +239,7 @@ mod tests {
         let before = {
             let mut generator = CriteoGenerator::new(small_config().criteo);
             let eval = generator.next_batch(256);
-            trainer.evaluate(&eval).unwrap()
+            trainer.model.auc(&table, &eval).unwrap()
         };
         let report = trainer.run(120).unwrap();
         assert!(report.final_metric > 0.6, "AUC {}", report.final_metric);
@@ -385,5 +275,15 @@ mod tests {
             assert!(!report.convergence.is_empty());
             assert!(report.joules_per_batch > 0.0);
         }
+    }
+
+    #[test]
+    fn a_synchronous_run_repeats_bit_for_bit() {
+        crate::harness::tests::assert_runs_repeat(8, 850, |table| {
+            let mut config = small_config();
+            config.options.update_mode = crate::harness::UpdateMode::Synchronous;
+            config.options.prefetch = crate::harness::PrefetchMode::None;
+            DlrmTrainer::new(table, config).run(60)
+        });
     }
 }

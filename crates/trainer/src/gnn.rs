@@ -2,23 +2,16 @@
 //! neighbourhoods), used for the Papers100M-like workload and the eBay case
 //! studies (Figures 6, 7, 11).
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
-use mlkv::codec::{decode_vector, encode_vector};
+use mlkv::codec::encode_vector;
 use mlkv::{EmbeddingTable, StorageResult, WriteBatch};
 use mlkv_embedding::gnn::{Gat, GraphSage, NeighborhoodGrads};
 use mlkv_embedding::metrics::accuracy;
 use mlkv_workloads::graph::{GnnGraph, GnnGraphConfig};
 
-use crate::energy::EnergyModel;
-use crate::harness::{
-    issue_prefetch, simulate_compute, AdaptiveLookahead, PrefetchMode, TrainerOptions,
-    UpdateDispatcher,
-};
-use crate::report::{LatencyBreakdown, TrainingReport};
+use crate::harness::{read_rows, train, Gradients, Rows, Task, TrainerOptions};
+use crate::report::TrainingReport;
 
 /// Which GNN architecture to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,10 +68,6 @@ pub struct GnnTrainerConfig {
     pub graph: GnnGraphConfig,
     /// Hidden layer width.
     pub hidden_dim: usize,
-    /// Bulk-load all node seed features before training (the "load node
-    /// features" phase; also what makes the store larger than memory in the
-    /// eBay-scale runs).
-    pub preload_features: bool,
     /// Shared harness options.
     pub options: TrainerOptions,
 }
@@ -89,7 +78,6 @@ impl Default for GnnTrainerConfig {
             model: GnnModelKind::GraphSage,
             graph: GnnGraphConfig::default(),
             hidden_dim: 32,
-            preload_features: true,
             options: TrainerOptions::default(),
         }
     }
@@ -101,7 +89,6 @@ pub struct GnnTrainer {
     config: GnnTrainerConfig,
     model: GnnModel,
     graph: GnnGraph,
-    energy: EnergyModel,
 }
 
 impl GnnTrainer {
@@ -127,7 +114,6 @@ impl GnnTrainer {
             config,
             model,
             graph,
-            energy: EnergyModel::default(),
         }
     }
 
@@ -137,7 +123,9 @@ impl GnnTrainer {
     }
 
     /// Bulk-load every node's seed feature vector into the store in grouped
-    /// write batches. Returns the number of nodes loaded.
+    /// write batches (the "load node features" phase every run starts with;
+    /// also what makes the store larger than memory in the eBay-scale runs).
+    /// Returns the number of nodes loaded.
     pub fn preload_features(&self) -> StorageResult<u64> {
         const CHUNK: u64 = 1024;
         let dim = self.table.dim();
@@ -153,29 +141,81 @@ impl GnnTrainer {
         Ok(self.graph.num_nodes())
     }
 
-    /// Read a batch of embeddings for evaluation without touching the
-    /// staleness clock: one `multi_get` straight at the store, with absent
-    /// nodes falling back to their seed feature.
-    fn eval_embeddings(&self, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
-        let dim = self.table.dim();
-        keys.iter()
-            .zip(self.table.store().multi_get(keys))
-            .map(|(key, result)| match result {
-                Ok(bytes) => decode_vector(&bytes, dim),
-                Err(e) if e.is_not_found() => Ok(self.graph.seed_feature(*key, dim)),
-                Err(e) => Err(e),
+    /// Run `num_batches` of training and return the report.
+    pub fn run(&mut self, num_batches: usize) -> StorageResult<TrainingReport> {
+        let opts = &self.config.options;
+        self.preload_features()?;
+        let mut task = GnnTask {
+            model: &mut self.model,
+            kind: self.config.model,
+            graph: &self.graph,
+            // Pre-sample the training nodes for the whole run.
+            nodes: self
+                .graph
+                .training_nodes(num_batches * opts.batch_size, opts.seed),
+            cursor: 0,
+            batch_size: opts.batch_size,
+            eval_nodes: self.graph.training_nodes(opts.eval_samples, 0xE7A1),
+        };
+        train(&self.table, opts, &mut task, num_batches)
+    }
+}
+
+/// One GNN run: the model, the graph, the sampled training nodes and the
+/// held-out nodes.
+struct GnnTask<'a> {
+    model: &'a mut GnnModel,
+    kind: GnnModelKind,
+    graph: &'a GnnGraph,
+    nodes: Vec<u64>,
+    cursor: usize,
+    batch_size: usize,
+    eval_nodes: Vec<u64>,
+}
+
+impl Task for GnnTask<'_> {
+    /// Each training node with its sampled neighbourhood.
+    type Batch = Vec<(u64, Vec<u64>)>;
+    const FORWARD_SHARE: f64 = 0.5;
+
+    fn next_batch(&mut self) -> Self::Batch {
+        (0..self.batch_size)
+            .map(|_| {
+                let node = self.nodes[self.cursor % self.nodes.len()];
+                let visit = (self.cursor / self.nodes.len()) as u64;
+                self.cursor += 1;
+                (node, self.graph.sample_neighbors(node, visit))
             })
             .collect()
     }
 
-    /// Node-classification accuracy over `eval_nodes`.
-    fn evaluate(&self, eval_nodes: &[u64]) -> StorageResult<f64> {
-        let mut predicted = Vec::with_capacity(eval_nodes.len());
-        let mut truth = Vec::with_capacity(eval_nodes.len());
-        for node in eval_nodes {
+    fn keys(&self, batch: &Self::Batch) -> Vec<u64> {
+        batch
+            .iter()
+            .flat_map(|(node, neighbors)| std::iter::once(*node).chain(neighbors.iter().copied()))
+            .collect()
+    }
+
+    fn step(&mut self, batch: &Self::Batch, rows: &Rows, grads: &mut Gradients, lr: f32) {
+        for (node, neighbors) in batch {
+            let neigh_vecs: Vec<Vec<f32>> = neighbors.iter().map(|n| rows[n].to_vec()).collect();
+            let label = self.graph.label_of(*node);
+            let (_, g) = self.model.train_step(rows[node], &neigh_vecs, label, lr);
+            grads.add(*node, &g.d_center);
+            for (neighbor, grad) in neighbors.iter().zip(&g.d_neighbors) {
+                grads.add(*neighbor, grad);
+            }
+        }
+    }
+
+    /// Node-classification accuracy over the held-out nodes.
+    fn evaluate(&self, table: &EmbeddingTable) -> StorageResult<f64> {
+        let mut predicted = Vec::with_capacity(self.eval_nodes.len());
+        let mut truth = Vec::with_capacity(self.eval_nodes.len());
+        for node in &self.eval_nodes {
             let neighbors = self.graph.sample_neighbors(*node, u64::MAX);
             let keys: Vec<u64> = std::iter::once(*node).chain(neighbors).collect();
-            let mut rows = self.eval_embeddings(&keys)?;
+            let mut rows = read_rows(table, &keys)?;
             let center = rows.remove(0);
             predicted.push(self.model.predict(&center, &rows));
             truth.push(self.graph.label_of(*node));
@@ -183,158 +223,8 @@ impl GnnTrainer {
         Ok(accuracy(&predicted, &truth))
     }
 
-    /// Run `num_batches` of training and return the report.
-    pub fn run(&mut self, num_batches: usize) -> StorageResult<TrainingReport> {
-        let opts = self.config.options.clone();
-        if self.config.preload_features {
-            self.preload_features()?;
-        }
-        let eval_nodes = self.graph.training_nodes(opts.eval_samples, 0xE7A1);
-        let mut dispatcher = UpdateDispatcher::new(
-            Arc::clone(&self.table),
-            opts.update_mode,
-            opts.learning_rate,
-        );
-
-        // Pre-sample training nodes and their neighbourhoods for the whole run.
-        let all_nodes = self
-            .graph
-            .training_nodes(num_batches * opts.batch_size, opts.seed);
-        let mut window: VecDeque<Vec<(u64, Vec<u64>)>> = VecDeque::new();
-        let mut cursor = 0usize;
-        let make_batch = |cursor: &mut usize| {
-            let mut batch = Vec::with_capacity(opts.batch_size);
-            for _ in 0..opts.batch_size {
-                let node = all_nodes[*cursor % all_nodes.len()];
-                let visit = (*cursor / all_nodes.len()) as u64;
-                *cursor += 1;
-                batch.push((node, self.graph.sample_neighbors(node, visit)));
-            }
-            batch
-        };
-        let mut lookahead = AdaptiveLookahead::new(
-            opts.lookahead_batches,
-            opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
-        );
-        for _ in 0..=lookahead.depth() {
-            window.push_back(make_batch(&mut cursor));
-        }
-
-        let mut breakdown = LatencyBreakdown::default();
-        let mut convergence = Vec::new();
-        let io_before = self.table.store_metrics().total_io_bytes();
-        let stall_before = self.table.staleness_stats().stall_ns;
-        let run_start = Instant::now();
-
-        for batch_idx in 0..num_batches {
-            let batch = window.pop_front().expect("window pre-filled");
-            // Refill to the adaptively tuned depth, announcing each new batch.
-            while window.len() <= lookahead.depth() {
-                let future = make_batch(&mut cursor);
-                let keys: Vec<u64> = future
-                    .iter()
-                    .flat_map(|(node, neighbors)| {
-                        std::iter::once(*node).chain(neighbors.iter().copied())
-                    })
-                    .collect();
-                issue_prefetch(&self.table, &keys, opts.prefetch);
-                window.push_back(future);
-            }
-            if (batch_idx + 1) % 8 == 0 {
-                lookahead.observe(self.table.prefetch_stats());
-            }
-
-            // --- Embedding access (deduplicated per batch). ---
-            let t0 = Instant::now();
-            let mut unique_keys: Vec<u64> = batch
-                .iter()
-                .flat_map(|(node, neighbors)| {
-                    std::iter::once(*node).chain(neighbors.iter().copied())
-                })
-                .collect();
-            unique_keys.sort_unstable();
-            unique_keys.dedup();
-            let fetched = self.table.gather(&unique_keys)?;
-            let embedding_of: HashMap<u64, &Vec<f32>> =
-                unique_keys.iter().copied().zip(fetched.iter()).collect();
-            let emb_get_s = t0.elapsed().as_secs_f64();
-
-            // --- Forward + backward. ---
-            let t1 = Instant::now();
-            let dim = self.table.dim();
-            let mut grad_accum: HashMap<u64, (Vec<f32>, u32)> = HashMap::new();
-            for (node, neighbors) in &batch {
-                let label = self.graph.label_of(*node);
-                let center = (*embedding_of[node]).clone();
-                let neigh_vecs: Vec<Vec<f32>> = neighbors
-                    .iter()
-                    .map(|n| (*embedding_of[n]).clone())
-                    .collect();
-                let (_, grads) =
-                    self.model
-                        .train_step(&center, &neigh_vecs, label, opts.learning_rate);
-                let mut add = |key: u64, grad: &[f32]| {
-                    let entry = grad_accum.entry(key).or_insert_with(|| (vec![0.0; dim], 0));
-                    for (a, g) in entry.0.iter_mut().zip(grad) {
-                        *a += g;
-                    }
-                    entry.1 += 1;
-                };
-                add(*node, &grads.d_center);
-                for (neighbor, grad) in neighbors.iter().zip(&grads.d_neighbors) {
-                    add(*neighbor, grad);
-                }
-            }
-            let compute_s = t1.elapsed().as_secs_f64();
-            simulate_compute(opts.simulated_compute);
-
-            // --- Embedding update (one batched scatter, mean gradient per key). ---
-            let updates: Vec<(u64, Vec<f32>)> = grad_accum
-                .into_iter()
-                .map(|(key, (sum, count))| (key, sum.iter().map(|g| g / count as f32).collect()))
-                .collect();
-            let put_time = dispatcher.dispatch(updates)?;
-
-            breakdown.emb_access_s += emb_get_s + put_time.as_secs_f64();
-            breakdown.forward_s += compute_s * 0.5;
-            breakdown.backward_s += compute_s * 0.5 + opts.simulated_compute.as_secs_f64();
-
-            if opts.eval_every_batches > 0 && (batch_idx + 1) % opts.eval_every_batches == 0 {
-                let metric = self.evaluate(&eval_nodes)?;
-                convergence.push((run_start.elapsed().as_secs_f64(), metric));
-            }
-        }
-
-        dispatcher.drain()?;
-        let duration = run_start.elapsed();
-        let final_metric = self.evaluate(&eval_nodes)?;
-        convergence.push((duration.as_secs_f64(), final_metric));
-        let samples = (num_batches * opts.batch_size) as u64;
-        let io_bytes = self.table.store_metrics().total_io_bytes() - io_before;
-        let stall_s = (self.table.staleness_stats().stall_ns - stall_before) as f64 / 1e9;
-        let busy_s = breakdown.forward_s + breakdown.backward_s;
-        Ok(TrainingReport {
-            label: format!(
-                "{}-{} ({})",
-                self.config.model.name(),
-                self.table.dim(),
-                self.table.store().name()
-            ),
-            throughput: samples as f64 / duration.as_secs_f64().max(1e-9),
-            samples,
-            duration,
-            final_metric,
-            convergence,
-            breakdown,
-            joules_per_batch: self.energy.joules_per_batch(
-                busy_s,
-                breakdown.emb_access_s + stall_s,
-                io_bytes,
-                num_batches as u64,
-            ),
-            stall_s,
-            io_bytes,
-        })
+    fn label(&self, dim: usize) -> String {
+        format!("{}-{dim}", self.kind.name())
     }
 }
 
@@ -367,7 +257,6 @@ mod tests {
                 ..GnnGraphConfig::default()
             },
             hidden_dim: 24,
-            preload_features: true,
             options: TrainerOptions {
                 batch_size: 32,
                 eval_every_batches: 0,
@@ -415,5 +304,21 @@ mod tests {
         let loaded = trainer.preload_features().unwrap();
         assert_eq!(loaded, 500);
         assert_eq!(table.len(), 500);
+    }
+
+    #[test]
+    fn a_run_of_zero_batches_samples_no_node() {
+        let mut trainer = GnnTrainer::new(small_table(), small_config(GnnModelKind::GraphSage));
+        assert_eq!(trainer.run(0).unwrap().samples, 0);
+    }
+
+    #[test]
+    fn a_synchronous_run_repeats_bit_for_bit() {
+        crate::harness::tests::assert_runs_repeat(16, 3_000, |table| {
+            let mut config = small_config(GnnModelKind::GraphSage);
+            config.options.update_mode = crate::harness::UpdateMode::Synchronous;
+            config.options.prefetch = crate::harness::PrefetchMode::None;
+            GnnTrainer::new(table, config).run(40)
+        });
     }
 }

@@ -1,12 +1,18 @@
 //! Shared training-harness machinery: execution options, the asynchronous
-//! embedding-update dispatcher and the prefetch scheduler.
+//! embedding-update dispatcher, the prefetch scheduler and the one training
+//! loop (`train`) that the DLRM, GNN and KGE trainers run.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use mlkv::codec::{decode_vector, init_vector};
 use mlkv::{EmbeddingTable, PrefetchStats, StorageError, StorageResult};
+
+use crate::energy::EnergyModel;
+use crate::report::{LatencyBreakdown, TrainingReport};
 
 /// How embedding updates are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,10 +282,278 @@ pub fn simulate_compute(duration: Duration) {
     }
 }
 
+/// A batch's gathered embedding rows, by key.
+pub(crate) type Rows<'a> = HashMap<u64, &'a [f32]>;
+
+/// Per-key gradient sums of one batch, dispatched as one mean gradient per
+/// key so that popular keys do not receive outsized steps.
+#[derive(Default)]
+pub(crate) struct Gradients(HashMap<u64, (Vec<f32>, u32)>);
+
+impl Gradients {
+    /// Add one occurrence's gradient for `key`.
+    pub(crate) fn add(&mut self, key: u64, grad: &[f32]) {
+        let (sum, count) = self
+            .0
+            .entry(key)
+            .or_insert_with(|| (vec![0.0; grad.len()], 0));
+        for (a, g) in sum.iter_mut().zip(grad) {
+            *a += g;
+        }
+        *count += 1;
+    }
+
+    fn into_means(self) -> UpdateBatch {
+        self.0
+            .into_iter()
+            .map(|(key, (sum, count))| (key, sum.iter().map(|g| g / count as f32).collect()))
+            .collect()
+    }
+}
+
+/// What a task family (DLRM, GNN, KGE) supplies to [`train`]: its data and
+/// its model. The loop owns everything that touches the table.
+pub(crate) trait Task {
+    /// One mini-batch of training samples.
+    type Batch;
+    /// Share of a batch's measured compute booked as forward pass; the rest
+    /// is backward.
+    const FORWARD_SHARE: f64;
+
+    /// Generate the next training batch.
+    fn next_batch(&mut self) -> Self::Batch;
+    /// Every embedding key `batch` reads, repeats included.
+    fn keys(&self, batch: &Self::Batch) -> Vec<u64>;
+    /// Train the model on `batch`, reading embedding rows from `rows` and
+    /// adding each occurrence's embedding gradient to `grads`.
+    fn step(&mut self, batch: &Self::Batch, rows: &Rows, grads: &mut Gradients, lr: f32);
+    /// The task's quality metric, with rows read through [`read_rows`].
+    fn evaluate(&self, table: &EmbeddingTable) -> StorageResult<f64>;
+    /// Model name for the report, given the embedding dimension.
+    fn label(&self, dim: usize) -> String;
+}
+
+/// Read `keys`' rows for evaluation: one `multi_get` straight at the store,
+/// outside the staleness protocol. A key never stored is served from the
+/// table's initialiser, exactly as a gather serves it.
+pub(crate) fn read_rows(table: &EmbeddingTable, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
+    let dim = table.dim();
+    let (scale, seed) = (table.options().init_scale, table.options().seed);
+    keys.iter()
+        .zip(table.store().multi_get(keys))
+        .map(|(key, result)| match result {
+            Ok(bytes) => decode_vector(&bytes, dim),
+            Err(e) if e.is_not_found() => Ok(init_vector(*key, dim, scale, seed)),
+            Err(e) => Err(e),
+        })
+        .collect()
+}
+
+/// Train `task` for `num_batches` over `table` and report the run.
+///
+/// Each step gathers the batch's unique keys once, so every embedding sees
+/// one Get and one Put per batch and staleness counts whole batches. Batches
+/// are generated up to the look-ahead depth ahead of the one being trained,
+/// and every batch after the first is announced to the prefetcher once, when
+/// it is generated; no batch is generated past the end of the run.
+pub(crate) fn train<T: Task>(
+    table: &Arc<EmbeddingTable>,
+    opts: &TrainerOptions,
+    task: &mut T,
+    num_batches: usize,
+) -> StorageResult<TrainingReport> {
+    let mut dispatcher =
+        UpdateDispatcher::new(Arc::clone(table), opts.update_mode, opts.learning_rate);
+    // The depth is tuned at runtime from the observed prefetch hit-rate.
+    let mut lookahead = AdaptiveLookahead::new(
+        opts.lookahead_batches,
+        opts.adaptive_lookahead && opts.prefetch != PrefetchMode::None,
+    );
+    let mut window = VecDeque::new();
+    let mut generated = 0;
+    let mut breakdown = LatencyBreakdown::default();
+    let mut convergence = Vec::new();
+    let io_before = table.store_metrics().total_io_bytes();
+    let stall_before = table.staleness_stats().stall_ns;
+    let run_start = Instant::now();
+
+    for batch_idx in 0..num_batches {
+        while generated < num_batches && generated <= batch_idx + lookahead.depth() + 1 {
+            let batch = task.next_batch();
+            if generated > 0 {
+                issue_prefetch(table, &task.keys(&batch), opts.prefetch);
+            }
+            window.push_back(batch);
+            generated += 1;
+        }
+        let batch = window.pop_front().expect("the window holds this batch");
+        if (batch_idx + 1) % 8 == 0 {
+            lookahead.observe(table.prefetch_stats());
+        }
+
+        let t0 = Instant::now();
+        let mut keys = task.keys(&batch);
+        keys.sort_unstable();
+        keys.dedup();
+        let fetched = table.gather(&keys)?;
+        let rows: Rows = keys
+            .iter()
+            .copied()
+            .zip(fetched.iter().map(Vec::as_slice))
+            .collect();
+        let gather_s = t0.elapsed().as_secs_f64();
+
+        let t1 = Instant::now();
+        let mut grads = Gradients::default();
+        task.step(&batch, &rows, &mut grads, opts.learning_rate);
+        let compute_s = t1.elapsed().as_secs_f64();
+        simulate_compute(opts.simulated_compute);
+        let put_time = dispatcher.dispatch(grads.into_means())?;
+
+        breakdown.emb_access_s += gather_s + put_time.as_secs_f64();
+        breakdown.forward_s += compute_s * T::FORWARD_SHARE;
+        breakdown.backward_s +=
+            compute_s * (1.0 - T::FORWARD_SHARE) + opts.simulated_compute.as_secs_f64();
+        if opts.eval_every_batches > 0 && (batch_idx + 1) % opts.eval_every_batches == 0 {
+            convergence.push((run_start.elapsed().as_secs_f64(), task.evaluate(table)?));
+        }
+    }
+
+    dispatcher.drain()?;
+    let duration = run_start.elapsed();
+    let final_metric = task.evaluate(table)?;
+    convergence.push((duration.as_secs_f64(), final_metric));
+    let samples = (num_batches * opts.batch_size) as u64;
+    let io_bytes = table.store_metrics().total_io_bytes() - io_before;
+    let stall_s = (table.staleness_stats().stall_ns - stall_before) as f64 / 1e9;
+    Ok(TrainingReport {
+        label: format!("{} ({})", task.label(table.dim()), table.store().name()),
+        throughput: samples as f64 / duration.as_secs_f64().max(1e-9),
+        samples,
+        duration,
+        final_metric,
+        convergence,
+        breakdown,
+        joules_per_batch: EnergyModel::default().joules_per_batch(
+            breakdown.forward_s + breakdown.backward_s,
+            breakdown.emb_access_s + stall_s,
+            io_bytes,
+            num_batches as u64,
+        ),
+        stall_s,
+        io_bytes,
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mlkv::{BackendKind, Mlkv};
+
+    /// Train twice, each time on a fresh table that repeats bit for bit (one
+    /// engine worker, no look-ahead worker), and assert that both runs report
+    /// the same metric and store the same bytes under keys `0..keys`.
+    pub(crate) fn assert_runs_repeat(
+        dim: usize,
+        keys: u64,
+        run: impl Fn(Arc<EmbeddingTable>) -> StorageResult<TrainingReport>,
+    ) {
+        let keys: Vec<u64> = (0..keys).collect();
+        let once = || {
+            let table = Mlkv::builder("repeat")
+                .dim(dim)
+                .backend(BackendKind::Mlkv)
+                .memory_budget(8 << 20)
+                .parallelism(1)
+                .lookahead_workers(0)
+                .build()
+                .unwrap()
+                .table();
+            let metric = run(Arc::clone(&table)).unwrap().final_metric.to_bits();
+            let rows: Vec<Option<Vec<u8>>> = table
+                .store()
+                .multi_get(&keys)
+                .into_iter()
+                .map(Result::ok)
+                .collect();
+            assert!(rows.iter().any(Option::is_some), "the run stored no row");
+            (metric, rows)
+        };
+        assert!(once() == once(), "two runs diverged");
+    }
+
+    /// A task whose batch `b` is the single key `b`.
+    struct KeyPerBatch {
+        next: u64,
+    }
+
+    impl Task for KeyPerBatch {
+        type Batch = u64;
+        const FORWARD_SHARE: f64 = 0.5;
+
+        fn next_batch(&mut self) -> u64 {
+            self.next += 1;
+            self.next - 1
+        }
+
+        fn keys(&self, batch: &u64) -> Vec<u64> {
+            vec![*batch]
+        }
+
+        fn step(&mut self, batch: &u64, rows: &Rows, grads: &mut Gradients, _lr: f32) {
+            grads.add(*batch, rows[batch]);
+        }
+
+        fn evaluate(&self, _table: &EmbeddingTable) -> StorageResult<f64> {
+            Ok(0.0)
+        }
+
+        fn label(&self, dim: usize) -> String {
+            format!("key-per-batch-{dim}")
+        }
+    }
+
+    #[test]
+    fn every_batch_after_the_first_is_announced_once() {
+        let opts = TrainerOptions {
+            update_mode: UpdateMode::Synchronous,
+            prefetch: PrefetchMode::LookAhead,
+            adaptive_lookahead: false,
+            eval_every_batches: 0,
+            ..TrainerOptions::default()
+        };
+        // Shorter than, equal to and longer than the pre-filled window.
+        for num_batches in [1, 3, 5, 20] {
+            let t = Mlkv::builder("announce")
+                .dim(4)
+                .backend(BackendKind::Mlkv)
+                .memory_budget(1 << 20)
+                .lookahead_workers(0)
+                .build()
+                .unwrap()
+                .table();
+            let mut task = KeyPerBatch { next: 0 };
+            let report = train(&t, &opts, &mut task, num_batches).unwrap();
+            assert_eq!(t.prefetch_stats().submitted, num_batches as u64 - 1);
+            assert_eq!(task.next, num_batches as u64, "no batch past the end");
+            assert_eq!(
+                report.label,
+                format!("key-per-batch-4 ({})", t.store().name())
+            );
+        }
+    }
+
+    #[test]
+    fn evaluation_reads_what_a_gather_returns_without_admitting_a_get() {
+        let t = table(u32::MAX);
+        t.put_one(1, &[1.0; 4]).unwrap();
+        t.put_one(3, &[3.0; 4]).unwrap();
+        let keys = [0, 1, 2, 3, 7];
+        let gets = t.staleness_stats().gets;
+        let read = read_rows(&t, &keys).unwrap();
+        assert_eq!(t.staleness_stats().gets, gets);
+        assert_eq!(read, t.gather(&keys).unwrap());
+    }
 
     fn table(bound: u32) -> Arc<EmbeddingTable> {
         Mlkv::builder("harness-test")

@@ -3,7 +3,12 @@
 //! micro-workload over an MLKV [`mlkv::EmbeddingTable`] backed by any of the
 //! workspace's storage engines.
 //!
-//! The harness reproduces the *execution structure* the paper measures:
+//! The three task trainers share one training loop (`harness::train`): each
+//! supplies its batches, the keys a batch reads, its model step and its
+//! evaluation, and the loop owns the look-ahead window, the deduplicated
+//! `gather`, the mean-gradient `apply_gradients` dispatch, the evaluation
+//! reads and the report. That loop reproduces the *execution structure* the
+//! paper measures:
 //!
 //! * synchronous (BSP), bounded-stale (SSP) and fully asynchronous (ASP)
 //!   embedding updates, selected by the table's staleness bound and the

@@ -26,7 +26,6 @@ fn main() -> mlkv::StorageResult<()> {
             ..GnnGraphConfig::default()
         },
         hidden_dim: 32,
-        preload_features: true,
         options: TrainerOptions {
             batch_size: 64,
             eval_every_batches: 40,

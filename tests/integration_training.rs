@@ -138,7 +138,6 @@ fn gnn_training_works_over_disk_backed_store() {
                 ..GnnGraphConfig::default()
             },
             hidden_dim: 16,
-            preload_features: true,
             options: TrainerOptions {
                 batch_size: 32,
                 eval_every_batches: 0,
