@@ -9,10 +9,10 @@
 //! slow or inaccurate:
 //!
 //! * **Data stalls** are hidden by [`EmbeddingTable::lookahead`] — *look-ahead
-//!   prefetching* that copies soon-to-be-needed records from disk into the
-//!   storage engine's memory buffer ahead of time, beyond the staleness window
-//!   (paper §III-C2). It never reads a value into the application, so every
-//!   row a gather returns comes from the engine.
+//!   prefetching* that copies soon-to-be-needed records from disk (or from the
+//!   engine's read-only memory region) into its mutable buffer ahead of time,
+//!   beyond the staleness window (paper §III-C2). It never reads a value into
+//!   the application, so every row a gather returns comes from the engine.
 //! * **Staleness** is bounded per record by a latch-free vector clock packed
 //!   into the 64-bit record word ([`RecordWord`], paper Figure 5(a)); the
 //!   staleness bound selects BSP / SSP / ASP training (paper §III-C1).

@@ -427,14 +427,36 @@ impl HybridLog {
     /// when the record is no longer in the mutable region or the new value has a
     /// different length (callers then fall back to an append).
     pub fn try_update_in_place(&self, addr: Address, new_value: &[u8]) -> StorageResult<bool> {
+        self.update_in_place_after(addr, new_value, || {})
+    }
+
+    /// [`HybridLog::try_update_in_place`], running `between` after the
+    /// lock-free region check and before the frame lock: the window in which
+    /// `read_only` can cross the record (tests park a writer there).
+    ///
+    /// The region is checked again under the frame's write lock, FASTER's
+    /// fuzzy-region rule: a promotion classifies a record read-only under the
+    /// frame's read lock ([`HybridLog::with_record_memory`]) and copies it to
+    /// the tail, so a writer that still wrote in place afterwards would update
+    /// a record that is no longer its key's newest. Past that lock it either
+    /// wrote before the promotion read (which copies the new value) or sees
+    /// the record read-only and appends (the index CAS orders it after the
+    /// copy).
+    fn update_in_place_after(
+        &self,
+        addr: Address,
+        new_value: &[u8],
+        between: impl FnOnce(),
+    ) -> StorageResult<bool> {
         if addr.raw() < self.read_only.load(Ordering::Acquire) {
             return Ok(false);
         }
+        between();
         let page = addr.page(self.page_size);
         let offset = addr.offset_in_page(self.page_size);
         let frame_lock = self.frame_for(page);
         let mut frame = frame_lock.write();
-        if frame.page_index != page {
+        if frame.page_index != page || addr.raw() < self.read_only.load(Ordering::Acquire) {
             return Ok(false);
         }
         let (_, _, value_len, flags) = Record::decode_header(&frame.data[offset..])?;
@@ -738,6 +760,37 @@ mod tests {
         assert_eq!(rec.value, vec![9u8; 64]);
         // Length mismatch is rejected.
         assert!(!log.try_update_in_place(a_new, &[1u8; 5]).unwrap());
+    }
+
+    #[test]
+    fn in_place_write_refuses_once_read_only_crosses_its_record() {
+        // A writer passes the lock-free region check, then `read_only`
+        // crosses its record (which a promotion may now copy) before it takes
+        // the frame lock: the write must refuse, or it would update a record
+        // that is no longer its key's newest.
+        let log = new_log(4096, 256);
+        let addr = append_record(&log, 1, &[1u8; 64]);
+        let (checked_tx, checked_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let log = &log;
+            let writer = s.spawn(move || {
+                log.update_in_place_after(addr, &[9u8; 64], || {
+                    checked_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                })
+            });
+            checked_rx.recv().unwrap();
+            let mut key = 2;
+            while log.read_only() <= addr {
+                append_record(log, key, &[0u8; 64]);
+                key += 1;
+            }
+            assert_eq!(log.region_of(addr), ReadSource::ColdMemory);
+            go_tx.send(()).unwrap();
+            assert!(!writer.join().unwrap().unwrap(), "wrote a read-only record");
+        });
+        assert_eq!(log.read_record(addr).unwrap().0.value, vec![1u8; 64]);
     }
 
     #[test]

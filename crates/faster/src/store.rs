@@ -235,11 +235,23 @@ impl FasterKv {
     /// Store `value` as `key`'s newest version: overwritten in place when the
     /// record the resolver found (`over`) is a same-length value still in the
     /// mutable region (always true for hot fixed-dim embeddings;
-    /// [`HybridLog::try_update_in_place`] checks), appended otherwise.
-    fn write_value(&self, key: Key, value: &[u8], over: Option<Address>) -> StorageResult<()> {
+    /// [`HybridLog::try_update_in_place`] checks), appended otherwise — an
+    /// update append (`StorageMetrics::update_appends`) when `over` was live.
+    fn write_value(
+        &self,
+        key: Key,
+        value: &[u8],
+        over: Option<Address>,
+        was_live: bool,
+    ) -> StorageResult<()> {
         match over {
             Some(addr) if self.log.try_update_in_place(addr, value)? => Ok(()),
-            _ => self.append_and_install(key, value, false),
+            _ => {
+                if was_live {
+                    self.metrics.record_update_append();
+                }
+                self.append_and_install(key, value, false)
+            }
         }
     }
 
@@ -514,7 +526,7 @@ impl FasterKv {
             // failed write leaves it counting what is stored.
             match (write.was_live, value_at(write.last)) {
                 (was_live, Some(value)) => {
-                    self.write_value(write.key, value, write.over)?;
+                    self.write_value(write.key, value, write.over, was_live)?;
                     if !was_live {
                         // Key absent or deleted: this write brought it
                         // (back) to life.
@@ -755,19 +767,25 @@ impl KvStore for FasterKv {
 
     fn promote_to_memory(&self, key: Key) -> StorageResult<bool> {
         // Single-key wrapper over the batch promotion path: the chain walk,
-        // head-CAS install and "already resident / absent → skip" policy live
+        // head-CAS install and "already mutable / absent → skip" policy live
         // only in `multi_promote`.
         Ok(self.multi_promote(std::slice::from_ref(&key))? > 0)
     }
 
     fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
         // One epoch enter/exit and one resolve cover the whole look-ahead
-        // batch. Phase 1 keeps only live disk-resident records; phase 2 copies
-        // them to the tail in log-address order, so the appends (and the
-        // flushes they trigger) follow the on-device layout instead of
-        // request order. Each copy installs only if its chain head is still
-        // the one phase 1 walked from. Chains are per (bucket, tag), so a
-        // moved head means a write to this key (or to its rare tag-mate)
+        // batch. Phase 1 keeps every live record below `read_only` — on the
+        // device or in the read-only memory region, where an update could
+        // not write in place and would append a copy on the writer's thread
+        // anyway; phase 2 copies them to the tail in log-address order, so
+        // the appends (and the flushes they trigger) follow the on-device
+        // layout instead of request order. The source region is classified
+        // under the record's frame read lock, and an in-place writer checks
+        // the region again under the write lock
+        // (`HybridLog::try_update_in_place`), so no write lands in a record
+        // after it was copied. Each copy installs only if its chain head is
+        // still the one phase 1 walked from. Chains are per (bucket, tag), so
+        // a moved head means a write to this key (or to its rare tag-mate)
         // since phase 1: the writer's value stays and the promotion is
         // dropped — it was only a hint.
         let _guard = self.epoch.acquire();
@@ -777,7 +795,7 @@ impl KvStore for FasterKv {
         let order: Vec<usize> = (0..unique.len()).collect();
         let mut candidates: Vec<(Address, Vec<u8>, Key, Address)> = Vec::new();
         let resolutions = self.resolve_sorted_range(&unique, &order, |_, value, source| {
-            (source == ReadSource::Disk).then(|| value.to_vec())
+            (source != ReadSource::HotMemory).then(|| value.to_vec())
         });
         for resolution in resolutions {
             match resolution.outcome {
@@ -785,10 +803,9 @@ impl KvStore for FasterKv {
                     addr,
                     value: Some(Some(value)),
                 })) => candidates.push((addr, value, resolution.key, resolution.head)),
-                // Already memory-resident, tombstoned or absent (the paper
-                // explicitly skips these to avoid extra flushed pages) — or
-                // unreadable right now, which costs this key its hint and the
-                // rest of the batch nothing.
+                // Already mutable (an update writes it in place), tombstoned
+                // or absent — or unreadable right now, which costs this key
+                // its hint and the rest of the batch nothing.
                 _ => self.metrics.record_prefetch_skip(),
             }
         }
@@ -1064,6 +1081,62 @@ mod tests {
                 .multi_promote(&(0..32u64).collect::<Vec<_>>())
                 .unwrap(),
             0
+        );
+    }
+
+    #[test]
+    fn multi_promote_copies_read_only_records_so_the_next_update_is_in_place() {
+        let store = FasterKv::open(
+            StoreConfig::in_memory()
+                .with_memory_budget(8 << 10)
+                .with_page_size(1 << 10)
+                .with_index_buckets(1 << 10),
+        )
+        .unwrap();
+        for k in 0..2000u64 {
+            store.put(k, &[k as u8; 64]).unwrap();
+        }
+        let in_region = |region| {
+            (0..2000u64)
+                .filter(|&k| store.get_traced(k).unwrap().source == region)
+                .collect::<Vec<_>>()
+        };
+        let (read_only, mutable) = (
+            in_region(ReadSource::ColdMemory),
+            in_region(ReadSource::HotMemory),
+        );
+        assert!(read_only.len() >= 2, "need records in the read-only region");
+        let (promoted_key, appended_key, hot_key) = (read_only[0], read_only[1], mutable[0]);
+
+        // The read-only record is copied to the tail with its value; the
+        // mutable one is left where an update already writes in place.
+        assert_eq!(store.multi_promote(&[promoted_key, hot_key]).unwrap(), 1);
+        let promoted = store.get_traced(promoted_key).unwrap();
+        assert_eq!(promoted.source, ReadSource::HotMemory);
+        assert_eq!(promoted.value, vec![promoted_key as u8; 64]);
+
+        // An apply to the promoted key now writes in place: the tail stays
+        // and no update appends.
+        let bump = |_: usize, cur: Option<&[u8]>| -> Vec<u8> {
+            cur.unwrap().iter().map(|b| b.wrapping_add(1)).collect()
+        };
+        let before = store.metrics().snapshot();
+        let tail = store.log().tail();
+        store.multi_rmw(&[promoted_key], &bump).unwrap();
+        assert_eq!(store.log().tail(), tail);
+        assert_eq!(store.metrics().snapshot().delta(&before).update_appends, 0);
+        assert_eq!(
+            store.get(promoted_key).unwrap(),
+            vec![(promoted_key as u8).wrapping_add(1); 64]
+        );
+
+        // The same apply to a read-only key nobody promoted appends.
+        store.multi_rmw(&[appended_key], &bump).unwrap();
+        assert!(store.log().tail() > tail);
+        assert_eq!(store.metrics().snapshot().delta(&before).update_appends, 1);
+        assert_eq!(
+            store.get(appended_key).unwrap(),
+            vec![(appended_key as u8).wrapping_add(1); 64]
         );
     }
 

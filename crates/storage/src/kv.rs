@@ -273,9 +273,12 @@ pub trait KvStore: Send + Sync + 'static {
         Ok(())
     }
 
-    /// Hint that `key` will be needed soon: the engine should move it into its
-    /// in-memory buffer if it currently lives on disk, *without* changing its
-    /// value or (for MLKV) its staleness. Returns `true` when a copy into the hot
+    /// Hint that `key` will be needed soon — read and then updated: the engine
+    /// should move it where an update can overwrite it in place, *without*
+    /// changing its value or (for MLKV) its staleness. FASTER copies a live
+    /// record that lies below its mutable region — on the device or in the
+    /// read-only memory region — to the tail, and skips one already mutable,
+    /// tombstoned or absent. Returns `true` when a copy into the hot
     /// region actually happened. The default implementation is a no-op, matching
     /// engines (RocksDB/WiredTiger offloading) that have no such facility — this
     /// is precisely the capability gap the paper's Lookahead interface fills.

@@ -36,7 +36,8 @@ pub struct StorageMetrics {
     pub misses: AtomicU64,
     /// Records copied from a cold region into the hot region by prefetching.
     pub prefetch_copies: AtomicU64,
-    /// Prefetch requests that were no-ops (already hot / in-flight).
+    /// Prefetch requests that copied nothing (already mutable, missing, or
+    /// lost to a concurrent write).
     pub prefetch_skips: AtomicU64,
     /// Number of cache evictions performed.
     pub evictions: AtomicU64,
@@ -95,6 +96,10 @@ pub struct StorageMetrics {
     /// Gauge (not a counter): current replication role
     /// (0 = Primary, 1 = Replica).
     pub repl_role: AtomicU64,
+    /// Writes that found their key's live record but could not overwrite it
+    /// in place (it had left FASTER's mutable region, or changed length), so
+    /// appended a new version instead.
+    pub update_appends: AtomicU64,
 }
 
 /// The read outcomes of one batch range, counted on the thread that resolves
@@ -150,6 +155,7 @@ pub struct MetricsSnapshot {
     pub disk_write_bytes: u64,
     pub upserts: u64,
     pub rmws: u64,
+    pub update_appends: u64,
     pub lookups: u64,
     pub misses: u64,
     pub prefetch_copies: u64,
@@ -258,6 +264,13 @@ impl StorageMetrics {
     #[inline]
     pub fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a write that appended over a live record it could not update
+    /// in place.
+    #[inline]
+    pub fn record_update_append(&self) {
+        self.update_appends.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a prefetch that copied a record into the hot region.
@@ -403,6 +416,7 @@ impl StorageMetrics {
             disk_write_bytes: self.disk_write_bytes.load(Ordering::Relaxed),
             upserts: self.upserts.load(Ordering::Relaxed),
             rmws: self.rmws.load(Ordering::Relaxed),
+            update_appends: self.update_appends.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             prefetch_copies: self.prefetch_copies.load(Ordering::Relaxed),
@@ -440,6 +454,7 @@ impl StorageMetrics {
         self.disk_write_bytes.store(0, Ordering::Relaxed);
         self.upserts.store(0, Ordering::Relaxed);
         self.rmws.store(0, Ordering::Relaxed);
+        self.update_appends.store(0, Ordering::Relaxed);
         self.lookups.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.prefetch_copies.store(0, Ordering::Relaxed);
@@ -479,6 +494,7 @@ impl MetricsSnapshot {
             disk_write_bytes: self.disk_write_bytes - earlier.disk_write_bytes,
             upserts: self.upserts - earlier.upserts,
             rmws: self.rmws - earlier.rmws,
+            update_appends: self.update_appends - earlier.update_appends,
             lookups: self.lookups - earlier.lookups,
             misses: self.misses - earlier.misses,
             prefetch_copies: self.prefetch_copies - earlier.prefetch_copies,
@@ -539,6 +555,7 @@ mod tests {
         m.record_miss();
         m.record_prefetch_copy();
         m.record_prefetch_skip();
+        m.record_update_append();
         m.record_eviction();
         m.record_planner_split();
         m.record_wal_append(21);
@@ -553,6 +570,7 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.prefetch_copies, 1);
         assert_eq!(s.prefetch_skips, 1);
+        assert_eq!(s.update_appends, 1);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.planner_splits, 1);
         assert_eq!(s.wal_appends, 1);
@@ -596,11 +614,14 @@ mod tests {
     fn snapshot_delta_and_hit_ratio() {
         let m = StorageMetrics::new();
         m.record_mem_hit();
+        m.record_update_append();
         let first = m.snapshot();
         m.record_mem_hit();
         m.record_disk_read(100);
+        m.record_update_append();
         let second = m.snapshot();
         let d = second.delta(&first);
+        assert_eq!(d.update_appends, 1);
         assert_eq!(d.mem_hits, 1);
         assert_eq!(d.disk_reads, 1);
         assert_eq!(d.lookups, 2);
@@ -618,6 +639,7 @@ mod tests {
         let m = StorageMetrics::new();
         m.record_disk_read(10);
         m.record_upsert();
+        m.record_update_append();
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }

@@ -195,12 +195,13 @@ impl Drop for UpdateDispatcher {
 /// trainers announce keys), replacing the fixed `lookahead_batches: 4`.
 ///
 /// The controller watches the *useful fraction* of completed prefetch work in
-/// [`PrefetchStats`]: keys that resulted in a storage-buffer copy are useful;
-/// keys that were skipped (already memory-resident, or missing) are wasted
-/// work. When most announced keys are
-/// skipped, the look-ahead is running too deep — the rows it copies arrive
-/// long before they are needed and only evict hot rows from the memory buffer
-/// — so the depth shrinks. When nearly every announced key is cold, deeper
+/// [`PrefetchStats`]: keys that resulted in a storage-buffer copy are useful
+/// (they were on the device or in the read-only memory region, where their
+/// update would have appended a copy anyway); keys that were skipped (already
+/// in the mutable region, or missing) are wasted work. When most announced
+/// keys are skipped, the look-ahead is running too deep — the rows it copies
+/// arrive long before they are needed and only evict hot rows from the memory
+/// buffer — so the depth shrinks. When nearly every announced key is cold, deeper
 /// look-ahead still pays, so the depth grows. Adjustments are clamped to one
 /// step per observation inside `[MIN_DEPTH, MAX_DEPTH]`, and observations on
 /// windows smaller than a batch's worth of keys are ignored so the controller
