@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mlkv::{BackendKind, EmbeddingTable, Mlkv, StorageResult};
-use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, RmwFn};
+use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult};
 use mlkv_storage::{StorageMetrics, StoreConfig};
 
 /// Value following `flag` in `args` (e.g. `arg_value(&args, "--out")`),
@@ -135,20 +135,6 @@ impl KvStore for StalenessWrappedStore {
         self.inner.multi_get(keys)
     }
 
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        let guards = self.controller.acquire_put_batch(&[key])?;
-        let out = self.inner.put(key, value);
-        drop(guards);
-        out
-    }
-
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        let guards = self.controller.acquire_put_batch(&[key])?;
-        let out = self.inner.rmw(key, f);
-        drop(guards);
-        out
-    }
-
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         let guards = self.controller.acquire_put_batch(keys)?;
         let out = self.inner.multi_rmw(keys, f);
@@ -161,19 +147,15 @@ impl KvStore for StalenessWrappedStore {
     }
 
     fn write_batch(&self, batch: &mlkv_storage::WriteBatch) -> StorageResult<()> {
-        let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<Key> = batch.iter().map(|(k, _)| k).collect();
         let guards = self.controller.acquire_put_batch(&keys)?;
         let out = self.inner.write_batch(batch);
         drop(guards);
         out
     }
 
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        self.inner.delete(key)
-    }
-
-    fn promote_to_memory(&self, key: Key) -> StorageResult<bool> {
-        self.inner.promote_to_memory(key)
+    fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
+        self.inner.multi_promote(keys)
     }
 
     fn approximate_len(&self) -> usize {

@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::BatchExecutor;
-use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
+use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource};
 use mlkv_storage::wal::GenerationalWal;
 use mlkv_storage::{
     Device, DurabilityMode, StorageError, StorageMetrics, StorageResult, StoreConfig,
@@ -36,15 +36,16 @@ struct TreeMeta {
 }
 
 /// Value producer for one position of a batched upsert: receives the position
-/// and the key's current value, returns the bytes to store (or an error, which
-/// aborts that position and propagates).
-type UpsertFn<'a> = dyn Fn(usize, Option<&[u8]>) -> StorageResult<Vec<u8>> + Sync + 'a;
+/// and the key's current value, returns the bytes to store, `None` to remove
+/// the key, or an error, which aborts that position and propagates.
+type UpsertFn<'a> = dyn Fn(usize, Option<&[u8]>) -> StorageResult<Option<Vec<u8>>> + Sync + 'a;
 
 /// What one latched leaf group produced (see `BtreeStore::multi_upsert`).
 struct GroupOutcome {
     page_id: u64,
-    /// `(position, stored value)` for every op applied under the latch.
-    values: Vec<(usize, Vec<u8>)>,
+    /// `(position, stored value)` for every op applied under the latch
+    /// (`None` for a removal).
+    values: Vec<(usize, Option<Vec<u8>>)>,
     /// Positions that would split the leaf — escalated to the tree lock.
     deferred: Vec<usize>,
     /// True when at least one op mutated the leaf.
@@ -393,22 +394,31 @@ impl BtreeStore {
         out
     }
 
-    /// Upsert `key` into the tree whose meta the caller holds write-locked.
-    /// This is the body shared by `put`, `multi_rmw` and `write_batch`, so a
-    /// batch pays for the tree lock once. The leaves mutated (including a
-    /// split's new right sibling) are recorded in `touched`, and
-    /// `meta_changed` is raised when the routing table changed — the caller
-    /// journals both at its acknowledgement point.
-    fn put_locked(
+    /// Upsert `key` into (`Some`) or remove it from (`None`) the tree whose
+    /// meta the caller holds write-locked: the body of `multi_upsert`'s
+    /// serial and escalation phases, so a batch pays for the tree lock once.
+    /// The leaves mutated (including a split's new right sibling) are
+    /// recorded in `touched`, and `meta_changed` is raised when the routing
+    /// table changed — the caller journals both at its acknowledgement point.
+    /// A removal never splits or merges (this tree has no merges).
+    fn write_locked(
         &self,
         tree: &mut TreeMeta,
         key: Key,
-        value: &[u8],
+        value: Option<&[u8]>,
         touched: &mut BTreeSet<u64>,
         meta_changed: &mut bool,
     ) -> StorageResult<()> {
-        self.metrics.record_upsert();
         let (sep, page_id) = Self::route(&tree.separators, key);
+        touched.insert(page_id);
+        let Some(value) = value else {
+            let (removed, _) = self.pool.with_leaf_mut(page_id, |leaf| leaf.remove(key))?;
+            if removed {
+                self.live.fetch_sub(1, Ordering::Relaxed);
+            }
+            return Ok(());
+        };
+        self.metrics.record_upsert();
         let capacity = self.leaf_capacity();
         let (outcome, _) = self.pool.with_leaf_mut(page_id, |leaf| {
             let inserted = leaf.insert(key, value.to_vec());
@@ -419,7 +429,6 @@ impl BtreeStore {
         if inserted {
             self.live.fetch_add(1, Ordering::Relaxed);
         }
-        touched.insert(page_id);
         match split {
             Some(right) => {
                 // The right sibling inherits the old separator (upper bound of the
@@ -457,8 +466,9 @@ impl BtreeStore {
     }
 
     /// The single mutation entry point: upsert `keys[i] -> compute(i, current)`
-    /// for every position, in occurrence order per key, and journal the whole
-    /// batch as one group at its acknowledgement point.
+    /// (or remove `keys[i]` where that is `None`) for every position, in
+    /// occurrence order per key, and journal the whole batch as one group at
+    /// its acknowledgement point.
     ///
     /// Batches the executor would run inline take the exclusive-tree-lock
     /// path. Larger batches take the tree lock *shared*, latch the lanes of
@@ -473,11 +483,15 @@ impl BtreeStore {
     /// atomicity and per-batch journal groups are preserved, but cross-key
     /// readers may observe a batch partially applied (same contract as the
     /// FASTER engine's sharded writes).
-    fn multi_upsert(&self, keys: &[Key], compute: &UpsertFn) -> StorageResult<Vec<Vec<u8>>> {
+    fn multi_upsert(
+        &self,
+        keys: &[Key],
+        compute: &UpsertFn,
+    ) -> StorageResult<Vec<Option<Vec<u8>>>> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let mut out = vec![Vec::new(); keys.len()];
+        let mut out = vec![None; keys.len()];
         if self.executor.planned_workers(keys.len()) <= 1 {
             // Not an inline twin of the latched path below but a different
             // algorithm, selected from what the batch looks like (its size
@@ -494,7 +508,13 @@ impl BtreeStore {
                     .pool
                     .with_leaf(page_id, |leaf| leaf.get(key).map(|v| v.to_vec()))?;
                 let value = compute(i, current.as_deref())?;
-                self.put_locked(&mut tree, key, &value, &mut touched, &mut meta_changed)?;
+                self.write_locked(
+                    &mut tree,
+                    key,
+                    value.as_deref(),
+                    &mut touched,
+                    &mut meta_changed,
+                )?;
                 out[i] = value;
             }
             self.journal_commit(&tree, &touched, meta_changed)?;
@@ -538,7 +558,7 @@ impl BtreeStore {
              -> StorageResult<GroupOutcome> {
                 let mut values = Vec::with_capacity(members.len());
                 let mut group_deferred = Vec::new();
-                let mut inserts = 0u64;
+                let (mut inserts, mut removals) = (0u64, 0u64);
                 let mut touched = false;
                 let (res, _) = self
                     .pool
@@ -546,7 +566,14 @@ impl BtreeStore {
                         for (gi, &(_, i)) in members.iter().enumerate() {
                             let key = keys[i];
                             let current = leaf.get(key).map(|v| v.to_vec());
-                            let value = compute(i, current.as_deref())?;
+                            let Some(value) = compute(i, current.as_deref())? else {
+                                if leaf.remove(key) {
+                                    removals += 1;
+                                }
+                                touched = true;
+                                values.push((i, None));
+                                continue;
+                            };
                             if !leaf.fits_after_upsert(key, value.len(), capacity) {
                                 // Splitting needs the tree lock. Defer the rest of
                                 // the group too, so later ops on this leaf (incl.
@@ -559,12 +586,15 @@ impl BtreeStore {
                                 inserts += 1;
                             }
                             touched = true;
-                            values.push((i, value));
+                            values.push((i, Some(value)));
                         }
                         Ok(())
                     })?;
                 res?;
+                // Add before subtracting: a removal may take a key this
+                // group inserted.
                 self.live.fetch_add(inserts, Ordering::Relaxed);
+                self.live.fetch_sub(removals, Ordering::Relaxed);
                 Ok(GroupOutcome {
                     page_id,
                     values,
@@ -611,7 +641,13 @@ impl BtreeStore {
                 .pool
                 .with_leaf(page_id, |leaf| leaf.get(key).map(|v| v.to_vec()))?;
             let value = compute(i, current.as_deref())?;
-            self.put_locked(&mut tree, key, &value, &mut touched, &mut meta_changed)?;
+            self.write_locked(
+                &mut tree,
+                key,
+                value.as_deref(),
+                &mut touched,
+                &mut meta_changed,
+            )?;
             out[i] = value;
         }
         // One journal group still covers the whole batch: the escalated
@@ -707,35 +743,21 @@ impl KvStore for BtreeStore {
             .collect()
     }
 
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        // Thin wrapper over the batch path: one mutation entry point.
-        self.check_value_size(value)?;
-        self.multi_upsert(&[key], &|_, _| Ok(value.to_vec()))?;
-        Ok(())
-    }
-
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        // Thin wrapper over the batch path: one mutation entry point.
-        self.metrics.record_rmw();
-        let mut out = self.multi_upsert(&[key], &|_, current| {
-            let value = f(current);
-            self.check_value_size(&value)?;
-            Ok(value)
-        })?;
-        Ok(out.pop().expect("single-key batch yields one value"))
-    }
-
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         // Metrics up front: an op deferred by the latched path recomputes its
         // value during escalation, and must not count twice.
         for _ in keys {
             self.metrics.record_rmw();
         }
-        self.multi_upsert(keys, &|i, current| {
+        let out = self.multi_upsert(keys, &|i, current| {
             let value = f(i, current);
             self.check_value_size(&value)?;
-            Ok(value)
-        })
+            Ok(Some(value))
+        })?;
+        Ok(out
+            .into_iter()
+            .map(|value| value.expect("an rmw stores a value"))
+            .collect())
     }
 
     fn exists(&self, key: Key) -> StorageResult<bool> {
@@ -749,31 +771,15 @@ impl KvStore for BtreeStore {
     }
 
     fn write_batch(&self, batch: &mlkv_storage::WriteBatch) -> StorageResult<()> {
-        // Thin wrapper over the batch path: one mutation entry point. The
-        // size pre-check keeps the old all-or-nothing rejection of oversized
-        // values before anything is applied.
-        for (_, v) in batch.iter() {
-            self.check_value_size(v)?;
+        // The size pre-check rejects a batch with an oversized value before
+        // anything is applied.
+        let ops: Vec<(Key, Option<&[u8]>)> = batch.iter().collect();
+        for value in ops.iter().filter_map(|&(_, v)| v) {
+            self.check_value_size(value)?;
         }
-        let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
-        let values: Vec<&Vec<u8>> = batch.iter().map(|(_, v)| v).collect();
-        self.multi_upsert(&keys, &|i, _| Ok(values[i].clone()))?;
+        let keys: Vec<Key> = ops.iter().map(|&(k, _)| k).collect();
+        self.multi_upsert(&keys, &|i, _| Ok(ops[i].1.map(<[u8]>::to_vec)))?;
         Ok(())
-    }
-
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        // Removal never splits or merges (this tree has no merges), so the
-        // shared tree lock plus the leaf's latch lane suffice.
-        let tree = self.tree.read();
-        let (_, page_id) = Self::route(&tree.separators, key);
-        let _latch = self.leaf_latches[self.latch_of(page_id)].lock();
-        let (removed, _) = self.pool.with_leaf_mut(page_id, |leaf| leaf.remove(key))?;
-        if removed {
-            self.live.fetch_sub(1, Ordering::Relaxed);
-        }
-        let mut touched = BTreeSet::new();
-        touched.insert(page_id);
-        self.journal_commit(&tree, &touched, false)
     }
 
     fn approximate_len(&self) -> usize {

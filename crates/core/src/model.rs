@@ -7,7 +7,7 @@
 //! // Figure 3, line 3: nn_model, emb_tables = MLKV.Open(model_id, dim, staleness_bound)
 //! let model = Mlkv::open("my-ctr-model", 16, 4).unwrap();
 //! let emb = model.table();
-//! let values = emb.get(&[1, 2, 3]).unwrap();
+//! let values = emb.gather(&[1, 2, 3]).unwrap();
 //! assert_eq!(values.len(), 3);
 //! ```
 
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(model.dim(), 8);
         assert_eq!(model.mode().bound(), 4);
         // Figure 3 style usage through Deref.
-        let values = model.get(&[1, 2, 3]).unwrap();
+        let values = model.gather(&[1, 2, 3]).unwrap();
         assert_eq!(values.len(), 3);
         model.put(&[1], &[vec![0.5; 8]]).unwrap();
         assert_eq!(model.get_one(1).unwrap(), vec![0.5; 8]);
@@ -246,7 +246,7 @@ mod tests {
         // Larger-than-memory (the 1 GiB budget set before `store_config` is
         // gone): gathers hit the cold path.
         assert!(model.store().metrics().snapshot().disk_write_bytes > 0);
-        assert_eq!(model.get(&keys).unwrap(), rows);
+        assert_eq!(model.gather(&keys).unwrap(), rows);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl Drop for Prefetcher {
 mod tests {
     use super::*;
     use mlkv_faster::FasterKv;
-    use mlkv_storage::kv::{ReadResult, RmwFn};
+    use mlkv_storage::kv::{BatchRmwFn, ReadResult, WriteBatch};
     use mlkv_storage::{MemStore, StorageMetrics, StorageResult, StoreConfig};
 
     fn cold_store() -> Arc<dyn KvStore> {
@@ -252,14 +252,14 @@ mod tests {
         fn get_traced(&self, key: u64) -> StorageResult<ReadResult> {
             self.inner.get_traced(key)
         }
-        fn put(&self, key: u64, value: &[u8]) -> StorageResult<()> {
-            self.inner.put(key, value)
+        fn multi_get(&self, keys: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
+            self.inner.multi_get(keys)
         }
-        fn rmw(&self, key: u64, f: &RmwFn) -> StorageResult<Vec<u8>> {
-            self.inner.rmw(key, f)
+        fn multi_rmw(&self, keys: &[u64], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
+            self.inner.multi_rmw(keys, f)
         }
-        fn delete(&self, key: u64) -> StorageResult<()> {
-            self.inner.delete(key)
+        fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+            self.inner.write_batch(batch)
         }
         fn multi_promote(&self, keys: &[u64]) -> StorageResult<usize> {
             self.promotes.fetch_add(1, Ordering::Relaxed);

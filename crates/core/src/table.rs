@@ -372,12 +372,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Fetch embeddings for a batch of keys (alias of
-    /// [`EmbeddingTable::gather`], kept for Figure 3 API continuity).
-    pub fn get(&self, keys: &[u64]) -> StorageResult<Vec<Vec<f32>>> {
-        self.gather(keys)
-    }
-
     /// Upsert the embedding for one key (`Put` in Figure 3, line 17): a
     /// [`EmbeddingTable::put`] of one key.
     pub fn put_one(&self, key: u64, value: &[f32]) -> StorageResult<()> {
@@ -684,11 +678,8 @@ mod tests {
         fn get_traced(&self, key: u64) -> StorageResult<mlkv_storage::kv::ReadResult> {
             self.0.get_traced(key)
         }
-        fn put(&self, _: u64, _: &[u8]) -> StorageResult<()> {
-            Err(refused())
-        }
-        fn rmw(&self, _: u64, _: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
-            Err(refused())
+        fn multi_get(&self, keys: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
+            self.0.multi_get(keys)
         }
         fn multi_rmw(
             &self,
@@ -698,9 +689,6 @@ mod tests {
             Err(refused())
         }
         fn write_batch(&self, _: &WriteBatch) -> StorageResult<()> {
-            Err(refused())
-        }
-        fn delete(&self, _: u64) -> StorageResult<()> {
             Err(refused())
         }
         fn approximate_len(&self) -> usize {
@@ -769,7 +757,7 @@ mod tests {
         let keys = vec![10, 11, 12];
         let vals: Vec<Vec<f32>> = (0..3).map(|i| vec![i as f32; 8]).collect();
         t.put(&keys, &vals).unwrap();
-        assert_eq!(t.get(&keys).unwrap(), vals);
+        assert_eq!(t.gather(&keys).unwrap(), vals);
     }
 
     #[test]
@@ -999,12 +987,6 @@ mod tests {
         fn multi_get(&self, keys: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
             self.inner.multi_get(keys)
         }
-        fn put(&self, key: u64, value: &[u8]) -> StorageResult<()> {
-            self.inner.put(key, value)
-        }
-        fn rmw(&self, key: u64, f: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
-            self.inner.rmw(key, f)
-        }
         fn multi_rmw(
             &self,
             keys: &[u64],
@@ -1017,8 +999,8 @@ mod tests {
             self.hold(Held::Promote);
             self.inner.multi_promote(keys)
         }
-        fn delete(&self, key: u64) -> StorageResult<()> {
-            self.inner.delete(key)
+        fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+            self.inner.write_batch(batch)
         }
         fn approximate_len(&self) -> usize {
             self.inner.approximate_len()

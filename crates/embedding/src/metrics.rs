@@ -1,6 +1,5 @@
 //! Model-quality metrics reported in the paper's evaluation: AUC (CTR tasks),
-//! accuracy (GNN node classification), Hits@k and MRR (KGE link prediction),
-//! plus log loss for debugging convergence.
+//! accuracy (GNN node classification) and Hits@k (KGE link prediction).
 
 /// Area under the ROC curve computed from `(score, label)` pairs by the
 /// rank-sum (Mann–Whitney U) formulation. Ties receive average ranks. Returns
@@ -74,40 +73,6 @@ pub fn hits_at_k(true_scores: &[f32], negative_scores: &[Vec<f32>], k: usize) ->
     hits as f64 / true_scores.len() as f64
 }
 
-/// Mean reciprocal rank for the same query structure as [`hits_at_k`].
-pub fn mrr(true_scores: &[f32], negative_scores: &[Vec<f32>]) -> f64 {
-    assert_eq!(true_scores.len(), negative_scores.len());
-    if true_scores.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = true_scores
-        .iter()
-        .zip(negative_scores)
-        .map(|(t, negs)| {
-            let rank = 1 + negs.iter().filter(|n| *n > t).count();
-            1.0 / rank as f64
-        })
-        .sum();
-    sum / true_scores.len() as f64
-}
-
-/// Mean binary log loss from probabilities.
-pub fn log_loss(probs: &[f32], labels: &[f32]) -> f64 {
-    assert_eq!(probs.len(), labels.len());
-    if probs.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = probs
-        .iter()
-        .zip(labels)
-        .map(|(p, y)| {
-            let p = (*p as f64).clamp(1e-7, 1.0 - 1e-7);
-            -(*y as f64) * p.ln() - (1.0 - *y as f64) * (1.0 - p).ln()
-        })
-        .sum();
-    sum / probs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,24 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn hits_and_mrr() {
+    fn hits_at_k_counts_queries_ranked_within_k() {
         // Query 1: true score beats all negatives (rank 1).
         // Query 2: two negatives beat it (rank 3).
         let true_scores = vec![0.9, 0.5];
         let negs = vec![vec![0.1, 0.2, 0.3], vec![0.8, 0.7, 0.3]];
         assert_eq!(hits_at_k(&true_scores, &negs, 1), 0.5);
         assert_eq!(hits_at_k(&true_scores, &negs, 3), 1.0);
-        assert!((mrr(&true_scores, &negs) - (1.0 + 1.0 / 3.0) / 2.0).abs() < 1e-9);
         assert_eq!(hits_at_k(&[], &[], 5), 0.0);
-        assert_eq!(mrr(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn log_loss_behaviour() {
-        assert!(log_loss(&[0.99, 0.01], &[1.0, 0.0]) < 0.05);
-        assert!(log_loss(&[0.01, 0.99], &[1.0, 0.0]) > 2.0);
-        // Extreme probabilities do not produce infinities.
-        assert!(log_loss(&[1.0, 0.0], &[0.0, 1.0]).is_finite());
-        assert_eq!(log_loss(&[], &[]), 0.0);
     }
 }

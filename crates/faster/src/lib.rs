@@ -17,9 +17,9 @@
 //!   versions hang off that record's chain.
 //! * When the in-memory window exceeds its budget, the oldest page is flushed to
 //!   the device and the head address advances; reads below the head go to disk.
-//! * [`KvStore::promote_to_memory`](mlkv_storage::KvStore::promote_to_memory)
-//!   (implemented by [`FasterKv`]) copies a cold record back into the mutable
-//!   region without changing its value — the primitive MLKV's look-ahead
+//! * [`KvStore::multi_promote`](mlkv_storage::KvStore::multi_promote)
+//!   (implemented by [`FasterKv`]) copies cold records back into the mutable
+//!   region without changing their values — the primitive MLKV's look-ahead
 //!   prefetching relies on (paper §III-C2).
 //!
 //! The implementation favours clarity over absolute peak performance (page frames

@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::{split_sorted, BatchExecutor};
-use mlkv_storage::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
+use mlkv_storage::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource};
 use mlkv_storage::wal::GenerationalWal;
 use mlkv_storage::{
     DurabilityMode, ReadTally, StorageError, StorageMetrics, StorageResult, StoreConfig,
@@ -577,10 +577,10 @@ impl FasterKv {
     }
 
     /// Put or delete a batch of entries (`None` deletes): plan every range
-    /// ([`FasterKv::plan_entries`]), then the shared tail. `put`, `delete`,
-    /// `write_batch` and the WAL replay on open are all thin wrappers over
-    /// this. A range whose resolve fails fails the batch with nothing
-    /// logged or written.
+    /// ([`FasterKv::plan_entries`]), then the shared tail. `write_batch`
+    /// (and through it every per-key `put` and `delete`) and the WAL replay
+    /// on open are thin wrappers over this. A range whose resolve fails
+    /// fails the batch with nothing logged or written.
     fn commit_entries(&self, keys: &[Key], entries: &[Option<&[u8]>]) -> StorageResult<()> {
         debug_assert_eq!(keys.len(), entries.len());
         if keys.is_empty() {
@@ -715,15 +715,6 @@ impl KvStore for FasterKv {
             .collect()
     }
 
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        self.commit_entries(&[key], &[Some(value)])
-    }
-
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        let mut out = self.multi_rmw(&[key], &|_, current| f(current))?;
-        Ok(out.pop().expect("one value per key"))
-    }
-
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         let _writers = self.writer_gate.read();
         // Whole keys per range, occurrences in order, so each occurrence
@@ -756,20 +747,9 @@ impl KvStore for FasterKv {
     }
 
     fn write_batch(&self, batch: &mlkv_storage::WriteBatch) -> StorageResult<()> {
-        let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
-        let entries: Vec<Option<&[u8]>> = batch.iter().map(|(_, v)| Some(v.as_slice())).collect();
+        let keys: Vec<Key> = batch.iter().map(|(k, _)| k).collect();
+        let entries: Vec<Option<&[u8]>> = batch.iter().map(|(_, v)| v).collect();
         self.commit_entries(&keys, &entries)
-    }
-
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        self.commit_entries(&[key], &[None])
-    }
-
-    fn promote_to_memory(&self, key: Key) -> StorageResult<bool> {
-        // Single-key wrapper over the batch promotion path: the chain walk,
-        // head-CAS install and "already mutable / absent → skip" policy live
-        // only in `multi_promote`.
-        Ok(self.multi_promote(std::slice::from_ref(&key))? > 0)
     }
 
     fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {

@@ -9,7 +9,7 @@ use parking_lot::{MutexGuard, RwLock};
 
 use mlkv_storage::device::device_from_config;
 use mlkv_storage::exec::{split_sorted, BatchExecutor};
-use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn, WriteBatch};
+use mlkv_storage::kv::{BatchRmwFn, Key, KvStore, ReadResult, ReadSource, WriteBatch};
 use mlkv_storage::wal::{self, GenerationalWal};
 use mlkv_storage::{
     DurabilityMode, IoPlanner, ShardedLruCache, StorageError, StorageMetrics, StorageResult,
@@ -238,16 +238,6 @@ impl LsmStore {
         }
         inner.tables = vec![table];
         Ok(())
-    }
-
-    /// Search the SSTables (newest first) for `key`.
-    fn search_tables(&self, inner: &Inner, key: Key) -> StorageResult<Option<Entry>> {
-        for table in inner.tables.iter().rev() {
-            if let Some(entry) = table.get(key, &self.metrics)? {
-                return Ok(Some(entry));
-            }
-        }
-        Ok(None)
     }
 
     /// Resolve `positions` of `keys` against the SSTables through the
@@ -518,21 +508,16 @@ impl KvStore for LsmStore {
                 source: ReadSource::ColdMemory,
             });
         }
-        // 3. SSTables (disk).
-        match self.search_tables(&inner, key)? {
-            Some(Some(v)) => {
-                self.metrics.record_disk_read(v.len() as u64);
-                self.block_cache.insert(key, v.clone());
-                Ok(ReadResult {
-                    value: v,
-                    source: ReadSource::Disk,
-                })
-            }
-            _ => {
-                self.metrics.record_miss();
-                Err(StorageError::KeyNotFound)
-            }
-        }
+        // 3. SSTables (disk): the batch probe of one key, which counts the
+        // disk read or the miss and caches what it finds.
+        let (_, result) = self
+            .probe_batch(&inner.tables, &[key], vec![0], Probe::Lookup)
+            .next()
+            .expect("one result per probed position");
+        result.map(|value| ReadResult {
+            value,
+            source: ReadSource::Disk,
+        })
     }
 
     fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
@@ -568,17 +553,6 @@ impl KvStore for LsmStore {
         out.into_iter()
             .map(|r| r.expect("every slot filled"))
             .collect()
-    }
-
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        // Thin wrapper over the batch path: one mutation entry point.
-        self.commit_entries(&[key], &[Some(value.to_vec())])
-    }
-
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        // Thin wrapper over the batch path: one mutation entry point.
-        let mut out = self.multi_rmw(&[key], &|_, current| f(current))?;
-        Ok(out.pop().expect("single-key batch yields one value"))
     }
 
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
@@ -660,11 +634,6 @@ impl KvStore for LsmStore {
             .collect())
     }
 
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        // Thin wrapper over the batch path: one mutation entry point.
-        self.commit_entries(&[key], &[None])
-    }
-
     fn exists(&self, key: Key) -> StorageResult<bool> {
         let inner = self.inner.read();
         if let Some(entry) = inner.memtable.get(key) {
@@ -685,10 +654,10 @@ impl KvStore for LsmStore {
     }
 
     fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
-        // Thin wrapper over the batch path: one grouped WAL append, sharded
-        // apply, one group-commit sync (see `commit_entries`).
-        let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
-        let entries: Vec<Entry> = batch.iter().map(|(_, v)| Some(v.clone())).collect();
+        // One grouped WAL append, sharded apply, one group-commit sync (see
+        // `commit_entries`).
+        let keys: Vec<Key> = batch.iter().map(|(k, _)| k).collect();
+        let entries: Vec<Entry> = batch.iter().map(|(_, v)| v.map(<[u8]>::to_vec)).collect();
         self.commit_entries(&keys, &entries)
     }
 

@@ -15,10 +15,12 @@ use crate::metrics::StorageMetrics;
 /// the computation layer addresses embeddings by the unique id of a sparse feature.
 pub type Key = u64;
 
-/// A batch of writes applied together (used by checkpointing and bulk loads).
+/// A batch of writes — upserts and deletes — applied together, in
+/// occurrence order, by [`KvStore::write_batch`]: a key written twice ends
+/// with its last op. Every per-key `put` and `delete` is a batch of one.
 #[derive(Debug, Default, Clone)]
 pub struct WriteBatch {
-    ops: Vec<(Key, Vec<u8>)>,
+    ops: Vec<(Key, Option<Vec<u8>>)>,
 }
 
 impl WriteBatch {
@@ -29,7 +31,12 @@ impl WriteBatch {
 
     /// Queue an upsert of `key` to `value`.
     pub fn put(&mut self, key: Key, value: Vec<u8>) {
-        self.ops.push((key, value));
+        self.ops.push((key, Some(value)));
+    }
+
+    /// Queue a removal of `key` (a no-op when the key is absent).
+    pub fn delete(&mut self, key: Key) {
+        self.ops.push((key, None));
     }
 
     /// Number of queued operations.
@@ -42,20 +49,17 @@ impl WriteBatch {
         self.ops.is_empty()
     }
 
-    /// Iterate over queued operations.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &Vec<u8>)> {
-        self.ops.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Consume the batch, yielding its operations.
-    pub fn into_ops(self) -> Vec<(Key, Vec<u8>)> {
-        self.ops
+    /// Iterate over queued operations in occurrence order: `Some(value)` for
+    /// an upsert, `None` for a delete.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, Option<&[u8]>)> + '_ {
+        self.ops.iter().map(|(k, v)| (*k, v.as_deref()))
     }
 }
 
-/// Where a read was ultimately served from. The MLKV layer uses this to decide
-/// whether a prefetch needs to copy the record into the hot region, and the
-/// trainer uses it for the latency breakdown of Figure 2.
+/// Where a read was ultimately served from: what [`KvStore::get_traced`]
+/// reports, and the region a [`crate::ReadTally`] counts a batch read's hit
+/// under. FASTER's look-ahead also classifies records by it, to copy only
+/// those below its mutable region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadSource {
     /// Served from the engine's mutable in-memory region.
@@ -83,8 +87,7 @@ pub type BatchReadFn<'a> = dyn Fn(usize, Option<&[u8]>) + Sync + 'a;
 
 /// Callback of a per-key read-modify-write: receives the current value (or
 /// `None`) and returns the value to store. `Sync` for the same reason as
-/// [`BatchRmwFn`]: per-key mutations are thin wrappers over the batch entry
-/// points, which may run on batch-executor workers.
+/// [`BatchRmwFn`]: [`KvStore::rmw`] is a one-key [`KvStore::multi_rmw`].
 pub type RmwFn<'a> = dyn Fn(Option<&[u8]>) -> Vec<u8> + Sync + 'a;
 
 /// A value together with the region it was read from.
@@ -102,10 +105,16 @@ pub struct ReadResult {
 ///
 /// The interface is **batch-first**: the embedding workloads this workspace
 /// reproduces gather hundreds of rows and scatter their gradients per training
-/// step, so [`KvStore::multi_get`] / [`KvStore::multi_rmw`] /
-/// [`KvStore::write_batch`] are the hot paths. Every engine overrides them to
-/// amortise per-operation costs (epoch protection, locks, index probes) over
-/// the whole batch; the per-key methods remain for point accesses.
+/// step, so the batch calls — [`KvStore::multi_get`], [`KvStore::multi_rmw`]
+/// and [`KvStore::write_batch`] — are required, and each engine pays its
+/// per-operation costs (epoch protection, locks, index probes, WAL groups)
+/// once per batch there. The per-key mutations are provided as batches of
+/// one: `put` and `delete` are one-op [`KvStore::write_batch`]es, `rmw` is a
+/// one-key [`KvStore::multi_rmw`] and `promote_to_memory` a one-key
+/// [`KvStore::multi_promote`]. So an engine writes each mutation path once,
+/// and a wrapper that forwards the batch calls forwards the per-key ones with
+/// them. [`KvStore::get_traced`] stays required: no batch call reports where
+/// a read was served from.
 pub trait KvStore: Send + Sync + 'static {
     /// Human-readable engine name, matching the labels of the paper's figures
     /// ("MLKV", "FASTER", "RocksDB", "WiredTiger", "InMemory"). Must agree with
@@ -124,10 +133,6 @@ pub trait KvStore: Send + Sync + 'static {
     /// allowed). One result per key; absent keys yield
     /// `Err(StorageError::KeyNotFound)` at their position.
     ///
-    /// The default implementation loops over [`KvStore::get`]; every engine in
-    /// the workspace overrides it to pay its per-operation costs once per
-    /// batch instead of once per key.
-    ///
     /// ```
     /// use mlkv_storage::{KvStore, MemStore};
     ///
@@ -137,9 +142,7 @@ pub trait KvStore: Send + Sync + 'static {
     /// assert_eq!(results[0].as_deref().unwrap(), b"one");
     /// assert!(results[1].as_ref().unwrap_err().is_not_found());
     /// ```
-    fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
-        keys.iter().map(|k| self.get(*k)).collect()
-    }
+    fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>>;
 
     /// Read a batch of keys in place: call `visit(i, value)` for every
     /// position `i` of `keys` (duplicates allowed) whose read succeeded —
@@ -179,12 +182,20 @@ pub trait KvStore: Send + Sync + 'static {
         errors
     }
 
-    /// Insert or overwrite `key` with `value`.
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()>;
+    /// Insert or overwrite `key` with `value`: a one-op
+    /// [`KvStore::write_batch`].
+    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
+        let mut batch = WriteBatch::new();
+        batch.put(key, value.to_vec());
+        self.write_batch(&batch)
+    }
 
     /// Read-modify-write: apply `f` to the current value (or `None`) and store
-    /// the result. Returns the new value.
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>>;
+    /// the result. Returns the new value. A one-key [`KvStore::multi_rmw`].
+    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
+        let mut out = self.multi_rmw(&[key], &|_, current| f(current))?;
+        Ok(out.pop().expect("a one-key batch yields one value"))
+    }
 
     /// Batched read-modify-write: for each position `i`, apply
     /// `f(i, current_value_of(keys[i]))` and store the result, returning the
@@ -207,9 +218,6 @@ pub trait KvStore: Send + Sync + 'static {
     /// also spans the batch's WAL group append, which comes before the write
     /// (see [`crate::wal`]).
     ///
-    /// The default implementation loops over [`KvStore::rmw`]; engines
-    /// override it to batch locking and index traversal.
-    ///
     /// ```
     /// use mlkv_storage::{KvStore, MemStore};
     ///
@@ -224,15 +232,15 @@ pub trait KvStore: Send + Sync + 'static {
     /// assert_eq!(out, vec![vec![0], vec![0, 1]]);
     /// assert_eq!(store.get(7).unwrap(), vec![0, 1]);
     /// ```
-    fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, k)| self.rmw(*k, &|cur| f(i, cur)))
-            .collect()
-    }
+    fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>>;
 
-    /// Remove `key`. Returns `Ok(())` even when absent.
-    fn delete(&self, key: Key) -> StorageResult<()>;
+    /// Remove `key`. Returns `Ok(())` even when absent. A one-op
+    /// [`KvStore::write_batch`].
+    fn delete(&self, key: Key) -> StorageResult<()> {
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.write_batch(&batch)
+    }
 
     /// True when the key currently exists, without materialising its value.
     ///
@@ -263,15 +271,23 @@ pub trait KvStore: Send + Sync + 'static {
         self.exists(key)
     }
 
-    /// Apply a batch of upserts. The default implementation loops over
-    /// [`KvStore::put`]; engines override it to group WAL appends, lock
-    /// acquisitions, or epoch protection across the whole batch.
-    fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
-        for (k, v) in batch.iter() {
-            self.put(*k, v)?;
-        }
-        Ok(())
-    }
+    /// Apply a batch of upserts and deletes in occurrence order, so a key
+    /// the batch writes twice ends with its last op: one WAL group, one lock
+    /// acquisition or epoch guard per range, one sync for the whole batch.
+    ///
+    /// ```
+    /// use mlkv_storage::{KvStore, MemStore, WriteBatch};
+    ///
+    /// let store = MemStore::new();
+    /// let mut batch = WriteBatch::new();
+    /// batch.put(1, b"one".to_vec());
+    /// batch.delete(1);
+    /// batch.put(2, b"two".to_vec());
+    /// store.write_batch(&batch).unwrap();
+    /// assert!(store.get(1).unwrap_err().is_not_found());
+    /// assert_eq!(store.get(2).unwrap(), b"two");
+    /// ```
+    fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()>;
 
     /// Hint that `key` will be needed soon — read and then updated: the engine
     /// should move it where an update can overwrite it in place, *without*
@@ -279,18 +295,18 @@ pub trait KvStore: Send + Sync + 'static {
     /// record that lies below its mutable region — on the device or in the
     /// read-only memory region — to the tail, and skips one already mutable,
     /// tombstoned or absent. Returns `true` when a copy into the hot
-    /// region actually happened. The default implementation is a no-op, matching
-    /// engines (RocksDB/WiredTiger offloading) that have no such facility — this
-    /// is precisely the capability gap the paper's Lookahead interface fills.
-    fn promote_to_memory(&self, _key: Key) -> StorageResult<bool> {
-        Ok(false)
+    /// region actually happened. A one-key [`KvStore::multi_promote`].
+    fn promote_to_memory(&self, key: Key) -> StorageResult<bool> {
+        Ok(self.multi_promote(&[key])? > 0)
     }
 
     /// Batched [`KvStore::promote_to_memory`]: hint that all of `keys` will be
     /// needed soon, returning how many were actually copied into the hot
-    /// region. Engines override this to pay fixed per-call costs (epoch
-    /// protection) once and to order the copies by on-device address so cold
-    /// reads stay sequential. The default loops over the per-key hint.
+    /// region. FASTER pays its fixed per-call costs (epoch protection) once
+    /// and orders the copies by on-device address so cold reads stay
+    /// sequential. The default promotes nothing, matching engines
+    /// (RocksDB/WiredTiger offloading) that have no such facility — this is
+    /// precisely the capability gap the paper's Lookahead interface fills.
     ///
     /// ```
     /// use mlkv_storage::{KvStore, MemStore};
@@ -300,14 +316,8 @@ pub trait KvStore: Send + Sync + 'static {
     /// // MemStore has no cold region, so nothing needs promoting.
     /// assert_eq!(store.multi_promote(&[1, 2]).unwrap(), 0);
     /// ```
-    fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
-        let mut promoted = 0;
-        for &key in keys {
-            if self.promote_to_memory(key)? {
-                promoted += 1;
-            }
-        }
-        Ok(promoted)
+    fn multi_promote(&self, _keys: &[Key]) -> StorageResult<usize> {
+        Ok(0)
     }
 
     /// Number of live records (approximate for engines with tombstones).
@@ -333,35 +343,23 @@ pub trait KvStore: Send + Sync + 'static {
     ///
     /// The default decodes the frames as logical records
     /// ([`crate::wal::decode_op`]) — the shape FASTER's delta WAL and the LSM
-    /// WAL ship — and applies them through the store's normal write path, so
-    /// the replica writes its *own* WAL and the applied group survives a
-    /// replica restart. An all-put group is applied as one
-    /// [`KvStore::write_batch`] (one local WAL group, one sync — mirroring the
-    /// primary's group commit); groups containing deletes fall back to
-    /// sequential application. Frames carry full post-values, so re-applying
-    /// a group (duplicate delivery after a reconnect) is idempotent.
+    /// WAL ship — and applies the whole group, puts and deletes in frame
+    /// order, as one [`KvStore::write_batch`]: one local WAL group and one
+    /// sync, as on the primary, so the applied group survives a replica
+    /// restart. Frames carry full post-values, so re-applying a group
+    /// (duplicate delivery after a reconnect) is idempotent.
     ///
     /// Engines whose WAL ships physical frames instead (the B+tree's
     /// page-image journal) override this to install the shipped images.
     fn apply_replicated_group(&self, frames: &[Vec<u8>]) -> StorageResult<()> {
-        let ops = frames
-            .iter()
-            .map(|f| crate::wal::decode_op(f))
-            .collect::<StorageResult<Vec<_>>>()?;
-        if ops.len() > 1 && ops.iter().all(|(_, value)| value.is_some()) {
-            let mut batch = WriteBatch::new();
-            for (key, value) in ops {
-                batch.put(key, value.expect("an all-put group"));
-            }
-            return self.write_batch(&batch);
-        }
-        for (key, value) in ops {
-            match value {
-                Some(value) => self.put(key, &value)?,
-                None => self.delete(key)?,
+        let mut batch = WriteBatch::new();
+        for frame in frames {
+            match crate::wal::decode_op(frame)? {
+                (key, Some(value)) => batch.put(key, value),
+                (key, None) => batch.delete(key),
             }
         }
-        Ok(())
+        self.write_batch(&batch)
     }
 
     /// A fuzzy logical snapshot of the store — `(key, value)` pairs covering
@@ -382,32 +380,60 @@ pub trait KvStore: Send + Sync + 'static {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use crate::memstore::MemStore;
 
-    /// Minimal store exercising the *default* trait implementations.
-    struct LoopStore(crate::memstore::MemStore);
+    /// Forwards the required calls (and `multi_promote`) to a [`MemStore`]
+    /// and records each as `(method, keys)`, so a test sees what the
+    /// provided calls turn into.
+    #[derive(Default)]
+    struct CallLog {
+        inner: MemStore,
+        calls: Mutex<Vec<(&'static str, usize)>>,
+    }
 
-    impl KvStore for LoopStore {
+    impl CallLog {
+        fn log(&self, method: &'static str, keys: usize) {
+            self.calls.lock().unwrap().push((method, keys));
+        }
+
+        /// The calls recorded since the last `take`.
+        fn take(&self) -> Vec<(&'static str, usize)> {
+            std::mem::take(&mut *self.calls.lock().unwrap())
+        }
+    }
+
+    impl KvStore for CallLog {
         fn name(&self) -> &'static str {
-            "loop"
+            "call-log"
         }
         fn get_traced(&self, key: Key) -> StorageResult<ReadResult> {
-            self.0.get_traced(key)
+            self.log("get_traced", 1);
+            self.inner.get_traced(key)
         }
-        fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-            self.0.put(key, value)
+        fn multi_get(&self, keys: &[Key]) -> Vec<StorageResult<Vec<u8>>> {
+            self.log("multi_get", keys.len());
+            self.inner.multi_get(keys)
         }
-        fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-            self.0.rmw(key, f)
+        fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
+            self.log("multi_rmw", keys.len());
+            self.inner.multi_rmw(keys, f)
         }
-        fn delete(&self, key: Key) -> StorageResult<()> {
-            self.0.delete(key)
+        fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+            self.log("write_batch", batch.len());
+            self.inner.write_batch(batch)
+        }
+        fn multi_promote(&self, keys: &[Key]) -> StorageResult<usize> {
+            self.log("multi_promote", keys.len());
+            self.inner.multi_promote(keys)
         }
         fn approximate_len(&self) -> usize {
-            self.0.approximate_len()
+            self.inner.approximate_len()
         }
         fn metrics(&self) -> Arc<StorageMetrics> {
-            self.0.metrics()
+            self.inner.metrics()
         }
         fn flush(&self) -> StorageResult<()> {
             Ok(())
@@ -415,48 +441,73 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_impls_match_per_key_semantics() {
-        let store = LoopStore(crate::memstore::MemStore::new());
+    fn each_per_key_call_is_one_one_key_batch() {
+        let store = CallLog::default();
         store.put(1, &[1]).unwrap();
-        store.put(3, &[3]).unwrap();
-        let results = store.multi_get(&[1, 2, 3, 1]);
-        assert_eq!(results[0].as_deref().unwrap(), &[1]);
-        assert!(results[1].as_ref().unwrap_err().is_not_found());
-        assert_eq!(results[2].as_deref().unwrap(), &[3]);
-        assert_eq!(results[3].as_deref().unwrap(), &[1]);
-
-        // Duplicate keys see earlier occurrences' writes, in input order.
-        let out = store
-            .multi_rmw(&[9, 9, 1], &|i, cur| {
-                let mut v = cur.map(<[u8]>::to_vec).unwrap_or_default();
-                v.push(i as u8 + 10);
+        assert_eq!(store.take(), [("write_batch", 1)]);
+        let new = store
+            .rmw(1, &|cur| {
+                let mut v = cur.unwrap().to_vec();
+                v.push(2);
                 v
             })
             .unwrap();
-        assert_eq!(out, vec![vec![10], vec![10, 11], vec![1, 12]]);
-        assert_eq!(store.get(9).unwrap(), vec![10, 11]);
+        assert_eq!(new, vec![1, 2]);
+        assert_eq!(store.take(), [("multi_rmw", 1)]);
+        assert_eq!(store.get(1).unwrap(), vec![1, 2]);
+        assert_eq!(store.take(), [("get_traced", 1)]);
+        assert!(!store.promote_to_memory(1).unwrap());
+        assert_eq!(store.take(), [("multi_promote", 1)]);
+        store.delete(1).unwrap();
+        assert_eq!(store.take(), [("write_batch", 1)]);
+        assert!(store.get(1).unwrap_err().is_not_found());
+        assert!(!store.exists(1).unwrap());
+        assert!(!store.contains(1).unwrap());
+        assert_eq!(store.take(), [("get_traced", 1); 3]);
+    }
 
-        assert!(store.exists(1).unwrap());
-        assert!(!store.exists(2).unwrap());
-        assert_eq!(store.contains(1).unwrap(), store.exists(1).unwrap());
-
-        // multi_read visits every position with what multi_get returns.
-        let seen = std::sync::Mutex::new(Vec::new());
+    #[test]
+    fn multi_read_visits_what_multi_get_returns() {
+        let store = CallLog::default();
+        store.put(1, &[1]).unwrap();
+        store.put(9, &[9, 9]).unwrap();
+        store.take();
+        let seen = Mutex::new(Vec::new());
         let errors = store.multi_read(&[9, 2, 1, 9], &|i, value| {
             seen.lock().unwrap().push((i, value.map(<[u8]>::to_vec)));
         });
         assert!(errors.is_empty());
+        assert_eq!(store.take(), [("multi_get", 4)]);
         let mut seen = seen.into_inner().unwrap();
         seen.sort();
         assert_eq!(
             seen,
             vec![
-                (0, Some(vec![10, 11])),
+                (0, Some(vec![9, 9])),
                 (1, None),
-                (2, Some(vec![1, 12])),
-                (3, Some(vec![10, 11]))
+                (2, Some(vec![1])),
+                (3, Some(vec![9, 9]))
             ]
         );
+    }
+
+    #[test]
+    fn a_replicated_group_with_deletes_is_one_write_batch() {
+        let store = CallLog::default();
+        store.put(2, &[2]).unwrap();
+        store.take();
+        let frames = [
+            crate::wal::encode_op(1, Some(&[1])),
+            crate::wal::encode_op(2, None),
+            crate::wal::encode_op(1, None),
+            crate::wal::encode_op(3, Some(&[3])),
+        ];
+        store.apply_replicated_group(&frames).unwrap();
+        assert_eq!(store.take(), [("write_batch", 4)]);
+        let got = store.inner.multi_get(&[1, 2, 3]);
+        assert!(got[0].as_ref().unwrap_err().is_not_found());
+        assert!(got[1].as_ref().unwrap_err().is_not_found());
+        assert_eq!(got[2].as_deref().unwrap(), &[3]);
     }
 
     #[test]
@@ -464,11 +515,10 @@ mod tests {
         let mut batch = WriteBatch::new();
         assert!(batch.is_empty());
         batch.put(1, vec![1, 2, 3]);
+        batch.delete(1);
         batch.put(2, vec![4]);
-        assert_eq!(batch.len(), 2);
-        let collected: Vec<_> = batch.iter().map(|(k, v)| (*k, v.len())).collect();
-        assert_eq!(collected, vec![(1, 3), (2, 1)]);
-        let ops = batch.into_ops();
-        assert_eq!(ops[1], (2, vec![4]));
+        assert_eq!(batch.len(), 3);
+        let collected: Vec<_> = batch.iter().map(|(k, v)| (k, v.map(<[u8]>::len))).collect();
+        assert_eq!(collected, vec![(1, Some(3)), (1, None), (2, Some(1))]);
     }
 }

@@ -12,7 +12,7 @@ use parking_lot::RwLock;
 
 use crate::error::{StorageError, StorageResult};
 use crate::exec::BatchExecutor;
-use crate::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, RmwFn};
+use crate::kv::{BatchReadFn, BatchRmwFn, Key, KvStore, ReadResult, ReadSource, WriteBatch};
 use crate::metrics::{ReadTally, StorageMetrics};
 
 /// Sharded in-memory hash-map store.
@@ -156,20 +156,6 @@ impl KvStore for MemStore {
         Vec::new()
     }
 
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        self.metrics.record_upsert();
-        self.shard_for(key).write().insert(key, value.to_vec());
-        Ok(())
-    }
-
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        self.metrics.record_rmw();
-        let mut shard = self.shard_for(key).write();
-        let new = f(shard.get(&key).map(|v| v.as_slice()));
-        shard.insert(key, new.clone());
-        Ok(new)
-    }
-
     fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
         // Same-key operations always land in the same shard, so processing each
         // shard's positions in input order preserves per-key rmw ordering —
@@ -204,18 +190,15 @@ impl KvStore for MemStore {
         Ok(out)
     }
 
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        self.shard_for(key).write().remove(&key);
-        Ok(())
-    }
-
     fn exists(&self, key: Key) -> StorageResult<bool> {
         Ok(self.shard_for(key).read().contains_key(&key))
     }
 
-    fn write_batch(&self, batch: &crate::kv::WriteBatch) -> StorageResult<()> {
-        let keys: Vec<Key> = batch.iter().map(|(k, _)| *k).collect();
-        let ops: Vec<(&Key, &Vec<u8>)> = batch.iter().collect();
+    fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+        // Each shard applies its positions in input order, so a key's ops
+        // land in occurrence order.
+        let ops: Vec<(Key, Option<&[u8]>)> = batch.iter().collect();
+        let keys: Vec<Key> = ops.iter().map(|&(k, _)| k).collect();
         let ops = &ops;
         let jobs: Vec<_> = self
             .shard_groups(&keys)
@@ -223,10 +206,19 @@ impl KvStore for MemStore {
             .map(|(s, positions)| {
                 move || {
                     let mut shard = self.shards[s].write();
-                    self.metrics.record_upserts(positions.len() as u64);
+                    let mut upserts = 0;
                     for i in positions {
-                        shard.insert(*ops[i].0, ops[i].1.clone());
+                        match ops[i] {
+                            (key, Some(value)) => {
+                                upserts += 1;
+                                shard.insert(key, value.to_vec());
+                            }
+                            (key, None) => {
+                                shard.remove(&key);
+                            }
+                        }
                     }
+                    self.metrics.record_upserts(upserts);
                 }
             })
             .collect();

@@ -608,13 +608,17 @@ pub(crate) mod tests {
         fn get_traced(&self, key: u64) -> StorageResult<mlkv_storage::kv::ReadResult> {
             self.0.get_traced(key)
         }
-        fn put(&self, _: u64, _: &[u8]) -> StorageResult<()> {
+        fn multi_get(&self, keys: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
+            self.0.multi_get(keys)
+        }
+        fn multi_rmw(
+            &self,
+            _: &[u64],
+            _: &mlkv_storage::BatchRmwFn,
+        ) -> StorageResult<Vec<Vec<u8>>> {
             refused()
         }
-        fn rmw(&self, _: u64, _: &mlkv_storage::RmwFn) -> StorageResult<Vec<u8>> {
-            refused()
-        }
-        fn delete(&self, _: u64) -> StorageResult<()> {
+        fn write_batch(&self, _: &mlkv_storage::WriteBatch) -> StorageResult<()> {
             refused()
         }
         fn approximate_len(&self) -> usize {

@@ -113,3 +113,63 @@ fn every_backend_round_trips_through_an_embedding_table() {
         assert_eq!(table.get_one(42).unwrap(), [0.0; 8], "{}", kind.name());
     }
 }
+
+/// One `WriteBatch` mixing puts and deletes applies them in occurrence order
+/// on every engine — key 1 is put then deleted, key 2 (live before the
+/// batch) deleted then put — and the disk engines replay that order on
+/// reopen, from their logs and again from their flushed files.
+#[test]
+fn every_backend_applies_a_mixed_write_batch_in_occurrence_order() {
+    let check = |store: &dyn mlkv::KvStore, cell: &str| {
+        let got = store.multi_get(&[1, 2, 3]);
+        assert!(got[0].as_ref().unwrap_err().is_not_found(), "{cell}: key 1");
+        assert_eq!(got[1].as_deref().unwrap(), &[2, 2], "{cell}: key 2");
+        assert_eq!(got[2].as_deref().unwrap(), &[3], "{cell}: key 3");
+        assert!(!store.exists(1).unwrap(), "{cell}: key 1");
+        assert!(store.exists(2).unwrap(), "{cell}: key 2");
+    };
+    for kind in BackendKind::ALL {
+        let dir = std::env::temp_dir().join(format!(
+            "mlkv-smoke-mixed-{}-{}",
+            kind.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = if kind == BackendKind::InMemory {
+            StoreConfig::in_memory()
+        } else {
+            StoreConfig::on_disk(&dir)
+                .with_durability(mlkv::DurabilityMode::GroupCommit { window: 1 << 20 })
+        }
+        .with_memory_budget(1 << 20)
+        .with_page_size(4 << 10)
+        .with_index_buckets(256);
+        let store = open_store(kind, config.clone()).unwrap();
+        store.put(2, &[2]).unwrap();
+
+        let mut batch = mlkv::WriteBatch::new();
+        batch.put(1, vec![1]);
+        batch.delete(2);
+        batch.delete(1);
+        batch.put(2, vec![2, 2]);
+        batch.put(3, vec![3]);
+        store.write_batch(&batch).unwrap();
+        check(&*store, kind.name());
+        if kind == BackendKind::InMemory {
+            continue;
+        }
+
+        drop(store);
+        let store = open_store(kind, config.clone()).unwrap();
+        check(&*store, &format!("{} after a reopen", kind.name()));
+        store.flush().unwrap();
+        drop(store);
+        let store = open_store(kind, config).unwrap();
+        check(
+            &*store,
+            &format!("{} after a flush and a reopen", kind.name()),
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

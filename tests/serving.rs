@@ -22,8 +22,8 @@ use mlkv_server::protocol::{read_frame, write_frame, ErrorCode, Request, Respons
 use mlkv_server::{Client, ServerBuilder, ServerHandle};
 use mlkv_storage::kv::{Key, ReadResult};
 use mlkv_storage::{
-    DurabilityMode, KvStore, MemStore, RmwFn, StorageError, StorageMetrics, StorageResult,
-    StoreConfig,
+    BatchRmwFn, DurabilityMode, KvStore, MemStore, StorageError, StorageMetrics, StorageResult,
+    StoreConfig, WriteBatch,
 };
 
 const DIM: usize = 8;
@@ -122,14 +122,11 @@ impl KvStore for GatedStore {
         drop(gate);
         self.inner.multi_get(keys)
     }
-    fn put(&self, key: Key, value: &[u8]) -> StorageResult<()> {
-        self.inner.put(key, value)
+    fn multi_rmw(&self, keys: &[Key], f: &BatchRmwFn) -> StorageResult<Vec<Vec<u8>>> {
+        self.inner.multi_rmw(keys, f)
     }
-    fn rmw(&self, key: Key, f: &RmwFn) -> StorageResult<Vec<u8>> {
-        self.inner.rmw(key, f)
-    }
-    fn delete(&self, key: Key) -> StorageResult<()> {
-        self.inner.delete(key)
+    fn write_batch(&self, batch: &WriteBatch) -> StorageResult<()> {
+        self.inner.write_batch(batch)
     }
     fn approximate_len(&self) -> usize {
         self.inner.approximate_len()
